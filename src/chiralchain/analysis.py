@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .chain import ChainConfig, DisorderSpec, build_coupling_matrix, build_positions
 from .dynamics import StateVector, Trajectory, propagate, uniform_excitation
@@ -328,6 +327,8 @@ def detect_bursts(source: BurstSource,
         min_prominence = BURST_PROMINENCE_FRACTION * float(np.max(i_w))
     if min_prominence <= 0.0:
         raise ConfigError("min_prominence must be positive")
+    # imported here: scipy.signal takes most of the package's import time
+    from scipy.signal import find_peaks
     indices, props = find_peaks(i_w, prominence=min_prominence)
     peaks = tuple(
         BurstPeak(t_peak=float(t_w[i]), height=float(i_w[i]),

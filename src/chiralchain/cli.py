@@ -258,14 +258,10 @@ def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
     if result.n_skipped:
         stream.write(f"# n_skipped = {result.n_skipped}\n")
     stream.write("t,mean_P_tot,std_P_tot,mean_I_tot,std_I_tot\n")
-    for k in range(result.times.size):
-        stream.write(",".join([
-            _repr_float(result.times[k]),
-            _repr_float(result.mean_total[k]),
-            _repr_float(result.std_total[k]),
-            _repr_float(result.mean_intensity[k]),
-            _repr_float(result.std_intensity[k]),
-        ]) + "\n")
+    columns = (result.times, result.mean_total, result.std_total,
+               result.mean_intensity, result.std_intensity)
+    for row in zip(*(column.tolist() for column in columns)):
+        stream.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_ensemble(args) -> int:

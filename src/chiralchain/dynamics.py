@@ -408,10 +408,6 @@ def long_time_populations(matrix: CouplingMatrix, initial: StateVector,
 # trajectory export
 # ---------------------------------------------------------------------------
 
-def _format(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
                          metadata: Optional[dict] = None) -> None:
     """CSV columns t, P_1..P_N, P_tot, I_tot with # metadata lines."""
@@ -423,12 +419,12 @@ def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
     n = trajectory.n_atoms
     header = ["t"] + [f"P_{m}" for m in range(1, n + 1)] + ["P_tot", "I_tot"]
     stream.write(",".join(header) + "\n")
-    for k in range(len(trajectory)):
-        row = [_format(trajectory.times[k])]
-        row += [_format(p) for p in trajectory.populations[k]]
-        row.append(_format(trajectory.total[k]))
-        row.append(_format(trajectory.intensity[k]))
-        stream.write(",".join(row) + "\n")
+    # repr of the Python floats from tolist() is repr(float(x)) of each entry
+    for t, pops, total, emitted in zip(trajectory.times.tolist(),
+                                       trajectory.populations.tolist(),
+                                       trajectory.total.tolist(),
+                                       trajectory.intensity.tolist()):
+        stream.write(",".join(map(repr, [t, *pops, total, emitted])) + "\n")
 
 
 def write_trajectory_json(trajectory: Trajectory, stream: IO[str],
