@@ -1,10 +1,16 @@
 """Propagation of single-excitation amplitudes and derived observables.
 
 The equation of motion dc/dt = V c is linear with constant V, so the
-primary propagator is exact stepping with the matrix exponential: each
-distinct grid spacing Delta gets one exp(V * Delta) (scaling-and-squaring
-with diagonal Pade, via scipy), and states are advanced by repeated
-application.  A uniform grid therefore costs a single small expm.
+primary propagator is exact stepping with the matrix exponential.  The
+grid is split into runs of equal spacing h, where times that equal
+t_first + j*h to within a few ulp count as one run (np.linspace rounds its
+steps to about 16 distinct floats; exp(V a) exp(V b) = exp(V (a + b))
+makes the merge exact up to those ulp).  Each distinct h gets one
+exp(V * h) (scaling-and-squaring with diagonal Pade, via scipy), and a run
+advances B steps at a time by one matmul against the powers
+exp(V h)^1 .. exp(V h)^B.  A uniform grid therefore costs a single small
+expm; a log grid steps one time at a time.  The same core evolves a whole
+stack of generators at once, which is how disorder ensembles run.
 
 Every propagation can be cross-checked against an independently coded
 adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)); the two
@@ -26,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -53,6 +59,12 @@ __all__ = [
 _UNDERFLOW_FLOOR = 1e-300
 _NORM_SLACK = 1e-9
 _CHECK_SEED = 0x5EED
+# steps advanced per matmul inside a run of equal spacing
+_BLOCK = 64
+# most entries B*N^2 of one generator's powers (32 KB; see _evolve)
+_BLOCK_ENTRIES = 2048
+# times within this many ulp of t_first + j*h belong to one run of step h
+_RUN_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -175,19 +187,135 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _observables(matrix: CouplingMatrix, states: np.ndarray
+def _observables(v: np.ndarray, states: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    populations = np.abs(states) ** 2
-    clamp = populations != 0.0
-    clamp &= populations < _UNDERFLOW_FLOOR
-    clamped = bool(np.any(clamp))
-    if clamped:
-        populations = populations.copy()
-        populations[clamp] = 0.0
+    """Populations, P_tot and I_tot of amplitudes (R, N, K) under v (R, N, N).
+
+    Sites run along axis 1, so the sums over sites add whole rows; the
+    last axis must be contiguous, for the (re, im) float view.
+    """
+    populations = np.abs(states)
+    populations *= populations
+    tiny = populations < _UNDERFLOW_FLOOR
+    clamped = False
+    if tiny.any():
+        clamped = bool(populations[tiny].any())
+        populations[tiny] = 0.0
     total = populations.sum(axis=1)
-    emission = matrix.dissipator()
-    intensity_arr = np.einsum("ki,ij,kj->k", states.conj(), emission, states).real
+    # -c^dag (V + V^dag) c = -2 Re(c^dag V c), and Re(conj(a) b) is
+    # a.re b.re + a.im b.im: a site sum over the (re, im) float views
+    products = np.einsum("rnk,rnk->rk", states.view(float),
+                         (v @ states).view(float))
+    intensity_arr = -2.0 * (products[:, 0::2] + products[:, 1::2])
     return populations, total, intensity_arr, clamped
+
+
+def _runs(grid: np.ndarray) -> list:
+    """Split a validated grid into runs (first index, step count, step h).
+
+    Candidate runs break wherever two neighbouring steps differ by more
+    than rounding; a candidate is kept only if every time in it equals
+    t_first + j*h to within _RUN_ULPS ulp, and is otherwise taken one
+    step at a time, so a step that is genuinely different is never merged.
+    """
+    steps = np.diff(grid)
+    slack = _RUN_ULPS * np.spacing(grid)
+    starts = np.flatnonzero(np.abs(np.diff(steps)) > slack[2:]) + 1
+    bounds = [0, *starts.tolist(), steps.size]
+    runs = []
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        count = stop - first
+        h = (grid[stop] - grid[first]) / count
+        if count > 1:
+            line = grid[first] + h * np.arange(count + 1)
+            if np.any(np.abs(grid[first:stop + 1] - line)
+                      > slack[first:stop + 1]):
+                runs.extend((k, 1, float(steps[k])) for k in range(first, stop))
+                continue
+        runs.append((first, count, float(h)))
+    return runs
+
+
+def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
+            emit: Callable[[int, np.ndarray], None]) -> None:
+    """Advance c0 under every generator of the stack v across the grid.
+
+    v has shape (R, N, N).  emit(k, block) receives, in grid order, the
+    amplitudes at grid indices k .. k + b - 1 as an (R, N, b) array with
+    b <= _BLOCK, starting with the initial state at k = 0; the block is
+    only valid during the call.  expm runs once per distinct step, on the
+    whole stack.  The block of B steps per matmul is _BLOCK, capped so
+    that the R*B*N^2 entries of the powers never exceed the R*K*N
+    amplitudes of the trajectories, and so that one generator's powers
+    stay within _BLOCK_ENTRIES: a larger block matvec is handed to
+    multithreaded BLAS, whose idle spinning threads measured slower than
+    the stepping they save.
+    """
+    n_stack, n = v.shape[:2]
+    cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
+    # emitted blocks hold a whole number of full-width products
+    slots = cap * max(1, _BLOCK // cap)
+    pending = np.empty((n_stack, n, slots), dtype=complex)
+    pending[:, :, 0] = c0
+    filled, emitted = 1, 0
+    current = pending[:, :, 0].copy()
+    steppers: dict[float, np.ndarray] = {}
+    for _, count, h in _runs(grid):
+        step = steppers.get(h)
+        if step is None:
+            step = expm(v * h)
+            steppers[h] = step
+        # powers[:, :, j] = step^(j+1), so that rows (site, j) of the
+        # flattened stack map a state to the next B states in one matmul
+        width = min(cap, count)
+        powers = np.empty((n_stack, n, width, n), dtype=complex)
+        powers[:, :, 0] = step
+        for j in range(1, width):
+            np.matmul(powers[:, :, j - 1], step, out=powers[:, :, j])
+        stacked = powers.reshape(n_stack, n * width, n)
+        product = np.empty((n_stack, n * width, 1), dtype=complex)
+        block = product.reshape(n_stack, n, width)
+        done = 0
+        while done < count:
+            if filled == slots:
+                emit(emitted, pending)
+                emitted += slots
+                filled = 0
+            size = min(width, count - done, slots - filled)
+            np.matmul(stacked, current[:, :, None], out=product)
+            pending[:, :, filled:filled + size] = block[:, :, :size]
+            current = block[:, :, size - 1].copy()
+            filled += size
+            done += size
+    emit(emitted, pending[:, :, :filled])
+
+
+def _check_points(size: int, max_points: int) -> np.ndarray:
+    """Sorted grid indices re-solved by the cross-check; the last is always in."""
+    rng = np.random.default_rng(_CHECK_SEED)
+    picks = np.sort(rng.choice(np.arange(1, size), size=min(max_points, size - 1),
+                               replace=False))
+    picks[-1] = size - 1
+    return picks
+
+
+def _cross_check(v: np.ndarray, c0: np.ndarray, times: np.ndarray,
+                 states: np.ndarray, check_tol: float) -> None:
+    """Compare states (R, P, N) at times with the RK backend, per generator."""
+    for entries, checked in zip(v, states):
+        rk_states = _dp54(entries, c0, times)
+        deviation = float(np.max(np.abs(checked - rk_states)))
+        if deviation > check_tol:
+            raise IntegrityError(
+                "matrix-exponential and Runge-Kutta backends disagree "
+                f"({deviation:.3e} > {check_tol:.1e})",
+                estimate=deviation, residual=deviation)
+
+
+def _check_sites(matrix_sites: int, state: StateVector) -> None:
+    if state.n_atoms != matrix_sites:
+        raise ConfigError(
+            f"state has {state.n_atoms} sites but matrix has {matrix_sites}")
 
 
 def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
@@ -200,41 +328,64 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
     norm; disagreement beyond check_tol raises IntegrityError.
     """
     grid = _validate_grid(grid)
-    if initial.n_atoms != matrix.n_atoms:
-        raise ConfigError(
-            f"state has {initial.n_atoms} sites but matrix has {matrix.n_atoms}")
-    v = matrix.entries
+    _check_sites(matrix.n_atoms, initial)
+    v = matrix.entries[None]
     states = np.empty((grid.size, matrix.n_atoms), dtype=complex)
-    states[0] = initial.amplitudes
-    steppers: dict[float, np.ndarray] = {}
-    current = initial.amplitudes
-    for k, delta in enumerate(np.diff(grid)):
-        step = steppers.get(delta)
-        if step is None:
-            step = expm(v * delta)
-            steppers[delta] = step
-        current = step @ current
-        states[k + 1] = current
+    populations = np.empty((grid.size, matrix.n_atoms))
+    total = np.empty(grid.size)
+    intensity_arr = np.empty(grid.size)
+    clamped = False
 
-    if cross_check and grid.size > 1:
-        rng = np.random.default_rng(_CHECK_SEED)
-        n_check = min(max_check_points, grid.size - 1)
-        picks = np.sort(rng.choice(np.arange(1, grid.size), size=n_check,
-                                   replace=False))
-        if picks[-1] != grid.size - 1:
-            picks[-1] = grid.size - 1
-        rk_states = _dp54(v, initial.amplitudes, grid[picks])
-        deviation = float(np.max(np.abs(states[picks] - rk_states)))
-        if deviation > check_tol:
-            raise IntegrityError(
-                "matrix-exponential and Runge-Kutta backends disagree "
-                f"({deviation:.3e} > {check_tol:.1e})",
-                estimate=deviation, residual=deviation)
+    def keep(k: int, block: np.ndarray) -> None:
+        nonlocal clamped
+        stop = k + block.shape[2]
+        pops, block_total, block_intensity, clamp = _observables(v, block)
+        states[k:stop] = block[0].T
+        populations[k:stop] = pops[0].T
+        total[k:stop] = block_total[0]
+        intensity_arr[k:stop] = block_intensity[0]
+        clamped |= clamp
 
-    populations, total, intensity_arr, clamped = _observables(matrix, states)
+    _evolve(v, initial.amplitudes, grid, keep)
+    if cross_check:
+        picks = _check_points(grid.size, max_check_points)
+        _cross_check(v, initial.amplitudes, grid[picks], states[None, picks],
+                     check_tol)
     return Trajectory(times=grid, amplitudes=states, populations=populations,
                       total=total, intensity=intensity_arr,
                       gamma=matrix.gamma, underflow_clamped=clamped)
+
+
+def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
+                     cross_check: bool, check_tol: float = 1e-8,
+                     max_check_points: int = 10
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """P_tot and I_tot, each (R, K), of initial under every generator of v.
+
+    Observables are taken block by block, so the (R, K, N) amplitudes are
+    never held; only the cross-check times are kept for the RK comparison,
+    which runs on every generator of the stack.
+    """
+    grid = _validate_grid(grid)
+    _check_sites(v.shape[-1], initial)
+    totals = np.empty((v.shape[0], grid.size))
+    intensities = np.empty((v.shape[0], grid.size))
+    picks = (_check_points(grid.size, max_check_points) if cross_check
+             else np.empty(0, dtype=int))
+    checked = np.empty((v.shape[0], picks.size, v.shape[-1]), dtype=complex)
+
+    def reduce(k: int, block: np.ndarray) -> None:
+        stop = k + block.shape[2]
+        _, block_total, block_intensity, _ = _observables(v, block)
+        totals[:, k:stop] = block_total
+        intensities[:, k:stop] = block_intensity
+        hit = (picks >= k) & (picks < stop)
+        checked[:, hit] = block[:, :, picks[hit] - k].swapaxes(1, 2)
+
+    _evolve(v, initial.amplitudes, grid, reduce)
+    if cross_check:
+        _cross_check(v, initial.amplitudes, grid[picks], checked, check_tol)
+    return totals, intensities
 
 
 def rk_propagate(matrix: CouplingMatrix, initial: StateVector, grid,
@@ -246,15 +397,14 @@ def rk_propagate(matrix: CouplingMatrix, initial: StateVector, grid,
     for production runs.
     """
     grid = _validate_grid(grid)
-    if initial.n_atoms != matrix.n_atoms:
-        raise ConfigError(
-            f"state has {initial.n_atoms} sites but matrix has {matrix.n_atoms}")
+    _check_sites(matrix.n_atoms, initial)
     record = _dp54(matrix.entries, initial.amplitudes, grid[1:],
                    rtol=rtol, atol=atol)
     states = np.vstack([initial.amplitudes[None, :], record])
-    populations, total, intensity_arr, clamped = _observables(matrix, states)
-    return Trajectory(times=grid, amplitudes=states, populations=populations,
-                      total=total, intensity=intensity_arr,
+    populations, total, intensity_arr, clamped = _observables(
+        matrix.entries[None], np.ascontiguousarray(states.T)[None])
+    return Trajectory(times=grid, amplitudes=states, populations=populations[0].T,
+                      total=total[0], intensity=intensity_arr[0],
                       gamma=matrix.gamma, underflow_clamped=clamped)
 
 
@@ -319,9 +469,7 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray,
 
 def intensity(matrix: CouplingMatrix, state: StateVector) -> float:
     """Instantaneous emitted intensity -c^dag (V + V^dag) c (>= 0)."""
-    if state.n_atoms != matrix.n_atoms:
-        raise ConfigError(
-            f"state has {state.n_atoms} sites but matrix has {matrix.n_atoms}")
+    _check_sites(matrix.n_atoms, state)
     c = state.amplitudes
     return float(np.real(c.conj() @ matrix.dissipator() @ c))
 
@@ -357,9 +505,7 @@ def steady_state(matrix: CouplingMatrix, initial: StateVector,
     is then propagated to gamma*t = fallback_horizon and Aitken-
     extrapolated, and the result is flagged approximate.
     """
-    if initial.n_atoms != matrix.n_atoms:
-        raise ConfigError(
-            f"state has {initial.n_atoms} sites but matrix has {matrix.n_atoms}")
+    _check_sites(matrix.n_atoms, initial)
     v = matrix.entries
     eigvals, eigvecs = np.linalg.eig(v)
     cond = float(np.linalg.cond(eigvecs))

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from chiralchain import dynamics
 from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
                                   PLATEAU_WINDOW, EnsembleResult,
                                   detect_bursts, detect_plateaus,
@@ -13,8 +15,8 @@ from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
 from chiralchain.dynamics import (Trajectory, log_grid, propagate,
                                   uniform_excitation, uniform_grid)
-from chiralchain.errors import (ConfigError, FitError, NumericsError,
-                                ResolutionError)
+from chiralchain.errors import (ConfigError, FitError, IntegrityError,
+                                NumericsError, ResolutionError)
 
 
 def staircase_trajectory(n, horizon=1500.0, points=37501):
@@ -86,6 +88,57 @@ def test_run_ensemble_zero_width_has_zero_spread():
     clean = propagate(build_chain(config), uniform_excitation(2),
                       uniform_grid(3.0, 61), cross_check=False)
     assert np.max(np.abs(result.mean_total - clean.total)) == 0.0
+
+
+def test_run_ensemble_matches_loop_of_propagate(monkeypatch):
+    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.01, 6, 3)
+    grid = uniform_grid(50.0, 1251)
+    shapes = []
+
+    def counting_expm(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    result = run_ensemble(config, disorder, grid)
+    assert shapes == [(6, 5, 5)]  # one exponential for the whole stack
+    monkeypatch.undo()
+    runs = [propagate(build_chain(config, disorder, index),
+                      uniform_excitation(5), grid, cross_check=False)
+            for index in range(6)]
+    totals = np.array([run.total for run in runs])
+    intensities = np.array([run.intensity for run in runs])
+    assert np.max(np.abs(result.mean_total - totals.mean(axis=0))) < 1e-12
+    assert np.max(np.abs(result.std_total - totals.std(axis=0, ddof=1))) < 1e-12
+    assert np.max(np.abs(result.mean_intensity
+                         - intensities.mean(axis=0))) < 1e-12
+    assert np.max(np.abs(result.std_intensity
+                         - intensities.std(axis=0, ddof=1))) < 1e-12
+
+
+def test_run_ensemble_cross_checks_every_realization(monkeypatch):
+    config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.01, 4, 5)
+    grid = uniform_grid(5.0, 151)
+    honest = dynamics._dp54
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_dp54", counted)
+    run_ensemble(config, disorder, grid, cross_check=True)
+    assert len(calls) == 4
+
+    def perturbed(*args, **kwargs):
+        return honest(*args, **kwargs) + 1e-6
+
+    monkeypatch.setattr(dynamics, "_dp54", perturbed)
+    with pytest.raises(IntegrityError):
+        run_ensemble(config, disorder, grid, cross_check=True)
+    run_ensemble(config, disorder, grid, cross_check=False)
 
 
 def test_plateaus_found_for_odd_not_even():

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from chiralchain import dynamics
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
 from chiralchain.dynamics import (StateVector, log_grid, long_time_populations,
                                   propagate, rk_propagate, steady_state,
@@ -236,3 +238,69 @@ def test_json_export_round_trip():
                      for row in payload["amplitudes"]])
     assert np.max(np.abs(amps - trajectory.amplitudes)) == 0.0
     assert payload["times"] == [float(t) for t in grid]
+
+
+def core_amplitudes(v, c0, grid):
+    """Collect the blocks of the batched core into (R, K, N) amplitudes."""
+    out = np.empty((v.shape[0], grid.size, v.shape[1]), dtype=complex)
+
+    def keep(k, block):
+        out[:, k:k + block.shape[2]] = block.swapaxes(1, 2)
+
+    dynamics._evolve(v, c0, grid, keep)
+    return out
+
+
+def expm_reference(v, c0, grid):
+    """expm(V t_k) c0 at every grid time, one exponential per time."""
+    return np.array([[expm(entries * t) @ c0 for t in grid] for entries in v])
+
+
+def generator_stack():
+    return np.stack([chain(4, 2.2, 0.7, 1.0).entries,
+                     chain(4, math.pi, 0.9, 1.0).entries])
+
+
+def test_core_matches_expm_on_log_grid():
+    v = generator_stack()
+    c0 = uniform_excitation(4).amplitudes
+    grid = log_grid(horizon=100.0, points_per_decade=40)
+    got = core_amplitudes(v, c0, grid)
+    assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+def test_core_matches_expm_on_grid_shorter_than_two_chains():
+    # K < 2N caps the powers at a single step
+    v = np.stack([chain(6, 2.2, 0.7, 1.0).entries,
+                  chain(6, math.pi, 0.9, 1.0).entries])
+    c0 = uniform_excitation(6).amplitudes
+    for grid in (np.array([0.0, 0.5, 1.0, 1.5, 2.0]),
+                 np.array([0.0, 950.0, 975.0, 1000.0])):
+        got = core_amplitudes(v, c0, grid)
+        assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+def test_core_never_merges_a_moved_time():
+    v = generator_stack()
+    c0 = uniform_excitation(4).amplitudes
+    grid = uniform_grid(20.0, 2001)
+    assert [count for _, count, _ in dynamics._runs(grid)] == [2000]
+    grid[700] += 1e-6
+    assert all(not (first < 700 < first + count)
+               for first, count, _ in dynamics._runs(grid))
+    got = core_amplitudes(v, c0, grid)
+    assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+def test_uniform_grid_costs_one_expm(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting_expm)
+    matrix = chain(5, math.pi, 0.9, 1.0)
+    propagate(matrix, uniform_excitation(5), uniform_grid(1500.0, 37501),
+              cross_check=False)
+    assert calls == [(1, 5, 5)]
