@@ -1,13 +1,13 @@
 """Propagation of single-excitation amplitudes and derived observables.
 
 The equation of motion dc/dt = V c is linear with constant V, so the
-primary propagator is exact stepping with the matrix exponential.  The
-grid is split into runs of equal spacing h, where times that equal
-t_first + j*h to within a few ulp count as one run (np.linspace rounds its
-steps to about 16 distinct floats; exp(V a) exp(V b) = exp(V (a + b))
-makes the merge exact up to those ulp).  Each distinct h gets one
-exp(V * h) (scaling-and-squaring with diagonal Pade, via scipy), and a run
-advances B steps at a time by one matmul against the powers
+primary propagator is exact stepping with the matrix exponential.  A grid
+whose times all equal j*h to within a few ulp is one run of step h
+(np.linspace rounds its steps to about 16 distinct floats;
+exp(V a) exp(V b) = exp(V (a + b)) makes the merge exact up to those
+ulp); any other grid is stepped one time at a time.  Each distinct step
+gets one exp(V * h) (scaling-and-squaring with diagonal Pade, via scipy),
+and a run advances B steps at a time by one matmul against the powers
 exp(V h)^1 .. exp(V h)^B.  A uniform grid therefore costs a single small
 expm; a log grid steps one time at a time.  The same core evolves a whole
 stack of generators at once, which is how disorder ensembles run.
@@ -59,11 +59,14 @@ __all__ = [
 _UNDERFLOW_FLOOR = 1e-300
 _NORM_SLACK = 1e-9
 _CHECK_SEED = 0x5EED
+# cross-check: max-norm tolerance and number of re-solved grid times
+_CHECK_TOL = 1e-8
+_CHECK_POINTS = 10
 # steps advanced per matmul inside a run of equal spacing
 _BLOCK = 64
 # most entries B*N^2 of one generator's powers (32 KB; see _evolve)
 _BLOCK_ENTRIES = 2048
-# times within this many ulp of t_first + j*h belong to one run of step h
+# a grid whose times are within this many ulp of j*h is one run of step h
 _RUN_ULPS = 4
 
 
@@ -189,10 +192,9 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
 
 def _observables(v: np.ndarray, states: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Populations, P_tot and I_tot of amplitudes (R, N, K) under v (R, N, N).
+    """Populations, P_tot and I_tot of amplitudes (R, K, N) under v (R, N, N).
 
-    Sites run along axis 1, so the sums over sites add whole rows; the
-    last axis must be contiguous, for the (re, im) float view.
+    The last axis must be contiguous, for the (re, im) float view.
     """
     populations = np.abs(states)
     populations *= populations
@@ -201,39 +203,29 @@ def _observables(v: np.ndarray, states: np.ndarray
     if tiny.any():
         clamped = bool(populations[tiny].any())
         populations[tiny] = 0.0
-    total = populations.sum(axis=1)
+    # a sum over a short last axis is several times slower than this matvec
+    total = populations @ np.ones(states.shape[2])
     # -c^dag (V + V^dag) c = -2 Re(c^dag V c), and Re(conj(a) b) is
-    # a.re b.re + a.im b.im: a site sum over the (re, im) float views
-    products = np.einsum("rnk,rnk->rk", states.view(float),
-                         (v @ states).view(float))
-    intensity_arr = -2.0 * (products[:, 0::2] + products[:, 1::2])
+    # a.re b.re + a.im b.im: one sum over the (re, im) float views
+    products = states @ v.swapaxes(1, 2)
+    intensity_arr = -2.0 * np.einsum("rkn,rkn->rk", states.view(float),
+                                     products.view(float))
     return populations, total, intensity_arr, clamped
 
 
 def _runs(grid: np.ndarray) -> list:
     """Split a validated grid into runs (first index, step count, step h).
 
-    Candidate runs break wherever two neighbouring steps differ by more
-    than rounding; a candidate is kept only if every time in it equals
-    t_first + j*h to within _RUN_ULPS ulp, and is otherwise taken one
-    step at a time, so a step that is genuinely different is never merged.
+    A grid whose every time equals j*h to within _RUN_ULPS ulp is one run;
+    any other grid is taken one step at a time, so a step that is
+    genuinely different is never merged.
     """
-    steps = np.diff(grid)
-    slack = _RUN_ULPS * np.spacing(grid)
-    starts = np.flatnonzero(np.abs(np.diff(steps)) > slack[2:]) + 1
-    bounds = [0, *starts.tolist(), steps.size]
-    runs = []
-    for first, stop in zip(bounds[:-1], bounds[1:]):
-        count = stop - first
-        h = (grid[stop] - grid[first]) / count
-        if count > 1:
-            line = grid[first] + h * np.arange(count + 1)
-            if np.any(np.abs(grid[first:stop + 1] - line)
-                      > slack[first:stop + 1]):
-                runs.extend((k, 1, float(steps[k])) for k in range(first, stop))
-                continue
-        runs.append((first, count, float(h)))
-    return runs
+    count = grid.size - 1
+    h = grid[-1] / count
+    line = h * np.arange(grid.size)
+    if np.all(np.abs(grid - line) <= _RUN_ULPS * np.spacing(grid)):
+        return [(0, count, float(h))]
+    return [(k, 1, step) for k, step in enumerate(np.diff(grid).tolist())]
 
 
 def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
@@ -241,40 +233,41 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     """Advance c0 under every generator of the stack v across the grid.
 
     v has shape (R, N, N).  emit(k, block) receives, in grid order, the
-    amplitudes at grid indices k .. k + b - 1 as an (R, N, b) array with
+    amplitudes at grid indices k .. k + b - 1 as an (R, b, N) array with
     b <= _BLOCK, starting with the initial state at k = 0; the block is
     only valid during the call.  expm runs once per distinct step, on the
     whole stack.  The block of B steps per matmul is _BLOCK, capped so
     that the R*B*N^2 entries of the powers never exceed the R*K*N
     amplitudes of the trajectories, and so that one generator's powers
-    stay within _BLOCK_ENTRIES: a larger block matvec is handed to
-    multithreaded BLAS, whose idle spinning threads measured slower than
-    the stepping they save.
+    stay within _BLOCK_ENTRIES.  Blocking only saves per-call overhead,
+    and larger powers measured slower: N = 200 with B = 10 against B = 1,
+    and N = 9 or 10 with B*N^2 near 5000 under multithreaded OpenBLAS,
+    which threads complex matrix-vector products of 4096 or more entries.
     """
     n_stack, n = v.shape[:2]
     cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
     # emitted blocks hold a whole number of full-width products
     slots = cap * max(1, _BLOCK // cap)
-    pending = np.empty((n_stack, n, slots), dtype=complex)
-    pending[:, :, 0] = c0
+    pending = np.empty((n_stack, slots, n), dtype=complex)
+    pending[:, 0] = c0
     filled, emitted = 1, 0
-    current = pending[:, :, 0].copy()
+    current = pending[:, 0].copy()
     steppers: dict[float, np.ndarray] = {}
     for _, count, h in _runs(grid):
         step = steppers.get(h)
         if step is None:
             step = expm(v * h)
             steppers[h] = step
-        # powers[:, :, j] = step^(j+1), so that rows (site, j) of the
+        # powers[:, j] = step^(j+1), so that rows (j, site) of the
         # flattened stack map a state to the next B states in one matmul
         width = min(cap, count)
-        powers = np.empty((n_stack, n, width, n), dtype=complex)
-        powers[:, :, 0] = step
+        powers = np.empty((n_stack, width, n, n), dtype=complex)
+        powers[:, 0] = step
         for j in range(1, width):
-            np.matmul(powers[:, :, j - 1], step, out=powers[:, :, j])
-        stacked = powers.reshape(n_stack, n * width, n)
-        product = np.empty((n_stack, n * width, 1), dtype=complex)
-        block = product.reshape(n_stack, n, width)
+            np.matmul(powers[:, j - 1], step, out=powers[:, j])
+        stacked = powers.reshape(n_stack, width * n, n)
+        product = np.empty((n_stack, width * n, 1), dtype=complex)
+        block = product.reshape(n_stack, width, n)
         done = 0
         while done < count:
             if filled == slots:
@@ -283,11 +276,11 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
                 filled = 0
             size = min(width, count - done, slots - filled)
             np.matmul(stacked, current[:, :, None], out=product)
-            pending[:, :, filled:filled + size] = block[:, :, :size]
-            current = block[:, :, size - 1].copy()
+            pending[:, filled:filled + size] = block[:, :size]
+            current = block[:, size - 1].copy()
             filled += size
             done += size
-    emit(emitted, pending[:, :, :filled])
+    emit(emitted, pending[:, :filled])
 
 
 def _check_points(size: int, max_points: int) -> np.ndarray:
@@ -319,8 +312,8 @@ def _check_sites(matrix_sites: int, state: StateVector) -> None:
 
 
 def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
-              *, cross_check: bool = True, check_tol: float = 1e-8,
-              max_check_points: int = 10) -> Trajectory:
+              *, cross_check: bool = True, check_tol: float = _CHECK_TOL,
+              max_check_points: int = _CHECK_POINTS) -> Trajectory:
     """Evolve the initial state to every grid time via matrix exponentials.
 
     With cross_check on (the default), up to max_check_points grid times
@@ -338,10 +331,10 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
 
     def keep(k: int, block: np.ndarray) -> None:
         nonlocal clamped
-        stop = k + block.shape[2]
+        stop = k + block.shape[1]
         pops, block_total, block_intensity, clamp = _observables(v, block)
-        states[k:stop] = block[0].T
-        populations[k:stop] = pops[0].T
+        states[k:stop] = block[0]
+        populations[k:stop] = pops[0]
         total[k:stop] = block_total[0]
         intensity_arr[k:stop] = block_intensity[0]
         clamped |= clamp
@@ -357,9 +350,7 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
 
 
 def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
-                     cross_check: bool, check_tol: float = 1e-8,
-                     max_check_points: int = 10
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     cross_check: bool) -> tuple[np.ndarray, np.ndarray]:
     """P_tot and I_tot, each (R, K), of initial under every generator of v.
 
     Observables are taken block by block, so the (R, K, N) amplitudes are
@@ -370,21 +361,21 @@ def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
     _check_sites(v.shape[-1], initial)
     totals = np.empty((v.shape[0], grid.size))
     intensities = np.empty((v.shape[0], grid.size))
-    picks = (_check_points(grid.size, max_check_points) if cross_check
+    picks = (_check_points(grid.size, _CHECK_POINTS) if cross_check
              else np.empty(0, dtype=int))
     checked = np.empty((v.shape[0], picks.size, v.shape[-1]), dtype=complex)
 
     def reduce(k: int, block: np.ndarray) -> None:
-        stop = k + block.shape[2]
+        stop = k + block.shape[1]
         _, block_total, block_intensity, _ = _observables(v, block)
         totals[:, k:stop] = block_total
         intensities[:, k:stop] = block_intensity
         hit = (picks >= k) & (picks < stop)
-        checked[:, hit] = block[:, :, picks[hit] - k].swapaxes(1, 2)
+        checked[:, hit] = block[:, picks[hit] - k]
 
     _evolve(v, initial.amplitudes, grid, reduce)
     if cross_check:
-        _cross_check(v, initial.amplitudes, grid[picks], checked, check_tol)
+        _cross_check(v, initial.amplitudes, grid[picks], checked, _CHECK_TOL)
     return totals, intensities
 
 
@@ -402,8 +393,8 @@ def rk_propagate(matrix: CouplingMatrix, initial: StateVector, grid,
                    rtol=rtol, atol=atol)
     states = np.vstack([initial.amplitudes[None, :], record])
     populations, total, intensity_arr, clamped = _observables(
-        matrix.entries[None], np.ascontiguousarray(states.T)[None])
-    return Trajectory(times=grid, amplitudes=states, populations=populations[0].T,
+        matrix.entries[None], states[None])
+    return Trajectory(times=grid, amplitudes=states, populations=populations[0],
                       total=total[0], intensity=intensity_arr[0],
                       gamma=matrix.gamma, underflow_clamped=clamped)
 

@@ -245,7 +245,7 @@ def core_amplitudes(v, c0, grid):
     out = np.empty((v.shape[0], grid.size, v.shape[1]), dtype=complex)
 
     def keep(k, block):
-        out[:, k:k + block.shape[2]] = block.swapaxes(1, 2)
+        out[:, k:k + block.shape[1]] = block
 
     dynamics._evolve(v, c0, grid, keep)
     return out
