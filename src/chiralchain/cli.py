@@ -40,7 +40,8 @@ from .dynamics import (Trajectory, log_grid, propagate, steady_state,
                        write_trajectory_csv, write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
                      NumericsError)
-from .kernels import DipoleGeometry, chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
+from .kernels import (_chiral_fg_columns, _kernel_1d_columns, _kernel_2d_columns,
+                      _kernel_3d_columns)
 
 __all__ = ["main", "build_parser"]
 
@@ -323,7 +324,9 @@ def _parse_xi_range(spec: str) -> np.ndarray:
             start, step, stop = parts
             if step <= 0.0 or stop < start:
                 raise ValueError
-            count = int(math.floor((stop - start) / step + 0.5)) + 1
+            # every value up to stop; the slack keeps a stop that lies on
+            # the grid but reads a rounding error short of it
+            count = int(math.floor((stop - start) / step + 1e-9)) + 1
             return start + step * np.arange(count)
         if "," in spec:
             return np.array([float(p) for p in spec.split(",")])
@@ -334,51 +337,37 @@ def _parse_xi_range(spec: str) -> np.ndarray:
             "or a single value") from exc
 
 
-def _kernel_rows(dim: str, xi_values: np.ndarray, alignment: float,
+def _kernel_columns(dim: str, xi_values: np.ndarray, alignment: float,
                  gamma_l: float, gamma_r: float):
-    header: list
-    rows = []
+    """Header and columns of one kernel table, from one call of its core."""
     if dim == "1":
-        header = ["xi", "decay", "shift"]
-        for xi in xi_values:
-            kv = kernel_1d_reciprocal(float(xi))
-            rows.append([xi, kv.decay_part, kv.shift_part])
-    elif dim == "1chiral":
-        header = ["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"]
-        for xi in xi_values:
-            f, g = chiral_fg(float(xi), gamma_l, gamma_r)
-            rows.append([xi, f.real, g.real, f.real, f.imag, g.real, g.imag])
-    elif dim in ("2", "3"):
-        header = ["xi", "decay", "shift", "shift_divergent"]
-        build = kernel_2d if dim == "2" else kernel_3d
-        for xi in xi_values:
-            kv = build(DipoleGeometry(xi=float(xi), alignment=alignment))
-            rows.append([xi, kv.decay_part, kv.shift_part,
-                         int(kv.shift_divergent)])
-    else:
-        raise ConfigError(f"unknown kernel dimension {dim!r}")
-    return header, rows
+        decay, shift, _ = _kernel_1d_columns(xi_values)
+        return ["xi", "decay", "shift"], [xi_values, decay, shift]
+    if dim == "1chiral":
+        f, g = _chiral_fg_columns(xi_values, gamma_l, gamma_r)
+        return (["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
+                [xi_values, f.real, g.real, f.real, f.imag, g.real, g.imag])
+    if dim in ("2", "3"):
+        core = _kernel_2d_columns if dim == "2" else _kernel_3d_columns
+        decay, shift, divergent = core(xi_values, alignment)
+        return (["xi", "decay", "shift", "shift_divergent"],
+                [xi_values, decay, shift, divergent.astype(int)])
+    raise ConfigError(f"unknown kernel dimension {dim!r}")
 
 
-def _write_kernel_csv(stream, header, rows, metadata: dict) -> None:
+def _write_kernel_csv(stream, header, columns, metadata: dict) -> None:
     for key, value in metadata.items():
         stream.write(f"# {key} = {value}\n")
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(_repr_float(value))
-        stream.write(",".join(cells) + "\n")
+    for row in zip(*(column.tolist() for column in columns)):
+        stream.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_kernel(args) -> int:
     started = time.monotonic()
     xi_values = _parse_xi_range(args.xi)
-    header, rows = _kernel_rows(args.dim, xi_values, args.alignment,
-                                args.gamma_l, args.gamma_r)
+    header, columns = _kernel_columns(args.dim, xi_values, args.alignment,
+                                   args.gamma_l, args.gamma_r)
     metadata = {"dimension": args.dim}
     if args.dim in ("2", "3"):
         metadata["alignment"] = _repr_float(args.alignment)
@@ -386,14 +375,14 @@ def cmd_kernel(args) -> int:
         metadata["gamma_left"] = _repr_float(args.gamma_l)
         metadata["gamma_right"] = _repr_float(args.gamma_r)
     if args.stdout:
-        _write_kernel_csv(sys.stdout, header, rows, metadata)
+        _write_kernel_csv(sys.stdout, header, columns, metadata)
         return 0
     parameters = {"dimension": args.dim, "xi": args.xi,
                   "alignment": args.alignment,
                   "gamma_left": args.gamma_l, "gamma_right": args.gamma_r}
     _write_run(_resolve_outdir(args.outdir), "kernel", parameters, 1.0,
                {"kernel.csv":
-                lambda fh: _write_kernel_csv(fh, header, rows, metadata)},
+                lambda fh: _write_kernel_csv(fh, header, columns, metadata)},
                started)
     return 0
 

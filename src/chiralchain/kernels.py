@@ -18,12 +18,13 @@ shift parts of the reciprocal 1D kernel.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .specfun import bessel_j, bessel_y
+from .specfun import _sum_through_first, bessel_j, bessel_y
 
 __all__ = [
     "KernelValue",
@@ -42,8 +43,8 @@ class KernelValue:
     decay_part is gamma_uv / 2 and shift_part is Omega_uv, both in units
     of the intrinsic rate.  shift_divergent marks separations where the
     coherent shift has no finite value (contact limit of the 2D and 3D
-    kernels); decay_part then still carries the finite decay limit and
-    shift_part is NaN.
+    kernels, and separations so small that it overflows); decay_part then
+    still carries the finite decay limit and shift_part is NaN.
     """
 
     decay_part: float
@@ -73,11 +74,23 @@ class DipoleGeometry:
     alignment: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.xi) or self.xi < 0.0:
-            raise DomainError(f"xi must be finite and >= 0, got {self.xi!r}")
-        if not math.isfinite(self.alignment) or abs(self.alignment) > 1.0:
-            raise DomainError(
-                f"alignment must lie in [-1, 1], got {self.alignment!r}")
+        _separations(self.xi)
+        _alignment_squared(self.alignment)
+
+
+def _separations(xi) -> np.ndarray:
+    """xi as a float array, every value finite and >= 0."""
+    xi = np.asarray(xi, dtype=float)
+    bad = ~(np.isfinite(xi) & (xi >= 0.0))
+    if bad.any():
+        raise DomainError(f"xi must be finite and >= 0, got {float(xi[bad][0])!r}")
+    return xi
+
+
+def _alignment_squared(alignment: float) -> float:
+    if not math.isfinite(alignment) or abs(alignment) > 1.0:
+        raise DomainError(f"alignment must lie in [-1, 1], got {alignment!r}")
+    return alignment * alignment
 
 
 def _check_rates(gamma_left: float, gamma_right: float) -> None:
@@ -86,6 +99,30 @@ def _check_rates(gamma_left: float, gamma_right: float) -> None:
             raise DomainError(f"{name} must be finite and >= 0, got {g!r}")
     if gamma_left == 0.0 and gamma_right == 0.0:
         raise DomainError("gamma_left and gamma_right cannot both vanish")
+
+
+def _value(columns) -> KernelValue:
+    decay, shift, divergent = columns
+    return KernelValue(float(decay[0]), float(shift[0]), bool(divergent[0]))
+
+
+def _flag_divergent(decay: np.ndarray, shift: np.ndarray):
+    """(decay, shift, flags), the shift NaN and flagged wherever it is not finite."""
+    divergent = ~np.isfinite(shift)
+    return decay, np.where(divergent, math.nan, shift), divergent
+
+
+# Each kernel has one array core, returning its decay column, shift column
+# and divergence flags for an array of separations; the public functions
+# evaluate it at one point and the CLI tables call it once per table.
+
+def _chiral_fg_columns(xi, gamma_left: float, gamma_right: float):
+    xi = _separations(xi)
+    _check_rates(gamma_left, gamma_right)
+    phase = np.exp(1j * xi)
+    f = 0.5 * (gamma_right * phase + gamma_left / phase)
+    g = -0.5j * (gamma_right * phase - gamma_left / phase)
+    return f, g
 
 
 def chiral_fg(xi: float, gamma_left: float, gamma_right: float
@@ -99,13 +136,13 @@ def chiral_fg(xi: float, gamma_left: float, gamma_right: float
     G = gamma sin(xi), i.e. the decay and shift parts of the reciprocal
     kernel.
     """
-    if not math.isfinite(xi) or xi < 0.0:
-        raise DomainError(f"xi must be finite and >= 0, got {xi!r}")
-    _check_rates(gamma_left, gamma_right)
-    phase = cmath.exp(1j * xi)
-    f = 0.5 * (gamma_right * phase + gamma_left / phase)
-    g = -0.5j * (gamma_right * phase - gamma_left / phase)
-    return f, g
+    f, g = _chiral_fg_columns([xi], gamma_left, gamma_right)
+    return complex(f[0]), complex(g[0])
+
+
+def _kernel_1d_columns(xi):
+    xi = _separations(xi)
+    return 0.5 * np.cos(xi), 0.5 * np.sin(xi), np.zeros(xi.shape, dtype=bool)
 
 
 def kernel_1d_reciprocal(xi: float) -> KernelValue:
@@ -114,9 +151,28 @@ def kernel_1d_reciprocal(xi: float) -> KernelValue:
     decay_part^2 + shift_part^2 = 1/4 for every separation: a 1D line
     only dephases the pair coupling, it never weakens it.
     """
-    if not math.isfinite(xi) or xi < 0.0:
-        raise DomainError(f"xi must be finite and >= 0, got {xi!r}")
-    return KernelValue(0.5 * math.cos(xi), 0.5 * math.sin(xi))
+    return _value(_kernel_1d_columns([xi]))
+
+
+def _kernel_3d_columns(xi, alignment: float):
+    xi = _separations(xi)
+    a2 = _alignment_squared(alignment)
+    perp = 1.0 - a2
+    quad_combo = 1.0 - 3.0 * a2
+    sin, cos = np.sin(xi), np.cos(xi)
+    # contact and underflowing powers of xi make the shift infinite or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # below 1e-2 the bracketed combinations take their series; the
+        # direct forms lose up to 8 digits to cancellation below xi ~ 1e-4
+        small = xi < 1e-2
+        sinc = np.where(small, 1.0 - xi * xi / 6.0 + xi**4 / 120.0, sin / xi)
+        cos2_sin3 = np.where(small, -1.0 / 3.0 + xi * xi / 30.0 - xi**4 / 840.0,
+                             cos / xi**2 - sin / xi**3)
+        sin2_cos3 = sin / xi**2 + cos / xi**3
+        gamma_uv = 1.5 * (perp * sinc + quad_combo * cos2_sin3)
+        omega_uv = 0.75 * (-perp * cos / xi + quad_combo * sin2_cos3)
+    # the Dicke limit exactly at contact
+    return _flag_divergent(np.where(xi == 0.0, 0.5, 0.5 * gamma_uv), omega_uv)
 
 
 def kernel_3d(geometry: DipoleGeometry) -> KernelValue:
@@ -131,24 +187,27 @@ def kernel_3d(geometry: DipoleGeometry) -> KernelValue:
     limit gamma_uv -> 1 for any alignment, while the shift diverges as
     1/xi^3 and is flagged instead of returned.
     """
-    xi = geometry.xi
-    a2 = geometry.alignment * geometry.alignment
-    perp = 1.0 - a2
-    quad_combo = 1.0 - 3.0 * a2
-    if xi == 0.0:
-        return KernelValue(0.5, math.nan, shift_divergent=True)
-    if xi < 1e-2:
-        # series for the bracketed combinations; the direct forms lose
-        # up to 8 digits to cancellation below xi ~ 1e-4
-        sinc = 1.0 - xi * xi / 6.0 + xi**4 / 120.0
-        cos2_sin3 = -1.0 / 3.0 + xi * xi / 30.0 - xi**4 / 840.0
-    else:
-        sinc = math.sin(xi) / xi
-        cos2_sin3 = math.cos(xi) / xi**2 - math.sin(xi) / xi**3
-    sin2_cos3 = math.sin(xi) / xi**2 + math.cos(xi) / xi**3
-    gamma_uv = 1.5 * (perp * sinc + quad_combo * cos2_sin3)
-    omega_uv = 0.75 * (-perp * math.cos(xi) / xi + quad_combo * sin2_cos3)
-    return KernelValue(0.5 * gamma_uv, omega_uv)
+    return _value(_kernel_3d_columns([geometry.xi], geometry.alignment))
+
+
+def _kernel_2d_columns(xi, alignment: float):
+    xi = _separations(xi)
+    a2 = _alignment_squared(alignment)
+    decay = np.full(xi.shape, 0.5)  # f(0+) = 1
+    shift = np.full(xi.shape, math.nan)
+    apart = xi > 0.0
+    x = xi[apart]
+    # decay_part = f / 2 = J0 - J1/xi + a^2 J2
+    decay[apart] = bessel_j(0, x) - _j1_over_x(x) + a2 * bessel_j(2, x)
+    y0 = bessel_y(0, x)
+    y1 = bessel_y(1, x)
+    # tiny separations overflow the 1/x^2 terms: infinite or NaN shift
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Y2 by the recurrence bessel_y(2, .) uses, on the Y0 and Y1 above
+        y2 = 2.0 / x * y1 - y0
+        shift[apart] = 0.5 * (2.0 * y0 - 2.0 * y1 / x + 2.0 * a2 * y2
+                              - 4.0 / (math.pi * x * x) * (1.0 - 2.0 * a2))
+    return _flag_divergent(decay, shift)
 
 
 def kernel_2d(geometry: DipoleGeometry) -> KernelValue:
@@ -164,29 +223,18 @@ def kernel_2d(geometry: DipoleGeometry) -> KernelValue:
     contact and is flagged there.  g is the Kramers-Kronig partner of f,
     which the test suite verifies by principal-value reconstruction.
     """
-    xi = geometry.xi
-    a2 = geometry.alignment * geometry.alignment
-    if xi == 0.0:
-        return KernelValue(0.5, math.nan, shift_divergent=True)
-    j1_over_xi = _j1_over_x(xi)
-    f = 2.0 * (bessel_j(0, xi) - j1_over_xi + a2 * bessel_j(2, xi))
-    g = (2.0 * bessel_y(0, xi) - 2.0 * bessel_y(1, xi) / xi
-         + 2.0 * a2 * bessel_y(2, xi)
-         - 4.0 / (math.pi * xi * xi) * (1.0 - 2.0 * a2))
-    return KernelValue(0.5 * f, 0.5 * g)
+    return _value(_kernel_2d_columns([geometry.xi], geometry.alignment))
 
 
-def _j1_over_x(x: float) -> float:
+def _j1_over_x(x: np.ndarray) -> np.ndarray:
     # J1(x)/x by its own series at small argument; J1 ~ x/2 there, so the
     # plain quotient would just amplify rounding in J1.
-    if x >= 0.1:
-        return bessel_j(1, x) / x
-    q = 0.25 * x * x
-    term = 0.5
-    total = term
-    for m in range(1, 20):
-        term *= -q / (m * (m + 1))
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
+    out = np.empty_like(x)
+    big = x >= 0.1
+    out[big] = bessel_j(1, x[big]) / x[big]
+    q = (0.25 * x[~big] * x[~big])[:, None]
+    m = np.arange(1, 20)
+    terms = np.cumprod(np.concatenate(
+        [np.full_like(q, 0.5), -q / (m * (m + 1))], axis=1), axis=1)
+    out[~big] = _sum_through_first(terms, np.abs(terms) < 1e-18)
+    return out

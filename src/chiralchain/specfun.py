@@ -9,21 +9,39 @@ rest on independent code paths.
 
 Evaluation strategy
 -------------------
-* J_n, |x| < 6:   ascending power series (Abramowitz & Stegun 9.1.10).
+``bessel_j`` and ``bessel_y`` take a float or an array of points and
+evaluate them in fixed blocks of 256 points (``_BLOCK``), so a kernel
+table is a few numpy passes with no Python per point.  A float goes in
+as a one-element block and comes out as a float.  Within a block each
+point takes its branch by mask:
+
+* J_n, |x| < 6:   ascending power series (Abramowitz & Stegun 9.1.10),
+                  as a (points, terms) matrix of the term recurrence,
+                  each row summed in order through its first term below
+                  the bound, as a term-by-term loop would stop.
 * J_n, |x| >= 6:  Gauss-Legendre quadrature of Bessel's integral
                   J_n(x) = (1/pi) * int_0^pi cos(n*t - x*sin t) dt
-                  (A&S 9.1.21).  The integrand is entire, so a fixed
-                  high-order rule is accurate to near machine precision
-                  over the supported range |x| <= 50.
+                  (A&S 9.1.21), as a (points, 120) node matrix summed
+                  against the weights.  The integrand is entire, so a
+                  fixed high-order rule is accurate to near machine
+                  precision over the supported range |x| <= 50.
 * Y_n, 0 < x < 6: ascending series with harmonic-number coefficients
-                  (A&S 9.1.11); Y2 by the standard recurrence.
+                  (A&S 9.1.11), summed per point like the J series.
 * Y_n, x >= 6:    integral representation (DLMF 10.9.9)
                   Y_n(x) = (1/pi) int_0^pi sin(x sin t - n t) dt
                          - (1/pi) int_0^inf [e^{nt} + (-1)^n e^{-nt}]
-                                  e^{-x sinh t} dt.
+                                  e^{-x sinh t} dt,
+                  the second integral on [0, t_max(x)] per point.
+* Y_2:            the recurrence Y2 = (2/x) Y1 - Y0 on the Y0 and Y1 of
+                  the same block, so no Y quadrature runs twice.
 * H_n, |x| <= 20: ascending power series (A&S 12.1.5).
 * H_n, |x| > 20:  H_n(x) = Y_n(x) + asymptotic series (DLMF 11.6.1),
                   truncated at its smallest term.
+
+Every operation acts on one point at a time or sums one point's row, so
+a value does not depend on the block it was evaluated in: a table equals
+the same points evaluated one by one, bit for bit.  Blocks bound each
+node matrix to 256 x 120 entries.
 
 The straight power series cannot hold an absolute error of 1e-8 for the
 Struve functions much past |x| ~ 20 in double precision (the alternating
@@ -38,7 +56,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericsError
 
@@ -57,6 +74,11 @@ _STRUVE_SERIES_LIMIT = 20.0
 # is told the function diverged rather than handed an overflowed number.
 _Y_DIVERGENCE_CUTOFF = 1e-305
 
+# Points per pass of the array evaluation; a (points, 120) node matrix
+# then holds 250 kB.  Larger blocks measured no faster, and one pass over
+# a whole 9999-point kernel table added 65 MB to the peak memory.
+_BLOCK = 256
+
 # Fixed Gauss-Legendre rule used for the integral representations.  With
 # at most ~16 oscillation periods across [0, pi] at x = 50, 120 nodes are
 # far in the spectrally convergent regime.
@@ -66,124 +88,164 @@ _GL_T = 0.5 * math.pi * (_GL_NODES + 1.0)
 _GL_W = 0.5 * math.pi * _GL_WEIGHTS
 _GL_SIN_T = np.sin(_GL_T)
 
+# harmonic numbers H_1 ... H_60 for the Y series
+_HARMONIC = np.cumsum(1.0 / np.arange(1, 61))
+
 
 def _check_order(order: int, allowed: tuple[int, ...], name: str) -> None:
     if not isinstance(order, (int, np.integer)) or order not in allowed:
         raise DomainError(f"{name} supports orders {allowed}, got {order!r}")
 
 
-def _bessel_j_series(order: int, x: float) -> float:
-    # t_m = (-1)^m (x/2)^(2m+n) / (m! (m+n)!)
-    half = 0.5 * x
+def _blocked(name: str, x, block: Callable[[np.ndarray], np.ndarray],
+             positive: bool = False):
+    """Apply block() to x in _BLOCK-point slices; a float in, a float out."""
+    points = np.asarray(x, dtype=float)
+    flat = points.ravel()
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        raise DomainError(f"{name} requires finite x, got {float(flat[bad][0])!r}")
+    if positive:
+        bad = flat <= 0.0
+        if bad.any():
+            raise DomainError(f"{name} requires x > 0, got {float(flat[bad][0])!r}")
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        out[start:start + _BLOCK] = block(flat[start:start + _BLOCK])
+    return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
+
+
+def _gl_sum(values: np.ndarray, weights: np.ndarray = _GL_W) -> np.ndarray:
+    # one pairwise sum per row: the same rounding for a row in any block
+    return (values * weights).sum(axis=-1)
+
+
+def _by_branch(order: int, x: np.ndarray, series, integral) -> np.ndarray:
+    """series(order, .) on the points below _SERIES_LIMIT, integral on the rest."""
+    out = np.empty_like(x)
+    small = x < _SERIES_LIMIT
+    for points, branch in ((small, series), (~small, integral)):
+        if points.any():
+            out[points] = branch(order, x[points])
+    return out
+
+
+def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Row sums of terms through each row's first True in last (all if none).
+
+    This is the stopping rule of a term-by-term loop, applied per point
+    to a (points, terms) matrix, so a sum does not depend on the other
+    points of its block.
+    """
+    after = np.cumsum(last, axis=-1) > last
+    # summed in term order, as such a loop adds them
+    return np.cumsum(np.where(after, 0.0, terms), axis=-1)[..., -1]
+
+
+def _bessel_j_series(order: int, x: np.ndarray) -> np.ndarray:
+    # t_m = (-1)^m (x/2)^(2m+n) / (m! (m+n)!) = t_{m-1} * (-q / (m (m+n))),
+    # summed through the first term within 1e-18 (1 + |t_0|), m <= 60
+    half = 0.5 * np.asarray(x, dtype=float)[..., None]
     q = half * half
-    term = half**order / math.factorial(order)
-    terms = [term]
-    m = 0
-    while abs(term) > 1e-18 * (1.0 + abs(terms[0])) and m < 60:
-        m += 1
-        term *= -q / (m * (m + order))
-        terms.append(term)
-    return math.fsum(terms)
+    first = half**order / math.factorial(order)
+    m = np.arange(1, 61)
+    terms = np.cumprod(np.concatenate(
+        [first, -q / (m * (m + order))], axis=-1), axis=-1)
+    return _sum_through_first(terms, np.abs(terms) <= 1e-18 * (1.0 + np.abs(first)))
 
 
-def _bessel_j_integral(order: int, x: float) -> float:
-    vals = np.cos(order * _GL_T - x * _GL_SIN_T)
-    return float(np.dot(_GL_W, vals)) / math.pi
+def _bessel_j_integral(order: int, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x)
+    vals = np.cos(order * _GL_T - x[..., None] * _GL_SIN_T)
+    return _gl_sum(vals) / math.pi
 
 
-def bessel_j(order: int, x: float) -> float:
+def bessel_j(order: int, x):
     """Bessel function of the first kind, J_order(x), order in {0, 1, 2}.
 
-    Absolute error below 1e-12 for |x| <= 50.
+    x is a float, giving a float, or an array, giving an array of its
+    shape.  Absolute error below 1e-12 for |x| <= 50.
     """
     _check_order(order, (0, 1, 2), "bessel_j")
-    if not math.isfinite(x):
-        raise DomainError(f"bessel_j requires finite x, got {x!r}")
-    sign = 1.0
-    if x < 0.0:
+
+    def block(x: np.ndarray) -> np.ndarray:
+        out = _by_branch(order, np.abs(x), _bessel_j_series, _bessel_j_integral)
         # J_n(-x) = (-1)^n J_n(x)
-        x = -x
-        sign = -1.0 if order % 2 else 1.0
-    if x < _SERIES_LIMIT:
-        return sign * _bessel_j_series(order, x)
-    return sign * _bessel_j_integral(order, x)
+        return np.where(x < 0.0, -out, out) if order % 2 else out
+
+    return _blocked("bessel_j", x, block)
 
 
-def _bessel_y_series(order: int, x: float) -> float:
-    # A&S 9.1.11 specialised to n = 0, 1.
+def _bessel_y_series(order: int, x: np.ndarray) -> np.ndarray:
+    # A&S 9.1.11 specialised to n = 0, 1; each tail is summed through its
+    # first term below 1e-18, m <= 59.
+    x = np.asarray(x, dtype=float)
     half = 0.5 * x
-    q = half * half
-    log_term = math.log(half) + _EULER_GAMMA
+    q = (half * half)[..., None]
+    log_term = np.log(half) + _EULER_GAMMA
+    m = np.arange(1, 60)
     if order == 0:
         # (2/pi) [ (ln(x/2)+gamma) J0 + sum_{m>=1} (-1)^{m+1} H_m q^m / (m!)^2 ]
-        term = 1.0
-        harmonic = 0.0
-        tail = []
-        for m in range(1, 60):
-            term *= q / (m * m)
-            harmonic += 1.0 / m
-            contrib = (-1.0) ** (m + 1) * harmonic * term
-            tail.append(contrib)
-            if abs(contrib) < 1e-18:
-                break
+        sign = np.where(m % 2, 1.0, -1.0)
+        tail = sign * _HARMONIC[:-1] * np.cumprod(q / (m * m), axis=-1)
         return (2.0 / math.pi) * (log_term * _bessel_j_series(0, x)
-                                  + math.fsum(tail))
+                                  + _sum_through_first(tail, np.abs(tail) < 1e-18))
     # order == 1:
     # (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x)
-    #   - (x/(2 pi)) sum_m (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!)
-    term = 1.0  # q^m / (m! (m+1)!) at m = 0
-    h_m = 0.0
-    h_m1 = 1.0
-    tail = [(h_m + h_m1) * term]
-    for m in range(1, 60):
-        term *= -q / (m * (m + 1))
-        h_m += 1.0 / m
-        h_m1 += 1.0 / (m + 1)
-        contrib = (h_m + h_m1) * term
-        tail.append(contrib)
-        if abs(contrib) < 1e-18:
-            break
+    #   - (x/(2 pi)) sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!)
+    tail = (_HARMONIC[:-1] + _HARMONIC[1:]) * np.cumprod(-q / (m * (m + 1)), axis=-1)
+    tail = np.concatenate([np.ones_like(q), tail], axis=-1)  # m = 0: H_0 + H_1 = 1
     return ((2.0 / math.pi) * log_term * _bessel_j_series(1, x)
             - 2.0 / (math.pi * x)
-            - (x / (2.0 * math.pi)) * math.fsum(tail))
+            - (x / (2.0 * math.pi)) * _sum_through_first(tail, np.abs(tail) < 1e-18))
 
 
-def _bessel_y_integral(order: int, x: float) -> float:
+def _bessel_y_integral(order: int, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x)[..., None]
     osc = np.sin(x * _GL_SIN_T - order * _GL_T)
-    first = float(np.dot(_GL_W, osc)) / math.pi
+    first = _gl_sum(osc) / math.pi
     # exponential part: integrand e^{nt - x sinh t} (+ e^{-nt} piece) is
-    # negligible once x sinh T ~ 48
-    t_max = math.asinh(48.0 / x)
+    # negligible once x sinh T ~ 48, so each point integrates to its own T
+    t_max = np.arcsinh(48.0 / x)
     t = 0.5 * t_max * (_GL_NODES + 1.0)
-    w = 0.5 * t_max * _GL_WEIGHTS
-    decay = np.exp(-x * np.sinh(t))
-    hyp = np.exp(order * t) + (-1.0) ** order * np.exp(-order * t)
-    second = float(np.dot(w, hyp * decay)) / math.pi
+    sinh_t = np.sinh(t)
+    decay = np.exp(-x * sinh_t)
+    # e^{nt} + (-1)^n e^{-nt} is 2 for n = 0 and 2 sinh t for n = 1
+    hyp = 2.0 * sinh_t if order else 2.0
+    second = _gl_sum(hyp * decay, 0.5 * t_max * _GL_WEIGHTS) / math.pi
     return first - second
 
 
-def bessel_y(order: int, x: float) -> float:
+def bessel_y(order: int, x):
     """Bessel function of the second kind, Y_order(x), order in {0, 1, 2}.
 
-    Requires x > 0; absolute error below 1e-10 for x <= 50.  For x below
-    a tiny documented cutoff (1e-305) the value has left the double range
-    and the divergence is reported as -inf.
+    x is a float, giving a float, or an array, giving an array of its
+    shape; every point must be > 0.  Absolute error below 1e-10 for
+    x <= 50.  For x below a tiny documented cutoff
+    (1e-305) the value has left the double range and the divergence is
+    reported as -inf.
     """
     _check_order(order, (0, 1, 2), "bessel_y")
-    if not math.isfinite(x):
-        raise DomainError(f"bessel_y requires finite x, got {x!r}")
-    if x <= 0.0:
-        raise DomainError(f"bessel_y requires x > 0, got {x!r}")
-    if x < _Y_DIVERGENCE_CUTOFF:
-        return -math.inf
-    if order == 2:
-        # Y2 = (2/x) Y1 - Y0; no cancellation trouble since Y2 is
-        # dominated by the (2/x) Y1 term at small x and all terms share
-        # magnitude at large x.
-        return 2.0 / x * bessel_y(1, x) - bessel_y(0, x)
-    if x < _SERIES_LIMIT:
-        return _bessel_y_series(order, x)
-    return _bessel_y_integral(order, x)
+
+    def y01(order: int, x: np.ndarray) -> np.ndarray:
+        return _by_branch(order, x, _bessel_y_series, _bessel_y_integral)
+
+    def block(x: np.ndarray) -> np.ndarray:
+        out = np.full_like(x, -math.inf)
+        finite = x >= _Y_DIVERGENCE_CUTOFF
+        x = x[finite]
+        if order == 2:
+            # Y2 = (2/x) Y1 - Y0; no cancellation trouble since Y2 is
+            # dominated by the (2/x) Y1 term at small x and all terms
+            # share magnitude at large x.  Below x ~ 1e-154 it overflows
+            # to -inf, as the divergence it is.
+            with np.errstate(over="ignore"):
+                out[finite] = 2.0 / x * y01(1, x) - y01(0, x)
+        else:
+            out[finite] = y01(order, x)
+        return out
+
+    return _blocked("bessel_y", x, block, positive=True)
 
 
 def _struve_series(order: int, x: float) -> float:
@@ -296,6 +358,8 @@ def oscillatory_integral(f: Callable[[float], float], lower: float,
     sign) and extrapolates the slowly converging alternating series with
     Wynn's epsilon algorithm.
     """
+    from scipy.integrate import quad  # only the test identities need scipy.integrate
+
     partial = 0.0
     sums: list[float] = []
     estimates: list[float] = []
@@ -331,6 +395,8 @@ def principal_value(integrand: PVIntegrand, tol: float = 1e-7) -> float:
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    from scipy.integrate import quad  # only the test identities need scipy.integrate
+
     f = integrand.evaluator
     pole = integrand.pole_location
     lo, hi = integrand.bounds

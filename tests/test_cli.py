@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from chiralchain.cli import main
+import chiralchain
+from chiralchain.cli import _parse_xi_range, main
 
 
 def read_csv_columns(text):
@@ -123,6 +128,58 @@ def test_kernel_3d_contact_divergence_flag(capsys):
     assert data.shape == (3, 4)
     assert data[0, 3] == 1.0 and data[1, 3] == 0.0
     assert data[0, 1] == pytest.approx(0.5)  # contact decay, same scale as 1D
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_kernel_tiny_separations_flag_the_shift(dim, capsys):
+    code = main(["kernel", "--dim", dim, "--xi", "0,1e-200,1e-160,1",
+                 "--alignment", "0.5", "--stdout"])
+    assert code == 0
+    header, data = read_csv_columns(capsys.readouterr().out)
+    assert data.shape == (4, 4)
+    assert data[:, 3].tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert np.all(np.isnan(data[:3, 2])) and np.isfinite(data[3, 2])
+    assert np.allclose(data[:3, 1], 0.5, rtol=0.0, atol=1e-12)
+
+
+def test_kernel_2d_table_against_scipy(capsys):
+    from scipy import special
+    code = main(["kernel", "--dim", "2", "--xi", "0.01:0.005:50",
+                 "--alignment", "0.5", "--stdout"])
+    assert code == 0
+    header, data = read_csv_columns(capsys.readouterr().out)
+    assert data.shape == (9999, 4)
+    xi, a2 = data[:, 0], 0.25
+    f = 2.0 * (special.jv(0, xi) - special.jv(1, xi) / xi + a2 * special.jv(2, xi))
+    g = (2.0 * special.yv(0, xi) - 2.0 * special.yv(1, xi) / xi
+         + 2.0 * a2 * special.yv(2, xi) - 4.0 / (math.pi * xi ** 2) * (1.0 - 2.0 * a2))
+    assert np.max(np.abs(data[:, 1] - 0.5 * f)) < 1e-12
+    assert np.max(np.abs(data[:, 2] - 0.5 * g)) < 1e-10
+    assert not data[:, 3].any()
+
+
+def test_xi_range_never_passes_stop():
+    assert _parse_xi_range("0:1:2.6").tolist() == [0.0, 1.0, 2.0]
+    assert _parse_xi_range("0:1:3").tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("spec,count,last", [("0.01:0.005:50", 9999, 50.0),
+                                             ("0.01:0.01:6.28", 628, 6.28)])
+def test_xi_range_counts(spec, count, last):
+    values = _parse_xi_range(spec)
+    assert values.size == count
+    assert values[-1] == pytest.approx(last, abs=1e-12)
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    code = ("import sys, chiralchain.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_kernel_writes_manifest(tmp_path):

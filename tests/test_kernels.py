@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from chiralchain.errors import DomainError
-from chiralchain.kernels import (DipoleGeometry, KernelValue, chiral_fg,
+from chiralchain.kernels import (DipoleGeometry, KernelValue, _chiral_fg_columns,
+                                 _kernel_1d_columns, _kernel_2d_columns,
+                                 _kernel_3d_columns, chiral_fg,
                                  kernel_1d_reciprocal, kernel_2d, kernel_3d)
 from chiralchain.specfun import bessel_j, bessel_y
 
@@ -131,3 +133,45 @@ def test_kernel_value_accessors():
     kv = KernelValue(0.25, -0.1)
     assert kv.collective_decay == 0.5
     assert kv.as_complex == complex(0.25, -0.1)
+
+
+def test_kernel_columns_equal_pointwise_calls():
+    # one array core per kernel: the table is the scalar kernels, bit for
+    # bit (every 14th point of the 0.01:0.005:50 sweep, a few tiny ones)
+    xi = np.concatenate([[0.0, 1e-200, 1e-160, 1e-3], 0.01 + 0.07 * np.arange(715)])
+    for core, scalar in ((_kernel_2d_columns, kernel_2d), (_kernel_3d_columns, kernel_3d)):
+        decay, shift, divergent = core(xi, 0.5)
+        values = [scalar(DipoleGeometry(x, 0.5)) for x in xi.tolist()]
+        assert np.array_equal(decay, [v.decay_part for v in values])
+        assert np.array_equal(shift, [v.shift_part for v in values], equal_nan=True)
+        assert np.array_equal(divergent, [v.shift_divergent for v in values])
+    decay, shift, divergent = _kernel_1d_columns(xi)
+    values = [kernel_1d_reciprocal(x) for x in xi.tolist()]
+    assert np.array_equal(decay, [v.decay_part for v in values])
+    assert np.array_equal(shift, [v.shift_part for v in values])
+    assert not divergent.any()
+    f, g = _chiral_fg_columns(xi, 0.2, 0.8)
+    assert np.array_equal(np.stack([f, g], axis=1),
+                          [chiral_fg(x, 0.2, 0.8) for x in xi.tolist()])
+
+
+@pytest.mark.parametrize("build", [kernel_2d, kernel_3d])
+def test_tiny_separation_flags_shift_keeps_decay(build):
+    # xi*xi (and xi**3) underflow here; the shift is flagged, not an error
+    for xi in (1e-200, 1e-160):
+        kv = build(DipoleGeometry(xi, 0.3))
+        assert kv.shift_divergent and math.isnan(kv.shift_part)
+        assert kv.decay_part == pytest.approx(0.5, abs=1e-12)
+
+
+def test_kernel_columns_validate_every_separation():
+    xi = np.array([0.5, 1.0, -0.1, 2.0])
+    for core in (_kernel_2d_columns, _kernel_3d_columns):
+        with pytest.raises(DomainError):
+            core(xi, 0.0)
+        with pytest.raises(DomainError):
+            core(np.abs(xi), 1.5)
+    with pytest.raises(DomainError):
+        _kernel_1d_columns(np.append(xi, math.nan))
+    with pytest.raises(DomainError):
+        _chiral_fg_columns(xi, 0.5, 0.5)

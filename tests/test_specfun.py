@@ -181,6 +181,74 @@ def test_bessel_y_reports_divergence_below_cutoff():
     assert bessel_y(0, 1e-306) == -math.inf
 
 
+# dense grid crossing the J1/x handover (0.1) and the series/quadrature
+# handover (6.0)
+DENSE_X = np.linspace(0.01, 50.0, 4001)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_bessel_arrays_against_scipy(order):
+    from scipy import special
+    assert DENSE_X.min() < 0.1 and DENSE_X.max() > 6.0
+    j = bessel_j(order, DENSE_X)
+    y = bessel_y(order, DENSE_X)
+    assert j.shape == y.shape == DENSE_X.shape
+    assert np.max(np.abs(j - special.jv(order, DENSE_X))) < 1e-12
+    assert np.max(np.abs(y - special.yv(order, DENSE_X))) < 1e-10
+
+
+def test_bessel_scalar_in_float_out():
+    for fn in (bessel_j, bessel_y):
+        for x in (0.5, 13.0, np.float64(2.0)):
+            assert type(fn(1, x)) is float
+    assert bessel_j(0, np.array([3.0])).shape == (1,)
+
+
+def test_bessel_array_with_one_bad_element_raises():
+    good = np.linspace(0.5, 20.0, 300)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bessel_j(0, np.append(good, bad))
+        with pytest.raises(DomainError):
+            bessel_y(2, np.append(good, bad))
+    for bad in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            bessel_y(1, np.insert(good, 150, bad))
+    # J is defined on the whole axis
+    assert np.all(np.isfinite(bessel_j(1, np.append(good, -1.0))))
+
+
+def test_bessel_y_divergence_cutoff_per_element():
+    x = np.array([1e-306, 1.0, 1e-310, 7.0])
+    for order in (0, 1, 2):
+        y = bessel_y(order, x)
+        assert y[0] == y[2] == -math.inf
+        assert y[1] == bessel_y(order, 1.0) and y[3] == bessel_y(order, 7.0)
+
+
+# the kernel-table sweep, 0.01:0.005:50
+TABLE_X = 0.01 + 0.005 * np.arange(9999)
+
+
+def test_bessel_value_does_not_depend_on_its_block():
+    # shifting a table by an offset puts every point in another block
+    # position, next to other points
+    x = TABLE_X[::4]
+    for order in (0, 1, 2):
+        for fn, x in ((bessel_j, np.concatenate([-x[::-1], x])), (bessel_y, x)):
+            table = fn(order, x)
+            for offset in (1, 100, 255):
+                assert np.array_equal(fn(order, x[offset:]), table[offset:])
+
+
+def test_bessel_table_equals_pointwise_calls():
+    # J1 at -x takes both J branches and the sign; Y2 takes every Y branch
+    assert np.array_equal(bessel_j(1, -TABLE_X),
+                          [bessel_j(1, -x) for x in TABLE_X.tolist()])
+    assert np.array_equal(bessel_y(2, TABLE_X),
+                          [bessel_y(2, x) for x in TABLE_X.tolist()])
+
+
 def test_pv_odd_integrand_vanishes():
     integrand = PVIntegrand(lambda x: 1.0 / x, 0.0, (-1.0, 1.0))
     assert abs(principal_value(integrand, tol=1e-9)) < 1e-9
