@@ -326,16 +326,77 @@ def detect_bursts(source: BurstSource,
         min_prominence = BURST_PROMINENCE_FRACTION * float(np.max(i_w))
     if min_prominence <= 0.0:
         raise ConfigError("min_prominence must be positive")
-    # imported here: scipy.signal takes most of the package's import time
-    from scipy.signal import find_peaks
-    indices, props = find_peaks(i_w, prominence=min_prominence)
+    indices, prominences = _find_peaks(i_w, min_prominence)
     peaks = tuple(
         BurstPeak(t_peak=float(t_w[i]), height=float(i_w[i]),
                   prominence=float(p))
-        for i, p in zip(indices, props["prominences"]))
+        for i, p in zip(indices.tolist(), prominences.tolist()))
     return BurstReport(peaks=peaks, min_prominence=float(min_prominence),
                        window=(float(window[0]), float(window[1])),
                        gamma=float(gamma))
+
+
+def _find_peaks(x: np.ndarray, min_prominence: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the peaks of x with prominence >= min_prominence.
+
+    A peak is a strict local maximum; a flat top counts once, at its
+    middle sample rounded down, and the two ends of x are never peaks (the
+    rules of scipy.signal.find_peaks).  The prominence is the height above
+    the higher of the two lowest points reached walking left and right
+    until a strictly higher sample or the end of x.  Such a walk stops
+    only at a higher peak or at an end, so it runs over the peaks and the
+    minima of x between neighbouring peaks: for all peaks at once, by
+    binary lifting over running maxima of the peak heights and running
+    minima of those minima over windows of 2^k peaks.
+    """
+    x = np.asarray(x, dtype=float)
+    empty = np.empty(0, dtype=np.intp), np.empty(0)
+    if x.size < 3:
+        return empty
+    starts = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, x.size - 1)
+    level = x[starts]
+    top = 1 + np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:]))
+    peaks = (starts[top] + ends[top]) // 2
+    if peaks.size == 0:
+        return empty
+    heights = x[peaks]
+    # valleys[j]: min of x from peak j - 1 (or the start) up to peak j (or the end)
+    valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    highs = _running(heights, np.maximum)
+    lows = _running(valleys, np.minimum)
+    # [first, last]: the peaks around each one that are no higher than it
+    index = np.arange(peaks.size)
+    first, last = index, index
+    for k in range(highs.shape[0] - 1, -1, -1):
+        width = 1 << k
+        left = first - width
+        first = np.where((left >= 0) & (highs[k, np.maximum(left, 0)] <= heights),
+                         left, first)
+        last = np.where(highs[k, last + 1] <= heights, last + width, last)
+    prominences = heights - np.maximum(_range_min(lows, first, index),
+                                       _range_min(lows, index + 1, last + 1))
+    keep = prominences >= min_prominence
+    return peaks[keep], prominences[keep]
+
+
+def _running(values: np.ndarray, reduce) -> np.ndarray:
+    """table[k, i] = reduce over values[i : i + 2^k]; +inf where that passes the end."""
+    rows = [values]
+    while 2 * rows[-1].size > values.size + 1:
+        half = values.size - rows[-1].size + 1
+        rows.append(reduce(rows[-1][:-half], rows[-1][half:]))
+    table = np.full((len(rows), values.size + 1), np.inf)
+    for k, row in enumerate(rows):
+        table[k, :row.size] = row
+    return table
+
+
+def _range_min(lows: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """min of values[first : last + 1] from their running-minimum table."""
+    k = np.frexp((last - first + 1).astype(float))[1] - 1
+    return np.minimum(lows[k, first], lows[k, last - np.left_shift(1, k) + 1])
 
 
 def fit_decay_rate(trajectory: Trajectory, window: tuple) -> tuple:

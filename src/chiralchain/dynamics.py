@@ -5,12 +5,17 @@ primary propagator is exact stepping with the matrix exponential.  A grid
 whose times all equal j*h to within a few ulp is one run of step h
 (np.linspace rounds its steps to about 16 distinct floats;
 exp(V a) exp(V b) = exp(V (a + b)) makes the merge exact up to those
-ulp); any other grid is stepped one time at a time.  Each distinct step
-gets one exp(V * h) (scaling-and-squaring with diagonal Pade, via scipy),
-and a run advances B steps at a time by one matmul against the powers
-exp(V h)^1 .. exp(V h)^B.  A uniform grid therefore costs a single small
-expm; a log grid steps one time at a time.  The same core evolves a whole
-stack of generators at once, which is how disorder ensembles run.
+ulp); any other grid is stepped one time at a time.  Exponentials come
+from this module's expm: scaling and squaring with diagonal Pade
+approximants (Al-Mohy & Higham 2009) on a whole stack of matrices, the
+degree and scaling chosen per matrix.  A run advances B steps at a time
+by one matmul against exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h), so
+the state passes from block to block through one exponential instead of
+B chained products and rounding does not add up over long runs.  A
+uniform grid therefore costs a single expm call (for h and B h); a log
+grid steps one time at a time and takes its distinct steps' exponentials
+up to B per call.  The same core evolves a whole stack of generators at
+once, which is how disorder ensembles run.
 
 Every propagation can be cross-checked against an independently coded
 adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)); the two
@@ -35,7 +40,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import CouplingMatrix
 from .errors import ConfigError, IntegrityError, NumericsError
@@ -213,6 +217,217 @@ def _observables(v: np.ndarray, states: np.ndarray
     return populations, total, intensity_arr, clamped
 
 
+# Scaling and squaring with diagonal Pade approximants, Al-Mohy & Higham,
+# SIAM J. Matrix Anal. Appl. 31, 970 (2009): for each degree m the bound
+# theta_m on the scaled norm, 1/|c_{2m+1}| of the leading backward-error
+# coefficient (for ell) and the coefficients b_0 .. b_m of r_m.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+_PADE_ELL = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+             9: 5914384781877411840000.0,
+             13: 113250775606021113483283660800000000.0}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
+def _onenorm(a: np.ndarray) -> np.ndarray:
+    """Largest absolute column sum of every matrix of the stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _ell(a: np.ndarray, m: int) -> np.ndarray:
+    """Extra squarings that the rounding of r_m asks for, per matrix.
+
+    ell(A, m) = max(ceil(log2(alpha / u) / 2m), 0) with
+    alpha = ||abs(A)^(2m+1)||_1 / (||A||_1 |1/c_{2m+1}|); the norm of the
+    nonnegative power is e^T abs(A)^(2m+1) by vector products.
+    """
+    magnitude = np.abs(a)
+    sums = np.ones(a.shape[:-1])[:, None, :]
+    for _ in range(2 * m + 1):
+        sums = sums @ magnitude
+    power_norm = sums[:, 0].max(axis=-1)
+    with np.errstate(divide="ignore"):
+        alpha = power_norm / (magnitude.sum(axis=-2).max(axis=-1) * _PADE_ELL[m])
+        value = np.ceil(np.log2(alpha / 2.0 ** -53) / (2 * m))
+    return np.where(power_norm > 0.0, np.maximum(value, 0.0), 0.0).astype(int)
+
+
+def _pade(m: int, s: int, powers: list) -> np.ndarray:
+    """r_m(2^-s A) for a stack; powers are A, A^2, A^4, A^6 (and A^8 if m = 9)."""
+    b = _PADE_B[m]
+    if m == 13:
+        scale = 2.0 ** -s
+        a1, a2, a4, a6 = (p * scale ** k for p, k in zip(powers, (1, 2, 4, 6)))
+        high = [(b[13], a6), (b[11], a4), (b[9], a2)]
+        u = a1 @ _series(b[1], [(b[7], a6), (b[5], a4), (b[3], a2)],
+                         a6 @ _series(0.0, high))
+        high = [(b[12], a6), (b[10], a4), (b[8], a2)]
+        v = _series(b[0], [(b[6], a6), (b[4], a4), (b[2], a2)],
+                    a6 @ _series(0.0, high))
+    else:
+        even = range((m - 1) // 2, 0, -1)
+        u = powers[0] @ _series(b[1], [(b[2 * k + 1], powers[k]) for k in even])
+        v = _series(b[0], [(b[2 * k], powers[k]) for k in even])
+    # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: the identity stays exact
+    r = np.linalg.solve(v - u, u)
+    r *= 2.0
+    return _series(1.0, [], r)
+
+
+def _series(constant: float, terms: list, start=None) -> np.ndarray:
+    """start + sum of c * M over the (c, M) terms + constant * I, in place.
+
+    Adds into one array, and the constant onto its diagonal only: at
+    N = 200 the temporaries of the plain expression cost more than the
+    matrix products.
+    """
+    out = start
+    for c, matrix in terms:
+        if out is None:
+            out = c * matrix
+        else:
+            out += c * matrix
+    sites = np.arange(out.shape[-1])
+    out[..., sites, sites] += constant
+    return out
+
+
+def _exp_sinch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(a) sinh(x) / x, from its Taylor series where |x| is small."""
+    x2 = x * x
+    series = np.exp(a) * (1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (np.exp(a + x) - np.exp(a - x)) / (2.0 * x)
+    return np.where(np.abs(x) < 0.0135, series, direct)
+
+
+def _square(r: np.ndarray, a: np.ndarray, s: int, lower: np.ndarray,
+            upper: np.ndarray) -> np.ndarray:
+    """r^(2^s), where r = r_m(2^-s A) for the stack a.
+
+    A triangular matrix (mask lower or upper) keeps its zero triangle and
+    gets the exact diagonal and first off-diagonal of exp(2^-i A) after
+    every squaring (Code Fragment 2.1 of Al-Mohy & Higham).
+    """
+    triangular = np.flatnonzero(lower | upper)
+    if triangular.size == 0:
+        for _ in range(s):
+            r = r @ r
+        return r
+    r[lower] = np.tril(r[lower])
+    r[upper] = np.triu(r[upper])
+    if s == 0:
+        return r
+    t = a[triangular]
+    diag = np.diagonal(t, axis1=1, axis2=2)
+    below = np.diagonal(t, -1, axis1=1, axis2=2)
+    above = np.diagonal(t, 1, axis1=1, axis2=2)
+    sites = np.arange(a.shape[-1])
+    for i in range(s, -1, -1):
+        if i < s:
+            r = r @ r
+        scale = 2.0 ** -i
+        fixed = r[triangular]
+        fixed[:, sites, sites] = np.exp(scale * diag)
+        if i < s:
+            lam = scale * diag
+            # the off-diagonal of exp([[l1, t], [0, l2]]), Higham (10.42)
+            factor = scale * _exp_sinch(0.5 * (lam[:, :-1] + lam[:, 1:]),
+                                        0.5 * (lam[:, :-1] - lam[:, 1:]))
+            fixed[:, sites[1:], sites[:-1]] = factor * below
+            fixed[:, sites[:-1], sites[1:]] = factor * above
+        r[triangular] = fixed
+    return r
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) of every matrix of a stack (..., N, N).
+
+    Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
+    7, 9 or 13, Al-Mohy & Higham (2009), Algorithm 5.1, with exact 1-norms
+    of the powers of A.  Degree and scaling are chosen per matrix, so a
+    matrix's exponential does not depend on the rest of the stack;
+    matrices that share both are evaluated together.  A diagonal matrix
+    gets the exponential of its diagonal; a triangular one keeps its zero
+    triangle exactly zero.
+    """
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.inexact):
+        a = a.astype(float)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    lower = ~np.triu(flat, 1).any(axis=(1, 2))
+    upper = ~np.tril(flat, -1).any(axis=(1, 2))
+    diagonal = lower & upper
+    if not diagonal.any():
+        return _expm_general(flat, lower, upper).reshape(a.shape)
+    out = np.zeros_like(flat)
+    sites = np.arange(n)
+    out[np.flatnonzero(diagonal)[:, None], sites, sites] = np.exp(
+        flat[diagonal][:, sites, sites])
+    general = ~diagonal
+    if general.any():
+        out[general] = _expm_general(flat[general], lower[general],
+                                     upper[general])
+    return out.reshape(a.shape)
+
+
+def _expm_general(x: np.ndarray, lower: np.ndarray,
+                  upper: np.ndarray) -> np.ndarray:
+    """Algorithm 5.1 on a stack of non-diagonal matrices (G, N, N)."""
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    powers = [x, x2, x4, x6]
+    d6 = _onenorm(x6) ** (1 / 6)
+    eta = np.maximum(_onenorm(x4) ** (1 / 4), d6)
+    degree = np.zeros(x.shape[0], dtype=int)
+    scaling = np.zeros(x.shape[0], dtype=int)
+    undecided = np.ones(x.shape[0], dtype=bool)
+    for m in (3, 5, 7, 9):
+        if m == 7 and undecided.any():
+            x8 = x4 @ x4
+            powers.append(x8)
+            d8 = _onenorm(x8) ** (1 / 8)
+            eta = np.maximum(d6, d8)
+        pick = undecided & (eta <= _PADE_THETA[m])
+        if pick.any():
+            pick[pick] = _ell(x[pick], m) == 0
+            degree[pick] = m
+            undecided &= ~pick
+    if undecided.any():
+        d10 = _onenorm(x4 @ x6) ** (1 / 10)
+        eta = np.minimum(eta, np.maximum(d8, d10))[undecided]
+        with np.errstate(divide="ignore"):
+            s = np.where(eta > 0.0, np.maximum(
+                np.ceil(np.log2(eta / _PADE_THETA[13])), 0.0), 0.0).astype(int)
+        s += _ell(x[undecided] * (2.0 ** -s)[:, None, None], 13)
+        degree[undecided] = 13
+        scaling[undecided] = s
+    groups = sorted(set(zip(degree.tolist(), scaling.tolist())))
+    if len(groups) == 1:  # the whole stack, without copies of its powers
+        (m, s), = groups
+        return _square(_pade(m, s, powers), x, s, lower, upper)
+    result = np.empty_like(x)
+    for m, s in groups:
+        members = np.flatnonzero((degree == m) & (scaling == s))
+        r = _pade(m, s, [p[members] for p in powers])
+        result[members] = _square(r, x[members], s, lower[members],
+                                  upper[members])
+    return result
+
+
 def _runs(grid: np.ndarray) -> list:
     """Split a validated grid into runs (first index, step count, step h).
 
@@ -235,14 +450,18 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     v has shape (R, N, N).  emit(k, block) receives, in grid order, the
     amplitudes at grid indices k .. k + b - 1 as an (R, b, N) array with
     b <= _BLOCK, starting with the initial state at k = 0; the block is
-    only valid during the call.  expm runs once per distinct step, on the
-    whole stack.  The block of B steps per matmul is _BLOCK, capped so
-    that the R*B*N^2 entries of the powers never exceed the R*K*N
+    only valid during the call.  A run of steps h advances B steps per
+    matmul against exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h), so the
+    state passes from block to block through one exponential, not B
+    chained products.  The block of B steps per matmul is _BLOCK, capped
+    so that the R*B*N^2 entries of the powers never exceed the R*K*N
     amplitudes of the trajectories, and so that one generator's powers
     stay within _BLOCK_ENTRIES.  Blocking only saves per-call overhead,
     and larger powers measured slower: N = 200 with B = 10 against B = 1,
     and N = 9 or 10 with B*N^2 near 5000 under multithreaded OpenBLAS,
     which threads complex matrix-vector products of 4096 or more entries.
+    The same cap bounds the exponentials taken per expm call, which runs
+    on the whole stack: a log grid takes its distinct steps cap at a time.
     """
     n_stack, n = v.shape[:2]
     cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
@@ -252,19 +471,19 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     pending[:, 0] = c0
     filled, emitted = 1, 0
     current = pending[:, 0].copy()
-    steppers: dict[float, np.ndarray] = {}
-    for _, count, h in _runs(grid):
-        step = steppers.get(h)
-        if step is None:
-            step = expm(v * h)
-            steppers[h] = step
-        # powers[:, j] = step^(j+1), so that rows (j, site) of the
+    runs = [(count, h, min(cap, count)) for _, count, h in _runs(grid)]
+    exponentials: dict[float, np.ndarray] = {}
+    for index, (count, h, width) in enumerate(runs):
+        if h not in exponentials or width * h not in exponentials:
+            exponentials = _exponentials(v, _scales(runs[index:], cap))
+        step = exponentials[h]
+        # powers[:, j] = exp(V h (j+1)), so that rows (j, site) of the
         # flattened stack map a state to the next B states in one matmul
-        width = min(cap, count)
         powers = np.empty((n_stack, width, n, n), dtype=complex)
         powers[:, 0] = step
-        for j in range(1, width):
+        for j in range(1, width - 1):
             np.matmul(powers[:, j - 1], step, out=powers[:, j])
+        powers[:, width - 1] = exponentials[width * h]
         stacked = powers.reshape(n_stack, width * n, n)
         product = np.empty((n_stack, width * n, 1), dtype=complex)
         block = product.reshape(n_stack, width, n)
@@ -281,6 +500,26 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
             filled += size
             done += size
     emit(emitted, pending[:, :filled])
+
+
+def _scales(runs: list, cap: int) -> list:
+    """The first cap distinct scales h and B*h that runs (count, h, B) need."""
+    scales: dict[float, None] = {}
+    for _, h, width in runs:
+        for scale in (h, width * h):
+            if scale not in scales:
+                if len(scales) == cap:
+                    return list(scales)
+                scales[scale] = None
+    return list(scales)
+
+
+def _exponentials(v: np.ndarray, scales: list) -> dict:
+    """{scale: exp(V * scale)} for every generator of v, from one expm call."""
+    n_stack, n = v.shape[:2]
+    stack = v[:, None] * np.array(scales)[:, None, None]
+    result = expm(stack.reshape(-1, n, n)).reshape(n_stack, len(scales), n, n)
+    return {scale: result[:, j] for j, scale in enumerate(scales)}
 
 
 def _check_points(size: int, max_points: int) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _sum_through_first, bessel_j, bessel_y
+from .specfun import (_EULER_GAMMA, _sum_through_first, _y1_series_sum,
+                      bessel_j, bessel_y)
 
 __all__ = [
     "KernelValue",
@@ -197,16 +198,17 @@ def _kernel_2d_columns(xi, alignment: float):
     shift = np.full(xi.shape, math.nan)
     apart = xi > 0.0
     x = xi[apart]
+    j1_over_x = _j1_over_x(x)
     # decay_part = f / 2 = J0 - J1/xi + a^2 J2
-    decay[apart] = bessel_j(0, x) - _j1_over_x(x) + a2 * bessel_j(2, x)
-    y0 = bessel_y(0, x)
-    y1 = bessel_y(1, x)
-    # tiny separations overflow the 1/x^2 terms: infinite or NaN shift
+    decay[apart] = bessel_j(0, x) - j1_over_x + a2 * bessel_j(2, x)
+    # shift_part = g / 2 with Y2 = 2 Y1/xi - Y0 folded in; where the
+    # 1/xi^2 of the defining form overflows (xi below about 7e-155) the
+    # shift is flagged, as at contact
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Y2 by the recurrence bessel_y(2, .) uses, on the Y0 and Y1 above
-        y2 = 2.0 / x * y1 - y0
-        shift[apart] = 0.5 * (2.0 * y0 - 2.0 * y1 / x + 2.0 * a2 * y2
-                              - 4.0 / (math.pi * x * x) * (1.0 - 2.0 * a2))
+        shift[apart] = np.where(
+            np.isinf(1.0 / (x * x)), math.inf,
+            0.5 * (2.0 * (1.0 - a2) * bessel_y(0, x)
+                   - 2.0 * (1.0 - 2.0 * a2) * _y1_pole_free(x, j1_over_x)))
     return _flag_divergent(decay, shift)
 
 
@@ -220,10 +222,27 @@ def kernel_2d(geometry: DipoleGeometry) -> KernelValue:
             - (4 / (pi xi^2)) (1 - 2 a^2)
 
     f(0+) = 1 recovers the Dicke limit; g diverges logarithmically at
-    contact and is flagged there.  g is the Kramers-Kronig partner of f,
+    contact and is flagged there.  g is evaluated as
+    2 (1 - a^2) Y0 - 2 (1 - 2 a^2) [Y1/xi + 2/(pi xi^2)], the bracket
+    free of its cancelling 1/xi^2 terms below xi = 0.1, and is flagged
+    where 1/xi^2 overflows.  g is the Kramers-Kronig partner of f,
     which the test suite verifies by principal-value reconstruction.
     """
     return _value(_kernel_2d_columns([geometry.xi], geometry.alignment))
+
+
+def _y1_pole_free(x: np.ndarray, j1_over_x: np.ndarray) -> np.ndarray:
+    # Y1(x)/x + 2/(pi x^2), which grows only like ln(x) at small x.  Below
+    # 0.1 it comes from the Y1 series without its -2/(pi x) pole, since
+    # the plain sum there cancels two terms of order 1/x^2.
+    out = np.empty_like(x)
+    big = x >= 0.1
+    out[big] = bessel_y(1, x[big]) / x[big] + 2.0 / (math.pi * x[big] * x[big])
+    small = x[~big]
+    log_term = np.log(0.5 * small) + _EULER_GAMMA
+    out[~big] = ((2.0 / math.pi) * log_term * j1_over_x[~big]
+                 - _y1_series_sum(small) / (2.0 * math.pi))
+    return out
 
 
 def _j1_over_x(x: np.ndarray) -> np.ndarray:

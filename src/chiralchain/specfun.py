@@ -191,13 +191,24 @@ def _bessel_y_series(order: int, x: np.ndarray) -> np.ndarray:
         return (2.0 / math.pi) * (log_term * _bessel_j_series(0, x)
                                   + _sum_through_first(tail, np.abs(tail) < 1e-18))
     # order == 1:
-    # (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x)
-    #   - (x/(2 pi)) sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!)
-    tail = (_HARMONIC[:-1] + _HARMONIC[1:]) * np.cumprod(-q / (m * (m + 1)), axis=-1)
-    tail = np.concatenate([np.ones_like(q), tail], axis=-1)  # m = 0: H_0 + H_1 = 1
+    # (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x) - (x/(2 pi)) _y1_series_sum(x)
     return ((2.0 / math.pi) * log_term * _bessel_j_series(1, x)
             - 2.0 / (math.pi * x)
-            - (x / (2.0 * math.pi)) * _sum_through_first(tail, np.abs(tail) < 1e-18))
+            - (x / (2.0 * math.pi)) * _y1_series_sum(x))
+
+
+def _y1_series_sum(x: np.ndarray) -> np.ndarray:
+    """sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!) with q = x^2/4.
+
+    The power-series part of Y1 (A&S 9.1.11), summed through its first
+    term below 1e-18, m <= 59.
+    """
+    half = 0.5 * np.asarray(x, dtype=float)
+    q = (half * half)[..., None]
+    m = np.arange(1, 60)
+    tail = (_HARMONIC[:-1] + _HARMONIC[1:]) * np.cumprod(-q / (m * (m + 1)), axis=-1)
+    tail = np.concatenate([np.ones_like(q), tail], axis=-1)  # m = 0: H_0 + H_1 = 1
+    return _sum_through_first(tail, np.abs(tail) < 1e-18)
 
 
 def _bessel_y_integral(order: int, x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from chiralchain import dynamics
 from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
-                                  PLATEAU_WINDOW, EnsembleResult,
+                                  PLATEAU_WINDOW, EnsembleResult, _find_peaks,
                                   detect_bursts, detect_plateaus,
                                   fit_decay_rate, localization_metric,
                                   run_ensemble)
@@ -102,7 +102,8 @@ def test_run_ensemble_matches_loop_of_propagate(monkeypatch):
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     result = run_ensemble(config, disorder, grid)
-    assert shapes == [(6, 5, 5)]  # one exponential for the whole stack
+    # one call for the whole stack: the step and the block exponentials
+    assert shapes == [(12, 5, 5)]
     monkeypatch.undo()
     runs = [propagate(build_chain(config, disorder, index),
                       uniform_excitation(5), grid, cross_check=False)
@@ -223,6 +224,44 @@ def test_burst_detector_input_guards():
         detect_bursts((times[::100], np.zeros(201)))
     with pytest.raises(ConfigError, match="positive"):
         detect_bursts((times, np.zeros(times.size)), min_prominence=0.0)
+
+
+def assert_peaks_match_scipy(x, min_prominence):
+    from scipy.signal import find_peaks
+    indices, properties = find_peaks(x, prominence=min_prominence)
+    got_indices, got_prominences = _find_peaks(x, min_prominence)
+    assert np.array_equal(got_indices, indices)
+    assert np.array_equal(got_prominences, properties["prominences"])
+
+
+def test_find_peaks_matches_scipy_on_random_signals():
+    # float noise and walks, and small integers for flat tops of every width
+    rng = np.random.default_rng(20)
+    for trial in range(3000):
+        size = int(rng.integers(0, 200))
+        kind = trial % 3
+        if kind == 0:
+            x = rng.random(size)
+        elif kind == 1:
+            x = rng.standard_normal(size).cumsum()
+        else:
+            x = rng.integers(0, 4, size).astype(float)
+        assert_peaks_match_scipy(x, float(rng.choice([1e-12, 0.3, 1.0, 2.5])))
+    # flat ends, a flat top at each end and a signal of 12 500 peaks
+    assert_peaks_match_scipy(np.array([2.0, 2.0, 1.0, 3.0, 3.0]), 0.5)
+    assert_peaks_match_scipy(np.array([1.0, 2.0, 2.0, 2.0, 1.0, 1.0]), 0.5)
+    assert_peaks_match_scipy(np.tile([0.0, 1.0], 12500) + 1e-6 * np.arange(25000),
+                             1e-9)
+
+
+def test_find_peaks_matches_scipy_on_chain_intensities():
+    trajectory = staircase_trajectory(5, horizon=1000.0, points=20001)
+    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    ensemble = run_ensemble(config, DisorderSpec.ensemble(0.005, 4, 3),
+                            uniform_grid(1000.0, 20001))
+    for curve in (trajectory.intensity, ensemble.mean_intensity):
+        for fraction in (1e-6, 1e-3, 0.05, BURST_PROMINENCE_FRACTION):
+            assert_peaks_match_scipy(curve, fraction * float(np.max(curve)))
 
 
 def test_fit_decay_rate_recovers_exponential():

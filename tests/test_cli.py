@@ -171,15 +171,35 @@ def test_xi_range_counts(spec, count, last):
     assert values[-1] == pytest.approx(last, abs=1e-12)
 
 
-def test_cli_import_leaves_heavy_scipy_modules_out():
+def test_cli_import_leaves_heavy_scipy_modules_out(tmp_path):
+    # importing the CLI and running simulate (cross-check on), an ensemble
+    # with a burst report and a 2D kernel table load no scipy module
     src = os.path.dirname(os.path.dirname(chiralchain.__file__))
-    code = ("import sys, chiralchain.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') "
-            "if m in sys.modules))")
+    runs = [
+        ["simulate", "--n", "5", "--xi-over-pi", "1", "--gamma-l", "0.9",
+         "--gamma-r", "1", "--horizon", "100", "--points", "2501"],
+        ["ensemble", "--n", "5", "--xi-over-pi", "1", "--gamma-l", "0.9",
+         "--gamma-r", "1", "--fluct", "0.005", "--realizations", "3",
+         "--horizon", "1000", "--points", "20001"],
+        ["kernel", "--dim", "2", "--xi", "0.01:0.005:50"],
+    ]
+    code = (
+        "import json, sys\n"
+        "import chiralchain.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = [scipy_modules()]\n"
+        f"for index, argv in enumerate({runs!r}):\n"
+        f"    outdir = {str(tmp_path)!r} + '/run' + str(index)\n"
+        "    assert chiralchain.cli.main(argv + ['--outdir', outdir]) == 0\n"
+        "    loaded.append(scipy_modules())\n"
+        "print(json.dumps(loaded))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert json.loads(out) == [[], [], [], []]
+    bursts = json.loads((tmp_path / "run1" / "bursts.json").read_text())
+    assert "peaks" in bursts
 
 
 def test_kernel_writes_manifest(tmp_path):

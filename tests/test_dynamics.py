@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -303,4 +304,75 @@ def test_uniform_grid_costs_one_expm(monkeypatch):
     matrix = chain(5, math.pi, 0.9, 1.0)
     propagate(matrix, uniform_excitation(5), uniform_grid(1500.0, 37501),
               cross_check=False)
-    assert calls == [(1, 5, 5)]
+    assert calls == [(2, 5, 5)]  # the step and the block exponential
+
+
+def mpmath_expm(a, dps):
+    """exp(a) of one float matrix, evaluated with dps digits."""
+    with mpmath.workdps(dps):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array(exact.tolist(), dtype=complex)
+
+
+def relative_error(got, reference):
+    return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("n", [2, 5, 11])
+def test_expm_matches_mpmath_across_chains_and_steps(n):
+    # 57.7 is the largest step of the log grid to 1e4
+    worst = 0.0
+    for gamma_left in (0.0, 0.9, 1.0):
+        for xi in (math.pi, 0.75 * math.pi, 0.3):
+            v = chain(n, xi, gamma_left, 1.0).entries
+            for h in (1e-3, 0.04, 1.0, 8.0, 58.0):
+                a = v * h
+                worst = max(worst, relative_error(dynamics.expm(a),
+                                                  mpmath_expm(a, 40)))
+    assert worst < 5e-14
+
+
+def test_expm_of_stiff_cascaded_chain():
+    # gamma_L = 0: V is lower triangular, exp(300 V) spans 1e-66 .. 1e-47
+    a = chain(11, math.pi, 0.0, 1.0).entries * 300.0
+    got = dynamics.expm(a)
+    assert relative_error(got, mpmath_expm(a, 40)) < 1e-15
+    assert np.all(np.triu(got, 1) == 0.0)
+    upper = chain(11, 0.75 * math.pi, 1.0, 0.0).entries * 300.0
+    assert np.all(np.tril(dynamics.expm(upper), -1) == 0.0)
+
+
+def test_expm_of_zero_and_diagonal_matrices_is_exact():
+    assert np.array_equal(dynamics.expm(np.zeros((3, 4, 4), dtype=complex)),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+    diagonal = np.array([0.3 + 1.0j, -2.0, 5e-3, -700.0])
+    assert np.array_equal(dynamics.expm(np.diag(diagonal)),
+                          np.diag(np.exp(diagonal)))
+
+
+def test_expm_of_a_matrix_does_not_depend_on_its_stack():
+    rng = np.random.default_rng(11)
+    stack = []
+    for norm in np.logspace(-3, math.log10(300.0), 48):
+        v = chain(5, rng.uniform(0.1, 3.1), rng.choice([0.0, 0.9, 1.0]),
+                  1.0).entries
+        stack.append(v * (norm / np.max(np.abs(v).sum(axis=0))))
+    stack = np.array(stack)
+    together = dynamics.expm(stack)
+    for i in range(stack.shape[0]):
+        assert np.array_equal(together[i], dynamics.expm(stack[i:i + 1])[0])
+
+
+def test_staircase_total_population_stays_on_exact_exponential():
+    # 37500 equal steps: the block exponential keeps rounding from adding up
+    matrix = chain(5, math.pi, 0.9, 1.0)
+    c0 = uniform_excitation(5).amplitudes
+    trajectory = propagate(matrix, uniform_excitation(5),
+                           uniform_grid(1500.0, 37501), cross_check=False)
+    with mpmath.workdps(30):
+        v = mpmath.matrix(matrix.entries.tolist())
+        for t in (150.0, 500.0, 750.0, 1500.0):
+            k = int(round(t / 0.04))
+            exact = mpmath.expm(v * trajectory.times[k]) * mpmath.matrix(c0.tolist())
+            total = float(sum(abs(exact[i]) ** 2 for i in range(5)))
+            assert abs(trajectory.total[k] - total) < 2e-13

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -118,6 +119,26 @@ def test_2d_closed_forms(xi, alignment):
          - 4.0 / (math.pi * xi * xi) * (1.0 - 2.0 * a2))
     assert kv.decay_part == pytest.approx(0.5 * f, abs=1e-12)
     assert kv.shift_part == pytest.approx(0.5 * g, abs=1e-10)
+
+
+def mpmath_shift_2d(xi, alignment, dps):
+    """g/2 of the defining form, at dps digits: its 1/xi^2 terms cancel."""
+    with mpmath.workdps(dps):
+        x, a2 = mpmath.mpf(xi), mpmath.mpf(alignment) ** 2
+        g = (2 * mpmath.bessely(0, x) - 2 * mpmath.bessely(1, x) / x
+             + 2 * a2 * mpmath.bessely(2, x) - 4 / (mpmath.pi * x * x) * (1 - 2 * a2))
+        return float(g / 2)
+
+
+@pytest.mark.parametrize("xi,dps", [(1e-10, 40), (1e-5, 40), (0.05, 40),
+                                    (1e-50, 120)])
+@pytest.mark.parametrize("alignment", [0.0, 0.5, 0.9])
+def test_2d_shift_at_small_separations(xi, dps, alignment):
+    # -7.2866806648 at (1e-10, 0.5) and -3.62200267028 at (1e-5, 0.5)
+    kv = kernel_2d(DipoleGeometry(xi, alignment))
+    expected = mpmath_shift_2d(xi, alignment, dps)
+    assert not kv.shift_divergent
+    assert kv.shift_part == pytest.approx(expected, rel=1e-14)
 
 
 def test_geometry_validation():
