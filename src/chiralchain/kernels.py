@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (_EULER_GAMMA, _sum_through_first, _y1_series_sum,
-                      bessel_j, bessel_y)
+from .specfun import (_EULER_GAMMA, _bessel_columns, _series_sums,
+                      _sum_through_first)
 
 __all__ = [
     "KernelValue",
@@ -163,17 +163,33 @@ def _kernel_3d_columns(xi, alignment: float):
     sin, cos = np.sin(xi), np.cos(xi)
     # contact and underflowing powers of xi make the shift infinite or NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # below 1e-2 the bracketed combinations take their series; the
-        # direct forms lose up to 8 digits to cancellation below xi ~ 1e-4
-        small = xi < 1e-2
-        sinc = np.where(small, 1.0 - xi * xi / 6.0 + xi**4 / 120.0, sin / xi)
-        cos2_sin3 = np.where(small, -1.0 / 3.0 + xi * xi / 30.0 - xi**4 / 840.0,
-                             cos / xi**2 - sin / xi**3)
+        sinc = np.where(xi < 1e-2, 1.0 - xi * xi / 6.0 + xi**4 / 120.0, sin / xi)
         sin2_cos3 = sin / xi**2 + cos / xi**3
-        gamma_uv = 1.5 * (perp * sinc + quad_combo * cos2_sin3)
+        gamma_uv = 1.5 * (perp * sinc + quad_combo * _cos2_sin3(xi, sin, cos))
         omega_uv = 0.75 * (-perp * cos / xi + quad_combo * sin2_cos3)
     # the Dicke limit exactly at contact
     return _flag_divergent(np.where(xi == 0.0, 0.5, 0.5 * gamma_uv), omega_uv)
+
+
+# cos/xi^2 - sin/xi^3 cancels two terms of order 1/xi^2 down to -1/3;
+# the direct form holds to a few ulp only from about xi = 1.2 on
+_BRACKET_SERIES_LIMIT = 1.2
+# its series: a_0 = -1/3, a_j = a_{j-1} * (-xi^2 / (2j (2j+3))), j <= 16
+_BRACKET_DENOM = 2.0 * np.arange(1, 17) * (2.0 * np.arange(1, 17) + 3.0)
+
+
+def _cos2_sin3(xi: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """cos(xi)/xi^2 - sin(xi)/xi^3, by its series below _BRACKET_SERIES_LIMIT."""
+    out = np.empty_like(xi)
+    small = xi < _BRACKET_SERIES_LIMIT
+    x = xi[~small]
+    out[~small] = cos[~small] / x**2 - sin[~small] / x**3
+    q = (xi[small] ** 2)[:, None]
+    terms = np.cumprod(np.concatenate(
+        [np.full_like(q, -1.0 / 3.0), -q / _BRACKET_DENOM], axis=1), axis=1)
+    # summed through the first term below 1e-18
+    out[small] = _sum_through_first(terms, np.abs(terms) < 1e-18)
+    return out
 
 
 def kernel_3d(geometry: DipoleGeometry) -> KernelValue:
@@ -198,17 +214,18 @@ def _kernel_2d_columns(xi, alignment: float):
     shift = np.full(xi.shape, math.nan)
     apart = xi > 0.0
     x = xi[apart]
-    j1_over_x = _j1_over_x(x)
+    j0, j1, j2, y0, y1 = _bessel_columns(x).T
+    j1_over_x = _j1_over_x(x, j1)
     # decay_part = f / 2 = J0 - J1/xi + a^2 J2
-    decay[apart] = bessel_j(0, x) - j1_over_x + a2 * bessel_j(2, x)
+    decay[apart] = j0 - j1_over_x + a2 * j2
     # shift_part = g / 2 with Y2 = 2 Y1/xi - Y0 folded in; where the
     # 1/xi^2 of the defining form overflows (xi below about 7e-155) the
     # shift is flagged, as at contact
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         shift[apart] = np.where(
             np.isinf(1.0 / (x * x)), math.inf,
-            0.5 * (2.0 * (1.0 - a2) * bessel_y(0, x)
-                   - 2.0 * (1.0 - 2.0 * a2) * _y1_pole_free(x, j1_over_x)))
+            0.5 * (2.0 * (1.0 - a2) * y0
+                   - 2.0 * (1.0 - 2.0 * a2) * _y1_pole_free(x, y1, j1_over_x)))
     return _flag_divergent(decay, shift)
 
 
@@ -231,26 +248,26 @@ def kernel_2d(geometry: DipoleGeometry) -> KernelValue:
     return _value(_kernel_2d_columns([geometry.xi], geometry.alignment))
 
 
-def _y1_pole_free(x: np.ndarray, j1_over_x: np.ndarray) -> np.ndarray:
+def _y1_pole_free(x: np.ndarray, y1: np.ndarray, j1_over_x: np.ndarray) -> np.ndarray:
     # Y1(x)/x + 2/(pi x^2), which grows only like ln(x) at small x.  Below
     # 0.1 it comes from the Y1 series without its -2/(pi x) pole, since
     # the plain sum there cancels two terms of order 1/x^2.
     out = np.empty_like(x)
     big = x >= 0.1
-    out[big] = bessel_y(1, x[big]) / x[big] + 2.0 / (math.pi * x[big] * x[big])
+    out[big] = y1[big] / x[big] + 2.0 / (math.pi * x[big] * x[big])
     small = x[~big]
     log_term = np.log(0.5 * small) + _EULER_GAMMA
     out[~big] = ((2.0 / math.pi) * log_term * j1_over_x[~big]
-                 - _y1_series_sum(small) / (2.0 * math.pi))
+                 - _series_sums(small)[:, 4] / (2.0 * math.pi))
     return out
 
 
-def _j1_over_x(x: np.ndarray) -> np.ndarray:
+def _j1_over_x(x: np.ndarray, j1: np.ndarray) -> np.ndarray:
     # J1(x)/x by its own series at small argument; J1 ~ x/2 there, so the
     # plain quotient would just amplify rounding in J1.
     out = np.empty_like(x)
     big = x >= 0.1
-    out[big] = bessel_j(1, x[big]) / x[big]
+    out[big] = j1[big] / x[big]
     q = (0.25 * x[~big] * x[~big])[:, None]
     m = np.arange(1, 20)
     terms = np.cumprod(np.concatenate(

@@ -9,39 +9,40 @@ rest on independent code paths.
 
 Evaluation strategy
 -------------------
-``bessel_j`` and ``bessel_y`` take a float or an array of points and
-evaluate them in fixed blocks of 256 points (``_BLOCK``), so a kernel
-table is a few numpy passes with no Python per point.  A float goes in
-as a one-element block and comes out as a float.  Within a block each
-point takes its branch by mask:
+One private core, ``_bessel_columns``, returns J0, J1, J2, Y0 and Y1 of
+an array of points as a (points, 5) table in a single pass over fixed
+blocks of 256 points (``_BLOCK``), so a kernel table is a few numpy
+passes with no Python per point.  ``bessel_j`` and ``bessel_y`` are
+column views of it: a float goes in as a one-element block and comes out
+as a float, J of a negative point is J of |x| with the sign of its
+parity, and Y2 = (2/x) Y1 - Y0 on the columns of the same points.
+Within a block each point takes its branch by mask:
 
-* J_n, |x| < 6:   ascending power series (Abramowitz & Stegun 9.1.10),
-                  as a (points, terms) matrix of the term recurrence,
-                  each row summed in order through its first term below
-                  the bound, as a term-by-term loop would stop.
-* J_n, |x| >= 6:  Gauss-Legendre quadrature of Bessel's integral
-                  J_n(x) = (1/pi) * int_0^pi cos(n*t - x*sin t) dt
-                  (A&S 9.1.21), as a (points, 120) node matrix summed
-                  against the weights.  The integrand is entire, so a
-                  fixed high-order rule is accurate to near machine
-                  precision over the supported range |x| <= 50.
-* Y_n, 0 < x < 6: ascending series with harmonic-number coefficients
-                  (A&S 9.1.11), summed per point like the J series.
-* Y_n, x >= 6:    integral representation (DLMF 10.9.9)
-                  Y_n(x) = (1/pi) int_0^pi sin(x sin t - n t) dt
-                         - (1/pi) int_0^inf [e^{nt} + (-1)^n e^{-nt}]
-                                  e^{-x sinh t} dt,
-                  the second integral on [0, t_max(x)] per point.
-* Y_2:            the recurrence Y2 = (2/x) Y1 - Y0 on the Y0 and Y1 of
-                  the same block, so no Y quadrature runs twice.
+* x < 6:   ascending power series, J_n by A&S 9.1.10 and Y0, Y1 by
+           A&S 9.1.11 with harmonic-number coefficients on the same
+           J0 and J1 sums.  The five term recurrences form one
+           (points, 5, 61) matrix, each row summed in order through its
+           first term below the bound, as a term-by-term loop would stop.
+* x >= 6:  Bessel's integral J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt
+           (A&S 9.1.21) and, for Y_n (DLMF 10.9.9),
+           Y_n(x) = (1/pi) int_0^pi sin(x sin t - n t) dt
+                  - (1/pi) int_0^inf [e^{nt} + (-1)^n e^{-nt}] e^{-x sinh t} dt,
+           by a fixed 120-node Gauss-Legendre rule.  The rule on [0, pi]
+           is symmetric about pi/2, so the oscillatory integrals fold onto
+           its 60 nodes below pi/2: J0, J2 and the oscillatory part of Y1
+           are row sums of one cos(x sin t) matrix, J1 and that of Y0 of
+           one sin(x sin t) matrix, against fixed weights.  The second
+           integral runs on [0, t_max(x)] per point, and one
+           e^{-x sinh t} matrix serves both Y0 and Y1.  The integrands are
+           entire, so the fixed rule is accurate to near machine precision
+           over the supported range |x| <= 50.
 * H_n, |x| <= 20: ascending power series (A&S 12.1.5).
 * H_n, |x| > 20:  H_n(x) = Y_n(x) + asymptotic series (DLMF 11.6.1),
                   truncated at its smallest term.
 
 Every operation acts on one point at a time or sums one point's row, so
 a value does not depend on the block it was evaluated in: a table equals
-the same points evaluated one by one, bit for bit.  Blocks bound each
-node matrix to 256 x 120 entries.
+the same points evaluated one by one, bit for bit.
 
 The straight power series cannot hold an absolute error of 1e-8 for the
 Struve functions much past |x| ~ 20 in double precision (the alternating
@@ -74,22 +75,49 @@ _STRUVE_SERIES_LIMIT = 20.0
 # is told the function diverged rather than handed an overflowed number.
 _Y_DIVERGENCE_CUTOFF = 1e-305
 
-# Points per pass of the array evaluation; a (points, 120) node matrix
-# then holds 250 kB.  Larger blocks measured no faster, and one pass over
-# a whole 9999-point kernel table added 65 MB to the peak memory.
+# Points per pass of the array evaluation; the (points, 2, 120) matrix of
+# the exponential integrals then holds 490 kB.  Larger blocks measured no
+# faster, and one pass over a whole 9999-point kernel table added 65 MB to
+# the peak memory.
 _BLOCK = 256
 
 # Fixed Gauss-Legendre rule used for the integral representations.  With
 # at most ~16 oscillation periods across [0, pi] at x = 50, 120 nodes are
 # far in the spectrally convergent regime.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
-# mapped once onto [0, pi]
-_GL_T = 0.5 * math.pi * (_GL_NODES + 1.0)
-_GL_W = 0.5 * math.pi * _GL_WEIGHTS
-_GL_SIN_T = np.sin(_GL_T)
+# Mapped onto [0, pi] the rule is symmetric about pi/2, and the nodes t and
+# pi - t share sin t, so each oscillatory integral folds onto the 60 nodes
+# below pi/2: the pair weight (pi/2) 2w against the integrals' 1/pi is w.
+_HALF_T = 0.5 * math.pi * (_GL_NODES[:60] + 1.0)
+_HALF_SIN_T = np.sin(_HALF_T)
+_HALF_W = _GL_WEIGHTS[:60]
+# rows against cos(x sin t): J0, J2 and the oscillatory part of Y1
+_COS_WEIGHTS = np.stack([_HALF_W, _HALF_W * np.cos(2.0 * _HALF_T),
+                         -_HALF_W * _HALF_SIN_T])
+# rows against sin(x sin t): J1 and the oscillatory part of Y0
+_SIN_WEIGHTS = np.stack([_HALF_W * _HALF_SIN_T, _HALF_W])
 
-# harmonic numbers H_1 ... H_60 for the Y series
-_HARMONIC = np.cumsum(1.0 / np.arange(1, 61))
+# The series branch sums five term recurrences as one (points, 5, 61)
+# matrix: J0, J1, J2 (A&S 9.1.10) and the Y0 and Y1 tails (A&S 9.1.11).
+# Each row is a running product of ratios q / _SERIES_DENOM, q = x^2/4,
+# after its first term, times _SERIES_COEF; an infinite denominator pads a
+# shorter row with zeros.  m = 1 ... 60 below.
+_M = np.arange(1, 61)
+# harmonic numbers H_1 ... H_60
+_HARMONIC = np.cumsum(1.0 / _M)
+_SERIES_DENOM = np.array([
+    # J_n: t_m = t_{m-1} * (-q / (m (m+n)))
+    *(-_M * (_M + n) for n in range(3)),
+    # Y0: q^m / (m!)^2 from m = 1, through m = 59
+    np.concatenate([_M[1:-1] ** 2, [math.inf] * 2]),
+    # Y1: (-q)^m / (m! (m+1)!) from m = 0, through m = 59
+    np.concatenate([-_M[:-1] * _M[1:], [math.inf]]),
+], dtype=float)
+_SERIES_COEF = np.ones((5, 61))
+# Y0: (-1)^{m+1} H_m
+_SERIES_COEF[3, :59] = np.where(_M[:-1] % 2, 1.0, -1.0) * _HARMONIC[:-1]
+# Y1: H_m + H_{m+1}, with H_0 + H_1 = 1
+_SERIES_COEF[4, 1:60] = _HARMONIC[:-1] + _HARMONIC[1:]
 
 
 def _check_order(order: int, allowed: tuple[int, ...], name: str) -> None:
@@ -97,9 +125,9 @@ def _check_order(order: int, allowed: tuple[int, ...], name: str) -> None:
         raise DomainError(f"{name} supports orders {allowed}, got {order!r}")
 
 
-def _blocked(name: str, x, block: Callable[[np.ndarray], np.ndarray],
-             positive: bool = False):
-    """Apply block() to x in _BLOCK-point slices; a float in, a float out."""
+def _evaluated(name: str, x, values: Callable[[np.ndarray], np.ndarray],
+               positive: bool = False):
+    """values() of the validated points of x; a float in, a float out."""
     points = np.asarray(x, dtype=float)
     flat = points.ravel()
     bad = ~np.isfinite(flat)
@@ -109,25 +137,8 @@ def _blocked(name: str, x, block: Callable[[np.ndarray], np.ndarray],
         bad = flat <= 0.0
         if bad.any():
             raise DomainError(f"{name} requires x > 0, got {float(flat[bad][0])!r}")
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        out[start:start + _BLOCK] = block(flat[start:start + _BLOCK])
+    out = values(flat)
     return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
-
-
-def _gl_sum(values: np.ndarray, weights: np.ndarray = _GL_W) -> np.ndarray:
-    # one pairwise sum per row: the same rounding for a row in any block
-    return (values * weights).sum(axis=-1)
-
-
-def _by_branch(order: int, x: np.ndarray, series, integral) -> np.ndarray:
-    """series(order, .) on the points below _SERIES_LIMIT, integral on the rest."""
-    out = np.empty_like(x)
-    small = x < _SERIES_LIMIT
-    for points, branch in ((small, series), (~small, integral)):
-        if points.any():
-            out[points] = branch(order, x[points])
-    return out
 
 
 def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -142,22 +153,100 @@ def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.cumsum(np.where(after, 0.0, terms), axis=-1)[..., -1]
 
 
-def _bessel_j_series(order: int, x: np.ndarray) -> np.ndarray:
-    # t_m = (-1)^m (x/2)^(2m+n) / (m! (m+n)!) = t_{m-1} * (-q / (m (m+n))),
-    # summed through the first term within 1e-18 (1 + |t_0|), m <= 60
-    half = 0.5 * np.asarray(x, dtype=float)[..., None]
+def _series_sums(x: np.ndarray) -> np.ndarray:
+    """J0, J1, J2 and the Y0 and Y1 tails at x, as (..., 5).
+
+    The tails are sum_{m>=1} (-1)^{m+1} H_m q^m / (m!)^2 and
+    sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!), q = x^2/4.  A J
+    row is summed through its first term within 1e-18 (1 + |t_0|), a tail
+    through its first term within 1e-18.
+    """
+    half = 0.5 * x[..., None]
     q = half * half
-    first = half**order / math.factorial(order)
-    m = np.arange(1, 61)
-    terms = np.cumprod(np.concatenate(
-        [first, -q / (m * (m + order))], axis=-1), axis=-1)
-    return _sum_through_first(terms, np.abs(terms) <= 1e-18 * (1.0 + np.abs(first)))
+    # first terms (x/2)^n / n! of J_n, q of the Y0 tail and 1 of the Y1 tail
+    first = np.concatenate([np.ones_like(half), half, 0.5 * q, q,
+                            np.ones_like(half)], axis=-1)[..., None]
+    terms = _SERIES_COEF * np.cumprod(np.concatenate(
+        [first, q[..., None, :] / _SERIES_DENOM], axis=-1), axis=-1)
+    bound = 1e-18 * (1.0 + np.abs(first))
+    bound[..., 3:, :] = 1e-18
+    return _sum_through_first(terms, np.abs(terms) <= bound)
 
 
-def _bessel_j_integral(order: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    vals = np.cos(order * _GL_T - x[..., None] * _GL_SIN_T)
-    return _gl_sum(vals) / math.pi
+def _series_columns(x: np.ndarray) -> np.ndarray:
+    """J0, J1, J2, Y0, Y1 of points 0 <= x < 6 by their series, as (..., 5).
+
+    Y0 = (2/pi) [ (ln(x/2)+gamma) J0 + Y0 tail ] and
+    Y1 = (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x) - (x/(2 pi)) Y1 tail
+    (A&S 9.1.11).  Points below the divergence cutoff are lifted to it
+    and then get -inf.
+    """
+    out = _series_sums(x)
+    finite = x >= _Y_DIVERGENCE_CUTOFF
+    x = np.maximum(x, _Y_DIVERGENCE_CUTOFF)
+    log_term = np.log(0.5 * x) + _EULER_GAMMA
+    y0 = (2.0 / math.pi) * (log_term * out[..., 0] + out[..., 3])
+    y1 = ((2.0 / math.pi) * log_term * out[..., 1]
+          - 2.0 / (math.pi * x)
+          - (x / (2.0 * math.pi)) * out[..., 4])
+    out[..., 3] = np.where(finite, y0, -math.inf)
+    out[..., 4] = np.where(finite, y1, -math.inf)
+    return out
+
+
+def _integral_columns(x: np.ndarray) -> np.ndarray:
+    """J0, J1, J2, Y0, Y1 of points x >= 6 by quadrature, as (..., 5)."""
+    out = np.empty(x.shape + (5,))
+    x = x[..., None]
+    # J_n (A&S 9.1.21) and the oscillatory part of Y_n (DLMF 10.9.9),
+    # folded onto the half nodes: row sums of one cos and one sin matrix,
+    # into the columns J0, J2, Y1 and J1, Y0
+    s = x * _HALF_SIN_T
+    out[..., 0::2] = (np.cos(s)[..., None, :] * _COS_WEIGHTS).sum(axis=-1)
+    out[..., 1::2] = (np.sin(s)[..., None, :] * _SIN_WEIGHTS).sum(axis=-1)
+    # less the exponential part (1/pi) int_0^inf [e^{nt} + (-1)^n e^{-nt}]
+    # e^{-x sinh t} dt, whose bracket is 2 for n = 0 and 2 sinh t for
+    # n = 1; the integrand is negligible once x sinh T ~ 48, so each point
+    # integrates to its own T
+    t_max = np.arcsinh(48.0 / x)
+    sinh_t = np.sinh(0.5 * t_max * (_GL_NODES + 1.0))
+    decay = np.exp(-x * sinh_t)
+    tails = np.stack([decay, sinh_t * decay], axis=-2)
+    out[..., 3:] -= (tails * _GL_WEIGHTS).sum(axis=-1) * (t_max / math.pi)
+    return out
+
+
+def _bessel_columns(x: np.ndarray) -> np.ndarray:
+    """J0, J1, J2, Y0, Y1 of the points x >= 0, as a (points, 5) array.
+
+    One pass per _BLOCK points, each point by the branch of its argument;
+    Y is -inf at 0 and below the divergence cutoff.
+    """
+    out = np.empty(x.shape + (5,))
+    for start in range(0, x.size, _BLOCK):
+        block = x[start:start + _BLOCK]
+        small = block < _SERIES_LIMIT
+        for points, branch in ((small, _series_columns), (~small, _integral_columns)):
+            if points.any():
+                out[start:start + _BLOCK][points] = branch(block[points])
+    return out
+
+
+# the branches one column at a time, as the crossover test compares them
+def _bessel_j_series(order: int, x) -> np.ndarray:
+    return _series_columns(np.asarray(x, dtype=float))[..., order]
+
+
+def _bessel_y_series(order: int, x) -> np.ndarray:
+    return _series_columns(np.asarray(x, dtype=float))[..., 3 + order]
+
+
+def _bessel_j_integral(order: int, x) -> np.ndarray:
+    return _integral_columns(np.asarray(x, dtype=float))[..., order]
+
+
+def _bessel_y_integral(order: int, x) -> np.ndarray:
+    return _integral_columns(np.asarray(x, dtype=float))[..., 3 + order]
 
 
 def bessel_j(order: int, x):
@@ -168,63 +257,12 @@ def bessel_j(order: int, x):
     """
     _check_order(order, (0, 1, 2), "bessel_j")
 
-    def block(x: np.ndarray) -> np.ndarray:
-        out = _by_branch(order, np.abs(x), _bessel_j_series, _bessel_j_integral)
+    def values(x: np.ndarray) -> np.ndarray:
+        out = _bessel_columns(np.abs(x))[:, order]
         # J_n(-x) = (-1)^n J_n(x)
         return np.where(x < 0.0, -out, out) if order % 2 else out
 
-    return _blocked("bessel_j", x, block)
-
-
-def _bessel_y_series(order: int, x: np.ndarray) -> np.ndarray:
-    # A&S 9.1.11 specialised to n = 0, 1; each tail is summed through its
-    # first term below 1e-18, m <= 59.
-    x = np.asarray(x, dtype=float)
-    half = 0.5 * x
-    q = (half * half)[..., None]
-    log_term = np.log(half) + _EULER_GAMMA
-    m = np.arange(1, 60)
-    if order == 0:
-        # (2/pi) [ (ln(x/2)+gamma) J0 + sum_{m>=1} (-1)^{m+1} H_m q^m / (m!)^2 ]
-        sign = np.where(m % 2, 1.0, -1.0)
-        tail = sign * _HARMONIC[:-1] * np.cumprod(q / (m * m), axis=-1)
-        return (2.0 / math.pi) * (log_term * _bessel_j_series(0, x)
-                                  + _sum_through_first(tail, np.abs(tail) < 1e-18))
-    # order == 1:
-    # (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x) - (x/(2 pi)) _y1_series_sum(x)
-    return ((2.0 / math.pi) * log_term * _bessel_j_series(1, x)
-            - 2.0 / (math.pi * x)
-            - (x / (2.0 * math.pi)) * _y1_series_sum(x))
-
-
-def _y1_series_sum(x: np.ndarray) -> np.ndarray:
-    """sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!) with q = x^2/4.
-
-    The power-series part of Y1 (A&S 9.1.11), summed through its first
-    term below 1e-18, m <= 59.
-    """
-    half = 0.5 * np.asarray(x, dtype=float)
-    q = (half * half)[..., None]
-    m = np.arange(1, 60)
-    tail = (_HARMONIC[:-1] + _HARMONIC[1:]) * np.cumprod(-q / (m * (m + 1)), axis=-1)
-    tail = np.concatenate([np.ones_like(q), tail], axis=-1)  # m = 0: H_0 + H_1 = 1
-    return _sum_through_first(tail, np.abs(tail) < 1e-18)
-
-
-def _bessel_y_integral(order: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)[..., None]
-    osc = np.sin(x * _GL_SIN_T - order * _GL_T)
-    first = _gl_sum(osc) / math.pi
-    # exponential part: integrand e^{nt - x sinh t} (+ e^{-nt} piece) is
-    # negligible once x sinh T ~ 48, so each point integrates to its own T
-    t_max = np.arcsinh(48.0 / x)
-    t = 0.5 * t_max * (_GL_NODES + 1.0)
-    sinh_t = np.sinh(t)
-    decay = np.exp(-x * sinh_t)
-    # e^{nt} + (-1)^n e^{-nt} is 2 for n = 0 and 2 sinh t for n = 1
-    hyp = 2.0 * sinh_t if order else 2.0
-    second = _gl_sum(hyp * decay, 0.5 * t_max * _GL_WEIGHTS) / math.pi
-    return first - second
+    return _evaluated("bessel_j", x, values)
 
 
 def bessel_y(order: int, x):
@@ -238,25 +276,19 @@ def bessel_y(order: int, x):
     """
     _check_order(order, (0, 1, 2), "bessel_y")
 
-    def y01(order: int, x: np.ndarray) -> np.ndarray:
-        return _by_branch(order, x, _bessel_y_series, _bessel_y_integral)
+    def values(x: np.ndarray) -> np.ndarray:
+        columns = _bessel_columns(x)
+        if order < 2:
+            return columns[:, 3 + order]
+        # Y2 = (2/x) Y1 - Y0; no cancellation trouble since Y2 is
+        # dominated by the (2/x) Y1 term at small x and all terms
+        # share magnitude at large x.  Below x ~ 1e-154 it overflows
+        # to -inf, as the divergence it is.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(x >= _Y_DIVERGENCE_CUTOFF,
+                            2.0 / x * columns[:, 4] - columns[:, 3], -math.inf)
 
-    def block(x: np.ndarray) -> np.ndarray:
-        out = np.full_like(x, -math.inf)
-        finite = x >= _Y_DIVERGENCE_CUTOFF
-        x = x[finite]
-        if order == 2:
-            # Y2 = (2/x) Y1 - Y0; no cancellation trouble since Y2 is
-            # dominated by the (2/x) Y1 term at small x and all terms
-            # share magnitude at large x.  Below x ~ 1e-154 it overflows
-            # to -inf, as the divergence it is.
-            with np.errstate(over="ignore"):
-                out[finite] = 2.0 / x * y01(1, x) - y01(0, x)
-        else:
-            out[finite] = y01(order, x)
-        return out
-
-    return _blocked("bessel_y", x, block, positive=True)
+    return _evaluated("bessel_y", x, values, positive=True)
 
 
 def _struve_series(order: int, x: float) -> float:

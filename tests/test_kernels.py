@@ -141,6 +141,29 @@ def test_2d_shift_at_small_separations(xi, dps, alignment):
     assert kv.shift_part == pytest.approx(expected, rel=1e-14)
 
 
+def mpmath_kernel_3d(xi, alignment):
+    """(decay_part, shift_part) of the closed form at 40 digits."""
+    with mpmath.workdps(40):
+        x, a2 = mpmath.mpf(xi), mpmath.mpf(alignment) ** 2
+        s, c = mpmath.sin(x), mpmath.cos(x)
+        gamma = 1.5 * ((1 - a2) * s / x + (1 - 3 * a2) * (c / x**2 - s / x**3))
+        omega = 0.75 * (-(1 - a2) * c / x + (1 - 3 * a2) * (s / x**2 + c / x**3))
+        return float(gamma / 2), float(omega)
+
+
+@pytest.mark.parametrize("alignment", [0.0, 0.5, 1.0])
+def test_3d_against_mpmath_at_small_separations(alignment):
+    # cos/xi^2 - sin/xi^3 cancels terms of order 1/xi^2: the decay must
+    # hold on both sides of the series crossover, the old one at 0.01 too
+    xi = np.concatenate([np.arange(0.005, 2.0, 0.0025), [0.01, 0.0103, 1.2]])
+    decay, shift, divergent = _kernel_3d_columns(xi, alignment)
+    expected = np.array([mpmath_kernel_3d(x, alignment) for x in xi.tolist()])
+    assert not divergent.any()
+    assert np.max(np.abs(decay - expected[:, 0])) < 1e-15
+    assert np.all(np.abs(shift - expected[:, 1])
+                  < 2e-15 * np.maximum(np.abs(expected[:, 1]), 1.0))
+
+
 def test_geometry_validation():
     with pytest.raises(DomainError):
         DipoleGeometry(-0.1, 0.0)

@@ -249,6 +249,37 @@ def test_bessel_table_equals_pointwise_calls():
                           [bessel_y(2, x) for x in TABLE_X.tolist()])
 
 
+# the series/quadrature handover 6 and its neighbouring floats
+CROSSOVER_X = np.array([np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)])
+
+
+def test_bessel_columns_against_scipy():
+    from scipy import special
+
+    from chiralchain.specfun import _bessel_columns
+    x = np.sort(np.concatenate([DENSE_X, CROSSOVER_X]))
+    columns = _bessel_columns(x)
+    assert columns.shape == (x.size, 5)
+    for order in (0, 1, 2):
+        assert np.max(np.abs(columns[:, order] - special.jv(order, x))) < 1e-12
+    for order in (0, 1):
+        assert np.max(np.abs(columns[:, 3 + order] - special.yv(order, x))) < 1e-10
+    # every block position, next to other points
+    for offset in (1, 100, 255):
+        assert np.array_equal(_bessel_columns(x[offset:]), columns[offset:])
+
+
+def test_bessel_functions_are_columns_of_one_core():
+    from chiralchain.specfun import _bessel_columns
+    x = np.concatenate([TABLE_X[::7], CROSSOVER_X, [1e-306, 1e-200]])
+    columns = _bessel_columns(x)
+    for order in (0, 1, 2):
+        assert np.array_equal(bessel_j(order, x), columns[:, order])
+    for order in (0, 1):
+        assert np.array_equal(bessel_y(order, x), columns[:, 3 + order])
+    assert np.all(columns[-2, 3:] == -math.inf)
+
+
 def test_pv_odd_integrand_vanishes():
     integrand = PVIntegrand(lambda x: 1.0 / x, 0.0, (-1.0, 1.0))
     assert abs(principal_value(integrand, tol=1e-9)) < 1e-9
