@@ -187,7 +187,6 @@ def _cos2_sin3(xi: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
     q = (xi[small] ** 2)[:, None]
     terms = np.cumprod(np.concatenate(
         [np.full_like(q, -1.0 / 3.0), -q / _BRACKET_DENOM], axis=1), axis=1)
-    # summed through the first term below 1e-18
     out[small] = _sum_through_first(terms, np.abs(terms) < 1e-18)
     return out
 

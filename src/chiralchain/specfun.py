@@ -77,8 +77,8 @@ _Y_DIVERGENCE_CUTOFF = 1e-305
 
 # Points per pass of the array evaluation; the (points, 2, 120) matrix of
 # the exponential integrals then holds 490 kB.  Larger blocks measured no
-# faster, and one pass over a whole 9999-point kernel table added 65 MB to
-# the peak memory.
+# faster, and one pass over a whole 9999-point kernel table adds about
+# 60 MB to the peak memory.
 _BLOCK = 256
 
 # Fixed Gauss-Legendre rule used for the integral representations.  With
