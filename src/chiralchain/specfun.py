@@ -85,6 +85,8 @@ _BLOCK = 256
 # at most ~16 oscillation periods across [0, pi] at x = 50, 120 nodes are
 # far in the spectrally convergent regime.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
+# the rule on [0, 1], scaled to [0, t_max(x)] per point for the Y tails
+_TAIL_NODES = 0.5 * (_GL_NODES + 1.0)
 # Mapped onto [0, pi] the rule is symmetric about pi/2, and the nodes t and
 # pi - t share sin t, so each oscillatory integral folds onto the 60 nodes
 # below pi/2: the pair weight (pi/2) 2w against the integrals' 1/pi is w.
@@ -209,10 +211,10 @@ def _integral_columns(x: np.ndarray) -> np.ndarray:
     # n = 1; the integrand is negligible once x sinh T ~ 48, so each point
     # integrates to its own T
     t_max = np.arcsinh(48.0 / x)
-    sinh_t = np.sinh(0.5 * t_max * (_GL_NODES + 1.0))
-    decay = np.exp(-x * sinh_t)
-    tails = np.stack([decay, sinh_t * decay], axis=-2)
-    out[..., 3:] -= (tails * _GL_WEIGHTS).sum(axis=-1) * (t_max / math.pi)
+    sinh_t = np.sinh(t_max * _TAIL_NODES)
+    decay = np.exp(-x * sinh_t) * (t_max / math.pi * _GL_WEIGHTS)
+    out[..., 3] -= decay.sum(axis=-1)
+    out[..., 4] -= (sinh_t * decay).sum(axis=-1)
     return out
 
 

@@ -155,7 +155,7 @@ def mpmath_kernel_3d(xi, alignment):
 def test_3d_against_mpmath_at_small_separations(alignment):
     # cos/xi^2 - sin/xi^3 cancels terms of order 1/xi^2: the decay must
     # hold on both sides of the series crossover, the old one at 0.01 too
-    xi = np.concatenate([np.arange(0.005, 2.0, 0.0025), [0.01, 0.0103, 1.2]])
+    xi = np.concatenate([np.arange(0.005, 2.0, 0.005), [0.0103, 1.1999, 1.2]])
     decay, shift, divergent = _kernel_3d_columns(xi, alignment)
     expected = np.array([mpmath_kernel_3d(x, alignment) for x in xi.tolist()])
     assert not divergent.any()
