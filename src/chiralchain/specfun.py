@@ -132,9 +132,9 @@ def _evaluated(name: str, x, values: Callable[[np.ndarray], np.ndarray],
     """values() of the validated points of x; a float in, a float out."""
     points = np.asarray(x, dtype=float)
     flat = points.ravel()
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        raise DomainError(f"{name} requires finite x, got {float(flat[bad][0])!r}")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise DomainError(f"{name} requires finite x, got {float(flat[~finite][0])!r}")
     if positive:
         bad = flat <= 0.0
         if bad.any():
@@ -228,9 +228,14 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     for start in range(0, x.size, _BLOCK):
         block = x[start:start + _BLOCK]
         small = block < _SERIES_LIMIT
+        below = np.count_nonzero(small)
+        if below in (0, block.size):
+            # the whole block on one branch, as a single float always is
+            branch = _series_columns if below else _integral_columns
+            out[start:start + block.size] = branch(block)
+            continue
         for points, branch in ((small, _series_columns), (~small, _integral_columns)):
-            if points.any():
-                out[start:start + _BLOCK][points] = branch(block[points])
+            out[start:start + _BLOCK][points] = branch(block[points])
     return out
 
 
