@@ -106,12 +106,16 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
 
     The realizations' coupling matrices are stacked in fixed index order
     and propagated together as one batch, so a given seed yields
-    bitwise-identical output; only P_tot and I_tot per realization are
-    kept, never the amplitudes.  A realization whose drawn positions
-    break the site ordering is skipped and counted; more than 10% skipped
-    aborts the run.  Standard deviations use the n-1 divisor.  With
-    cross_check on, every realization is re-solved at sampled grid times
-    by the Runge-Kutta backend, as in propagate.
+    bitwise-identical output.  Neither the amplitudes nor the whole P_tot
+    and I_tot of each realization are kept: the moments over the stack
+    are taken every 2048 grid times, so memory grows with the number of
+    realizations plus the grid length, not with their product, and the
+    moments are bit for bit those of the full (R, K) arrays.  A
+    realization whose drawn positions break the site ordering is skipped
+    and counted; more than 10% skipped aborts the run.  Standard
+    deviations use the n-1 divisor.  With cross_check on, every
+    realization is re-solved at sampled grid times by the Runge-Kutta
+    backend, as in propagate.
     """
     if disorder.mode != "ensemble":
         raise ConfigError(
@@ -135,14 +139,14 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
         raise ConfigError(
             f"{skipped} of {disorder.n_realizations} realizations broke "
             "atomic ordering")
-    total_arr, intens_arr = _propagate_stack(
+    mean_total, std_total, mean_intensity, std_intensity = _propagate_stack(
         np.stack(generators), initial, grid, cross_check=cross_check)
     return EnsembleResult(
         times=grid,
-        mean_total=total_arr.mean(axis=0),
-        std_total=total_arr.std(axis=0, ddof=1),
-        mean_intensity=intens_arr.mean(axis=0),
-        std_intensity=intens_arr.std(axis=0, ddof=1),
+        mean_total=mean_total,
+        std_total=std_total,
+        mean_intensity=mean_intensity,
+        std_intensity=std_intensity,
         n_realizations=disorder.n_realizations,
         seed=disorder.seed,
         n_skipped=skipped,

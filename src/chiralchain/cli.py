@@ -6,10 +6,12 @@ parameter sets emitting every curve of a named figure), ``kernel``
 (position-fluctuation statistics).
 
 Every run writes its data as CSV with ``#``-prefixed metadata lines and
-a ``manifest.json`` recording the fully resolved parameters, detector
-defaults, and sha256 of each output, so any result can be reproduced
-bitwise from its manifest.  Data files never embed timestamps.  With
-``--stdout`` the data goes to standard output and nothing is written.
+a ``manifest.json`` recording the resolved parameters that the run
+reads, the detector defaults (except for kernel tables), and the sha256
+of each output, so any result can be reproduced bitwise from its
+manifest.  Each file is hashed as it streams to disk.  Data files never
+embed timestamps.  With ``--stdout`` the same writers send the data to
+standard output and nothing is written.
 
 Exit codes: 0 on success, 2 for configuration and domain errors, 3 for
 numerical failures (integrity cross-check, quadrature nonconvergence).
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -35,8 +36,8 @@ from .analysis import (BURST_PROMINENCE_FRACTION, BURST_WINDOW,
                        EnsembleResult, detect_bursts, run_ensemble)
 from .chain import (ChainConfig, DisorderSpec, build_coupling_matrix,
                     build_positions, load_config_file)
-from .dynamics import (Trajectory, log_grid, propagate, steady_state,
-                       uniform_excitation, uniform_grid,
+from .dynamics import (Trajectory, _write_csv, log_grid, propagate,
+                       steady_state, uniform_excitation, uniform_grid,
                        write_trajectory_csv, write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
                      NumericsError)
@@ -73,32 +74,57 @@ def _detector_defaults(gamma: float) -> dict:
     }
 
 
-def _write_run(outdir: str, command: str, parameters: dict, gamma: float,
-               writers: dict, started: float) -> None:
-    """Write each output file plus a manifest with hashes and duration."""
+class _DigestWriter:
+    """Text stream that writes UTF-8 into a binary file and hashes it.
+
+    tell() is the number of bytes written so far.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.sha256 = hashlib.sha256()
+        self.bytes = 0
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8")
+        self._fh.write(data)
+        self.sha256.update(data)
+        self.bytes += len(data)
+        return len(text)
+
+    def tell(self) -> int:
+        return self.bytes
+
+
+def _write_run(outdir: str, command: str, parameters: dict,
+               gamma: Optional[float], writers: dict, started: float) -> None:
+    """Write each output file plus a manifest with hashes and duration.
+
+    Each writer streams into its file through a _DigestWriter, so no
+    output is held whole in memory.  The manifest records the detector
+    defaults for gamma, or none when gamma is None.
+    """
     os.makedirs(outdir, exist_ok=True)
     outputs = []
     for name, writer in writers.items():
-        path = os.path.join(outdir, name)
-        buffer = io.StringIO()
-        writer(buffer)
-        data = buffer.getvalue().encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(data)
+        with open(os.path.join(outdir, name), "wb") as fh:
+            stream = _DigestWriter(fh)
+            writer(stream)
         outputs.append({
             "path": name,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
+            "sha256": stream.sha256.hexdigest(),
+            "bytes": stream.bytes,
         })
     manifest = {
         "tool": "chiralchain",
         "version": __version__,
         "command": command,
         "parameters": parameters,
-        "detector_defaults": _detector_defaults(gamma),
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
     }
+    if gamma is not None:
+        manifest["detector_defaults"] = _detector_defaults(gamma)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -254,15 +280,13 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
-    for key, value in metadata.items():
-        stream.write(f"# {key} = {value}\n")
+    comments = list(metadata.items())
     if result.n_skipped:
-        stream.write(f"# n_skipped = {result.n_skipped}\n")
-    stream.write("t,mean_P_tot,std_P_tot,mean_I_tot,std_I_tot\n")
-    columns = (result.times, result.mean_total, result.std_total,
-               result.mean_intensity, result.std_intensity)
-    for row in zip(*(column.tolist() for column in columns)):
-        stream.write(",".join(map(repr, row)) + "\n")
+        comments.append(("n_skipped", result.n_skipped))
+    _write_csv(stream, comments,
+               ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"],
+               [result.times, result.mean_total, result.std_total,
+                result.mean_intensity, result.std_intensity])
 
 
 def cmd_ensemble(args) -> int:
@@ -355,35 +379,29 @@ def _kernel_columns(dim: str, xi_values: np.ndarray, alignment: float,
     raise ConfigError(f"unknown kernel dimension {dim!r}")
 
 
-def _write_kernel_csv(stream, header, columns, metadata: dict) -> None:
-    for key, value in metadata.items():
-        stream.write(f"# {key} = {value}\n")
-    stream.write(",".join(header) + "\n")
-    for row in zip(*(column.tolist() for column in columns)):
-        stream.write(",".join(map(repr, row)) + "\n")
-
-
 def cmd_kernel(args) -> int:
     started = time.monotonic()
     xi_values = _parse_xi_range(args.xi)
     header, columns = _kernel_columns(args.dim, xi_values, args.alignment,
                                    args.gamma_l, args.gamma_r)
-    metadata = {"dimension": args.dim}
+    # the table and the manifest record only what this dimension reads
+    read = {}
     if args.dim in ("2", "3"):
-        metadata["alignment"] = _repr_float(args.alignment)
-    if args.dim == "1chiral":
-        metadata["gamma_left"] = _repr_float(args.gamma_l)
-        metadata["gamma_right"] = _repr_float(args.gamma_r)
+        read = {"alignment": args.alignment}
+    elif args.dim == "1chiral":
+        read = {"gamma_left": args.gamma_l, "gamma_right": args.gamma_r}
+    metadata = {"dimension": args.dim,
+                **{key: _repr_float(value) for key, value in read.items()}}
+    parameters = {"dimension": args.dim, "xi": args.xi, **read}
+
+    def write_table(fh):
+        _write_csv(fh, list(metadata.items()), header, columns)
+
     if args.stdout:
-        _write_kernel_csv(sys.stdout, header, columns, metadata)
+        write_table(sys.stdout)
         return 0
-    parameters = {"dimension": args.dim, "xi": args.xi,
-                  "alignment": args.alignment,
-                  "gamma_left": args.gamma_l, "gamma_right": args.gamma_r}
-    _write_run(_resolve_outdir(args.outdir), "kernel", parameters, 1.0,
-               {"kernel.csv":
-                lambda fh: _write_kernel_csv(fh, header, columns, metadata)},
-               started)
+    _write_run(_resolve_outdir(args.outdir), "kernel", parameters, None,
+               {"kernel.csv": write_table}, started)
     return 0
 
 

@@ -72,6 +72,12 @@ _BLOCK = 64
 _BLOCK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is one run of step h
 _RUN_ULPS = 4
+# grid times of P_tot and I_tot staged per generator before an ensemble
+# takes their moments over the stack (see _propagate_stack)
+_MOMENT_WIDTH = 2048
+# rows formatted per write by the CSV and JSON writers: about 100 kB of
+# text; 4096 rows left a long-running process's heap 1 MB larger
+_WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -588,34 +594,73 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
                       gamma=matrix.gamma, underflow_clamped=clamped)
 
 
-def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
-                     cross_check: bool) -> tuple[np.ndarray, np.ndarray]:
-    """P_tot and I_tot, each (R, K), of initial under every generator of v.
+def _chunk_ends(size: int) -> list:
+    """Ends of the grid chunks whose moments are taken together.
 
-    Observables are taken block by block, so the (R, K, N) amplitudes are
-    never held; only the cross-check times are kept for the RK comparison,
-    which runs on every generator of the stack.
+    Chunks are _MOMENT_WIDTH grid times wide; a last chunk of one time
+    joins the chunk before it, because numpy reduces an (R, 1) block as
+    one pairwise sum, which rounds differently from the row-by-row sum of
+    every wider block.
+    """
+    ends = list(range(_MOMENT_WIDTH, size, _MOMENT_WIDTH)) + [size]
+    if len(ends) > 1 and ends[-1] - ends[-2] == 1:
+        del ends[-2]
+    return ends
+
+
+def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
+                     cross_check: bool) -> tuple[np.ndarray, ...]:
+    """Mean and std of P_tot and I_tot over the stack v, each of shape (K,).
+
+    Returns (mean P_tot, std P_tot, mean I_tot, std I_tot), the standard
+    deviations with the n-1 divisor.  Observables are taken block by
+    block and staged in C-contiguous (R, c) buffers of at most
+    _MOMENT_WIDTH + 1 grid times, whose moments over the stack axis are
+    taken as each chunk fills; memory is O(R W + K), not O(R K).  numpy
+    adds the rows of an (R, c) block with c > 1 in generator order, as it
+    does for the whole (R, K) array, so the moments are bit for bit those
+    of the full arrays.  Only the cross-check times are kept for the RK
+    comparison, which runs on every generator of the stack.
     """
     grid = _validate_grid(grid)
     _check_sites(v.shape[-1], initial)
-    totals = np.empty((v.shape[0], grid.size))
-    intensities = np.empty((v.shape[0], grid.size))
+    n_stack = v.shape[0]
+    ends = _chunk_ends(grid.size)
+    staging = np.empty((2, n_stack * min(grid.size, _MOMENT_WIDTH + 1)))
+    # [observable][mean, std] over the grid, observables P_tot and I_tot
+    moments = np.empty((2, 2, grid.size))
     picks = (_check_points(grid.size, _CHECK_POINTS) if cross_check
              else np.empty(0, dtype=int))
-    checked = np.empty((v.shape[0], picks.size, v.shape[-1]), dtype=complex)
+    checked = np.empty((n_stack, picks.size, v.shape[-1]), dtype=complex)
+    chunk, start = 0, 0
 
-    def reduce(k: int, block: np.ndarray) -> None:
-        stop = k + block.shape[1]
+    def reduce(first: int, block: np.ndarray) -> None:
+        nonlocal chunk, start
+        stop = first + block.shape[1]
         _, block_total, block_intensity, _ = _observables(v, block)
-        totals[:, k:stop] = block_total
-        intensities[:, k:stop] = block_intensity
-        hit = (picks >= k) & (picks < stop)
-        checked[:, hit] = block[:, picks[hit] - k]
+        observed = np.stack((block_total, block_intensity))
+        hit = (picks >= first) & (picks < stop)
+        checked[:, hit] = block[:, picks[hit] - first]
+        k = first
+        while k < stop:
+            end = ends[chunk]
+            upto = min(stop, end)
+            # (P_tot, I_tot) of the chunk, each a C-contiguous (R, c) array
+            staged = staging[:, :n_stack * (end - start)].reshape(
+                2, n_stack, end - start)
+            part = observed[:, :, k - first:upto - first]
+            staged[:, :, k - start:upto - start] = part
+            k = upto
+            if k == end:
+                for (mean, std), values in zip(moments, staged):
+                    mean[start:end] = values.mean(axis=0)
+                    std[start:end] = values.std(axis=0, ddof=1)
+                chunk, start = chunk + 1, end
 
     _evolve(v, initial.amplitudes, grid, reduce)
     if cross_check:
         _cross_check(v, initial.amplitudes, grid[picks], checked, _CHECK_TOL)
-    return totals, intensities
+    return tuple(moments.reshape(4, grid.size))
 
 
 def rk_propagate(matrix: CouplingMatrix, initial: StateVector, grid,
@@ -784,37 +829,66 @@ def long_time_populations(matrix: CouplingMatrix, initial: StateVector,
 # trajectory export
 # ---------------------------------------------------------------------------
 
+def _write_csv(stream: IO[str], comments: list, header: list,
+               columns: list) -> None:
+    """# key = value lines, the header row and the rows of the columns.
+
+    Values are written with repr, so floats parse back exactly and an
+    integer column stays 0/1.  Rows are formatted and written _WRITE_ROWS
+    at a time, so no more than that many are held as text at once.
+    """
+    for key, value in comments:
+        stream.write(f"# {key} = {value}\n")
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        # tolist() gives Python floats (ints), whose repr is repr(float(x))
+        rows = zip(*(column[start:start + _WRITE_ROWS].tolist()
+                     for column in columns))
+        stream.write("".join([",".join(map(repr, row)) + "\n"
+                              for row in rows]))
+
+
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
                          metadata: Optional[dict] = None) -> None:
     """CSV columns t, P_1..P_N, P_tot, I_tot with # metadata lines."""
-    if metadata:
-        for key, value in metadata.items():
-            stream.write(f"# {key} = {value}\n")
+    comments = list((metadata or {}).items())
     if trajectory.underflow_clamped:
-        stream.write("# underflow_clamped = true\n")
+        comments.append(("underflow_clamped", "true"))
     n = trajectory.n_atoms
     header = ["t"] + [f"P_{m}" for m in range(1, n + 1)] + ["P_tot", "I_tot"]
-    stream.write(",".join(header) + "\n")
-    # repr of the Python floats from tolist() is repr(float(x)) of each entry
-    for t, pops, total, emitted in zip(trajectory.times.tolist(),
-                                       trajectory.populations.tolist(),
-                                       trajectory.total.tolist(),
-                                       trajectory.intensity.tolist()):
-        stream.write(",".join(map(repr, [t, *pops, total, emitted])) + "\n")
+    _write_csv(stream, comments, header,
+               [trajectory.times, *trajectory.populations.T, trajectory.total,
+                trajectory.intensity])
+
+
+def _write_json_array(stream: IO[str], values: np.ndarray) -> None:
+    """json.dump of values.tolist(), written _WRITE_ROWS rows at a time."""
+    stream.write("[")
+    for start in range(0, len(values), _WRITE_ROWS):
+        if start:
+            stream.write(", ")
+        chunk = values[start:start + _WRITE_ROWS].tolist()
+        stream.write(json.dumps(chunk)[1:-1])
+    stream.write("]")
 
 
 def write_trajectory_json(trajectory: Trajectory, stream: IO[str],
                           metadata: Optional[dict] = None) -> None:
-    """Full complex amplitudes as arrays of [re, im] pairs."""
-    payload = {
-        "metadata": dict(metadata or {}),
-        "gamma": trajectory.gamma,
-        "underflow_clamped": trajectory.underflow_clamped,
-        "times": [float(t) for t in trajectory.times],
-        "amplitudes": [
-            [[float(z.real), float(z.imag)] for z in row]
-            for row in trajectory.amplitudes
-        ],
-    }
-    json.dump(payload, stream, indent=None, sort_keys=True)
-    stream.write("\n")
+    """Full complex amplitudes as arrays of [re, im] pairs.
+
+    The bytes are those of json.dump(payload, stream, sort_keys=True) for
+    the payload with keys amplitudes, gamma, metadata, times and
+    underflow_clamped, but the amplitudes and times are written in chunks
+    of rows, so their nested lists are never built whole.
+    """
+    # (re, im) float view of the amplitudes: no copy of a complex128 array
+    pairs = np.ascontiguousarray(trajectory.amplitudes, dtype=complex).view(
+        float).reshape(len(trajectory), -1, 2)
+    stream.write('{"amplitudes": ')
+    _write_json_array(stream, pairs)
+    stream.write(f', "gamma": {json.dumps(trajectory.gamma)}, "metadata": '
+                 f'{json.dumps(dict(metadata or {}), sort_keys=True)}, '
+                 '"times": ')
+    _write_json_array(stream, np.asarray(trajectory.times, dtype=float))
+    stream.write(', "underflow_clamped": '
+                 f'{json.dumps(trajectory.underflow_clamped)}}}\n')

@@ -1,6 +1,7 @@
 """Ensemble reduction, plateau and burst detectors, fits, localization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,93 @@ def test_run_ensemble_cross_checks_every_realization(monkeypatch):
     with pytest.raises(IntegrityError):
         run_ensemble(config, disorder, grid, cross_check=True)
     run_ensemble(config, disorder, grid, cross_check=False)
+
+
+def full_observables(v, grid):
+    """P_tot and I_tot, each (R, K), collected from the propagation core."""
+    totals = np.empty((v.shape[0], grid.size))
+    intensities = np.empty((v.shape[0], grid.size))
+
+    def keep(k, block):
+        _, total, intensity, _ = dynamics._observables(v, block)
+        totals[:, k:k + block.shape[1]] = total
+        intensities[:, k:k + block.shape[1]] = intensity
+
+    dynamics._evolve(v, uniform_excitation(v.shape[1]).amplitudes, grid, keep)
+    return totals, intensities
+
+
+def test_chunk_ends_never_leave_one_column():
+    width = dynamics._MOMENT_WIDTH
+    assert dynamics._chunk_ends(2) == [2]
+    assert dynamics._chunk_ends(width + 1) == [width + 1]
+    assert dynamics._chunk_ends(2 * width) == [width, 2 * width]
+    assert dynamics._chunk_ends(2 * width + 1) == [width, 2 * width + 1]
+    assert dynamics._chunk_ends(2 * width + 2) == [width, 2 * width,
+                                                   2 * width + 2]
+
+
+@pytest.mark.parametrize("tail", [0, 1, 2])
+@pytest.mark.parametrize("realizations", [2, 20])
+def test_chunked_moments_equal_moments_of_full_arrays(realizations, tail):
+    # N = 9 emits blocks of 50 grid times, which straddle the chunk ends
+    config = ChainConfig(n_atoms=9, xi=0.5 * math.pi, gamma_left=0.7,
+                         gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.02, realizations, 3)
+    v = np.stack([build_chain(config, disorder, index).entries
+                  for index in range(realizations)])
+    grid = uniform_grid(40.0, 2 * dynamics._MOMENT_WIDTH + tail)
+    totals, intensities = full_observables(v, grid)
+    moments = dynamics._propagate_stack(v, uniform_excitation(9), grid,
+                                        cross_check=False)
+    want = (totals.mean(axis=0), totals.std(axis=0, ddof=1),
+            intensities.mean(axis=0), intensities.std(axis=0, ddof=1))
+    for got, expected in zip(moments, want):
+        assert np.array_equal(got, expected)
+
+
+def test_cross_check_spans_chunks(monkeypatch):
+    config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.01, 4, 5)
+    grid = uniform_grid(5.0, 2 * dynamics._MOMENT_WIDTH + 1)
+    picks = dynamics._check_points(grid.size, dynamics._CHECK_POINTS)
+    assert np.unique(picks // dynamics._MOMENT_WIDTH).size > 1
+    honest = dynamics._dp54
+    checked = []
+
+    def counted(v, c0, times, **kwargs):
+        checked.append(times)
+        return honest(v, c0, times, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_dp54", counted)
+    run_ensemble(config, disorder, grid, cross_check=True)
+    assert len(checked) == 4
+    assert all(np.array_equal(times, grid[picks]) for times in checked)
+
+    def perturbed(*args, **kwargs):
+        return honest(*args, **kwargs) + 1e-6
+
+    monkeypatch.setattr(dynamics, "_dp54", perturbed)
+    with pytest.raises(IntegrityError):
+        run_ensemble(config, disorder, grid, cross_check=True)
+
+
+def test_run_ensemble_memory_does_not_grow_with_grid():
+    # peak traced memory beyond the four returned (K,) moment arrays
+    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.005, 20, 7)
+    run_ensemble(config, disorder, uniform_grid(10.0, 101))
+    transient = []
+    for points in (5001, 50001):
+        grid = uniform_grid(0.04 * (points - 1), points)
+        tracemalloc.start()
+        try:
+            result = run_ensemble(config, disorder, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - 4 * result.mean_total.nbytes)
+    assert transient[1] <= 1.5 * transient[0]
 
 
 def test_plateaus_found_for_odd_not_even():

@@ -262,3 +262,61 @@ def test_error_exit_codes(capsys):
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])
+
+
+@pytest.mark.parametrize("argv,keys,comments", [
+    (["--dim", "1", "--alignment", "0.5"], {"dimension", "xi"},
+     ["# dimension = 1"]),
+    (["--dim", "2"], {"dimension", "xi", "alignment"},
+     ["# dimension = 2", "# alignment = 0.0"]),
+    (["--dim", "1chiral", "--alignment", "0.5", "--gamma-l", "0.2"],
+     {"dimension", "xi", "gamma_left", "gamma_right"},
+     ["# dimension = 1chiral", "# gamma_left = 0.2", "# gamma_right = 0.5"]),
+])
+def test_kernel_manifest_records_only_what_the_dimension_reads(
+        tmp_path, argv, keys, comments):
+    assert main(["kernel", *argv, "--xi", "0.5,1.0",
+                 "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["parameters"]) == keys
+    assert "detector_defaults" not in manifest
+    text = (tmp_path / "kernel.csv").read_text()
+    assert [line for line in text.splitlines() if line.startswith("#")] == comments
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_kernel_rows_across_the_write_chunk_keep_integer_flags(offset, capsys):
+    from chiralchain import dynamics
+    count = dynamics._WRITE_ROWS + offset
+    # contact at xi = 0 sets the divergence flag in the first row only
+    assert main(["kernel", "--dim", "3", "--xi", f"0:0.001:{count - 1}e-3",
+                 "--stdout"]) == 0
+    header, *rows = [line.split(",") for line in
+                     capsys.readouterr().out.splitlines()
+                     if not line.startswith("#")]
+    assert header == ["xi", "decay", "shift", "shift_divergent"]
+    assert len(rows) == count
+    assert [row[3] for row in rows] == ["1"] + ["0"] * (count - 1)
+    xi = 0.001 * np.arange(count)
+    assert [float(row[0]) for row in rows] == xi.tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--n", "3", "--xi-over-pi", "1", "--gamma-l", "0.9",
+     "--gamma-r", "1", "--realizations", "4", "--horizon", "20",
+     "--points", "5001"],
+    ["kernel", "--dim", "2", "--xi", "0.01:0.005:50"],
+    ["simulate", "--n", "3", "--horizon", "10", "--points", "4099",
+     "--json"],
+    ["figure", "fig2"],
+])
+def test_manifest_digests_match_the_files(tmp_path, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    outdir = tmp_path / "fig2" if argv[0] == "figure" else tmp_path
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    written = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
+    assert sorted(entry["path"] for entry in manifest["outputs"]) == written
+    for entry in manifest["outputs"]:
+        blob = (outdir / entry["path"]).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+        assert len(blob) == entry["bytes"]

@@ -1,5 +1,6 @@
 """Propagator backends, observables, steady states, and trajectory export."""
 
+import dataclasses
 import io
 import json
 import math
@@ -376,3 +377,54 @@ def test_staircase_total_population_stays_on_exact_exponential():
             exact = mpmath.expm(v * trajectory.times[k]) * mpmath.matrix(c0.tolist())
             total = float(sum(abs(exact[i]) ** 2 for i in range(5)))
             assert abs(trajectory.total[k] - total) < 2e-13
+
+
+def reference_csv(trajectory, metadata):
+    """The CSV as the row-by-row writer formats it."""
+    lines = [f"# {key} = {value}\n" for key, value in metadata.items()]
+    if trajectory.underflow_clamped:
+        lines.append("# underflow_clamped = true\n")
+    n = trajectory.n_atoms
+    lines.append(",".join(["t"] + [f"P_{m}" for m in range(1, n + 1)]
+                          + ["P_tot", "I_tot"]) + "\n")
+    for k in range(len(trajectory)):
+        row = [trajectory.times[k], *trajectory.populations[k],
+               trajectory.total[k], trajectory.intensity[k]]
+        lines.append(",".join(repr(float(x)) for x in row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_rows_across_the_write_chunk(offset):
+    points = dynamics._WRITE_ROWS + offset
+    trajectory = propagate(chain(3, 1.0, 0.9, 1.0), uniform_excitation(3),
+                           uniform_grid(5.0, points), cross_check=False)
+    out = io.StringIO()
+    write_trajectory_csv(trajectory, out, {"n_atoms": 3})
+    assert out.getvalue() == reference_csv(trajectory, {"n_atoms": 3})
+    assert out.getvalue().count("\n") == 2 + points
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+def test_json_export_equals_dump_of_whole_payload(clamped):
+    # a grid longer than one chunk of rows, with a partial last chunk
+    grid = uniform_grid(3.0, 2 * dynamics._WRITE_ROWS + 3)
+    trajectory = propagate(chain(2, 2.0, 0.3, 1.0), uniform_excitation(2),
+                           grid, cross_check=False)
+    if clamped:
+        trajectory = dataclasses.replace(trajectory, underflow_clamped=True)
+    metadata = {"note": "chunks", "n_atoms": 2, "gamma": "1.0"}
+    payload = {
+        "metadata": dict(metadata),
+        "gamma": trajectory.gamma,
+        "underflow_clamped": trajectory.underflow_clamped,
+        "times": [float(t) for t in trajectory.times],
+        "amplitudes": [[[float(z.real), float(z.imag)] for z in row]
+                       for row in trajectory.amplitudes],
+    }
+    want = io.StringIO()
+    json.dump(payload, want, indent=None, sort_keys=True)
+    want.write("\n")
+    got = io.StringIO()
+    write_trajectory_json(trajectory, got, metadata)
+    assert got.getvalue() == want.getvalue()
