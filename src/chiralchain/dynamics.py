@@ -862,7 +862,7 @@ def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
 
 
 def _write_json_array(stream: IO[str], values: np.ndarray) -> None:
-    """json.dump of values.tolist(), written _WRITE_ROWS rows at a time."""
+    """json.dumps(values.tolist()), written _WRITE_ROWS rows at a time."""
     stream.write("[")
     for start in range(0, len(values), _WRITE_ROWS):
         if start:
@@ -876,19 +876,27 @@ def write_trajectory_json(trajectory: Trajectory, stream: IO[str],
                           metadata: Optional[dict] = None) -> None:
     """Full complex amplitudes as arrays of [re, im] pairs.
 
-    The bytes are those of json.dump(payload, stream, sort_keys=True) for
-    the payload with keys amplitudes, gamma, metadata, times and
-    underflow_clamped, but the amplitudes and times are written in chunks
-    of rows, so their nested lists are never built whole.
+    The bytes are those of json.dump(payload, stream, sort_keys=True).
+    json.dumps writes the payload with a marker in place of each of the
+    two arrays, amplitudes and times, so the keys, separators and scalars
+    are its own; the arrays are then written in place of the markers in
+    chunks of rows, so their nested lists are never built whole.
     """
     # (re, im) float view of the amplitudes: no copy of a complex128 array
     pairs = np.ascontiguousarray(trajectory.amplitudes, dtype=complex).view(
         float).reshape(len(trajectory), -1, 2)
-    stream.write('{"amplitudes": ')
+    marker = "\0"
+    text = json.dumps({"metadata": dict(metadata or {}),
+                       "gamma": trajectory.gamma,
+                       "underflow_clamped": trajectory.underflow_clamped,
+                       "times": marker, "amplitudes": marker},
+                      sort_keys=True)
+    # sorted keys make amplitudes the first value and times the last but
+    # one, after which comes only a bool, whatever the metadata holds
+    head, _, rest = text.partition(json.dumps(marker))
+    between, _, tail = rest.rpartition(json.dumps(marker))
+    stream.write(head)
     _write_json_array(stream, pairs)
-    stream.write(f', "gamma": {json.dumps(trajectory.gamma)}, "metadata": '
-                 f'{json.dumps(dict(metadata or {}), sort_keys=True)}, '
-                 '"times": ')
+    stream.write(between)
     _write_json_array(stream, np.asarray(trajectory.times, dtype=float))
-    stream.write(', "underflow_clamped": '
-                 f'{json.dumps(trajectory.underflow_clamped)}}}\n')
+    stream.write(tail + "\n")

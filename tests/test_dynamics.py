@@ -413,7 +413,9 @@ def test_json_export_equals_dump_of_whole_payload(clamped):
                            grid, cross_check=False)
     if clamped:
         trajectory = dataclasses.replace(trajectory, underflow_clamped=True)
-    metadata = {"note": "chunks", "n_atoms": 2, "gamma": "1.0"}
+    # "marker" holds the string the writer puts in place of each array
+    metadata = {"note": "chunks", "n_atoms": 2, "gamma": "1.0",
+                "marker": "\0"}
     payload = {
         "metadata": dict(metadata),
         "gamma": trajectory.gamma,
