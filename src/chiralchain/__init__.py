@@ -44,11 +44,8 @@ from .dynamics import (
     StateVector,
     SteadyStateResult,
     Trajectory,
-    intensity,
     log_grid,
-    long_time_populations,
     propagate,
-    rk_propagate,
     steady_state,
     uniform_excitation,
     uniform_grid,
@@ -125,19 +122,16 @@ __all__ = [
     "detect_bursts",
     "detect_plateaus",
     "fit_decay_rate",
-    "intensity",
     "kernel_1d_reciprocal",
     "kernel_2d",
     "kernel_3d",
     "load_config_file",
     "localization_metric",
     "log_grid",
-    "long_time_populations",
     "oscillatory_integral",
     "parse_config_text",
     "principal_value",
     "propagate",
-    "rk_propagate",
     "run_ensemble",
     "steady_state",
     "struve_h",

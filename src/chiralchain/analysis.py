@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chain import ChainConfig, DisorderSpec, build_coupling_matrix, build_positions
+from .chain import ChainConfig, DisorderSpec, build_chain
 from .dynamics import StateVector, Trajectory, _propagate_stack, uniform_excitation
 from .errors import ConfigError, FitError, NumericsError, ResolutionError
 
@@ -129,12 +129,9 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     skipped = 0
     for index in range(disorder.n_realizations):
         try:
-            positions = build_positions(config, disorder, index)
+            generators.append(build_chain(config, disorder, index).entries)
         except ConfigError:
             skipped += 1
-            continue
-        generators.append(build_coupling_matrix(
-            positions, config.gamma_left, config.gamma_right).entries)
     if skipped > 0.10 * disorder.n_realizations:
         raise ConfigError(
             f"{skipped} of {disorder.n_realizations} realizations broke "

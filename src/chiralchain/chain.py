@@ -83,6 +83,16 @@ class ChainConfig:
         """Time-unit rate: the larger of the two directional rates."""
         return max(self.gamma_left, self.gamma_right)
 
+    def to_dict(self) -> dict:
+        """The config-file keys of this chain, as parse_config_text reads them.
+
+        displacements have no config-file key and are not written.
+        """
+        return {"n_atoms": int(self.n_atoms),
+                "xi_over_pi": float(self.xi / math.pi),
+                "gamma_left": float(self.gamma_left),
+                "gamma_right": float(self.gamma_right)}
+
 
 @dataclass(frozen=True)
 class DisorderSpec:
@@ -139,6 +149,19 @@ class DisorderSpec:
                  seed: int) -> "DisorderSpec":
         return cls(mode="ensemble", fluctuation_fraction=fluctuation_fraction,
                    n_realizations=n_realizations, seed=seed)
+
+    def to_dict(self) -> dict:
+        """mode plus the fields that mode reads, keyed as in a config file
+        without the ``disorder.`` prefix."""
+        if self.mode == "single_site":
+            return {"mode": self.mode, "site": int(self.site),
+                    "shift_fraction": float(self.shift_fraction)}
+        if self.mode == "ensemble":
+            return {"mode": self.mode,
+                    "fluctuation_fraction": float(self.fluctuation_fraction),
+                    "n_realizations": int(self.n_realizations),
+                    "seed": int(self.seed)}
+        return {"mode": self.mode}
 
 
 def build_positions(config: ChainConfig,

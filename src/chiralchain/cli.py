@@ -34,11 +34,10 @@ from . import __version__
 from .analysis import (BURST_PROMINENCE_FRACTION, BURST_WINDOW,
                        PLATEAU_EPS_RATE, PLATEAU_MIN_DURATION, PLATEAU_WINDOW,
                        EnsembleResult, detect_bursts, run_ensemble)
-from .chain import (ChainConfig, DisorderSpec, build_coupling_matrix,
-                    build_positions, load_config_file)
-from .dynamics import (Trajectory, _write_csv, log_grid, propagate,
-                       steady_state, uniform_excitation, uniform_grid,
-                       write_trajectory_csv, write_trajectory_json)
+from .chain import ChainConfig, DisorderSpec, build_chain, load_config_file
+from .dynamics import (_write_csv, log_grid, propagate, steady_state,
+                       uniform_excitation, uniform_grid, write_trajectory_csv,
+                       write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
                      NumericsError)
 from .kernels import (_chiral_fg_columns, _kernel_1d_columns, _kernel_2d_columns,
@@ -130,80 +129,56 @@ def _write_run(outdir: str, command: str, parameters: dict,
         fh.write("\n")
 
 
-def _disorder_dict(disorder: DisorderSpec) -> dict:
-    out = {"mode": disorder.mode}
-    if disorder.mode == "single_site":
-        out["site"] = disorder.site
-        out["shift_fraction"] = disorder.shift_fraction
-    elif disorder.mode == "ensemble":
-        out["fluctuation_fraction"] = disorder.fluctuation_fraction
-        out["n_realizations"] = disorder.n_realizations
-        out["seed"] = disorder.seed
-    return out
+def _data_metadata(config: ChainConfig, disorder: DisorderSpec,
+                   grid: Optional[dict] = None) -> dict:
+    """The # key = value lines of a data file, from the manifest records.
 
-
-def _config_metadata(config: ChainConfig, disorder: DisorderSpec) -> dict:
-    meta = {
-        "n_atoms": config.n_atoms,
-        "xi_over_pi": _repr_float(config.xi / math.pi),
-        "gamma_left": _repr_float(config.gamma_left),
-        "gamma_right": _repr_float(config.gamma_right),
-        "disorder_mode": disorder.mode,
-    }
-    if disorder.mode == "single_site":
-        meta["disorder_site"] = disorder.site
-        meta["disorder_shift_fraction"] = _repr_float(disorder.shift_fraction)
-    elif disorder.mode == "ensemble":
-        meta["disorder_fluctuation_fraction"] = _repr_float(
-            disorder.fluctuation_fraction)
-        meta["disorder_n_realizations"] = disorder.n_realizations
-        meta["disorder_seed"] = disorder.seed
-    return meta
+    The config keys, the disorder keys prefixed disorder_, the grid keys
+    and gamma, in that order; floats are written as repr(float(x)).
+    """
+    records = {**config.to_dict(),
+               **{f"disorder_{key}": value
+                  for key, value in disorder.to_dict().items()},
+               **(grid or {}), "gamma": config.gamma}
+    return {key: _repr_float(value) if isinstance(value, float) else value
+            for key, value in records.items()}
 
 
 # ---------------------------------------------------------------------------
 # config assembly shared by simulate and ensemble
 # ---------------------------------------------------------------------------
 
+def _given(**flags) -> dict:
+    """The flags that were given, under the keys they are passed with."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _merge_config(args, *, need_ensemble: bool) -> tuple:
-    """Combine config file (if given) and flags; flags win field by field."""
+    """Combine config file (if given) and flags; flags win field by field.
+
+    Fields go by the keys of ChainConfig.to_dict and DisorderSpec.to_dict.
+    """
+    fields = {"n_atoms": 2, "xi_over_pi": 0.0, "gamma_left": 1.0,
+              "gamma_right": 1.0}
+    disorder = DisorderSpec.none()
     if args.config:
         config, disorder = load_config_file(args.config)
-        n = config.n_atoms
-        xi_over_pi = config.xi / math.pi
-        gl, gr = config.gamma_left, config.gamma_right
-    else:
-        config = disorder = None
-        n, xi_over_pi, gl, gr = 2, 0.0, 1.0, 1.0
-    if args.n is not None:
-        n = args.n
-    if args.xi_over_pi is not None:
-        xi_over_pi = args.xi_over_pi
-    if args.gamma_l is not None:
-        gl = args.gamma_l
-    if args.gamma_r is not None:
-        gr = args.gamma_r
-    merged = ChainConfig(n_atoms=n, xi=xi_over_pi * math.pi,
-                         gamma_left=gl, gamma_right=gr)
+        fields = config.to_dict()
+    fields.update(_given(n_atoms=args.n, xi_over_pi=args.xi_over_pi,
+                         gamma_left=args.gamma_l, gamma_right=args.gamma_r))
+    merged = ChainConfig(n_atoms=fields["n_atoms"],
+                         xi=fields["xi_over_pi"] * math.pi,
+                         gamma_left=fields["gamma_left"],
+                         gamma_right=fields["gamma_right"])
 
     if need_ensemble:
-        fluct = args.fluct
-        realizations = args.realizations
-        seed = args.seed
-        if disorder is not None and disorder.mode == "ensemble":
-            if fluct is None:
-                fluct = disorder.fluctuation_fraction
-            if realizations is None:
-                realizations = disorder.n_realizations
-            if seed is None:
-                seed = disorder.seed
-        if fluct is None:
-            fluct = 0.005
-        if realizations is None:
-            realizations = 200
-        if seed is None:
-            seed = DEFAULT_SEED
-        return merged, DisorderSpec.ensemble(fluct, realizations, seed)
+        fields = {"mode": "ensemble", "fluctuation_fraction": 0.005,
+                  "n_realizations": 200, "seed": DEFAULT_SEED}
+        if disorder.mode == "ensemble":
+            fields.update(disorder.to_dict())
+        fields.update(_given(fluctuation_fraction=args.fluct,
+                             n_realizations=args.realizations, seed=args.seed))
+        return merged, DisorderSpec(**fields)
 
     shift_site = getattr(args, "shift_site", None)
     shift = getattr(args, "shift", None)
@@ -211,27 +186,21 @@ def _merge_config(args, *, need_ensemble: bool) -> tuple:
         if shift_site is None or shift is None:
             raise ConfigError(
                 "--shift-site and --shift must be given together")
-        merged_disorder = DisorderSpec.single_site(shift_site, shift)
-    elif disorder is not None and disorder.mode != "ensemble":
-        merged_disorder = disorder
-    else:
-        merged_disorder = DisorderSpec.none()
-    return merged, merged_disorder
+        return merged, DisorderSpec.single_site(shift_site, shift)
+    if disorder.mode == "ensemble":
+        disorder = DisorderSpec.none()
+    return merged, disorder
 
 
-def _simulation_grid(args) -> np.ndarray:
-    if args.log_grid:
-        return log_grid(horizon=args.horizon,
-                        points_per_decade=args.points_per_decade)
-    return uniform_grid(horizon=args.horizon, points=args.points)
-
-
-def _grid_metadata(args) -> dict:
-    if args.log_grid:
-        return {"grid": "log", "horizon": _repr_float(args.horizon),
-                "points_per_decade": args.points_per_decade}
-    return {"grid": "uniform", "horizon": _repr_float(args.horizon),
-            "points": args.points}
+def _grid(args) -> tuple:
+    """The time grid of a run and its record; ensemble runs have no log grid."""
+    if getattr(args, "log_grid", False):
+        return (log_grid(horizon=args.horizon,
+                         points_per_decade=args.points_per_decade),
+                {"grid": "log", "horizon": args.horizon,
+                 "points_per_decade": args.points_per_decade})
+    return (uniform_grid(horizon=args.horizon, points=args.points),
+            {"grid": "uniform", "horizon": args.horizon, "points": args.points})
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +210,11 @@ def _grid_metadata(args) -> dict:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     config, disorder = _merge_config(args, need_ensemble=False)
-    grid = _simulation_grid(args)
-    positions = build_positions(config, disorder)
-    matrix = build_coupling_matrix(positions, config.gamma_left,
-                                   config.gamma_right)
-    trajectory = propagate(matrix, uniform_excitation(config.n_atoms), grid,
+    grid, grid_record = _grid(args)
+    trajectory = propagate(build_chain(config, disorder),
+                           uniform_excitation(config.n_atoms), grid,
                            cross_check=not args.no_cross_check)
-    metadata = _config_metadata(config, disorder)
-    metadata.update(_grid_metadata(args))
-    metadata["gamma"] = _repr_float(config.gamma)
+    metadata = _data_metadata(config, disorder, grid_record)
 
     if args.stdout:
         write_trajectory_csv(trajectory, sys.stdout, metadata)
@@ -259,17 +224,8 @@ def cmd_simulate(args) -> int:
     if args.json:
         writers["trajectory.json"] = (
             lambda fh: write_trajectory_json(trajectory, fh, metadata))
-    parameters = {
-        "config": {
-            "n_atoms": config.n_atoms,
-            "xi_over_pi": config.xi / math.pi,
-            "gamma_left": config.gamma_left,
-            "gamma_right": config.gamma_right,
-        },
-        "disorder": _disorder_dict(disorder),
-        "grid": _grid_metadata(args),
-        "cross_check": not args.no_cross_check,
-    }
+    parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
+                  "grid": grid_record, "cross_check": not args.no_cross_check}
     _write_run(_resolve_outdir(args.outdir), "simulate", parameters,
                config.gamma, writers, started)
     return 0
@@ -292,13 +248,9 @@ def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
 def cmd_ensemble(args) -> int:
     started = time.monotonic()
     config, disorder = _merge_config(args, need_ensemble=True)
-    grid = uniform_grid(horizon=args.horizon, points=args.points)
+    grid, grid_record = _grid(args)
     result = run_ensemble(config, disorder, grid)
-    metadata = _config_metadata(config, disorder)
-    metadata["grid"] = "uniform"
-    metadata["horizon"] = _repr_float(args.horizon)
-    metadata["points"] = args.points
-    metadata["gamma"] = _repr_float(config.gamma)
+    metadata = _data_metadata(config, disorder, grid_record)
 
     if args.stdout:
         _write_ensemble_csv(result, sys.stdout, metadata)
@@ -319,17 +271,8 @@ def cmd_ensemble(args) -> int:
         fh.write("\n")
 
     writers["bursts.json"] = write_report
-    parameters = {
-        "config": {
-            "n_atoms": config.n_atoms,
-            "xi_over_pi": config.xi / math.pi,
-            "gamma_left": config.gamma_left,
-            "gamma_right": config.gamma_right,
-        },
-        "disorder": _disorder_dict(disorder),
-        "grid": {"grid": "uniform", "horizon": args.horizon,
-                 "points": args.points},
-    }
+    parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
+                  "grid": grid_record}
     _write_run(_resolve_outdir(args.outdir), "ensemble", parameters,
                config.gamma, writers, started)
     return 0
@@ -413,23 +356,22 @@ GAMMA_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 
-def _trajectory_for(n: int, xi: float, gl: float, gr: float, grid,
-                    disorder: Optional[DisorderSpec] = None) -> Trajectory:
-    config = ChainConfig(n_atoms=n, xi=xi, gamma_left=gl, gamma_right=gr)
-    positions = build_positions(config, disorder)
-    matrix = build_coupling_matrix(positions, gl, gr)
-    return propagate(matrix, uniform_excitation(n), grid, cross_check=False)
-
-
 def _traj_writer(n: int, xi_over_pi: float, gl: float, gr: float, grid,
-                 disorder: Optional[DisorderSpec] = None) -> Callable:
+                 disorder: DisorderSpec = DisorderSpec.none()) -> Callable:
+    """Writer that builds the chain, propagates and writes one curve.
+
+    The trajectory exists only while its file is written, so a figure
+    holds one trajectory at a time.
+    """
     config = ChainConfig(n_atoms=n, xi=xi_over_pi * math.pi,
                          gamma_left=gl, gamma_right=gr)
-    trajectory = _trajectory_for(n, xi_over_pi * math.pi, gl, gr, grid,
-                                 disorder)
-    metadata = _config_metadata(config, disorder or DisorderSpec.none())
-    metadata["gamma"] = _repr_float(config.gamma)
-    return lambda fh: write_trajectory_csv(trajectory, fh, metadata)
+
+    def write(fh):
+        trajectory = propagate(build_chain(config, disorder),
+                               uniform_excitation(n), grid, cross_check=False)
+        write_trajectory_csv(trajectory, fh, _data_metadata(config, disorder))
+
+    return write
 
 
 def _figure_fig2() -> dict:
@@ -462,9 +404,7 @@ def _figure_fig3() -> dict:
         for n in range(2, 14):
             config = ChainConfig(n_atoms=n, xi=math.pi,
                                  gamma_left=1.0, gamma_right=1.0)
-            positions = build_positions(config, None)
-            matrix = build_coupling_matrix(positions, 1.0, 1.0)
-            result = steady_state(matrix, uniform_excitation(n))
+            result = steady_state(build_chain(config), uniform_excitation(n))
             fh.write(f"{n},{_repr_float(result.state.populations[0])}\n")
 
     writers["fig3c.csv"] = write_c
@@ -490,11 +430,9 @@ def _figure_fig5() -> dict:
                          gamma_right=1.0)
     for tag, width in (("0.5pct", 0.005), ("1pct", 0.010)):
         disorder = DisorderSpec.ensemble(width, 200, DEFAULT_SEED)
-        result = run_ensemble(config, disorder, grid)
-        metadata = _config_metadata(config, disorder)
-        metadata["gamma"] = _repr_float(config.gamma)
         writers[f"fig5b_fluct{tag}.csv"] = (
-            lambda fh, r=result, m=metadata: _write_ensemble_csv(r, fh, m))
+            lambda fh, d=disorder: _write_ensemble_csv(
+                run_ensemble(config, d, grid), fh, _data_metadata(config, d)))
     return writers
 
 

@@ -52,10 +52,7 @@ __all__ = [
     "uniform_grid",
     "log_grid",
     "propagate",
-    "rk_propagate",
-    "intensity",
     "steady_state",
-    "long_time_populations",
     "write_trajectory_csv",
     "write_trajectory_json",
 ]
@@ -663,26 +660,6 @@ def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
     return tuple(moments.reshape(4, grid.size))
 
 
-def rk_propagate(matrix: CouplingMatrix, initial: StateVector, grid,
-                 *, rtol: float = 1e-12, atol: float = 1e-12) -> Trajectory:
-    """Same contract as propagate, but solved by the adaptive RK backend.
-
-    Exists so the two routes can be compared over whole trajectories; the
-    matrix-exponential path is both faster and tighter, so use propagate
-    for production runs.
-    """
-    grid = _validate_grid(grid)
-    _check_sites(matrix.n_atoms, initial)
-    record = _dp54(matrix.entries, initial.amplitudes, grid[1:],
-                   rtol=rtol, atol=atol)
-    states = np.vstack([initial.amplitudes[None, :], record])
-    populations, total, intensity_arr, clamped = _observables(
-        matrix.entries[None], states[None])
-    return Trajectory(times=grid, amplitudes=states, populations=populations[0],
-                      total=total[0], intensity=intensity_arr[0],
-                      gamma=matrix.gamma, underflow_clamped=clamped)
-
-
 # Dormand-Prince 5(4) tableau
 _DP_A = (
     (),
@@ -740,13 +717,6 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray,
                     "Runge-Kutta step size underflow", estimate=t, residual=h)
         out[idx] = y
     return out
-
-
-def intensity(matrix: CouplingMatrix, state: StateVector) -> float:
-    """Instantaneous emitted intensity -c^dag (V + V^dag) c (>= 0)."""
-    _check_sites(matrix.n_atoms, state)
-    c = state.amplitudes
-    return float(np.real(c.conj() @ matrix.dissipator() @ c))
 
 
 @dataclass(frozen=True)
@@ -807,22 +777,6 @@ def steady_state(matrix: CouplingMatrix, initial: StateVector,
     c_inf[np.abs(c_inf) < 1e-150] = 0.0
     return SteadyStateResult(
         state=StateVector(c_inf, time=math.inf), method="propagation")
-
-
-def long_time_populations(matrix: CouplingMatrix, initial: StateVector,
-                          horizon: float = 1e4, log_spacing: bool = True,
-                          *, points_per_decade: int = 400,
-                          cross_check: bool = True) -> Trajectory:
-    """Trajectory out to a long horizon (units 1/gamma) on a log grid.
-
-    log_spacing=False falls back to a 2000-point uniform grid.  The
-    cross-check samples 10 grid times as in propagate.
-    """
-    if log_spacing:
-        grid = log_grid(horizon=horizon, points_per_decade=points_per_decade)
-    else:
-        grid = uniform_grid(horizon=horizon, points=2000)
-    return propagate(matrix, initial, grid, cross_check=cross_check)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,21 @@ def test_parse_config_round_trip():
     assert (disorder.site, disorder.shift_fraction) == (3, 0.05)
 
 
+@pytest.mark.parametrize("disorder", [DisorderSpec.none(),
+                                      DisorderSpec.single_site(3, 0.05),
+                                      DisorderSpec.ensemble(0.01, 6, 3)])
+def test_to_dict_reads_back_as_a_config_file(disorder):
+    config = ChainConfig(n_atoms=5, xi=0.75 * math.pi, gamma_left=0.9,
+                         gamma_right=1.0)
+    text = "".join(
+        [f"{key} = {value}\n" for key, value in config.to_dict().items()]
+        + [f"disorder.{key} = {value}\n"
+           for key, value in disorder.to_dict().items()])
+    parsed_config, parsed_disorder = parse_config_text(text)
+    assert parsed_config.to_dict() == config.to_dict()
+    assert parsed_disorder == disorder
+
+
 def test_parse_config_defaults_to_no_disorder():
     _, disorder = parse_config_text(
         "n_atoms = 2\nxi_over_pi = 0\ngamma_left = 1\ngamma_right = 1\n")

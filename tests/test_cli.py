@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -320,3 +321,109 @@ def test_manifest_digests_match_the_files(tmp_path, argv):
         blob = (outdir / entry["path"]).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
         assert len(blob) == entry["bytes"]
+
+
+SHIFT_RUN = ["simulate", "--n", "5", "--xi-over-pi", "0.75", "--gamma-l", "0.9",
+             "--gamma-r", "1", "--shift-site", "3", "--shift", "0.3",
+             "--horizon", "20", "--points", "401"]
+ENSEMBLE_RUN = ["ensemble", "--n", "4", "--xi-over-pi", "1", "--gamma-l", "0.9",
+                "--gamma-r", "1", "--fluct", "0.01", "--realizations", "6",
+                "--seed", "3", "--horizon", "20", "--points", "401"]
+
+
+def comment_lines(text):
+    return [line for line in text.splitlines() if line.startswith("#")]
+
+
+@pytest.mark.parametrize("argv", [SHIFT_RUN, ENSEMBLE_RUN])
+def test_manifest_grid_records_numbers(tmp_path, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    grid = manifest["parameters"]["grid"]
+    assert grid == {"grid": "uniform", "horizon": 20.0, "points": 401}
+    assert isinstance(grid["horizon"], float)
+
+
+@pytest.mark.parametrize("argv", [SHIFT_RUN + ["--json"], ENSEMBLE_RUN])
+def test_manifest_parameters_rerun_as_a_config_file(tmp_path, argv):
+    """config and disorder written back as a --config file reproduce the run."""
+    assert main(argv + ["--outdir", str(tmp_path / "first")]) == 0
+    first = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    parameters = first["parameters"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(
+        [f"{key} = {value}\n" for key, value in parameters["config"].items()]
+        + [f"disorder.{key} = {value}\n"
+           for key, value in parameters["disorder"].items()]))
+    grid = parameters["grid"]
+    rerun = [argv[0], "--config", str(cfg), "--horizon", str(grid["horizon"]),
+             "--points", str(grid["points"]), *[f for f in argv if f == "--json"],
+             "--outdir", str(tmp_path / "again")]
+    assert main(rerun) == 0
+    again = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert again["parameters"] == parameters
+    assert ({e["path"]: e["sha256"] for e in again["outputs"]}
+            == {e["path"]: e["sha256"] for e in first["outputs"]})
+
+
+def test_simulate_data_file_metadata(tmp_path):
+    assert main(SHIFT_RUN + ["--json", "--outdir", str(tmp_path)]) == 0
+    assert comment_lines((tmp_path / "trajectory.csv").read_text()) == [
+        "# n_atoms = 5",
+        "# xi_over_pi = 0.75",
+        "# gamma_left = 0.9",
+        "# gamma_right = 1.0",
+        "# disorder_mode = single_site",
+        "# disorder_site = 3",
+        "# disorder_shift_fraction = 0.3",
+        "# grid = uniform",
+        "# horizon = 20.0",
+        "# points = 401",
+        "# gamma = 1.0",
+    ]
+    payload = json.loads((tmp_path / "trajectory.json").read_text())
+    assert payload["metadata"] == {
+        "n_atoms": 5, "xi_over_pi": "0.75", "gamma_left": "0.9",
+        "gamma_right": "1.0", "disorder_mode": "single_site",
+        "disorder_site": 3, "disorder_shift_fraction": "0.3",
+        "grid": "uniform", "horizon": "20.0", "points": 401, "gamma": "1.0",
+    }
+
+
+def test_ensemble_data_file_metadata(tmp_path):
+    assert main(ENSEMBLE_RUN + ["--outdir", str(tmp_path)]) == 0
+    assert comment_lines((tmp_path / "ensemble.csv").read_text()) == [
+        "# n_atoms = 4",
+        "# xi_over_pi = 1.0",
+        "# gamma_left = 0.9",
+        "# gamma_right = 1.0",
+        "# disorder_mode = ensemble",
+        "# disorder_fluctuation_fraction = 0.01",
+        "# disorder_n_realizations = 6",
+        "# disorder_seed = 3",
+        "# grid = uniform",
+        "# horizon = 20.0",
+        "# points = 401",
+        "# gamma = 1.0",
+    ]
+
+
+def test_figure_ensemble_data_file_metadata(monkeypatch):
+    from chiralchain import cli
+    full = cli.run_ensemble
+    # the preset's 200 realizations on the first grid times only
+    monkeypatch.setattr(cli, "run_ensemble", lambda config, disorder, grid:
+                        full(config, disorder, grid[:11]))
+    stream = io.StringIO()
+    cli._figure_fig5()["fig5b_fluct1pct.csv"](stream)
+    assert comment_lines(stream.getvalue()) == [
+        "# n_atoms = 5",
+        "# xi_over_pi = 1.0",
+        "# gamma_left = 0.9",
+        "# gamma_right = 1.0",
+        "# disorder_mode = ensemble",
+        "# disorder_fluctuation_fraction = 0.01",
+        "# disorder_n_realizations = 200",
+        "# disorder_seed = 7",
+        "# gamma = 1.0",
+    ]
