@@ -70,14 +70,7 @@ from .kernels import (
     kernel_3d,
 )
 from .oracles import DarkModesN3, cascaded_n2, cascaded_n3, dark_modes_n3
-from .specfun import (
-    PVIntegrand,
-    bessel_j,
-    bessel_y,
-    oscillatory_integral,
-    principal_value,
-    struve_h,
-)
+from .specfun import bessel_j, bessel_y
 
 __all__ = [
     "BURST_PROMINENCE_FRACTION",
@@ -102,7 +95,6 @@ __all__ = [
     "PLATEAU_MIN_DURATION",
     "PLATEAU_POPULATION_FLOOR",
     "PLATEAU_WINDOW",
-    "PVIntegrand",
     "PlateauInterval",
     "PlateauReport",
     "ResolutionError",
@@ -128,13 +120,10 @@ __all__ = [
     "load_config_file",
     "localization_metric",
     "log_grid",
-    "oscillatory_integral",
     "parse_config_text",
-    "principal_value",
     "propagate",
     "run_ensemble",
     "steady_state",
-    "struve_h",
     "uniform_excitation",
     "uniform_grid",
     "write_trajectory_csv",

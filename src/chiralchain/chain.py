@@ -89,9 +89,20 @@ class ChainConfig:
         displacements have no config-file key and are not written.
         """
         return {"n_atoms": int(self.n_atoms),
-                "xi_over_pi": float(self.xi / math.pi),
+                "xi_over_pi": _over_pi(self.xi),
                 "gamma_left": float(self.gamma_left),
                 "gamma_right": float(self.gamma_right)}
+
+
+def _over_pi(xi: float) -> float:
+    """The shortest decimal q with q * pi == xi, as typed, else xi / pi
+    (which gives 0.08500000000000002 for xi = 0.085 * pi)."""
+    ratio = float(xi) / math.pi
+    for digits in range(1, 18):
+        q = float(f"{ratio:.{digits}g}")
+        if q * math.pi == xi:
+            return q
+    return ratio
 
 
 @dataclass(frozen=True)

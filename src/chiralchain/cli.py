@@ -14,7 +14,8 @@ embed timestamps.  With ``--stdout`` the same writers send the data to
 standard output and nothing is written.
 
 Exit codes: 0 on success, 2 for configuration and domain errors, 3 for
-numerical failures (integrity cross-check, quadrature nonconvergence).
+IntegrityError (the matrix-exponential and Runge-Kutta backends disagree)
+and NumericsError (the Runge-Kutta step size underflows).
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Self-contained special functions and a Cauchy principal-value integrator.
+"""Self-contained Bessel functions for the dipole-dipole kernels.
 
-Provides the Bessel functions J0, J1, J2 and Y0, Y1, Y2, the Struve
-functions H0 and H1, and a principal-value integrator for simple poles on
-semi-infinite or finite intervals.  These are the primitives behind the
-planar and free-space dipole-dipole kernels; scipy.special is deliberately
-not used here so the kernel formulas and their integral-identity checks
-rest on independent code paths.
+Provides the Bessel functions J0, J1, J2 and Y0, Y1, Y2 behind the planar
+and free-space kernels, in numpy alone, so the package needs no scipy at
+run time.  The tests compare these values, and the kernels built on them,
+with scipy.special as an independent code path.
 
 Evaluation strategy
 -------------------
@@ -36,29 +34,20 @@ Within a block each point takes its branch by mask:
            e^{-x sinh t} matrix serves both Y0 and Y1.  The integrands are
            entire, so the fixed rule is accurate to near machine precision
            over the supported range |x| <= 50.
-* H_n, |x| <= 20: ascending power series (A&S 12.1.5).
-* H_n, |x| > 20:  H_n(x) = Y_n(x) + asymptotic series (DLMF 11.6.1),
-                  truncated at its smallest term.
 
 Every operation acts on one point at a time or sums one point's row, so
 a value does not depend on the block it was evaluated in: a table equals
 the same points evaluated one by one, bit for bit.
-
-The straight power series cannot hold an absolute error of 1e-8 for the
-Struve functions much past |x| ~ 20 in double precision (the alternating
-terms peak near 1e19 at x = 50, so cancellation destroys the sum), which
-is why the large-argument branch switches to the Y_n-anchored expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -66,10 +55,6 @@ _EULER_GAMMA = 0.5772156649015329
 # largest series term stays ~O(10), which bounds the cancellation error
 # near 1e-14 absolute.
 _SERIES_LIMIT = 6.0
-
-# Struve series crossover; beyond this the alternating series loses more
-# than 8 digits to cancellation.
-_STRUVE_SERIES_LIMIT = 20.0
 
 # Below this the Y_n values overflow double precision range; the caller
 # is told the function diverged rather than handed an overflowed number.
@@ -124,9 +109,9 @@ _SERIES_COEF[3, :59] = np.where(_M[:-1] % 2, 1.0, -1.0) * _HARMONIC[:-1]
 _SERIES_COEF[4, 1:60] = _HARMONIC[:-1] + _HARMONIC[1:]
 
 
-def _check_order(order: int, allowed: tuple[int, ...], name: str) -> None:
-    if not isinstance(order, (int, np.integer)) or order not in allowed:
-        raise DomainError(f"{name} supports orders {allowed}, got {order!r}")
+def _check_order(order: int, name: str) -> None:
+    if not isinstance(order, (int, np.integer)) or order not in (0, 1, 2):
+        raise DomainError(f"{name} supports orders (0, 1, 2), got {order!r}")
 
 
 def _evaluated(name: str, x, values: Callable[[np.ndarray], np.ndarray],
@@ -236,30 +221,13 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# the branches one column at a time, as the crossover test compares them
-def _bessel_j_series(order: int, x) -> np.ndarray:
-    return _series_columns(np.asarray(x, dtype=float))[..., order]
-
-
-def _bessel_y_series(order: int, x) -> np.ndarray:
-    return _series_columns(np.asarray(x, dtype=float))[..., 3 + order]
-
-
-def _bessel_j_integral(order: int, x) -> np.ndarray:
-    return _integral_columns(np.asarray(x, dtype=float))[..., order]
-
-
-def _bessel_y_integral(order: int, x) -> np.ndarray:
-    return _integral_columns(np.asarray(x, dtype=float))[..., 3 + order]
-
-
 def bessel_j(order: int, x):
     """Bessel function of the first kind, J_order(x), order in {0, 1, 2}.
 
     x is a float, giving a float, or an array, giving an array of its
     shape.  Absolute error below 1e-12 for |x| <= 50.
     """
-    _check_order(order, (0, 1, 2), "bessel_j")
+    _check_order(order, "bessel_j")
 
     def values(x: np.ndarray) -> np.ndarray:
         out = _bessel_columns(np.abs(x))[:, order]
@@ -278,7 +246,7 @@ def bessel_y(order: int, x):
     (1e-305) the value has left the double range and the divergence is
     reported as -inf.
     """
-    _check_order(order, (0, 1, 2), "bessel_y")
+    _check_order(order, "bessel_y")
 
     def values(x: np.ndarray) -> np.ndarray:
         columns = _bessel_columns(x)
@@ -293,196 +261,3 @@ def bessel_y(order: int, x):
                             2.0 / x * columns[:, 4] - columns[:, 3], -math.inf)
 
     return _evaluated("bessel_y", x, values, positive=True)
-
-
-def _struve_series(order: int, x: float) -> float:
-    half = 0.5 * x
-    q = half * half
-    # t_0 = (x/2)^(order+1) / (Gamma(3/2) Gamma(order + 3/2))
-    term = half ** (order + 1) / (math.gamma(1.5) * math.gamma(order + 1.5))
-    terms = [term]
-    for k in range(1, 80):
-        term *= -q / ((k + 0.5) * (k + order + 0.5))
-        terms.append(term)
-        if abs(term) < 1e-18 * (1.0 + abs(terms[0])):
-            break
-    return math.fsum(terms)
-
-
-def _struve_large(order: int, x: float) -> float:
-    # DLMF 11.6.1: H_n(x) - Y_n(x) ~ (1/pi) sum_k Gamma(k + 1/2)
-    #   (x/2)^(n - 2k - 1) / Gamma(n + 1/2 - k), truncated at the
-    # smallest term.
-    total = 0.0
-    prev = math.inf
-    for k in range(0, 60):
-        term = (math.gamma(k + 0.5) * (0.5 * x) ** (order - 2 * k - 1)
-                / math.gamma(order + 0.5 - k))
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) < 1e-18:
-            break
-    return bessel_y(order, x) + total / math.pi
-
-
-def struve_h(order: int, x: float) -> float:
-    """Struve function H_order(x), order in {0, 1}.
-
-    Absolute error below 1e-8 for |x| <= 50.  H0 is odd, H1 even.
-    """
-    _check_order(order, (0, 1), "struve_h")
-    if not math.isfinite(x):
-        raise DomainError(f"struve_h requires finite x, got {x!r}")
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        sign = -1.0 if order == 0 else 1.0
-    if x == 0.0:
-        return 0.0
-    if x <= _STRUVE_SERIES_LIMIT:
-        return sign * _struve_series(order, x)
-    return sign * _struve_large(order, x)
-
-
-# ---------------------------------------------------------------------------
-# principal-value integration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PVIntegrand:
-    """A real integrand with one simple pole inside its integration bounds.
-
-    evaluator must be finite at every non-pole point of the interval; the
-    upper bound may be math.inf, in which case the integrand is assumed to
-    be eventually oscillatory with a quasi-period near 2*pi (Bessel-type
-    tails), which is what the kernel identities need.
-    """
-
-    evaluator: Callable[[float], float]
-    pole_location: float
-    bounds: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.bounds
-        if not (math.isfinite(lo) and (math.isfinite(hi) or hi == math.inf)):
-            raise DomainError(f"bad integration bounds {self.bounds!r}")
-        if not lo < self.pole_location < hi:
-            raise DomainError(
-                f"pole {self.pole_location!r} must lie strictly inside "
-                f"bounds {self.bounds!r}")
-
-
-def _epsilon_limit(sums: list[float]) -> float:
-    """Wynn's epsilon algorithm: accelerate a sequence of partial sums."""
-    n = len(sums)
-    if n == 1:
-        return sums[0]
-    eps_prev = [0.0] * n           # epsilon_{-1}
-    eps_curr = list(sums)          # epsilon_0
-    best = sums[-1]
-    for k in range(1, n):
-        nxt = []
-        for j in range(len(eps_curr) - 1):
-            diff = eps_curr[j + 1] - eps_curr[j]
-            if abs(diff) < 1e-300:
-                return eps_curr[j + 1]
-            nxt.append(eps_prev[j + 1] + 1.0 / diff)
-        eps_prev, eps_curr = eps_curr, nxt
-        if k % 2 == 0 and eps_curr:
-            best = eps_curr[-1]
-    return best
-
-
-def oscillatory_integral(f: Callable[[float], float], lower: float,
-                         tol: float = 1e-9, segment: float = math.pi,
-                         max_segments: int = 400) -> float:
-    """Integrate an eventually-oscillatory f over [lower, inf).
-
-    Sums quadrature results over consecutive segments of the given length
-    (half the quasi-period, so consecutive contributions alternate in
-    sign) and extrapolates the slowly converging alternating series with
-    Wynn's epsilon algorithm.
-    """
-    from scipy.integrate import quad  # only the test identities need scipy.integrate
-
-    partial = 0.0
-    sums: list[float] = []
-    estimates: list[float] = []
-    for k in range(max_segments):
-        a = lower + k * segment
-        piece, _ = quad(f, a, a + segment, epsabs=tol * 1e-3, epsrel=1e-12,
-                        limit=100)
-        partial += piece
-        sums.append(partial)
-        if len(sums) >= 6 and len(sums) % 2 == 0:
-            window = sums[-40:]
-            estimates.append(_epsilon_limit(window))
-            if (len(estimates) >= 2
-                    and abs(estimates[-1] - estimates[-2]) < 0.5 * tol):
-                return estimates[-1]
-    best = estimates[-1] if estimates else sums[-1]
-    resid = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else math.inf
-    raise NumericsError(
-        f"oscillatory tail failed to settle within {max_segments} segments",
-        estimate=best, residual=resid)
-
-
-def principal_value(integrand: PVIntegrand, tol: float = 1e-7) -> float:
-    """Cauchy principal value of a simple-pole integrand.
-
-    The pole is handled by symmetric excision: inside a window of
-    half-width eps around the pole the integrand is evaluated in pairs
-    f(pole + u) + f(pole - u), which cancels the singular part and leaves
-    a bounded integrand; outside the window ordinary adaptive quadrature
-    is used.  The window is halved until two successive estimates agree
-    within tol/2.  Failure to settle raises NumericsError carrying the
-    best estimate and the residual.
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    from scipy.integrate import quad  # only the test identities need scipy.integrate
-
-    f = integrand.evaluator
-    pole = integrand.pole_location
-    lo, hi = integrand.bounds
-
-    infinite = hi == math.inf
-    room_right = math.inf if infinite else hi - pole
-    width0 = 0.5 * min(pole - lo, room_right, 2.0)
-
-    # The tail beyond a fixed turning point does not depend on the
-    # excision window, so it is computed once.
-    tail = 0.0
-    turn = hi
-    if infinite:
-        turn = pole + width0 + max(30.0, 4.0 * abs(pole))
-        tail = oscillatory_integral(f, turn, tol=0.25 * tol)
-
-    def paired(u: float) -> float:
-        return f(pole + u) + f(pole - u)
-
-    def estimate(width: float) -> float:
-        eps = tol / 16.0
-        left, _ = quad(f, lo, pole - width, epsabs=eps, epsrel=1e-12,
-                       limit=200)
-        right, _ = quad(f, pole + width, turn, epsabs=eps, epsrel=1e-12,
-                        limit=200)
-        window, _ = quad(paired, 0.0, width, epsabs=eps, epsrel=1e-12,
-                         limit=200)
-        return left + right + window + tail
-
-    width = width0
-    prev = estimate(width)
-    delta = math.inf
-    for _ in range(24):
-        width *= 0.5
-        curr = estimate(width)
-        delta = abs(curr - prev)
-        if delta <= 0.5 * tol:
-            return curr
-        prev = curr
-    raise NumericsError(
-        "principal value did not settle under window halving",
-        estimate=prev, residual=delta)

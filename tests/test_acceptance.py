@@ -11,15 +11,16 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.special import struve
 
-from chiralchain import (ChainConfig, DipoleGeometry, DisorderSpec,
-                         PVIntegrand, bessel_j, bessel_y, build_chain,
-                         cascaded_n2, cascaded_n3, detect_bursts,
-                         detect_plateaus, fit_decay_rate, kernel_1d_reciprocal,
-                         kernel_2d, kernel_3d, localization_metric, log_grid,
-                         oscillatory_integral, principal_value, propagate,
-                         run_ensemble, steady_state, struve_h,
-                         uniform_excitation, uniform_grid)
+from chiralchain import (ChainConfig, DipoleGeometry, DisorderSpec, bessel_j,
+                         bessel_y, build_chain, cascaded_n2, cascaded_n3,
+                         detect_bursts, detect_plateaus, fit_decay_rate,
+                         kernel_1d_reciprocal, kernel_2d, kernel_3d,
+                         localization_metric, log_grid, propagate,
+                         run_ensemble, steady_state, uniform_excitation,
+                         uniform_grid)
+from quadrature import oscillatory_integral, principal_value
 
 GAMMA_IMBALANCE = 0.9  # gamma_L / gamma_R for the staircase regime
 STAIRCASE_GRID = uniform_grid(1500.0, 37501)
@@ -202,9 +203,7 @@ def test_criterion_12_kernel_limits():
         return 2.0 * (bessel_j(0, a) - head)
 
     for xi in (0.5, 1.0, 2.0, 5.0):
-        pv = principal_value(
-            PVIntegrand(lambda a: absorptive(a) / (a - xi), xi,
-                        (0.0, math.inf)), tol=1e-6)
+        pv = principal_value(absorptive, xi, tol=1e-6)
         regular, _ = scipy.integrate.quad(
             lambda a: absorptive(a) / (a + xi), 0.0, 60.0, limit=300)
         tail = oscillatory_integral(lambda a: absorptive(a) / (a + xi), 60.0,
@@ -227,28 +226,25 @@ def test_criterion_13_special_functions():
         wronskian = bessel_j(1, v) * bessel_y(0, v) - bessel_j(0, v) * bessel_y(1, v)
         assert abs(wronskian - 2.0 / (math.pi * v)) < 1e-9
 
+    # each PV integrand is g(a) / (a - b), with g passed to principal_value;
+    # J1(a) / (a (a - b)) has g(a) = J1(a) / a
+    def weighted(a):
+        return bessel_j(1, a) / a if a > 0.0 else 0.5
+
     for b in (0.5, 1.0, 2.0, 5.0):
-        lhs = principal_value(
-            PVIntegrand(lambda a: bessel_j(0, a) / (a - b), b,
-                        (0.0, math.inf)), tol=1e-7)
-        rhs = -(math.pi / 2.0) * (bessel_y(0, b) + struve_h(0, b))
+        lhs = principal_value(lambda a: bessel_j(0, a), b, tol=1e-7)
+        rhs = -(math.pi / 2.0) * (bessel_y(0, b) + struve(0, b))
         assert abs(lhs - rhs) < 1e-6
 
-        def weighted(a, b=b):
-            if a == 0.0:
-                return -0.5 / b
-            return bessel_j(1, a) / (a * (a - b))
-
-        lhs = principal_value(PVIntegrand(weighted, b, (0.0, math.inf)),
-                              tol=1e-7)
-        rhs = -(2.0 + math.pi * b * (bessel_y(1, b) + struve_h(1, b))) / (2.0 * b * b)
+        lhs = principal_value(weighted, b, tol=1e-7)
+        rhs = -(2.0 + math.pi * b * (bessel_y(1, b) + struve(1, b))) / (2.0 * b * b)
         assert abs(lhs - rhs) < 1e-6
 
+        # J2(a) (1/(a - b) + 1/(a + b))
         def symmetrized(a, b=b):
-            return bessel_j(2, a) * (1.0 / (a - b) + 1.0 / (a + b))
+            return 2.0 * a * bessel_j(2, a) / (a + b)
 
-        lhs = principal_value(PVIntegrand(symmetrized, b, (0.0, math.inf)),
-                              tol=1e-7)
+        lhs = principal_value(symmetrized, b, tol=1e-7)
         rhs = -4.0 / (b * b) - math.pi * bessel_y(2, b)
         assert abs(lhs - rhs) < 1e-6
     passed(13, "special functions")

@@ -171,15 +171,20 @@ def test_parse_config_round_trip():
                                       DisorderSpec.single_site(3, 0.05),
                                       DisorderSpec.ensemble(0.01, 6, 3)])
 def test_to_dict_reads_back_as_a_config_file(disorder):
-    config = ChainConfig(n_atoms=5, xi=0.75 * math.pi, gamma_left=0.9,
-                         gamma_right=1.0)
-    text = "".join(
-        [f"{key} = {value}\n" for key, value in config.to_dict().items()]
-        + [f"disorder.{key} = {value}\n"
-           for key, value in disorder.to_dict().items()])
-    parsed_config, parsed_disorder = parse_config_text(text)
-    assert parsed_config.to_dict() == config.to_dict()
-    assert parsed_disorder == disorder
+    # 0.085 * pi / pi is 0.08500000000000002: the record keeps the typed value
+    for xi_over_pi in (0.75, 0.085):
+        config = ChainConfig(n_atoms=5, xi=xi_over_pi * math.pi,
+                             gamma_left=0.9, gamma_right=1.0)
+        record = config.to_dict()
+        assert record["xi_over_pi"] == xi_over_pi
+        text = "".join(
+            [f"{key} = {value}\n" for key, value in record.items()]
+            + [f"disorder.{key} = {value}\n"
+               for key, value in disorder.to_dict().items()])
+        parsed_config, parsed_disorder = parse_config_text(text)
+        assert parsed_config.xi == config.xi
+        assert parsed_config.to_dict() == record
+        assert parsed_disorder == disorder
 
 
 def test_parse_config_defaults_to_no_disorder():

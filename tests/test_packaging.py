@@ -1,0 +1,33 @@
+"""The package's third-party imports are exactly its declared dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chiralchain"
+
+
+def imported_top_levels(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    imported = set().union(*map(imported_top_levels, PACKAGE.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"chiralchain"}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    # a requirement's distribution name, cut before any version specifier
+    assert third_party == {re.split(r"[\s<>=!~;\[]", req)[0] for req in declared}
+    assert third_party == {"numpy"}
