@@ -235,24 +235,15 @@ def detect_plateaus(trajectory: Trajectory,
     rate = trajectory.intensity[mask] / np.maximum(total, 1e-300)
     slow = (rate < eps_rate) & (total >= PLATEAU_POPULATION_FLOOR)
 
-    intervals = []
-    start = None
-    for i in range(slow.size):
-        if slow[i] and start is None:
-            start = i
-        elif not slow[i] and start is not None:
-            intervals.append((start, i - 1))
-            start = None
-    if start is not None:
-        intervals.append((start, slow.size - 1))
-
-    kept = []
-    for a, b in intervals:
-        if times[b] - times[a] >= min_duration:
-            kept.append(PlateauInterval(
-                t_start=float(times[a]), t_end=float(times[b]),
-                mean_level=float(np.mean(total[a:b + 1]))))
-    return PlateauReport(intervals=tuple(kept), eps_rate=float(eps_rate),
+    # runs of slow samples: +1 where one starts, -1 after one ends
+    edges = np.diff(np.concatenate(([0], slow.astype(int), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    kept = tuple(PlateauInterval(t_start=float(times[a]), t_end=float(times[b]),
+                                 mean_level=float(np.mean(total[a:b + 1])))
+                 for a, b in zip(starts, ends)
+                 if times[b] - times[a] >= min_duration)
+    return PlateauReport(intervals=kept, eps_rate=float(eps_rate),
                          min_duration=float(min_duration),
                          window=(float(window[0]), float(window[1])),
                          gamma=gamma)

@@ -86,7 +86,9 @@ class ChainConfig:
     def to_dict(self) -> dict:
         """The config-file keys of this chain, as parse_config_text reads them.
 
-        displacements have no config-file key and are not written.
+        displacements have no config-file key and are not written.  An xi
+        typed as q * pi (every CLI run) reads back exactly; for about 13% of
+        other xi no double q has q * pi == xi, and xi / pi reads back 1 ulp off.
         """
         return {"n_atoms": int(self.n_atoms),
                 "xi_over_pi": _over_pi(self.xi),

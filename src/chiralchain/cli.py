@@ -313,8 +313,10 @@ def _kernel_columns(dim: str, xi_values: np.ndarray, alignment: float,
         return ["xi", "decay", "shift"], [xi_values, decay, shift]
     if dim == "1chiral":
         f, g = _chiral_fg_columns(xi_values, gamma_l, gamma_r)
+        # F_re and G_re repeat decay and shift: the same arrays, formatted once
+        decay, shift = f.real, g.real
         return (["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
-                [xi_values, f.real, g.real, f.real, f.imag, g.real, g.imag])
+                [xi_values, decay, shift, decay, f.imag, shift, g.imag])
     if dim in ("2", "3"):
         core = _kernel_2d_columns if dim == "2" else _kernel_3d_columns
         decay, shift, divergent = core(xi_values, alignment)
@@ -398,15 +400,16 @@ def _figure_fig3() -> dict:
                 n, 1.0, gl, 1.0, grid_b)
 
     def write_c(fh):
-        fh.write("# xi_over_pi = 1.0\n")
-        fh.write("# gamma_left = 1.0\n")
-        fh.write("# gamma_right = 1.0\n")
-        fh.write("N,P1_inf\n")
-        for n in range(2, 14):
+        sizes = np.arange(2, 14)
+        p1_inf = []
+        for n in sizes.tolist():
             config = ChainConfig(n_atoms=n, xi=math.pi,
                                  gamma_left=1.0, gamma_right=1.0)
             result = steady_state(build_chain(config), uniform_excitation(n))
-            fh.write(f"{n},{_repr_float(result.state.populations[0])}\n")
+            p1_inf.append(result.state.populations[0])
+        _write_csv(fh, [("xi_over_pi", 1.0), ("gamma_left", 1.0),
+                        ("gamma_right", 1.0)],
+                   ["N", "P1_inf"], [sizes, np.array(p1_inf)])
 
     writers["fig3c.csv"] = write_c
     return writers

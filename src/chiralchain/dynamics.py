@@ -788,18 +788,22 @@ def _write_csv(stream: IO[str], comments: list, header: list,
     """# key = value lines, the header row and the rows of the columns.
 
     Values are written with repr, so floats parse back exactly and an
-    integer column stays 0/1.  Rows are formatted and written _WRITE_ROWS
-    at a time, so no more than that many are held as text at once.
+    integer column stays 0/1.  The rows are written _WRITE_ROWS at a time:
+    per chunk each distinct column object is formatted once, so a column
+    passed twice costs one formatting, and the rows are joined in C.
     """
     for key, value in comments:
         stream.write(f"# {key} = {value}\n")
     stream.write(",".join(header) + "\n")
+    distinct = {id(column): column for column in columns}
     for start in range(0, len(columns[0]), _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
         # tolist() gives Python floats (ints), whose repr is repr(float(x))
-        rows = zip(*(column[start:start + _WRITE_ROWS].tolist()
-                     for column in columns))
-        stream.write("".join([",".join(map(repr, row)) + "\n"
-                              for row in rows]))
+        cells = {key: list(map(repr, column[start:stop].tolist()))
+                 for key, column in distinct.items()}
+        rows = zip(*(cells[id(column)] for column in columns))
+        stream.write("\n".join(map(",".join, rows)) + "\n")
+        del cells, rows  # freed before the next chunk is formatted
 
 
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],

@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from chiralchain import dynamics
 from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
-                                  PLATEAU_WINDOW, EnsembleResult, _find_peaks,
+                                  PLATEAU_WINDOW, EnsembleResult,
+                                  PlateauInterval, _find_peaks,
                                   detect_bursts, detect_plateaus,
                                   fit_decay_rate, localization_metric,
                                   run_ensemble)
@@ -269,6 +270,54 @@ def test_plateau_population_floor():
     assert report.count == 1
     # one run spanning the whole window, edges quantized to the grid
     assert report.intervals[0].duration > 1499.0
+
+
+def loop_plateaus(times, total, slow, min_duration):
+    """Plateau intervals from a plain walk over the slow mask."""
+    intervals, start = [], None
+    for i in range(slow.size):
+        if slow[i] and start is None:
+            start = i
+        elif not slow[i] and start is not None:
+            intervals.append((start, i - 1))
+            start = None
+    if start is not None:
+        intervals.append((start, slow.size - 1))
+    return tuple(PlateauInterval(t_start=float(times[a]), t_end=float(times[b]),
+                                 mean_level=float(np.mean(total[a:b + 1])))
+                 for a, b in intervals if times[b] - times[a] >= min_duration)
+
+
+def test_plateau_runs_equal_the_plain_loop():
+    times = np.linspace(0.0, 100.0, 2001)
+    total = 0.5 * np.exp(-times / 300.0)
+    rng = np.random.default_rng(9)
+    # the whole grid, and a window inside it
+    for window in ((0.0, 100.0), (10.0, 90.0)):
+        inside = (times >= window[0]) & (times <= window[1])
+        count = np.count_nonzero(inside)
+        masks = [np.ones(count, bool), np.zeros(count, bool),
+                 np.arange(count) % 2 == 0, np.arange(count) % 3 != 1]
+        for _ in range(20):
+            # random runs, with slow runs of 5 to 29 samples touching the
+            # window's first and last sample
+            mask = np.repeat(rng.random(count) < 0.5,
+                             rng.integers(1, 40, count))[:count]
+            mask[:rng.integers(5, 30)] = True
+            mask[-rng.integers(5, 30):] = True
+            masks.append(mask)
+        for k, mask in enumerate(masks):
+            slow = np.zeros(times.size, bool)
+            slow[inside] = mask
+            trajectory = synthetic(times, total, np.where(slow, 0.0, total))
+            for min_duration in (0.04, 0.12, 1.0):
+                report = detect_plateaus(trajectory, min_duration=min_duration,
+                                         window=window)
+                assert report.intervals == loop_plateaus(
+                    times[inside], total[inside], mask, min_duration)
+                if k >= 4 and min_duration < 0.2:
+                    assert report.intervals[0].t_start == times[inside][0]
+                    assert report.intervals[-1].t_end == times[inside][-1]
 
 
 def bump(times, center, height, width=8.0):

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 import chiralchain
+from chiralchain import dynamics
+from chiralchain.analysis import run_ensemble
+from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
 from chiralchain.cli import _parse_xi_range, main
+from chiralchain.dynamics import steady_state, uniform_excitation, uniform_grid
+from chiralchain.kernels import (_chiral_fg_columns, _kernel_1d_columns,
+                                 _kernel_2d_columns, _kernel_3d_columns)
 
 
 def read_csv_columns(text):
@@ -302,6 +308,78 @@ def test_kernel_rows_across_the_write_chunk_keep_integer_flags(offset, capsys):
     assert [float(row[0]) for row in rows] == xi.tolist()
 
 
+def row_by_row(text, header, columns):
+    """text's # lines, then the table as a plain per-row repr writer gives it.
+
+    Float columns are written as repr(float(x)), integer columns as
+    str(int(x)); the lines are returned with their newlines.
+    """
+    lines = [line for line in text.splitlines(True) if line.startswith("#")]
+    lines.append(",".join(header) + "\n")
+    for k in range(len(columns[0])):
+        lines.append(",".join(
+            str(int(column[k])) if column.dtype.kind == "i"
+            else repr(float(column[k])) for column in columns) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_ensemble_csv_across_the_write_chunk_equals_row_by_row(offset, capsys):
+    points = dynamics._WRITE_ROWS + offset
+    assert main(["ensemble", "--n", "3", "--xi-over-pi", "1", "--gamma-l",
+                 "0.9", "--gamma-r", "1", "--fluct", "0.01",
+                 "--realizations", "4", "--seed", "5", "--horizon", "20",
+                 "--points", str(points), "--stdout"]) == 0
+    text = capsys.readouterr().out
+    result = run_ensemble(
+        ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0),
+        DisorderSpec(mode="ensemble", fluctuation_fraction=0.01,
+                     n_realizations=4, seed=5),
+        uniform_grid(20.0, points))
+    # compared as lists of lines: pytest diffs two long strings slowly
+    lines = text.splitlines(True)
+    assert lines == row_by_row(
+        text, ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"],
+        [result.times, result.mean_total, result.std_total,
+         result.mean_intensity, result.std_intensity])
+    assert len(lines) == len(comment_lines(text)) + 1 + points
+
+
+def kernel_reference(dim, xi):
+    """Header and columns of a kernel table, straight from its array core."""
+    if dim == "1":
+        decay, shift, _ = _kernel_1d_columns(xi)
+        return ["xi", "decay", "shift"], [xi, decay, shift]
+    if dim == "1chiral":
+        f, g = _chiral_fg_columns(xi, 0.3, 0.9)
+        return (["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
+                [xi, f.real, g.real, f.real, f.imag, g.real, g.imag])
+    core = _kernel_2d_columns if dim == "2" else _kernel_3d_columns
+    decay, shift, divergent = core(xi, 0.0)
+    return (["xi", "decay", "shift", "shift_divergent"],
+            [xi, decay, shift, divergent.astype(int)])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("argv", [
+    ["--dim", "1"],
+    ["--dim", "1chiral", "--gamma-l", "0.3", "--gamma-r", "0.9"],
+    ["--dim", "2"],
+    ["--dim", "3"],
+], ids=["1", "1chiral", "2", "3"])
+def test_kernel_table_across_the_write_chunk_equals_row_by_row(
+        argv, offset, capsys):
+    count = dynamics._WRITE_ROWS + offset
+    spec = f"0.01:0.005:{0.01 + 0.005 * (count - 1)!r}"
+    xi = _parse_xi_range(spec)
+    assert xi.size == count
+    assert main(["kernel", *argv, "--xi", spec, "--stdout"]) == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines(True)
+    assert lines == row_by_row(text, *kernel_reference(argv[1], xi))
+    assert len(lines) == len(comment_lines(text)) + 1 + count
+
+
 @pytest.mark.parametrize("argv", [
     ["ensemble", "--n", "3", "--xi-over-pi", "1", "--gamma-l", "0.9",
      "--gamma-r", "1", "--realizations", "4", "--horizon", "20",
@@ -427,3 +505,17 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
         "# disorder_seed = 7",
         "# gamma = 1.0",
     ]
+
+
+def test_fig3c_table():
+    from chiralchain import cli
+    stream = io.StringIO()
+    cli._figure_fig3()["fig3c.csv"](stream)
+    lines = ["# xi_over_pi = 1.0", "# gamma_left = 1.0", "# gamma_right = 1.0",
+             "N,P1_inf"]
+    for n in range(2, 14):
+        config = ChainConfig(n_atoms=n, xi=math.pi, gamma_left=1.0,
+                             gamma_right=1.0)
+        state = steady_state(build_chain(config), uniform_excitation(n)).state
+        lines.append(f"{n},{float(state.populations[0])!r}")
+    assert stream.getvalue() == "\n".join(lines) + "\n"

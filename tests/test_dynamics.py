@@ -4,10 +4,14 @@ import dataclasses
 import io
 import json
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from chiralchain import dynamics
@@ -18,6 +22,8 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   write_trajectory_json)
 from chiralchain.errors import ConfigError
 from chiralchain.oracles import cascaded_n2, cascaded_n3
+from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
+                             input_digest, load_references, mpmath_expm)
 
 
 def chain(n, xi, gl, gr):
@@ -306,28 +312,29 @@ def test_uniform_grid_costs_one_expm(monkeypatch):
     assert calls == [(2, 5, 5)]  # the step and the block exponential
 
 
-def mpmath_expm(a, dps):
-    """exp(a) of one float matrix, evaluated with dps digits."""
-    with mpmath.workdps(dps):
-        exact = mpmath.expm(mpmath.matrix(a.tolist()))
-        return np.array(exact.tolist(), dtype=complex)
-
-
 def relative_error(got, reference):
     return np.max(np.abs(got - reference)) / np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("n", [2, 5, 11])
+@pytest.mark.parametrize("n", [2, 5, STORED_N])
 def test_expm_matches_mpmath_across_chains_and_steps(n):
-    # 57.7 is the largest step of the log grid to 1e4
+    # N = 11 reads its mpmath references from the file that
+    # tests/expm_references.py writes; N = 2 and N = 5 evaluate them here
+    stored = load_references() if n == STORED_N else None
+    if stored is not None:
+        assert sorted(stored) == sorted(EXPM_CASES)
     worst = 0.0
-    for gamma_left in (0.0, 0.9, 1.0):
-        for xi in (math.pi, 0.75 * math.pi, 0.3):
-            v = chain(n, xi, gamma_left, 1.0).entries
-            for h in (1e-3, 0.04, 1.0, 8.0, 58.0):
-                a = v * h
-                worst = max(worst, relative_error(dynamics.expm(a),
-                                                  mpmath_expm(a, 40)))
+    for case in EXPM_CASES:
+        gamma_left, xi, h = case
+        a = chain(n, xi, gamma_left, 1.0).entries * h
+        if stored is None:
+            reference = mpmath_expm(a, EXPM_DPS)
+        else:
+            digest, reference = stored[case]
+            assert digest == input_digest(a), f"stale reference for {case}"
+            if case == LIVE_CASE:
+                assert np.array_equal(reference, mpmath_expm(a, EXPM_DPS))
+        worst = max(worst, relative_error(dynamics.expm(a), reference))
     assert worst < 5e-14
 
 
@@ -399,8 +406,69 @@ def test_csv_rows_across_the_write_chunk(offset):
                            uniform_grid(5.0, points), cross_check=False)
     out = io.StringIO()
     write_trajectory_csv(trajectory, out, {"n_atoms": 3})
-    assert out.getvalue() == reference_csv(trajectory, {"n_atoms": 3})
-    assert out.getvalue().count("\n") == 2 + points
+    # compared as lists of lines: pytest diffs two long strings slowly
+    lines = out.getvalue().splitlines(True)
+    assert lines == reference_csv(trajectory, {"n_atoms": 3}).splitlines(True)
+    assert len(lines) == 2 + points
+
+
+class CountedColumn(np.ndarray):
+    """A float column that counts the chunks the writer converts."""
+
+    conversions = 0
+
+    def tolist(self):
+        CountedColumn.conversions += 1
+        return super().tolist()
+
+
+def test_write_csv_formats_a_repeated_column_once_per_chunk():
+    rows = 2 * dynamics._WRITE_ROWS + 3
+    twice = np.linspace(-1.0, 1.0, rows).view(CountedColumn)
+    twice[:4] = [-0.0, np.nan, np.inf, 5e-324]
+    flags = (np.arange(rows) % 3 == 0).astype(int)
+    other = np.geomspace(1e-300, 1e300, rows)
+    out = io.StringIO()
+    CountedColumn.conversions = 0
+    dynamics._write_csv(out, [("note", "repeated"), ("gamma", 1.0)],
+                        ["a", "flag", "b", "a_again"],
+                        [twice, flags, other, twice])
+    assert CountedColumn.conversions == 3  # one per chunk, not two
+    lines = ["# note = repeated\n", "# gamma = 1.0\n", "a,flag,b,a_again\n"]
+    lines += [f"{float(a)!r},{int(f)},{float(b)!r},{float(a)!r}\n"
+              for a, f, b in zip(twice, flags, other)]
+    assert out.getvalue().splitlines(True) == lines
+    assert lines[3] == "-0.0,1,1e-300,-0.0\n"
+    empty = io.StringIO()
+    dynamics._write_csv(empty, [("n", 0)], ["x", "y"],
+                        [np.zeros(0), np.zeros(0)])
+    assert empty.getvalue() == "# n = 0\nx,y\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(2)),
+              elements=st.floats(width=64, allow_nan=True,
+                                 allow_infinity=True, allow_subnormal=True)))
+@example(np.array([[np.nan, -np.inf], [np.inf, -0.0], [0.0, 5e-324],
+                   [-2.2250738585072014e-308, 1.7976931348623157e308],
+                   [1e-320, -1e22]]))
+def test_write_csv_cells_are_repr_and_parse_back_exactly(values):
+    first, second = values[:, 0], values[:, 1]
+    out = io.StringIO()
+    # seven rows per chunk, so the examples cross chunk boundaries
+    with mock.patch.object(dynamics, "_WRITE_ROWS", 7):
+        dynamics._write_csv(out, [], ["x", "y", "x"], [first, second, first])
+    header, *rows = out.getvalue().splitlines()
+    assert header == "x,y,x" and len(rows) == len(values)
+    for row, (x, y) in zip(rows, values):
+        cells = row.split(",")
+        assert cells == [repr(float(x)), repr(float(y)), repr(float(x))]
+        for cell, value in zip(cells, (x, y, x)):
+            back = np.float64(float(cell))
+            if np.isnan(value):
+                assert np.isnan(back)
+            else:
+                assert back.view(np.uint64) == value.view(np.uint64)
 
 
 @pytest.mark.parametrize("clamped", [False, True])
