@@ -61,14 +61,7 @@ from .errors import (
     NumericsError,
     ResolutionError,
 )
-from .kernels import (
-    DipoleGeometry,
-    KernelValue,
-    chiral_fg,
-    kernel_1d_reciprocal,
-    kernel_2d,
-    kernel_3d,
-)
+from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 from .oracles import DarkModesN3, cascaded_n2, cascaded_n3, dark_modes_n3
 from .specfun import bessel_j, bessel_y
 
@@ -82,13 +75,11 @@ __all__ = [
     "ConfigError",
     "CouplingMatrix",
     "DarkModesN3",
-    "DipoleGeometry",
     "DisorderSpec",
     "DomainError",
     "EnsembleResult",
     "FitError",
     "IntegrityError",
-    "KernelValue",
     "MIN_POINTS_PER_UNIT_TIME",
     "NumericsError",
     "PLATEAU_EPS_RATE",

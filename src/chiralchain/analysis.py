@@ -63,6 +63,8 @@ __all__ = [
     "PLATEAU_WINDOW",
     "BURST_PROMINENCE_FRACTION",
     "BURST_WINDOW",
+    "MIN_POINTS_PER_UNIT_TIME",
+    "PLATEAU_POPULATION_FLOOR",
 ]
 
 # frozen detector defaults, in units of gamma and 1/gamma

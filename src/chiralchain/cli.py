@@ -41,8 +41,7 @@ from .dynamics import (_write_csv, log_grid, propagate, steady_state,
                        write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
                      NumericsError)
-from .kernels import (_chiral_fg_columns, _kernel_1d_columns, _kernel_2d_columns,
-                      _kernel_3d_columns)
+from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
 __all__ = ["main", "build_parser"]
 
@@ -307,19 +306,19 @@ def _parse_xi_range(spec: str) -> np.ndarray:
 
 def _kernel_columns(dim: str, xi_values: np.ndarray, alignment: float,
                  gamma_l: float, gamma_r: float):
-    """Header and columns of one kernel table, from one call of its core."""
+    """Header and columns of one kernel table, from one call of its kernel."""
     if dim == "1":
-        decay, shift, _ = _kernel_1d_columns(xi_values)
+        decay, shift = kernel_1d_reciprocal(xi_values)
         return ["xi", "decay", "shift"], [xi_values, decay, shift]
     if dim == "1chiral":
-        f, g = _chiral_fg_columns(xi_values, gamma_l, gamma_r)
+        f, g = chiral_fg(xi_values, gamma_l, gamma_r)
         # F_re and G_re repeat decay and shift: the same arrays, formatted once
         decay, shift = f.real, g.real
         return (["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
                 [xi_values, decay, shift, decay, f.imag, shift, g.imag])
     if dim in ("2", "3"):
-        core = _kernel_2d_columns if dim == "2" else _kernel_3d_columns
-        decay, shift, divergent = core(xi_values, alignment)
+        kernel = kernel_2d if dim == "2" else kernel_3d
+        decay, shift, divergent = kernel(xi_values, alignment)
         return (["xi", "decay", "shift", "shift_divergent"],
                 [xi_values, decay, shift, divergent.astype(int)])
     raise ConfigError(f"unknown kernel dimension {dim!r}")

@@ -63,6 +63,11 @@ _CHECK_SEED = 0x5EED
 # cross-check: max-norm tolerance and number of re-solved grid times
 _CHECK_TOL = 1e-8
 _CHECK_POINTS = 10
+# steady state: eigenbasis condition limit, |eigenvalue| / scale counted
+# as zero, and the gamma*t horizon of the propagation fallback
+_STEADY_COND_LIMIT = 1e12
+_STEADY_ZERO_TOL = 1e-9
+_STEADY_HORIZON = 1e3
 # steps advanced per matmul inside a run of equal spacing
 _BLOCK = 64
 # most entries B*N^2 of one generator's powers (32 KB; see _evolve)
@@ -535,15 +540,15 @@ def _check_points(size: int, max_points: int) -> np.ndarray:
 
 
 def _cross_check(v: np.ndarray, c0: np.ndarray, times: np.ndarray,
-                 states: np.ndarray, check_tol: float) -> None:
+                 states: np.ndarray) -> None:
     """Compare states (R, P, N) at times with the RK backend, per generator."""
     for entries, checked in zip(v, states):
         rk_states = _dp54(entries, c0, times)
         deviation = float(np.max(np.abs(checked - rk_states)))
-        if deviation > check_tol:
+        if deviation > _CHECK_TOL:
             raise IntegrityError(
                 "matrix-exponential and Runge-Kutta backends disagree "
-                f"({deviation:.3e} > {check_tol:.1e})",
+                f"({deviation:.3e} > {_CHECK_TOL:.1e})",
                 estimate=deviation, residual=deviation)
 
 
@@ -554,13 +559,12 @@ def _check_sites(matrix_sites: int, state: StateVector) -> None:
 
 
 def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
-              *, cross_check: bool = True, check_tol: float = _CHECK_TOL,
-              max_check_points: int = _CHECK_POINTS) -> Trajectory:
+              *, cross_check: bool = True) -> Trajectory:
     """Evolve the initial state to every grid time via matrix exponentials.
 
-    With cross_check on (the default), up to max_check_points grid times
+    With cross_check on (the default), up to _CHECK_POINTS grid times
     are re-solved by the adaptive Runge-Kutta backend and compared in max
-    norm; disagreement beyond check_tol raises IntegrityError.
+    norm; disagreement beyond _CHECK_TOL raises IntegrityError.
     """
     grid = _validate_grid(grid)
     _check_sites(matrix.n_atoms, initial)
@@ -583,9 +587,8 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
 
     _evolve(v, initial.amplitudes, grid, keep)
     if cross_check:
-        picks = _check_points(grid.size, max_check_points)
-        _cross_check(v, initial.amplitudes, grid[picks], states[None, picks],
-                     check_tol)
+        picks = _check_points(grid.size, _CHECK_POINTS)
+        _cross_check(v, initial.amplitudes, grid[picks], states[None, picks])
     return Trajectory(times=grid, amplitudes=states, populations=populations,
                       total=total, intensity=intensity_arr,
                       gamma=matrix.gamma, underflow_clamped=clamped)
@@ -656,7 +659,7 @@ def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
 
     _evolve(v, initial.amplitudes, grid, reduce)
     if cross_check:
-        _cross_check(v, initial.amplitudes, grid[picks], checked, _CHECK_TOL)
+        _cross_check(v, initial.amplitudes, grid[picks], checked)
     return tuple(moments.reshape(4, grid.size))
 
 
@@ -737,27 +740,25 @@ class SteadyStateResult:
         return self.method == "propagation"
 
 
-def steady_state(matrix: CouplingMatrix, initial: StateVector,
-                 *, cond_limit: float = 1e12, zero_tol: float = 1e-9,
-                 fallback_horizon: float = 1e3) -> SteadyStateResult:
+def steady_state(matrix: CouplingMatrix, initial: StateVector) -> SteadyStateResult:
     """Project the initial state onto the decoherence-free subspace of V.
 
     Expands the state in the (generally non-orthogonal) eigenbasis of V
     and keeps the components with eigenvalue 0; every other eigenvalue
     has a strictly negative real part, so its component dies out.  If the
-    eigenvector matrix has condition number above cond_limit the matrix
-    is (near-)defective and the spectral route is meaningless; the state
-    is then propagated to gamma*t = fallback_horizon and Aitken-
+    eigenvector matrix has condition number above _STEADY_COND_LIMIT the
+    matrix is (near-)defective and the spectral route is meaningless; the
+    state is then propagated to gamma*t = _STEADY_HORIZON and Aitken-
     extrapolated, and the result is flagged approximate.
     """
     _check_sites(matrix.n_atoms, initial)
     v = matrix.entries
     eigvals, eigvecs = np.linalg.eig(v)
     cond = float(np.linalg.cond(eigvecs))
-    if cond <= cond_limit:
+    if cond <= _STEADY_COND_LIMIT:
         coeffs = np.linalg.solve(eigvecs, initial.amplitudes)
         scale = max(float(np.max(np.abs(eigvals))), matrix.gamma)
-        dark = np.abs(eigvals) <= zero_tol * scale
+        dark = np.abs(eigvals) <= _STEADY_ZERO_TOL * scale
         if np.any(dark):
             c_inf = eigvecs[:, dark] @ coeffs[dark]
         else:
@@ -765,7 +766,7 @@ def steady_state(matrix: CouplingMatrix, initial: StateVector,
         return SteadyStateResult(
             state=StateVector(c_inf, time=math.inf), method="eigen")
 
-    horizon = fallback_horizon / matrix.gamma
+    horizon = _STEADY_HORIZON / matrix.gamma
     delta = horizon / 20.0
     grid = np.array([0.0, horizon - 2 * delta, horizon - delta, horizon])
     traj = propagate(matrix, initial, grid, cross_check=False)

@@ -6,6 +6,9 @@ problems exit with 2, numerical-integrity problems with 3.
 
 from __future__ import annotations
 
+__all__ = ["ChiralChainError", "DomainError", "ConfigError", "ResolutionError",
+           "FitError", "NumericsError", "IntegrityError"]
+
 
 class ChiralChainError(Exception):
     """Base class for all package-specific errors."""

@@ -5,10 +5,18 @@ pair-coupling J splits as
 
     J = (gamma_uv + 2i * Omega_uv) / 2,
 
-so ``decay_part`` is half the collective decay rate gamma_uv and
-``shift_part`` is the coherent exchange rate Omega_uv.  Rates are given
-in natural units where the intrinsic single-atom rate (Gamma, Gamma_1D,
-or Gamma_2D as appropriate) equals 1.
+so the decay part is half the collective decay rate gamma_uv and the
+shift part is the coherent exchange rate Omega_uv.  Rates are given in
+natural units where the intrinsic single-atom rate (Gamma, Gamma_1D, or
+Gamma_2D as appropriate) equals 1.
+
+Each kernel is one function of the dimensionless separation xi = k*r,
+a float or an array, and returns its values in xi's shape (numpy
+scalars for a float): the same call fills a CLI table and gives a
+single point.  The 2D and 3D kernels
+add shift_divergent flags for separations where the coherent shift has
+no finite value (contact, and separations so small that it overflows);
+the decay there still carries its finite limit and the shift is NaN.
 
 The 1D chiral reservoir is characterised instead by the pair (F, G) of
 symmetric and antisymmetric combinations of the directional rates; for
@@ -19,7 +27,6 @@ shift parts of the reciprocal 1D kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,55 +35,11 @@ from .specfun import (_EULER_GAMMA, _bessel_columns, _series_sums,
                       _sum_through_first)
 
 __all__ = [
-    "KernelValue",
-    "DipoleGeometry",
     "chiral_fg",
     "kernel_1d_reciprocal",
     "kernel_2d",
     "kernel_3d",
 ]
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """One kernel evaluation: J = decay_part + i * shift_part.
-
-    decay_part is gamma_uv / 2 and shift_part is Omega_uv, both in units
-    of the intrinsic rate.  shift_divergent marks separations where the
-    coherent shift has no finite value (contact limit of the 2D and 3D
-    kernels, and separations so small that it overflows); decay_part then
-    still carries the finite decay limit and shift_part is NaN.
-    """
-
-    decay_part: float
-    shift_part: float
-    shift_divergent: bool = False
-
-    @property
-    def collective_decay(self) -> float:
-        """The full pair decay rate gamma_uv (= 2 * decay_part)."""
-        return 2.0 * self.decay_part
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.decay_part, self.shift_part)
-
-
-@dataclass(frozen=True)
-class DipoleGeometry:
-    """Separation phase and dipole alignment for a planar or 3D pair.
-
-    xi is the dimensionless separation k*r >= 0; alignment is the cosine
-    of the angle between the (linear) dipole orientation and the
-    interatomic axis, in [-1, 1].
-    """
-
-    xi: float
-    alignment: float = 0.0
-
-    def __post_init__(self):
-        _separations(self.xi)
-        _alignment_squared(self.alignment)
 
 
 def _separations(xi) -> np.ndarray:
@@ -102,22 +65,26 @@ def _check_rates(gamma_left: float, gamma_right: float) -> None:
         raise DomainError("gamma_left and gamma_right cannot both vanish")
 
 
-def _value(columns) -> KernelValue:
-    decay, shift, divergent = columns
-    return KernelValue(float(decay[0]), float(shift[0]), bool(divergent[0]))
-
-
 def _flag_divergent(decay: np.ndarray, shift: np.ndarray):
-    """(decay, shift, flags), the shift NaN and flagged wherever it is not finite."""
+    """(decay, shift, flags), the shift NaN and flagged wherever it is not finite.
+
+    Indexing with () gives numpy scalars for a float xi, as the numpy
+    functions of the 1D kernels do, and the arrays themselves otherwise.
+    """
     divergent = ~np.isfinite(shift)
-    return decay, np.where(divergent, math.nan, shift), divergent
+    return decay[()], np.where(divergent, math.nan, shift)[()], divergent[()]
 
 
-# Each kernel has one array core, returning its decay column, shift column
-# and divergence flags for an array of separations; the public functions
-# evaluate it at one point and the CLI tables call it once per table.
+def chiral_fg(xi, gamma_left: float, gamma_right: float):
+    """Symmetric/antisymmetric coupling pair (F, G) of a 1D chiral line.
 
-def _chiral_fg_columns(xi, gamma_left: float, gamma_right: float):
+    F = (gamma_R e^{i xi} + gamma_L e^{-i xi}) / 2
+    G = -i (gamma_R e^{i xi} - gamma_L e^{-i xi}) / 2
+
+    For gamma_left == gamma_right both are real: F = gamma cos(xi) and
+    G = gamma sin(xi), i.e. the decay and shift parts of the reciprocal
+    kernel.  F and G are complex, in xi's shape.
+    """
     xi = _separations(xi)
     _check_rates(gamma_left, gamma_right)
     phase = np.exp(1j * xi)
@@ -126,36 +93,33 @@ def _chiral_fg_columns(xi, gamma_left: float, gamma_right: float):
     return f, g
 
 
-def chiral_fg(xi: float, gamma_left: float, gamma_right: float
-              ) -> tuple[complex, complex]:
-    """Symmetric/antisymmetric coupling pair (F, G) of a 1D chiral line.
+def kernel_1d_reciprocal(xi):
+    """(decay, shift) of the reciprocal 1D kernel J = (1/2) e^{i xi}, Gamma_1D = 1.
 
-    F = (gamma_R e^{i xi} + gamma_L e^{-i xi}) / 2
-    G = -i (gamma_R e^{i xi} - gamma_L e^{-i xi}) / 2
-
-    For gamma_left == gamma_right both are real: F = gamma cos(xi) and
-    G = gamma sin(xi), i.e. the decay and shift parts of the reciprocal
-    kernel.
+    decay^2 + shift^2 = 1/4 for every separation: a 1D line only
+    dephases the pair coupling, it never weakens it, so the shift is
+    never divergent.
     """
-    f, g = _chiral_fg_columns([xi], gamma_left, gamma_right)
-    return complex(f[0]), complex(g[0])
-
-
-def _kernel_1d_columns(xi):
     xi = _separations(xi)
-    return 0.5 * np.cos(xi), 0.5 * np.sin(xi), np.zeros(xi.shape, dtype=bool)
+    return 0.5 * np.cos(xi), 0.5 * np.sin(xi)
 
 
-def kernel_1d_reciprocal(xi: float) -> KernelValue:
-    """Reciprocal 1D kernel J = (1/2) e^{i xi} in units Gamma_1D = 1.
+def kernel_3d(xi, alignment: float = 0.0):
+    """(decay, shift, shift_divergent) of the free-space kernel, Gamma = 1.
 
-    decay_part^2 + shift_part^2 = 1/4 for every separation: a 1D line
-    only dephases the pair coupling, it never weakens it.
+    For a linearly polarised pair,
+
+    gamma_uv = (3/2) { (1 - a^2) sin(xi)/xi
+                       + (1 - 3 a^2) [cos(xi)/xi^2 - sin(xi)/xi^3] }
+    Omega_uv = (3/4) { -(1 - a^2) cos(xi)/xi
+                       + (1 - 3 a^2) [sin(xi)/xi^2 + cos(xi)/xi^3] }
+
+    with a the alignment, the cosine of the angle between the (linear)
+    dipoles and the pair axis, in [-1, 1].  xi -> 0 gives the Dicke
+    limit gamma_uv -> 1 for any alignment, while the shift diverges as
+    1/xi^3 and is flagged instead of returned, at contact and wherever
+    the powers of xi underflow.
     """
-    return _value(_kernel_1d_columns([xi]))
-
-
-def _kernel_3d_columns(xi, alignment: float):
     xi = _separations(xi)
     a2 = _alignment_squared(alignment)
     perp = 1.0 - a2
@@ -191,22 +155,24 @@ def _cos2_sin3(xi: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_3d(geometry: DipoleGeometry) -> KernelValue:
-    """Free-space kernel for a linearly polarised pair, Gamma = 1.
+def kernel_2d(xi, alignment: float = 0.0):
+    """(decay, shift, shift_divergent) of the in-plane kernel, Gamma_2D = 1.
 
-    gamma_uv = (3/2) { (1 - a^2) sin(xi)/xi
-                       + (1 - 3 a^2) [cos(xi)/xi^2 - sin(xi)/xi^3] }
-    Omega_uv = (3/4) { -(1 - a^2) cos(xi)/xi
-                       + (1 - 3 a^2) [sin(xi)/xi^2 + cos(xi)/xi^3] }
+    J = (f + i g) / 2 with
 
-    with a the dipole/axis alignment cosine.  xi -> 0 gives the Dicke
-    limit gamma_uv -> 1 for any alignment, while the shift diverges as
-    1/xi^3 and is flagged instead of returned.
+    f(xi) = 2 [ J0(xi) - J1(xi)/xi + a^2 J2(xi) ]
+    g(xi) = 2 Y0(xi) - 2 Y1(xi)/xi + 2 a^2 Y2(xi)
+            - (4 / (pi xi^2)) (1 - 2 a^2)
+
+    with a the alignment cosine in [-1, 1], as for kernel_3d.
+    f(0+) = 1 recovers the Dicke limit; g diverges logarithmically at
+    contact and is flagged there.  g is evaluated as
+    2 (1 - a^2) Y0 - 2 (1 - 2 a^2) [Y1/xi + 2/(pi xi^2)], the bracket
+    free of its cancelling 1/xi^2 terms below xi = 0.1, so it stays
+    finite down to the Y cutoff of specfun (1e-305), below which it is
+    flagged too.  g is the Kramers-Kronig partner of f, which the test
+    suite verifies by principal-value reconstruction.
     """
-    return _value(_kernel_3d_columns([geometry.xi], geometry.alignment))
-
-
-def _kernel_2d_columns(xi, alignment: float):
     xi = _separations(xi)
     a2 = _alignment_squared(alignment)
     decay = np.full(xi.shape, 0.5)  # f(0+) = 1
@@ -215,36 +181,14 @@ def _kernel_2d_columns(xi, alignment: float):
     x = xi[apart]
     j0, j1, j2, y0, y1 = _bessel_columns(x).T
     j1_over_x = _j1_over_x(x, j1)
-    # decay_part = f / 2 = J0 - J1/xi + a^2 J2
+    # decay = f / 2 = J0 - J1/xi + a^2 J2
     decay[apart] = j0 - j1_over_x + a2 * j2
-    # shift_part = g / 2 with Y2 = 2 Y1/xi - Y0 folded in; where the
-    # 1/xi^2 of the defining form overflows (xi below about 7e-155) the
-    # shift is flagged, as at contact
+    # shift = g / 2 with Y2 = 2 Y1/xi - Y0 folded in; Y0 = -inf below the
+    # Y cutoff leaves it non-finite there, and so flagged
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shift[apart] = np.where(
-            np.isinf(1.0 / (x * x)), math.inf,
-            0.5 * (2.0 * (1.0 - a2) * y0
-                   - 2.0 * (1.0 - 2.0 * a2) * _y1_pole_free(x, y1, j1_over_x)))
+        shift[apart] = 0.5 * (2.0 * (1.0 - a2) * y0
+                              - 2.0 * (1.0 - 2.0 * a2) * _y1_pole_free(x, y1, j1_over_x))
     return _flag_divergent(decay, shift)
-
-
-def kernel_2d(geometry: DipoleGeometry) -> KernelValue:
-    """In-plane kernel for a planar reservoir, Gamma_2D = 1.
-
-    J = (f + i g) / 2 with
-
-    f(xi) = 2 [ J0(xi) - J1(xi)/xi + a^2 J2(xi) ]
-    g(xi) = 2 Y0(xi) - 2 Y1(xi)/xi + 2 a^2 Y2(xi)
-            - (4 / (pi xi^2)) (1 - 2 a^2)
-
-    f(0+) = 1 recovers the Dicke limit; g diverges logarithmically at
-    contact and is flagged there.  g is evaluated as
-    2 (1 - a^2) Y0 - 2 (1 - 2 a^2) [Y1/xi + 2/(pi xi^2)], the bracket
-    free of its cancelling 1/xi^2 terms below xi = 0.1, and is flagged
-    where 1/xi^2 overflows.  g is the Kramers-Kronig partner of f,
-    which the test suite verifies by principal-value reconstruction.
-    """
-    return _value(_kernel_2d_columns([geometry.xi], geometry.alignment))
 
 
 def _y1_pole_free(x: np.ndarray, y1: np.ndarray, j1_over_x: np.ndarray) -> np.ndarray:

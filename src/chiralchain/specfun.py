@@ -49,6 +49,8 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = ["bessel_j", "bessel_y"]
+
 _EULER_GAMMA = 0.5772156649015329
 
 # Series / quadrature crossover for J and Y.  Kept low enough that the

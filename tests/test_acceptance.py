@@ -13,7 +13,7 @@ import pytest
 import scipy.integrate
 from scipy.special import struve
 
-from chiralchain import (ChainConfig, DipoleGeometry, DisorderSpec, bessel_j,
+from chiralchain import (ChainConfig, DisorderSpec, bessel_j,
                          bessel_y, build_chain, cascaded_n2, cascaded_n3,
                          detect_bursts, detect_plateaus, fit_decay_rate,
                          kernel_1d_reciprocal, kernel_2d, kernel_3d,
@@ -189,13 +189,13 @@ def test_criterion_11_persistent_localization():
 
 def test_criterion_12_kernel_limits():
     for alignment in (0.0, 0.5, 1.0):
-        value = kernel_3d(DipoleGeometry(1e-4, alignment))
-        assert abs(value.collective_decay - 1.0) < 1e-6
+        decay, _, _ = kernel_3d(1e-4, alignment)
+        assert abs(2.0 * decay - 1.0) < 1e-6
     for n in range(6):
-        at_node = kernel_1d_reciprocal(n * math.pi).as_complex
-        assert abs(at_node.imag) < 1e-12
-        at_antinode = kernel_1d_reciprocal(math.pi / 2.0 + n * math.pi).as_complex
-        assert abs(at_antinode.real) < 1e-12
+        _, shift_at_node = kernel_1d_reciprocal(n * math.pi)
+        assert abs(shift_at_node) < 1e-12
+        decay_at_antinode, _ = kernel_1d_reciprocal(math.pi / 2.0 + n * math.pi)
+        assert abs(decay_at_antinode) < 1e-12
 
     # dispersive part rebuilt from the absorptive part alone
     def absorptive(a):
@@ -209,7 +209,7 @@ def test_criterion_12_kernel_limits():
         tail = oscillatory_integral(lambda a: absorptive(a) / (a + xi), 60.0,
                                     tol=1e-8)
         rebuilt = -(pv + regular + tail) / math.pi
-        closed = 2.0 * kernel_2d(DipoleGeometry(xi, 0.0)).shift_part
+        closed = 2.0 * kernel_2d(xi)[1]
         assert abs(rebuilt - closed) < 1e-4
     passed(12, "kernel limits")
 

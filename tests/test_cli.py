@@ -17,8 +17,8 @@ from chiralchain.analysis import run_ensemble
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
 from chiralchain.cli import _parse_xi_range, main
 from chiralchain.dynamics import steady_state, uniform_excitation, uniform_grid
-from chiralchain.kernels import (_chiral_fg_columns, _kernel_1d_columns,
-                                 _kernel_2d_columns, _kernel_3d_columns)
+from chiralchain.errors import NumericsError
+from chiralchain.kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
 
 def read_csv_columns(text):
@@ -144,8 +144,12 @@ def test_kernel_tiny_separations_flag_the_shift(dim, capsys):
     assert code == 0
     header, data = read_csv_columns(capsys.readouterr().out)
     assert data.shape == (4, 4)
-    assert data[:, 3].tolist() == [1.0, 1.0, 1.0, 0.0]
-    assert np.all(np.isnan(data[:3, 2])) and np.isfinite(data[3, 2])
+    # the 3D shift overflows below contact too; the pole-free 2D form
+    # diverges only at contact
+    flagged = 1 if dim == "2" else 3
+    assert data[:, 3].tolist() == [1.0] * flagged + [0.0] * (4 - flagged)
+    assert np.all(np.isnan(data[:flagged, 2]))
+    assert np.all(np.isfinite(data[flagged:, 2]))
     assert np.allclose(data[:3, 1], 0.5, rtol=0.0, atol=1e-12)
 
 
@@ -271,6 +275,24 @@ def test_error_exit_codes(capsys):
         main(["figure", "fig99"])
 
 
+@pytest.mark.parametrize("failure", ["integrity", "numerics"])
+def test_failed_cross_check_exits_3_without_a_manifest(failure, monkeypatch,
+                                                       tmp_path, capsys):
+    honest = dynamics._dp54
+
+    def rk(*args, **kwargs):
+        if failure == "numerics":
+            raise NumericsError("Runge-Kutta step size underflow")
+        return honest(*args, **kwargs) + 1e-6
+
+    monkeypatch.setattr(dynamics, "_dp54", rk)
+    assert main(["simulate", "--n", "3", "--xi-over-pi", "0.5",
+                 "--horizon", "5", "--points", "101",
+                 "--outdir", str(tmp_path)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv,keys,comments", [
     (["--dim", "1", "--alignment", "0.5"], {"dimension", "xi"},
      ["# dimension = 1"]),
@@ -346,16 +368,16 @@ def test_ensemble_csv_across_the_write_chunk_equals_row_by_row(offset, capsys):
 
 
 def kernel_reference(dim, xi):
-    """Header and columns of a kernel table, straight from its array core."""
+    """Header and columns of a kernel table, straight from its kernel."""
     if dim == "1":
-        decay, shift, _ = _kernel_1d_columns(xi)
+        decay, shift = kernel_1d_reciprocal(xi)
         return ["xi", "decay", "shift"], [xi, decay, shift]
     if dim == "1chiral":
-        f, g = _chiral_fg_columns(xi, 0.3, 0.9)
+        f, g = chiral_fg(xi, 0.3, 0.9)
         return (["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
                 [xi, f.real, g.real, f.real, f.imag, g.real, g.imag])
-    core = _kernel_2d_columns if dim == "2" else _kernel_3d_columns
-    decay, shift, divergent = core(xi, 0.0)
+    kernel = kernel_2d if dim == "2" else kernel_3d
+    decay, shift, divergent = kernel(xi, 0.0)
     return (["xi", "decay", "shift", "shift_divergent"],
             [xi, decay, shift, divergent.astype(int)])
 

@@ -20,7 +20,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   steady_state, uniform_excitation,
                                   uniform_grid, write_trajectory_csv,
                                   write_trajectory_json)
-from chiralchain.errors import ConfigError
+from chiralchain.errors import ConfigError, IntegrityError
 from chiralchain.oracles import cascaded_n2, cascaded_n3
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
@@ -90,6 +90,18 @@ def test_matrix_exponential_and_runge_kutta_agree():
     fast = propagate(matrix, state, grid, cross_check=False)
     slow = dynamics._dp54(matrix.entries, state.amplitudes, grid[1:])
     assert np.max(np.abs(fast.amplitudes[1:] - slow)) < 1e-10
+
+
+def test_propagate_raises_when_the_cross_check_disagrees(monkeypatch):
+    matrix = chain(3, 1.0, 0.9, 1.0)
+    state = uniform_excitation(3)
+    grid = uniform_grid(5.0, 101)
+    honest = dynamics._dp54
+    monkeypatch.setattr(dynamics, "_dp54",
+                        lambda *args, **kwargs: honest(*args, **kwargs) + 1e-6)
+    with pytest.raises(IntegrityError):
+        propagate(matrix, state, grid)
+    propagate(matrix, state, grid, cross_check=False)
 
 
 def test_propagate_grid_validation():

@@ -1,6 +1,7 @@
 """The package's third-party imports are exactly its declared dependencies."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -31,3 +32,13 @@ def test_third_party_imports_are_the_declared_dependencies():
     # a requirement's distribution name, cut before any version specifier
     assert third_party == {re.split(r"[\s<>=!~;\[]", req)[0] for req in declared}
     assert third_party == {"numpy"}
+
+
+def test_package_exports_are_the_modules_exports():
+    import chiralchain
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if path.stem not in ("__init__", "cli"))
+    exported = set().union(*(
+        importlib.import_module(f"chiralchain.{name}").__all__ for name in modules))
+    # sorted lists, not sets: a name listed twice fails too
+    assert sorted(chiralchain.__all__) == sorted(exported | {"__version__"})
