@@ -42,7 +42,6 @@ from .chain import (
 )
 from .dynamics import (
     StateVector,
-    SteadyStateResult,
     Trajectory,
     log_grid,
     propagate,
@@ -62,7 +61,6 @@ from .errors import (
     ResolutionError,
 )
 from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
-from .oracles import DarkModesN3, cascaded_n2, cascaded_n3, dark_modes_n3
 from .specfun import bessel_j, bessel_y
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "ChiralChainError",
     "ConfigError",
     "CouplingMatrix",
-    "DarkModesN3",
     "DisorderSpec",
     "DomainError",
     "EnsembleResult",
@@ -90,7 +87,6 @@ __all__ = [
     "PlateauReport",
     "ResolutionError",
     "StateVector",
-    "SteadyStateResult",
     "Trajectory",
     "__version__",
     "bessel_j",
@@ -98,10 +94,7 @@ __all__ = [
     "build_chain",
     "build_coupling_matrix",
     "build_positions",
-    "cascaded_n2",
-    "cascaded_n3",
     "chiral_fg",
-    "dark_modes_n3",
     "detect_bursts",
     "detect_plateaus",
     "fit_decay_rate",

@@ -404,8 +404,8 @@ def _figure_fig3() -> dict:
         for n in sizes.tolist():
             config = ChainConfig(n_atoms=n, xi=math.pi,
                                  gamma_left=1.0, gamma_right=1.0)
-            result = steady_state(build_chain(config), uniform_excitation(n))
-            p1_inf.append(result.state.populations[0])
+            state = steady_state(build_chain(config), uniform_excitation(n))
+            p1_inf.append(state.populations[0])
         _write_csv(fh, [("xi_over_pi", 1.0), ("gamma_left", 1.0),
                         ("gamma_right", 1.0)],
                    ["N", "P1_inf"], [sizes, np.array(p1_inf)])

@@ -25,8 +25,7 @@ the theory that silent numerical corruption is worse than a crash.
 Observables: site populations P_m = |c_m|^2, total population P_tot,
 the emitted intensity I_tot = -c^dag (V + V^dag) c = -dP_tot/dt (always
 >= 0 because -(V + V^dag) is positive semidefinite), pair coherences,
-and the t -> infinity state by spectral projection onto the null space
-of V.
+and the t -> infinity state as the orthogonal projection onto null(V).
 
 Populations below 1e-300 are clamped to zero and flagged, so extreme
 subradiance studies cannot leak denormals into downstream analysis.
@@ -47,7 +46,6 @@ from .errors import ConfigError, IntegrityError, NumericsError
 __all__ = [
     "StateVector",
     "Trajectory",
-    "SteadyStateResult",
     "uniform_excitation",
     "uniform_grid",
     "log_grid",
@@ -63,11 +61,6 @@ _CHECK_SEED = 0x5EED
 # cross-check: max-norm tolerance and number of re-solved grid times
 _CHECK_TOL = 1e-8
 _CHECK_POINTS = 10
-# steady state: eigenbasis condition limit, |eigenvalue| / scale counted
-# as zero, and the gamma*t horizon of the propagation fallback
-_STEADY_COND_LIMIT = 1e12
-_STEADY_ZERO_TOL = 1e-9
-_STEADY_HORIZON = 1e3
 # steps advanced per matmul inside a run of equal spacing
 _BLOCK = 64
 # most entries B*N^2 of one generator's powers (32 KB; see _evolve)
@@ -722,62 +715,32 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class SteadyStateResult:
-    """The t -> infinity state and how it was obtained.
-
-    method 'eigen' means exact spectral projection onto the null space of
-    V; 'propagation' means the eigenbasis was too ill-conditioned (e.g.
-    the defective cascaded limit) and the state is a long-time propagation
-    extrapolation, flagged approximate.
-    """
-
-    state: StateVector
-    method: str
-
-    @property
-    def approximate(self) -> bool:
-        return self.method == "propagation"
+def _null_space(v: np.ndarray) -> np.ndarray:
+    """Orthonormal rows q spanning null(v): the right singular vectors whose
+    singular value is at most sigma_max * N * eps (numpy's matrix_rank
+    tolerance)."""
+    _, sigma, vh = np.linalg.svd(v)
+    return vh[sigma <= sigma[0] * sigma.size * np.finfo(float).eps].conj()
 
 
-def steady_state(matrix: CouplingMatrix, initial: StateVector) -> SteadyStateResult:
-    """Project the initial state onto the decoherence-free subspace of V.
+def steady_state(matrix: CouplingMatrix, initial: StateVector) -> StateVector:
+    """The t -> infinity state: the orthogonal projection of c0 onto null(V).
 
-    Expands the state in the (generally non-orthogonal) eigenbasis of V
-    and keeps the components with eigenvalue 0; every other eigenvalue
-    has a strictly negative real part, so its component dies out.  If the
-    eigenvector matrix has condition number above _STEADY_COND_LIMIT the
-    matrix is (near-)defective and the spectral route is meaningless; the
-    state is then propagated to gamma*t = _STEADY_HORIZON and Aitken-
-    extrapolated, and the result is flagged approximate.
+    -(V + V^dag) is positive semidefinite, so V c = 0 gives
+    c^dag (V + V^dag) c = 0, hence (V + V^dag) c = 0 and V^dag c = 0:
+    null(V) = null(V^dag), the orthogonal complement of range(V).  No
+    eigenvalue of V is purely imaginary and nonzero, so every component
+    in range(V) decays and what is left is the orthogonal projection of
+    c0 onto null(V).  The decay can be slow beyond any reachable time: a
+    shifted site can leave a mode decaying at 1e-17 gamma, which this
+    limit drops.  No eigenvector conditioning enters, and a generator
+    without dark modes, such as every cascaded chain, gives exactly the
+    zero state.
     """
     _check_sites(matrix.n_atoms, initial)
-    v = matrix.entries
-    eigvals, eigvecs = np.linalg.eig(v)
-    cond = float(np.linalg.cond(eigvecs))
-    if cond <= _STEADY_COND_LIMIT:
-        coeffs = np.linalg.solve(eigvecs, initial.amplitudes)
-        scale = max(float(np.max(np.abs(eigvals))), matrix.gamma)
-        dark = np.abs(eigvals) <= _STEADY_ZERO_TOL * scale
-        if np.any(dark):
-            c_inf = eigvecs[:, dark] @ coeffs[dark]
-        else:
-            c_inf = np.zeros(matrix.n_atoms, dtype=complex)
-        return SteadyStateResult(
-            state=StateVector(c_inf, time=math.inf), method="eigen")
-
-    horizon = _STEADY_HORIZON / matrix.gamma
-    delta = horizon / 20.0
-    grid = np.array([0.0, horizon - 2 * delta, horizon - delta, horizon])
-    traj = propagate(matrix, initial, grid, cross_check=False)
-    s0, s1, s2 = traj.amplitudes[1], traj.amplitudes[2], traj.amplitudes[3]
-    denom = s2 - 2.0 * s1 + s0
-    c_inf = s2.copy()
-    usable = np.abs(denom) > 1e-14 * (np.abs(s0) + np.abs(s1) + np.abs(s2) + 1e-300)
-    c_inf[usable] = s2[usable] - (s2[usable] - s1[usable]) ** 2 / denom[usable]
-    c_inf[np.abs(c_inf) < 1e-150] = 0.0
-    return SteadyStateResult(
-        state=StateVector(c_inf, time=math.inf), method="propagation")
+    dark = _null_space(matrix.entries)
+    return StateVector(dark.T @ (dark.conj() @ initial.amplitudes),
+                       time=math.inf)
 
 
 # ---------------------------------------------------------------------------

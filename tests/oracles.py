@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from chiralchain.errors import DomainError
 
 __all__ = [
     "cascaded_n2",

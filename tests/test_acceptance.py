@@ -14,12 +14,13 @@ import scipy.integrate
 from scipy.special import struve
 
 from chiralchain import (ChainConfig, DisorderSpec, bessel_j,
-                         bessel_y, build_chain, cascaded_n2, cascaded_n3,
-                         detect_bursts, detect_plateaus, fit_decay_rate,
+                         bessel_y, build_chain, detect_bursts,
+                         detect_plateaus, fit_decay_rate,
                          kernel_1d_reciprocal, kernel_2d, kernel_3d,
                          localization_metric, log_grid, propagate,
                          run_ensemble, steady_state, uniform_excitation,
                          uniform_grid)
+from oracles import cascaded_n2, cascaded_n3
 from quadrature import oscillatory_integral, principal_value
 
 GAMMA_IMBALANCE = 0.9  # gamma_L / gamma_R for the staircase regime
@@ -78,25 +79,29 @@ def test_criterion_03_decoherence_free_pair():
     trajectory = propagate(matrix, uniform_excitation(2),
                            uniform_grid(1000.0, 20001))
     assert np.max(np.abs(trajectory.total - 1.0)) < 1e-9
-    result = steady_state(matrix, uniform_excitation(2))
-    assert np.allclose(result.state.populations, [0.5, 0.5], atol=1e-9)
+    state = steady_state(matrix, uniform_excitation(2))
+    assert np.allclose(state.populations, [0.5, 0.5], atol=1e-9)
     passed(3, "decoherence-free pair")
 
 
 def test_criterion_04_odd_chain_steady_state():
     matrix = balanced_chain(3, math.pi)
-    result = steady_state(matrix, uniform_excitation(3))
+    state = steady_state(matrix, uniform_excitation(3))
     expected = np.array([4.0, 16.0, 4.0]) / 27.0
-    assert np.max(np.abs(result.state.populations - expected)) < 1e-8
+    assert np.max(np.abs(state.populations - expected)) < 1e-8
     # the fully bright mode of the balanced pi chain and its decay rate
     bright = np.array([1.0, -1.0, 1.0], dtype=complex)
     assert np.max(np.abs(matrix.entries @ bright + 3.0 * bright)) < 1e-12
     ratios = []
-    for n in (3, 5, 7, 9, 11):
+    for n in range(2, 14):
         chain = balanced_chain(n, math.pi)
-        first = steady_state(chain, uniform_excitation(n)).state.populations[0]
-        assert first < 1.0 / n
-        ratios.append(first * n)
+        first = steady_state(chain, uniform_excitation(n)).populations[0]
+        # P1_inf = 1/N for even N and (N - 1)^2 / N^3 for odd N
+        closed = 1.0 / n if n % 2 == 0 else (n - 1) ** 2 / n ** 3
+        assert first == pytest.approx(closed, rel=5e-15, abs=0.0)
+        if n % 2:
+            assert first < 1.0 / n
+            ratios.append(first * n)
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     passed(4, "odd-chain steady state")
 

@@ -538,6 +538,6 @@ def test_fig3c_table():
     for n in range(2, 14):
         config = ChainConfig(n_atoms=n, xi=math.pi, gamma_left=1.0,
                              gamma_right=1.0)
-        state = steady_state(build_chain(config), uniform_excitation(n)).state
+        state = steady_state(build_chain(config), uniform_excitation(n))
         lines.append(f"{n},{float(state.populations[0])!r}")
     assert stream.getvalue() == "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from chiralchain import dynamics
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
@@ -21,7 +21,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   uniform_grid, write_trajectory_csv,
                                   write_trajectory_json)
 from chiralchain.errors import ConfigError, IntegrityError
-from chiralchain.oracles import cascaded_n2, cascaded_n3
+from oracles import cascaded_n2, cascaded_n3
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
 
@@ -147,7 +147,7 @@ def test_intensity_is_population_loss_rate():
     assert np.all(np.diff(trajectory.total) <= 1e-12)
 
 
-def test_intensity_function_matches_trajectory():
+def test_trajectory_intensity_matches_dissipator_form():
     matrix = chain(3, 1.0, 0.8, 1.0)
     state = uniform_excitation(3)
     grid = uniform_grid(1.0, 11)
@@ -166,38 +166,115 @@ def test_decoherence_free_even_chain_holds_population():
 
 def test_steady_state_even_chain_keeps_uniform_state():
     matrix = chain(2, math.pi, 1.0, 1.0)
-    result = steady_state(matrix, uniform_excitation(2))
-    assert result.method == "eigen"
-    assert not result.approximate
-    assert np.allclose(result.state.populations, [0.5, 0.5], atol=1e-12)
+    state = steady_state(matrix, uniform_excitation(2))
+    assert state.time == math.inf
+    assert np.allclose(state.populations, [0.5, 0.5], atol=1e-12)
 
 
 def test_steady_state_odd_chain_dark_projection():
     matrix = chain(3, math.pi, 1.0, 1.0)
-    result = steady_state(matrix, uniform_excitation(3))
-    assert result.method == "eigen"
-    assert np.allclose(result.state.populations,
+    state = steady_state(matrix, uniform_excitation(3))
+    assert np.allclose(state.populations,
                        [4.0 / 27.0, 16.0 / 27.0, 4.0 / 27.0], atol=1e-10)
 
 
 def test_steady_state_superradiant_chain_empties():
     # xi = 0, equal rates: uniform state is the fully bright mode
     matrix = chain(2, 0.0, 1.0, 1.0)
-    result = steady_state(matrix, uniform_excitation(2))
-    assert result.method == "eigen"
-    assert result.state.total_population < 1e-18
+    state = steady_state(matrix, uniform_excitation(2))
+    assert state.total_population < 1e-18
 
 
-def test_steady_state_cascaded_falls_back_to_propagation():
-    # gamma_L = 0 makes V defective (one eigenvector per Jordan block)
+def test_steady_state_cascaded_chain_is_exactly_empty():
+    # gamma_L = 0 makes V defective (one eigenvector per Jordan block) but
+    # nonsingular: null(V) is empty and nothing is propagated
     matrix = chain(3, math.pi, 0.0, 1.0)
-    result = steady_state(matrix, uniform_excitation(3))
-    assert result.method == "propagation"
-    assert result.approximate
-    assert result.state.total_population < 1e-12
+    assert steady_state(matrix, uniform_excitation(3)).total_population == 0.0
 
 
-def test_long_time_populations_runs_on_log_grid():
+def test_steady_state_is_the_orthogonal_projection_onto_null_space():
+    # half-spacing displacements make V complex and its null space too
+    matrix = build_chain(ChainConfig(n_atoms=4, xi=math.pi, gamma_left=1.0,
+                                     gamma_right=1.0,
+                                     displacements=(0.0, 0.0, 0.5, 0.5)))
+    null = null_space(matrix.entries)
+    assert null.shape[1] == 2
+    c0 = np.array([0.1 + 0.5j, -0.3j, 0.4, 0.2 - 0.6j])
+    state = steady_state(matrix, StateVector(c0))
+    assert np.max(np.abs(state.amplitudes - null @ (null.conj().T @ c0))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_steady_state_rank_tolerance_keeps_every_dark_mode(n):
+    # the balanced pi chain is rank one: N - 1 dark modes, whose null
+    # singular values sit below sigma_max * N * eps
+    matrix = chain(n, math.pi, 1.0, 1.0)
+    assert dynamics._null_space(matrix.entries).shape[0] == n - 1
+    first = steady_state(matrix, uniform_excitation(n)).populations[0]
+    closed = 1.0 / n if n % 2 == 0 else (n - 1) ** 2 / n ** 3
+    assert first == pytest.approx(closed, rel=1e-14, abs=0.0)
+
+
+def test_steady_state_rank_tolerance_drops_quasi_dark_modes():
+    # the smallest singular value here is only 1.6e-10 sigma_max, yet
+    # about 1.8e3 times the rank tolerance: a decaying mode, not a dark one
+    matrix = chain(400, math.pi, 0.99, 1.0)
+    sigma = np.linalg.svd(matrix.entries, compute_uv=False)
+    assert sigma[-1] < 1e-9 * sigma[0]
+    state = steady_state(matrix, uniform_excitation(400))
+    assert state.total_population == 0.0
+
+
+def mpmath_eigenvalues(matrix, dps):
+    """Eigenvalues of V rebuilt from the chain's positions with dps digits."""
+    with mpmath.workdps(dps):
+        phi = [mpmath.mpf(float(p)) for p in matrix.positions]
+        n = len(phi)
+        v = mpmath.matrix(n, n)
+        for m in range(n):
+            for k in range(n):
+                rate = matrix.gamma_left if k > m else matrix.gamma_right
+                v[m, k] = -mpmath.mpf(rate) * mpmath.expj(-abs(phi[m] - phi[k]))
+            v[m, m] = -(mpmath.mpf(matrix.gamma_left) + matrix.gamma_right) / 2
+        return [complex(z) for z in mpmath.eig(v, left=False, right=False)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 11), xi=st.floats(0.0, 10.0),
+       gamma_left=st.floats(0.0, 1.0),
+       shift=st.none() | st.tuples(st.integers(1, 11), st.floats(-0.5, 0.5)))
+@example(n=3, xi=math.pi, gamma_left=1.0, shift=None)
+@example(n=5, xi=math.pi, gamma_left=0.0, shift=None)
+@example(n=5, xi=0.75 * math.pi, gamma_left=0.9, shift=(3, 0.3))
+# a mode with Re(lambda) = -8.4e-18 and Im(lambda) = -1.2e-3: undamped in
+# double precision, damped at 50 digits
+@example(n=7, xi=2.8775518150403636, gamma_left=1.0,
+         shift=(4, 0.09216393112503396))
+def test_null_space_premises_of_the_projection(n, xi, gamma_left, shift):
+    # steady_state projects orthogonally onto null(V); that is the t -> inf
+    # state only if null(V) = null(V^dag) and no nonzero eigenvalue of V is
+    # purely imaginary
+    disorder = (DisorderSpec.single_site(min(shift[0], n), shift[1])
+                if shift else None)
+    matrix = build_chain(ChainConfig(n_atoms=n, xi=xi, gamma_left=gamma_left,
+                                     gamma_right=1.0), disorder)
+    v = matrix.entries
+    norm = np.linalg.norm(v, 2)
+    for q in dynamics._null_space(v):
+        assert np.linalg.norm(v.conj().T @ q) <= 1e-12 * norm
+    eigvals = np.linalg.eigvals(v)
+    scale = max(float(np.max(np.abs(eigvals))), matrix.gamma)
+    undamped = ((np.abs(eigvals.real) <= 1e-9 * scale)
+                & (np.abs(eigvals) > 1e-9 * scale))
+    if np.any(undamped):
+        # a decay rate below 1e-9 scale may still be below double
+        # precision: settle it with 50 digits
+        precise = np.array(mpmath_eigenvalues(matrix, 50))
+        oscillating = np.abs(precise) > 1e-9 * scale
+        assert np.all(precise.real[oscillating] < -1e-40 * scale)
+
+
+def test_propagate_on_log_grid_reaches_dark_population():
     matrix = chain(3, math.pi, 1.0, 1.0)
     trajectory = propagate(matrix, uniform_excitation(3), log_grid(1e3, 60))
     assert trajectory.times[-1] == 1e3

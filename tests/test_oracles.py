@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chiralchain.errors import DomainError
-from chiralchain.oracles import (DarkModesN3, cascaded_n2, cascaded_n3,
+from oracles import (DarkModesN3, cascaded_n2, cascaded_n3,
                                  dark_modes_n3)
 
 XI_VALUES = [0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 2.37]
