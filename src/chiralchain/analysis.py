@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .chain import ChainConfig, DisorderSpec, build_chain
-from .dynamics import StateVector, Trajectory, _propagate_stack, uniform_excitation
+from .dynamics import Trajectory, _propagate_stack, uniform_excitation
 from .errors import ConfigError, FitError, NumericsError, ResolutionError
 
 __all__ = [
@@ -102,9 +102,9 @@ class EnsembleResult:
 
 
 def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
-                 *, initial: Optional[StateVector] = None,
-                 cross_check: bool = False) -> EnsembleResult:
-    """Propagate every disorder realization and reduce to mean and std.
+                 *, cross_check: bool = False) -> EnsembleResult:
+    """Propagate every disorder realization from the uniform excitation
+    and reduce to mean and std.
 
     The realizations' coupling matrices are stacked in fixed index order
     and propagated together as one batch, so a given seed yields
@@ -124,8 +124,6 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
             f"run_ensemble needs disorder mode 'ensemble', got {disorder.mode!r}")
     if disorder.n_realizations < 2:
         raise ConfigError("need at least 2 realizations")
-    if initial is None:
-        initial = uniform_excitation(config.n_atoms)
     grid = np.asarray(grid, dtype=float)
     generators = []
     skipped = 0
@@ -139,7 +137,8 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
             f"{skipped} of {disorder.n_realizations} realizations broke "
             "atomic ordering")
     mean_total, std_total, mean_intensity, std_intensity = _propagate_stack(
-        np.stack(generators), initial, grid, cross_check=cross_check)
+        np.stack(generators), uniform_excitation(config.n_atoms), grid,
+        cross_check=cross_check)
     return EnsembleResult(
         times=grid,
         mean_total=mean_total,
@@ -340,9 +339,8 @@ def _find_peaks(x: np.ndarray, min_prominence: float
     the higher of the two lowest points reached walking left and right
     until a strictly higher sample or the end of x.  Such a walk stops
     only at a higher peak or at an end, so it runs over the peaks and the
-    minima of x between neighbouring peaks: for all peaks at once, by
-    binary lifting over running maxima of the peak heights and running
-    minima of those minima over windows of 2^k peaks.
+    minima of x between neighbouring peaks: one stack pass per side finds
+    the lowest of those minima for every peak.
     """
     x = np.asarray(x, dtype=float)
     empty = np.empty(0, dtype=np.intp), np.empty(0)
@@ -358,39 +356,28 @@ def _find_peaks(x: np.ndarray, min_prominence: float
     heights = x[peaks]
     # valleys[j]: min of x from peak j - 1 (or the start) up to peak j (or the end)
     valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
-    highs = _running(heights, np.maximum)
-    lows = _running(valleys, np.minimum)
-    # [first, last]: the peaks around each one that are no higher than it
-    index = np.arange(peaks.size)
-    first, last = index, index
-    for k in range(highs.shape[0] - 1, -1, -1):
-        width = 1 << k
-        left = first - width
-        first = np.where((left >= 0) & (highs[k, np.maximum(left, 0)] <= heights),
-                         left, first)
-        last = np.where(highs[k, last + 1] <= heights, last + width, last)
-    prominences = heights - np.maximum(_range_min(lows, first, index),
-                                       _range_min(lows, index + 1, last + 1))
+    prominences = heights - np.maximum(
+        _bases(heights, valleys), _bases(heights[::-1], valleys[::-1])[::-1])
     keep = prominences >= min_prominence
     return peaks[keep], prominences[keep]
 
 
-def _running(values: np.ndarray, reduce) -> np.ndarray:
-    """table[k, i] = reduce over values[i : i + 2^k]; +inf where that passes the end."""
-    rows = [values]
-    while 2 * rows[-1].size > values.size + 1:
-        half = values.size - rows[-1].size + 1
-        rows.append(reduce(rows[-1][:-half], rows[-1][half:]))
-    table = np.full((len(rows), values.size + 1), np.inf)
-    for k, row in enumerate(rows):
-        table[k, :row.size] = row
-    return table
+def _bases(heights: np.ndarray, valleys: np.ndarray) -> np.ndarray:
+    """Lowest valley walked over from each peak leftwards, up to a strictly
+    higher peak or the start; valleys[j] lies just left of peak j.
 
-
-def _range_min(lows: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """min of values[first : last + 1] from their running-minimum table."""
-    k = np.frexp((last - first + 1).astype(float))[1] - 1
-    return np.minimum(lows[k, first], lows[k, last - np.left_shift(1, k) + 1])
+    The stack holds the peaks that no later peak has yet matched or
+    exceeded, in strictly falling height, each with the lowest valley
+    between it and the stack entry below it.
+    """
+    stack: list = []
+    bases = []
+    for height, low in zip(heights.tolist(), valleys.tolist()):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        stack.append((height, low))
+        bases.append(low)
+    return np.array(bases)
 
 
 def fit_decay_rate(trajectory: Trajectory, window: tuple) -> tuple:

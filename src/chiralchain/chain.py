@@ -2,8 +2,8 @@
 
 Atoms sit on a line at phase positions phi_m = (m - 1) * xi plus optional
 per-atom offsets, with xi = k * d the light-propagation phase across one
-nominal spacing.  All offsets (deterministic displacements, single-site
-shifts, and ensemble fluctuations) are expressed as fractions of xi.
+nominal spacing.  All offsets (single-site shifts and ensemble
+fluctuations) are expressed as fractions of xi.
 
 The single-excitation amplitudes evolve under dc/dt = V c with
 
@@ -48,15 +48,13 @@ class ChainConfig:
 
     xi >= 0; xi = 0 collapses every atom onto one point (the Dicke
     limit), which the dynamics support even though the chain is then
-    degenerate.  displacements are deterministic per-atom offsets in
-    units of xi, defaulting to zero.
+    degenerate.
     """
 
     n_atoms: int
     xi: float
     gamma_left: float
     gamma_right: float
-    displacements: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
@@ -69,14 +67,6 @@ class ChainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {g!r}")
         if self.gamma_left == 0.0 and self.gamma_right == 0.0:
             raise ConfigError("gamma_left and gamma_right cannot both vanish")
-        if self.displacements is not None:
-            d = tuple(float(x) for x in self.displacements)
-            if len(d) != self.n_atoms:
-                raise ConfigError(
-                    f"displacements needs {self.n_atoms} entries, got {len(d)}")
-            if any(not math.isfinite(x) for x in d):
-                raise ConfigError("displacements must be finite")
-            object.__setattr__(self, "displacements", d)
 
     @property
     def gamma(self) -> float:
@@ -86,9 +76,9 @@ class ChainConfig:
     def to_dict(self) -> dict:
         """The config-file keys of this chain, as parse_config_text reads them.
 
-        displacements have no config-file key and are not written.  An xi
-        typed as q * pi (every CLI run) reads back exactly; for about 13% of
-        other xi no double q has q * pi == xi, and xi / pi reads back 1 ulp off.
+        An xi typed as q * pi (every CLI run) reads back exactly; for about
+        13% of other xi no double q has q * pi == xi, and xi / pi reads back
+        1 ulp off.
         """
         return {"n_atoms": int(self.n_atoms),
                 "xi_over_pi": _over_pi(self.xi),
@@ -182,9 +172,8 @@ def build_positions(config: ChainConfig,
                     realization_index: int = 0) -> np.ndarray:
     """Phase positions phi_m = (m - 1 + offset_m) * xi for one realization.
 
-    Offsets combine the config's deterministic displacements with the
-    disorder contribution.  Raises ConfigError if any two atoms would
-    swap order (coincident positions are allowed).
+    Offsets come from the disorder.  Raises ConfigError if any two atoms
+    would swap order (coincident positions are allowed).
     """
     if disorder is None:
         disorder = DisorderSpec.none()
@@ -192,8 +181,6 @@ def build_positions(config: ChainConfig,
         raise ConfigError(f"realization_index must be >= 0, got {realization_index}")
     n = config.n_atoms
     offsets = np.zeros(n)
-    if config.displacements is not None:
-        offsets += np.asarray(config.displacements)
     if disorder.mode == "single_site":
         if disorder.site > n:
             raise ConfigError(

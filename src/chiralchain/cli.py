@@ -40,7 +40,7 @@ from .dynamics import (_write_csv, log_grid, propagate, steady_state,
                        uniform_excitation, uniform_grid, write_trajectory_csv,
                        write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
-                     NumericsError)
+                     NumericsError, ResolutionError)
 from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
 __all__ = ["main", "build_parser"]
@@ -258,13 +258,12 @@ def cmd_ensemble(args) -> int:
 
     writers = {"ensemble.csv":
                lambda fh: _write_ensemble_csv(result, fh, metadata)}
-    burst_window = (BURST_WINDOW[0] / config.gamma,
-                    BURST_WINDOW[1] / config.gamma)
-    if grid[-1] >= burst_window[1]:
-        report = detect_bursts(result).to_dict()
-    else:
-        report = {"skipped": "grid does not cover the default burst window",
-                  "window": list(burst_window)}
+    window = (BURST_WINDOW[0] / config.gamma, BURST_WINDOW[1] / config.gamma)
+    try:
+        report = detect_bursts(result, window=window).to_dict()
+    except (ConfigError, ResolutionError) as error:
+        # a grid too short or too coarse for the detector
+        report = {"skipped": str(error), "window": list(window)}
 
     def write_report(fh):
         json.dump(report, fh, indent=2, sort_keys=True)

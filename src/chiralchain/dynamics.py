@@ -1,20 +1,20 @@
 """Propagation of single-excitation amplitudes and derived observables.
 
 The equation of motion dc/dt = V c is linear with constant V, so the
-primary propagator is exact stepping with the matrix exponential.  A grid
-whose times all equal j*h to within a few ulp is one run of step h
+primary propagator is exact stepping with the matrix exponential.
+Exponentials come from this module's expm: scaling and squaring with
+diagonal Pade approximants (Al-Mohy & Higham 2009) on a whole stack of
+matrices, the degree and scaling chosen per matrix.  A grid whose times
+all equal j*h to within a few ulp is uniform, of step h
 (np.linspace rounds its steps to about 16 distinct floats;
-exp(V a) exp(V b) = exp(V (a + b)) makes the merge exact up to those
-ulp); any other grid is stepped one time at a time.  Exponentials come
-from this module's expm: scaling and squaring with diagonal Pade
-approximants (Al-Mohy & Higham 2009) on a whole stack of matrices, the
-degree and scaling chosen per matrix.  A run advances B steps at a time
-by one matmul against exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h), so
-the state passes from block to block through one exponential instead of
-B chained products and rounding does not add up over long runs.  A
-uniform grid therefore costs a single expm call (for h and B h); a log
-grid steps one time at a time and takes its distinct steps' exponentials
-up to B per call.  The same core evolves a whole stack of generators at
+exp(V a) exp(V b) = exp(V (a + b)) makes stepping by h exact up to those
+ulp).  It advances B steps at a time by one matmul against
+exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h), so the state passes from
+block to block through one exponential instead of B chained products and
+rounding does not add up over long runs; the whole grid costs a single
+expm call (for h and B h).  Any other grid, such as a log grid, advances
+one step at a time, with one exponential per step taken up to B steps
+per expm call.  The same core evolves a whole stack of generators at
 once, which is how disorder ensembles run.
 
 Every propagation can be cross-checked against an independently coded
@@ -56,16 +56,20 @@ __all__ = [
 ]
 
 _UNDERFLOW_FLOOR = 1e-300
+# first nonzero time of a log grid, in units of 1/gamma
+_LOG_T_MIN = 1e-2
 _NORM_SLACK = 1e-9
 _CHECK_SEED = 0x5EED
 # cross-check: max-norm tolerance and number of re-solved grid times
 _CHECK_TOL = 1e-8
 _CHECK_POINTS = 10
-# steps advanced per matmul inside a run of equal spacing
+# relative and absolute local error bound of each Runge-Kutta step
+_RK_TOL = 1e-12
+# steps advanced per matmul on a uniform grid
 _BLOCK = 64
 # most entries B*N^2 of one generator's powers (32 KB; see _evolve)
 _BLOCK_ENTRIES = 2048
-# a grid whose times are within this many ulp of j*h is one run of step h
+# a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
 # grid times of P_tot and I_tot staged per generator before an ensemble
 # takes their moments over the stack (see _propagate_stack)
@@ -122,17 +126,16 @@ def uniform_grid(horizon: float = 20.0, points: int = 2000) -> np.ndarray:
     return np.linspace(0.0, horizon, points)
 
 
-def log_grid(horizon: float = 1e4, points_per_decade: int = 400,
-             t_min: float = 1e-2) -> np.ndarray:
-    """t = 0 followed by log-spaced times from t_min to horizon."""
-    if not (0.0 < t_min < horizon) or not math.isfinite(horizon):
+def log_grid(horizon: float = 1e4, points_per_decade: int = 400) -> np.ndarray:
+    """t = 0 followed by log-spaced times from _LOG_T_MIN to horizon."""
+    if not _LOG_T_MIN < horizon or not math.isfinite(horizon):
         raise ConfigError(
-            f"need 0 < t_min < horizon, got t_min={t_min!r} horizon={horizon!r}")
+            f"need {_LOG_T_MIN!r} < horizon < inf, got horizon={horizon!r}")
     if points_per_decade < 1:
         raise ConfigError("points_per_decade must be >= 1")
-    decades = math.log10(horizon / t_min)
+    decades = math.log10(horizon / _LOG_T_MIN)
     count = max(2, int(round(decades * points_per_decade)) + 1)
-    times = np.logspace(math.log10(t_min), math.log10(horizon), count)
+    times = np.logspace(math.log10(_LOG_T_MIN), math.log10(horizon), count)
     times[-1] = horizon
     return np.concatenate(([0.0], times))
 
@@ -429,19 +432,11 @@ def _expm_general(x: np.ndarray, lower: np.ndarray,
     return result
 
 
-def _runs(grid: np.ndarray) -> list:
-    """Split a validated grid into runs (first index, step count, step h).
-
-    A grid whose every time equals j*h to within _RUN_ULPS ulp is one run;
-    any other grid is taken one step at a time, so a step that is
-    genuinely different is never merged.
-    """
-    count = grid.size - 1
-    h = grid[-1] / count
+def _is_uniform(grid: np.ndarray) -> bool:
+    """Whether every time of a validated grid is within _RUN_ULPS ulp of j*h."""
+    h = grid[-1] / (grid.size - 1)
     line = h * np.arange(grid.size)
-    if np.all(np.abs(grid - line) <= _RUN_ULPS * np.spacing(grid)):
-        return [(0, count, float(h))]
-    return [(k, 1, step) for k, step in enumerate(np.diff(grid).tolist())]
+    return bool(np.all(np.abs(grid - line) <= _RUN_ULPS * np.spacing(grid)))
 
 
 def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
@@ -451,18 +446,18 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     v has shape (R, N, N).  emit(k, block) receives, in grid order, the
     amplitudes at grid indices k .. k + b - 1 as an (R, b, N) array with
     b <= _BLOCK, starting with the initial state at k = 0; the block is
-    only valid during the call.  A run of steps h advances B steps per
-    matmul against exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h), so the
-    state passes from block to block through one exponential, not B
-    chained products.  The block of B steps per matmul is _BLOCK, capped
-    so that the R*B*N^2 entries of the powers never exceed the R*K*N
-    amplitudes of the trajectories, and so that one generator's powers
-    stay within _BLOCK_ENTRIES.  Blocking only saves per-call overhead,
-    and larger powers measured slower: N = 200 with B = 10 against B = 1,
-    and N = 9 or 10 with B*N^2 near 5000 under multithreaded OpenBLAS,
-    which threads complex matrix-vector products of 4096 or more entries.
-    The same cap bounds the exponentials taken per expm call, which runs
-    on the whole stack: a log grid takes its distinct steps cap at a time.
+    only valid during the call.  A uniform grid of step h advances B
+    steps per matmul against exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h),
+    so the state passes from block to block through one exponential, not
+    B chained products.  B is _BLOCK, capped so that the R*B*N^2 entries
+    of the powers never exceed the R*K*N amplitudes of the trajectories,
+    and so that one generator's powers stay within _BLOCK_ENTRIES.
+    Blocking only saves per-call overhead, and larger powers measured
+    slower: N = 200 with B = 10 against B = 1, and N = 9 or 10 with B*N^2
+    near 5000 under multithreaded OpenBLAS, which threads complex
+    matrix-vector products of 4096 or more entries.  Any other grid
+    advances one step at a time, and the same cap bounds the steps whose
+    exponentials one expm call takes on the whole stack.
     """
     n_stack, n = v.shape[:2]
     cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
@@ -471,63 +466,63 @@ def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     pending = np.empty((n_stack, slots, n), dtype=complex)
     pending[:, 0] = c0
     filled, emitted = 1, 0
-    current = pending[:, 0].copy()
-    runs = [(count, h, min(cap, count)) for _, count, h in _runs(grid)]
-    exponentials: dict[float, np.ndarray] = {}
-    for index, (count, h, width) in enumerate(runs):
-        if h not in exponentials or width * h not in exponentials:
-            exponentials = _exponentials(v, _scales(runs[index:], cap))
-        step = exponentials[h]
+    current = pending[:, 0, :, None].copy()
+
+    def advance(stacked: np.ndarray, size: int) -> int:
+        """Keep up to size of the states stacked @ current; returns how many.
+
+        Fewer are kept where the pending block fills up, and the next
+        product starts from the last state kept.
+        """
+        nonlocal filled, emitted, current
+        if filled == slots:
+            emit(emitted, pending)
+            emitted += slots
+            filled = 0
+        size = min(size, slots - filled)
+        block = (stacked @ current).reshape(n_stack, -1, n)
+        pending[:, filled:filled + size] = block[:, :size]
+        current = block[:, size - 1, :, None]
+        filled += size
+        return size
+
+    count = grid.size - 1
+    if _is_uniform(grid):
+        h = grid[-1] / count
+        width = min(cap, count)
+        ends = _exponentials(v, [h] if width == 1 else [h, width * h])
         # powers[:, j] = exp(V h (j+1)), so that rows (j, site) of the
         # flattened stack map a state to the next B states in one matmul
         powers = np.empty((n_stack, width, n, n), dtype=complex)
-        powers[:, 0] = step
+        powers[:, 0] = ends[:, 0]
         for j in range(1, width - 1):
-            np.matmul(powers[:, j - 1], step, out=powers[:, j])
-        powers[:, width - 1] = exponentials[width * h]
+            np.matmul(powers[:, j - 1], ends[:, 0], out=powers[:, j])
+        powers[:, width - 1] = ends[:, -1]
         stacked = powers.reshape(n_stack, width * n, n)
-        product = np.empty((n_stack, width * n, 1), dtype=complex)
-        block = product.reshape(n_stack, width, n)
         done = 0
         while done < count:
-            if filled == slots:
-                emit(emitted, pending)
-                emitted += slots
-                filled = 0
-            size = min(width, count - done, slots - filled)
-            np.matmul(stacked, current[:, :, None], out=product)
-            pending[:, filled:filled + size] = block[:, :size]
-            current = block[:, size - 1].copy()
-            filled += size
-            done += size
+            done += advance(stacked, min(width, count - done))
+    else:
+        steps = np.diff(grid)
+        for first in range(0, count, cap):
+            exponentials = _exponentials(v, steps[first:first + cap])
+            for j in range(exponentials.shape[1]):
+                advance(exponentials[:, j], 1)
     emit(emitted, pending[:, :filled])
 
 
-def _scales(runs: list, cap: int) -> list:
-    """The first cap distinct scales h and B*h that runs (count, h, B) need."""
-    scales: dict[float, None] = {}
-    for _, h, width in runs:
-        for scale in (h, width * h):
-            if scale not in scales:
-                if len(scales) == cap:
-                    return list(scales)
-                scales[scale] = None
-    return list(scales)
-
-
-def _exponentials(v: np.ndarray, scales: list) -> dict:
-    """{scale: exp(V * scale)} for every generator of v, from one expm call."""
+def _exponentials(v: np.ndarray, scales) -> np.ndarray:
+    """exp(V * scale) for every generator and scale as (R, S, N, N), in one expm call."""
     n_stack, n = v.shape[:2]
-    stack = v[:, None] * np.array(scales)[:, None, None]
-    result = expm(stack.reshape(-1, n, n)).reshape(n_stack, len(scales), n, n)
-    return {scale: result[:, j] for j, scale in enumerate(scales)}
+    stack = v[:, None] * np.asarray(scales)[:, None, None]
+    return expm(stack.reshape(-1, n, n)).reshape(n_stack, -1, n, n)
 
 
-def _check_points(size: int, max_points: int) -> np.ndarray:
+def _check_points(size: int) -> np.ndarray:
     """Sorted grid indices re-solved by the cross-check; the last is always in."""
     rng = np.random.default_rng(_CHECK_SEED)
-    picks = np.sort(rng.choice(np.arange(1, size), size=min(max_points, size - 1),
-                               replace=False))
+    picks = np.sort(rng.choice(np.arange(1, size),
+                               size=min(_CHECK_POINTS, size - 1), replace=False))
     picks[-1] = size - 1
     return picks
 
@@ -580,7 +575,7 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
 
     _evolve(v, initial.amplitudes, grid, keep)
     if cross_check:
-        picks = _check_points(grid.size, _CHECK_POINTS)
+        picks = _check_points(grid.size)
         _cross_check(v, initial.amplitudes, grid[picks], states[None, picks])
     return Trajectory(times=grid, amplitudes=states, populations=populations,
                       total=total, intensity=intensity_arr,
@@ -622,7 +617,7 @@ def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
     staging = np.empty((2, n_stack * min(grid.size, _MOMENT_WIDTH + 1)))
     # [observable][mean, std] over the grid, observables P_tot and I_tot
     moments = np.empty((2, 2, grid.size))
-    picks = (_check_points(grid.size, _CHECK_POINTS) if cross_check
+    picks = (_check_points(grid.size) if cross_check
              else np.empty(0, dtype=int))
     checked = np.empty((n_stack, picks.size, v.shape[-1]), dtype=complex)
     chunk, start = 0, 0
@@ -671,8 +666,7 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray,
-          rtol: float = 1e-12, atol: float = 1e-12) -> np.ndarray:
+def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray) -> np.ndarray:
     """Integrate dc/dt = V c from t = 0, recording at the given times."""
     out = np.empty((record_times.size, c0.size), dtype=complex)
     t = 0.0
@@ -698,7 +692,7 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray,
             err_vec = h_step * (_DP_ERR[0] * k1 + _DP_ERR[2] * k3
                                 + _DP_ERR[3] * k4 + _DP_ERR[4] * k5
                                 + _DP_ERR[5] * k6 + _DP_ERR[6] * k7)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            scale = _RK_TOL + _RK_TOL * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.max(np.abs(err_vec) / scale))
             if err <= 1.0:
                 t = t_target if clipped else t + h_step

@@ -191,7 +191,7 @@ def test_cross_check_spans_chunks(monkeypatch):
     config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.01, 4, 5)
     grid = uniform_grid(5.0, 2 * dynamics._MOMENT_WIDTH + 1)
-    picks = dynamics._check_points(grid.size, dynamics._CHECK_POINTS)
+    picks = dynamics._check_points(grid.size)
     assert np.unique(picks // dynamics._MOMENT_WIDTH).size > 1
     honest = dynamics._dp54
     checked = []
@@ -384,11 +384,17 @@ def test_find_peaks_matches_scipy_on_random_signals():
         else:
             x = rng.integers(0, 4, size).astype(float)
         assert_peaks_match_scipy(x, float(rng.choice([1e-12, 0.3, 1.0, 2.5])))
-    # flat ends, a flat top at each end and a signal of 12 500 peaks
+    # flat ends, a flat top at each end, signals of 12 500 rising and
+    # falling peaks, and runs of equal-height peaks
     assert_peaks_match_scipy(np.array([2.0, 2.0, 1.0, 3.0, 3.0]), 0.5)
     assert_peaks_match_scipy(np.array([1.0, 2.0, 2.0, 2.0, 1.0, 1.0]), 0.5)
-    assert_peaks_match_scipy(np.tile([0.0, 1.0], 12500) + 1e-6 * np.arange(25000),
-                             1e-9)
+    for slope in (1e-6, -1e-6):
+        assert_peaks_match_scipy(
+            np.tile([0.0, 1.0], 12500) + slope * np.arange(25000), 1e-9)
+    equal = np.tile([0.0, 1.0, 0.5, 1.0, 0.2, 1.0, 0.0, 2.0, 1.0, 2.0], 500)
+    for signal in (equal, equal[::-1], np.tile([0.0, 1.0], 500)):
+        for min_prominence in (1e-9, 0.6, 1.5):
+            assert_peaks_match_scipy(signal, min_prominence)
 
 
 def test_find_peaks_matches_scipy_on_chain_intensities():

@@ -20,9 +20,6 @@ def test_chain_config_validation():
         ChainConfig(n_atoms=2, xi=1.0, gamma_left=-1.0, gamma_right=1.0)
     with pytest.raises(ConfigError):
         ChainConfig(n_atoms=2, xi=1.0, gamma_left=0.0, gamma_right=0.0)
-    with pytest.raises(ConfigError):
-        ChainConfig(n_atoms=3, xi=1.0, gamma_left=1.0, gamma_right=1.0,
-                    displacements=(0.0, 0.1))
 
 
 def test_gamma_is_the_larger_rate():

@@ -240,6 +240,21 @@ def test_ensemble_small_run_skips_burst_report(tmp_path):
     assert manifest["parameters"]["disorder"]["n_realizations"] == 2
 
 
+def test_ensemble_coarse_grid_skips_burst_report(tmp_path):
+    # the grid covers the burst window with 1 point per unit gamma*t, not 20
+    code = main(["ensemble", "--n", "3", "--xi-over-pi", "1",
+                 "--gamma-l", "0.9", "--gamma-r", "1",
+                 "--fluct", "0.01", "--realizations", "2", "--seed", "5",
+                 "--horizon", "1000", "--points", "1001",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    _, data = read_csv_columns((tmp_path / "ensemble.csv").read_text())
+    assert data.shape == (1001, 5)
+    bursts = json.loads((tmp_path / "bursts.json").read_text())
+    assert "points per unit gamma*t" in bursts["skipped"]
+    assert bursts["window"] == [0.5, 1000.0]
+
+
 def test_outdir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("CHIRALCHAIN_OUTDIR", str(tmp_path))
     code = main(["simulate", "--n", "2", "--xi-over-pi", "0",

@@ -15,7 +15,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm, null_space
 
 from chiralchain import dynamics
-from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
+from chiralchain.chain import (ChainConfig, DisorderSpec, build_chain,
+                               build_coupling_matrix)
 from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   steady_state, uniform_excitation,
                                   uniform_grid, write_trajectory_csv,
@@ -41,13 +42,13 @@ def test_uniform_grid_and_validation():
 
 
 def test_log_grid_shape():
-    grid = log_grid(horizon=1e4, points_per_decade=100, t_min=1e-2)
+    grid = log_grid(horizon=1e4, points_per_decade=100)
     assert grid[0] == 0.0
     assert grid[1] == pytest.approx(1e-2)
     assert grid[-1] == 1e4
     assert np.all(np.diff(grid) > 0.0)
     with pytest.raises(ConfigError):
-        log_grid(horizon=1e-3, points_per_decade=100, t_min=1e-2)
+        log_grid(horizon=1e-3, points_per_decade=100)
 
 
 def test_state_vector_invariants():
@@ -193,10 +194,9 @@ def test_steady_state_cascaded_chain_is_exactly_empty():
 
 
 def test_steady_state_is_the_orthogonal_projection_onto_null_space():
-    # half-spacing displacements make V complex and its null space too
-    matrix = build_chain(ChainConfig(n_atoms=4, xi=math.pi, gamma_left=1.0,
-                                     gamma_right=1.0,
-                                     displacements=(0.0, 0.0, 0.5, 0.5)))
+    # half-spacing offsets make V complex and its null space too
+    matrix = build_coupling_matrix(np.array([0.0, 1.0, 2.5, 3.5]) * math.pi,
+                                   1.0, 1.0)
     null = null_space(matrix.entries)
     assert null.shape[1] == 2
     c0 = np.array([0.1 + 0.5j, -0.3j, 0.4, 0.2 - 0.6j])
@@ -379,12 +379,44 @@ def test_core_never_merges_a_moved_time():
     v = generator_stack()
     c0 = uniform_excitation(4).amplitudes
     grid = uniform_grid(20.0, 2001)
-    assert [count for _, count, _ in dynamics._runs(grid)] == [2000]
+    assert dynamics._is_uniform(grid)
+    assert not dynamics._is_uniform(log_grid(horizon=100.0, points_per_decade=40))
     grid[700] += 1e-6
-    assert all(not (first < 700 < first + count)
-               for first, count, _ in dynamics._runs(grid))
+    assert not dynamics._is_uniform(grid)
     got = core_amplitudes(v, c0, grid)
     assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8),
+       chains=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0)),
+                       min_size=2, max_size=4),
+       log=st.booleans(), horizon=st.floats(0.5, 20.0),
+       points=st.integers(2, 2001))
+@example(n=5, chains=[(math.pi, 0.9), (0.75 * math.pi, 0.9)], log=True,
+         horizon=20.0, points=2001)
+def test_stacked_generators_propagate_as_alone(n, chains, log, horizon,
+                                               points):
+    # the log grid runs to horizon**3 (up to 8000) with up to 41 points
+    # per decade; the uniform grid to horizon
+    grid = (log_grid(horizon ** 3, 1 + points // 50) if log
+            else uniform_grid(horizon, points))
+    matrices = [chain(n, xi, gamma_left, 1.0) for xi, gamma_left in chains]
+    c0 = uniform_excitation(n)
+    stacked = core_amplitudes(np.stack([m.entries for m in matrices]),
+                              c0.amplitudes, grid)
+    steps = np.diff(grid)
+    for matrix, row in zip(matrices, stacked):
+        trajectory = propagate(matrix, c0, grid, cross_check=False)
+        assert np.array_equal(trajectory.amplitudes, row)
+        total, intensity = trajectory.total, trajectory.intensity
+        assert np.all(np.diff(total) <= 1e-12)
+        # I_tot = -dP_tot/dt: the trapezoid rule over each step, whose
+        # error |I''| h^3 / 12 is at most (2 ||V||_2)^3 h^3 / 12
+        lost = total[:-1] - total[1:]
+        trapezoid = steps * (intensity[:-1] + intensity[1:]) / 2.0
+        bound = (2.0 * np.linalg.norm(matrix.entries, 2) * steps) ** 3 / 12.0
+        assert np.all(np.abs(lost - trapezoid) <= bound + 1e-12)
 
 
 def test_uniform_grid_costs_one_expm(monkeypatch):
