@@ -10,8 +10,8 @@ a ``manifest.json`` recording the resolved parameters that the run
 reads, the detector defaults (except for kernel tables), and the sha256
 of each output, so any result can be reproduced bitwise from its
 manifest.  Each file is hashed as it streams to disk.  Data files never
-embed timestamps.  With ``--stdout`` the same writers send the data to
-standard output and nothing is written.
+embed timestamps.  With ``--stdout`` the writer of the primary data
+file streams it to standard output and nothing is written.
 
 Exit codes: 0 on success, 2 for configuration and domain errors, 3 for
 IntegrityError (the matrix-exponential and Runge-Kutta backends disagree)
@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -76,7 +76,8 @@ def _detector_defaults(gamma: float) -> dict:
 class _DigestWriter:
     """Text stream that writes UTF-8 into a binary file and hashes it.
 
-    tell() is the number of bytes written so far.
+    tell() is the number of bytes written so far; bench/tracing.py reads
+    it around each trajectory writer.
     """
 
     def __init__(self, fh):
@@ -96,13 +97,19 @@ class _DigestWriter:
 
 
 def _write_run(outdir: str, command: str, parameters: dict,
-               gamma: Optional[float], writers: dict, started: float) -> None:
+               gamma: Optional[float], writers: dict, started: float,
+               stdout: bool = False) -> None:
     """Write each output file plus a manifest with hashes and duration.
 
     Each writer streams into its file through a _DigestWriter, so no
     output is held whole in memory.  The manifest records the detector
-    defaults for gamma, or none when gamma is None.
+    defaults for gamma, or none when gamma is None.  With stdout set,
+    only the first writer runs, into standard output, and no file is
+    written.
     """
+    if stdout:
+        next(iter(writers.values()))(sys.stdout)
+        return
     os.makedirs(outdir, exist_ok=True)
     outputs = []
     for name, writer in writers.items():
@@ -215,10 +222,6 @@ def cmd_simulate(args) -> int:
                            uniform_excitation(config.n_atoms), grid,
                            cross_check=not args.no_cross_check)
     metadata = _data_metadata(config, disorder, grid_record)
-
-    if args.stdout:
-        write_trajectory_csv(trajectory, sys.stdout, metadata)
-        return 0
     writers = {"trajectory.csv":
                lambda fh: write_trajectory_csv(trajectory, fh, metadata)}
     if args.json:
@@ -227,7 +230,7 @@ def cmd_simulate(args) -> int:
     parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
                   "grid": grid_record, "cross_check": not args.no_cross_check}
     _write_run(_resolve_outdir(args.outdir), "simulate", parameters,
-               config.gamma, writers, started)
+               config.gamma, writers, started, args.stdout)
     return 0
 
 
@@ -236,10 +239,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
-    comments = list(metadata.items())
-    if result.n_skipped:
-        comments.append(("n_skipped", result.n_skipped))
-    _write_csv(stream, comments,
+    _write_csv(stream, list(metadata.items()),
                ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"],
                [result.times, result.mean_total, result.std_total,
                 result.mean_intensity, result.std_intensity])
@@ -252,28 +252,24 @@ def cmd_ensemble(args) -> int:
     result = run_ensemble(config, disorder, grid)
     metadata = _data_metadata(config, disorder, grid_record)
 
-    if args.stdout:
-        _write_ensemble_csv(result, sys.stdout, metadata)
-        return 0
-
-    writers = {"ensemble.csv":
-               lambda fh: _write_ensemble_csv(result, fh, metadata)}
-    window = (BURST_WINDOW[0] / config.gamma, BURST_WINDOW[1] / config.gamma)
-    try:
-        report = detect_bursts(result, window=window).to_dict()
-    except (ConfigError, ResolutionError) as error:
-        # a grid too short or too coarse for the detector
-        report = {"skipped": str(error), "window": list(window)}
-
     def write_report(fh):
+        window = (BURST_WINDOW[0] / config.gamma,
+                  BURST_WINDOW[1] / config.gamma)
+        try:
+            report = detect_bursts(result, window=window).to_dict()
+        except (ConfigError, ResolutionError) as error:
+            # a grid too short or too coarse for the detector
+            report = {"skipped": str(error), "window": list(window)}
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    writers["bursts.json"] = write_report
+    writers = {"ensemble.csv":
+               lambda fh: _write_ensemble_csv(result, fh, metadata),
+               "bursts.json": write_report}
     parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
                   "grid": grid_record}
     _write_run(_resolve_outdir(args.outdir), "ensemble", parameters,
-               config.gamma, writers, started)
+               config.gamma, writers, started, args.stdout)
     return 0
 
 
@@ -288,11 +284,14 @@ def _parse_xi_range(spec: str) -> np.ndarray:
             if len(parts) != 3:
                 raise ValueError
             start, step, stop = parts
-            if step <= 0.0 or stop < start:
+            if not (step > 0.0 and start <= stop):
+                raise ValueError
+            steps = (stop - start) / step
+            if not all(map(math.isfinite, (start, step, stop, steps))):
                 raise ValueError
             # every value up to stop; the slack keeps a stop that lies on
             # the grid but reads a rounding error short of it
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            count = int(math.floor(steps + 1e-9)) + 1
             return start + step * np.arange(count)
         if "," in spec:
             return np.array([float(p) for p in spec.split(",")])
@@ -303,37 +302,30 @@ def _parse_xi_range(spec: str) -> np.ndarray:
             "or a single value") from exc
 
 
-def _kernel_columns(dim: str, xi_values: np.ndarray, alignment: float,
-                 gamma_l: float, gamma_r: float):
-    """Header and columns of one kernel table, from one call of its kernel."""
-    if dim == "1":
+def _kernel_table(args, xi_values: np.ndarray) -> tuple:
+    """The parameters --dim reads, and the header and columns of its table,
+    from one call of its kernel."""
+    if args.dim == "1":
         decay, shift = kernel_1d_reciprocal(xi_values)
-        return ["xi", "decay", "shift"], [xi_values, decay, shift]
-    if dim == "1chiral":
-        f, g = chiral_fg(xi_values, gamma_l, gamma_r)
+        return {}, ["xi", "decay", "shift"], [xi_values, decay, shift]
+    if args.dim == "1chiral":
+        f, g = chiral_fg(xi_values, args.gamma_l, args.gamma_r)
         # F_re and G_re repeat decay and shift: the same arrays, formatted once
         decay, shift = f.real, g.real
-        return (["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
+        return ({"gamma_left": args.gamma_l, "gamma_right": args.gamma_r},
+                ["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
                 [xi_values, decay, shift, decay, f.imag, shift, g.imag])
-    if dim in ("2", "3"):
-        kernel = kernel_2d if dim == "2" else kernel_3d
-        decay, shift, divergent = kernel(xi_values, alignment)
-        return (["xi", "decay", "shift", "shift_divergent"],
-                [xi_values, decay, shift, divergent.astype(int)])
-    raise ConfigError(f"unknown kernel dimension {dim!r}")
+    kernel = kernel_2d if args.dim == "2" else kernel_3d
+    decay, shift, divergent = kernel(xi_values, args.alignment)
+    return ({"alignment": args.alignment},
+            ["xi", "decay", "shift", "shift_divergent"],
+            [xi_values, decay, shift, divergent.astype(int)])
 
 
 def cmd_kernel(args) -> int:
     started = time.monotonic()
-    xi_values = _parse_xi_range(args.xi)
-    header, columns = _kernel_columns(args.dim, xi_values, args.alignment,
-                                   args.gamma_l, args.gamma_r)
+    read, header, columns = _kernel_table(args, _parse_xi_range(args.xi))
     # the table and the manifest record only what this dimension reads
-    read = {}
-    if args.dim in ("2", "3"):
-        read = {"alignment": args.alignment}
-    elif args.dim == "1chiral":
-        read = {"gamma_left": args.gamma_l, "gamma_right": args.gamma_r}
     metadata = {"dimension": args.dim,
                 **{key: _repr_float(value) for key, value in read.items()}}
     parameters = {"dimension": args.dim, "xi": args.xi, **read}
@@ -341,11 +333,8 @@ def cmd_kernel(args) -> int:
     def write_table(fh):
         _write_csv(fh, list(metadata.items()), header, columns)
 
-    if args.stdout:
-        write_table(sys.stdout)
-        return 0
     _write_run(_resolve_outdir(args.outdir), "kernel", parameters, None,
-               {"kernel.csv": write_table}, started)
+               {"kernel.csv": write_table}, started, args.stdout)
     return 0
 
 
@@ -354,15 +343,15 @@ def cmd_kernel(args) -> int:
 # ---------------------------------------------------------------------------
 
 GAMMA_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
 
-def _traj_writer(n: int, xi_over_pi: float, gl: float, gr: float, grid,
-                 disorder: DisorderSpec = DisorderSpec.none()) -> Callable:
-    """Writer that builds the chain, propagates and writes one curve.
+def _traj_curve(n: int, xi_over_pi: float, gl: float, gr: float, grid,
+                disorder: DisorderSpec = DisorderSpec.none()) -> tuple:
+    """One curve of a figure: its writer and the gnuplot column of P_tot.
 
-    The trajectory exists only while its file is written, so a figure
-    holds one trajectory at a time.
+    The writer builds the chain, propagates and writes the curve.  The
+    trajectory exists only while its file is written, so a figure holds
+    one trajectory at a time.  I_tot is the column after P_tot.
     """
     config = ChainConfig(n_atoms=n, xi=xi_over_pi * math.pi,
                          gamma_left=gl, gamma_right=gr)
@@ -372,29 +361,29 @@ def _traj_writer(n: int, xi_over_pi: float, gl: float, gr: float, grid,
                                uniform_excitation(n), grid, cross_check=False)
         write_trajectory_csv(trajectory, fh, _data_metadata(config, disorder))
 
-    return write
+    return write, n + 2
 
 
 def _figure_fig2() -> dict:
     grid = uniform_grid(20.0, 4001)
-    writers = {}
+    curves = {}
     for n in (2, 3):
         for tag, xi_over_pi in (("xi0", 0.0), ("xipi", 1.0)):
-            writers[f"fig2_N{n}_{tag}.csv"] = _traj_writer(
+            curves[f"fig2_N{n}_{tag}.csv"] = _traj_curve(
                 n, xi_over_pi, 0.0, 1.0, grid)
-    return writers
+    return curves
 
 
 def _figure_fig3() -> dict:
-    writers = {}
+    curves = {}
     grid_a = uniform_grid(20.0, 4001)
     grid_b = uniform_grid(100.0, 2501)
     for n in (2, 3):
         for gl in GAMMA_SWEEP:
             tag = f"gl{gl:.1f}"
-            writers[f"fig3a_N{n}_{tag}.csv"] = _traj_writer(
+            curves[f"fig3a_N{n}_{tag}.csv"] = _traj_curve(
                 n, 0.0, gl, 1.0, grid_a)
-            writers[f"fig3b_N{n}_{tag}.csv"] = _traj_writer(
+            curves[f"fig3b_N{n}_{tag}.csv"] = _traj_curve(
                 n, 1.0, gl, 1.0, grid_b)
 
     def write_c(fh):
@@ -409,43 +398,46 @@ def _figure_fig3() -> dict:
                         ("gamma_right", 1.0)],
                    ["N", "P1_inf"], [sizes, np.array(p1_inf)])
 
-    writers["fig3c.csv"] = write_c
-    return writers
+    # a table over N, not a curve over time: the script leaves it out
+    curves["fig3c.csv"] = (write_c, None)
+    return curves
 
 
 def _figure_fig4() -> dict:
-    writers = {}
+    curves = {}
     grid_a = uniform_grid(40.0, 2001)
     grid_b = uniform_grid(1500.0, 37501)
     for n in (2, 3, 4, 5, 6, 7, 10, 11):
-        writers[f"fig4a_N{n}.csv"] = _traj_writer(n, 1.0, 0.0, 1.0, grid_a)
-        writers[f"fig4b_N{n}.csv"] = _traj_writer(n, 1.0, 0.9, 1.0, grid_b)
-    return writers
+        curves[f"fig4a_N{n}.csv"] = _traj_curve(n, 1.0, 0.0, 1.0, grid_a)
+        curves[f"fig4b_N{n}.csv"] = _traj_curve(n, 1.0, 0.9, 1.0, grid_b)
+    return curves
 
 
 def _figure_fig5() -> dict:
-    writers = {}
+    curves = {}
     grid = uniform_grid(1000.0, 25001)
     for n in (4, 5):
-        writers[f"fig5a_N{n}.csv"] = _traj_writer(n, 1.0, 0.9, 1.0, grid)
+        write, total = _traj_curve(n, 1.0, 0.9, 1.0, grid)
+        curves[f"fig5a_N{n}.csv"] = (write, total + 1)  # I_tot
     config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9,
                          gamma_right=1.0)
     for tag, width in (("0.5pct", 0.005), ("1pct", 0.010)):
         disorder = DisorderSpec.ensemble(width, 200, DEFAULT_SEED)
-        writers[f"fig5b_fluct{tag}.csv"] = (
+        curves[f"fig5b_fluct{tag}.csv"] = (
             lambda fh, d=disorder: _write_ensemble_csv(
-                run_ensemble(config, d, grid), fh, _data_metadata(config, d)))
-    return writers
+                run_ensemble(config, d, grid), fh, _data_metadata(config, d)),
+            4)  # mean_I_tot
+    return curves
 
 
 def _figure_fig6() -> dict:
     grid = uniform_grid(1500.0, 37501)
     return {
-        "fig6a_N5_shift3.csv": _traj_writer(
+        "fig6a_N5_shift3.csv": _traj_curve(
             5, 1.0, 0.9, 1.0, grid, DisorderSpec.single_site(3, 0.05)),
-        "fig6b_N5_shift2.csv": _traj_writer(
+        "fig6b_N5_shift2.csv": _traj_curve(
             5, 1.0, 0.9, 1.0, grid, DisorderSpec.single_site(2, 0.05)),
-        "fig6c_N4_shift1.csv": _traj_writer(
+        "fig6c_N4_shift1.csv": _traj_curve(
             4, 1.0, 0.9, 1.0, grid, DisorderSpec.single_site(1, 0.05)),
     }
 
@@ -453,11 +445,12 @@ def _figure_fig6() -> dict:
 def _figure_fig7() -> dict:
     grid = log_grid(horizon=1e4, points_per_decade=400)
     return {
-        "fig7_N5_shift3_30pct.csv": _traj_writer(
+        "fig7_N5_shift3_30pct.csv": _traj_curve(
             5, 0.75, 0.9, 1.0, grid, DisorderSpec.single_site(3, 0.30)),
     }
 
 
+# figure name -> builder of {file name: (writer, gnuplot column or None)}
 _FIGURE_BUILDERS = {
     "fig2": _figure_fig2,
     "fig3": _figure_fig3,
@@ -470,16 +463,8 @@ _FIGURE_BUILDERS = {
 _FIGURE_LOG_Y = {"fig4", "fig5", "fig6", "fig7"}
 
 
-def _total_column(filename: str) -> Optional[int]:
-    """1-based CSV column of P_tot, deduced from the N in the filename."""
-    import re
-    match = re.search(r"_N(\d+)", filename)
-    if match is None:
-        return None
-    return int(match.group(1)) + 2
-
-
-def _gnuplot_script(name: str, filenames: list) -> str:
+def _gnuplot_script(name: str, columns: dict) -> str:
+    """The script plotting each file's column; a None column is left out."""
     lines = [
         f"# gnuplot script for {name}; run: gnuplot {name}.gp",
         'set datafile separator ","',
@@ -494,20 +479,12 @@ def _gnuplot_script(name: str, filenames: list) -> str:
     else:
         lines.append('set ylabel "P_tot"')
     plot_parts = []
-    for fn in sorted(filenames):
-        if fn == "fig3c.csv":
+    for fn in sorted(columns):
+        if columns[fn] is None:
             continue
-        if fn.startswith("fig5b"):
-            use = "1:4"
-        else:
-            col = _total_column(fn)
-            if col is None:
-                continue
-            if fn.startswith("fig5a"):
-                col += 1
-            use = f"1:{col}"
         title = fn[:-4].replace("_", " ")
-        plot_parts.append(f"'{fn}' using {use} with lines title '{title}'")
+        plot_parts.append(
+            f"'{fn}' using 1:{columns[fn]} with lines title '{title}'")
     if name == "fig3":
         lines.append("# fig3c.csv (N,P1_inf) suits a separate point plot:")
         lines.append("#   plot 'fig3c.csv' using 1:2 with points")
@@ -523,14 +500,11 @@ def _gnuplot_script(name: str, filenames: list) -> str:
 def cmd_figure(args) -> int:
     started = time.monotonic()
     name = args.name
-    builder = _FIGURE_BUILDERS.get(name)
-    if builder is None:
-        raise ConfigError(
-            f"unknown figure {name!r}; choose from {', '.join(FIGURE_NAMES)}")
-    writers = builder()
-    filenames = list(writers.keys())
-    script = _gnuplot_script(name, filenames)
-    writers[f"{name}.gp"] = lambda fh, s=script: fh.write(s)
+    curves = _FIGURE_BUILDERS[name]()
+    writers = {fn: write for fn, (write, _) in curves.items()}
+    script = _gnuplot_script(
+        name, {fn: column for fn, (_, column) in curves.items()})
+    writers[f"{name}.gp"] = lambda fh: fh.write(script)
     outdir = os.path.join(_resolve_outdir(args.outdir), name)
     parameters = {"figure": name}
     _write_run(outdir, "figure", parameters, 1.0, writers, started)
@@ -587,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     fig = sub.add_parser("figure", help="emit every curve of a named figure")
-    fig.add_argument("name", choices=FIGURE_NAMES)
+    fig.add_argument("name", choices=tuple(_FIGURE_BUILDERS))
     fig.add_argument("--outdir", help=f"parent directory "
                      f"(default: ${OUTDIR_ENV} or '.')")
     fig.set_defaults(func=cmd_figure)

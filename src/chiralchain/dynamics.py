@@ -190,7 +190,7 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
     if g.ndim != 1 or g.size < 2:
         raise ConfigError("grid must be a 1D array with at least 2 points")
     if g[0] != 0.0:
-        raise ConfigError(f"grid must start at 0, got {g[0]!r}")
+        raise ConfigError(f"grid must start at 0, got {float(g[0])!r}")
     if np.any(np.diff(g) <= 0.0):
         raise ConfigError("grid must be strictly increasing")
     if not np.all(np.isfinite(g)):

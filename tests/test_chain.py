@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chiralchain.chain import (ChainConfig, DisorderSpec, build_chain,
                                build_coupling_matrix, build_positions,
@@ -84,6 +86,20 @@ def test_ensemble_positions_reproducible():
         build_positions(config, disorder, realization_index=20)
     with pytest.raises(ConfigError):
         build_positions(config, disorder, realization_index=-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 400), xi=st.floats(0.0, 1e3),
+       width=st.floats(0.0, math.nextafter(0.5, 0.0)),
+       seed=st.integers(0, 2 ** 32 - 1), index=st.integers(0, 9))
+@example(n=400, xi=1e3, width=math.nextafter(0.5, 0.0), seed=0, index=0)
+def test_ensemble_draws_never_reorder_the_chain(n, xi, width, seed, index):
+    # w < 0.5 keeps neighbouring offsets less than 1 apart, so the
+    # gap (1 + u_2 - u_1) * xi of any draw is never negative
+    config = ChainConfig(n_atoms=n, xi=xi, gamma_left=1.0, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(width, 10, seed)
+    positions = build_positions(config, disorder, index)
+    assert positions.shape == (n,)
 
 
 def test_ensemble_zero_width_is_clean_lattice():

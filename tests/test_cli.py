@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -236,6 +237,7 @@ def test_ensemble_small_run_skips_burst_report(tmp_path):
     assert data.shape == (201, 5)
     bursts = json.loads((tmp_path / "bursts.json").read_text())
     assert "skipped" in bursts
+    assert "np." not in bursts["skipped"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["parameters"]["disorder"]["n_realizations"] == 2
 
@@ -530,7 +532,7 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
     monkeypatch.setattr(cli, "run_ensemble", lambda config, disorder, grid:
                         full(config, disorder, grid[:11]))
     stream = io.StringIO()
-    cli._figure_fig5()["fig5b_fluct1pct.csv"](stream)
+    cli._figure_fig5()["fig5b_fluct1pct.csv"][0](stream)
     assert comment_lines(stream.getvalue()) == [
         "# n_atoms = 5",
         "# xi_over_pi = 1.0",
@@ -547,7 +549,7 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
 def test_fig3c_table():
     from chiralchain import cli
     stream = io.StringIO()
-    cli._figure_fig3()["fig3c.csv"](stream)
+    cli._figure_fig3()["fig3c.csv"][0](stream)
     lines = ["# xi_over_pi = 1.0", "# gamma_left = 1.0", "# gamma_right = 1.0",
              "N,P1_inf"]
     for n in range(2, 14):
@@ -556,3 +558,65 @@ def test_fig3c_table():
         state = steady_state(build_chain(config), uniform_excitation(n))
         lines.append(f"{n},{float(state.populations[0])!r}")
     assert stream.getvalue() == "\n".join(lines) + "\n"
+
+
+def test_figure_scripts_plot_the_named_columns(tmp_path, monkeypatch):
+    """Every `using 1:k` of a figure's script names P_tot in its file, or
+    the intensity the fig5 curves plot, and every curve is plotted."""
+    from chiralchain import cli
+    short_uniform, short_log = cli.uniform_grid, cli.log_grid
+    monkeypatch.setattr(cli, "uniform_grid",
+                        lambda horizon, points: short_uniform(horizon, 11))
+    monkeypatch.setattr(cli, "log_grid", lambda horizon, points_per_decade:
+                        short_log(horizon, points_per_decade=2))
+    expected = {"fig5a": "I_tot", "fig5b": "mean_I_tot"}
+    for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
+        assert main(["figure", name, "--outdir", str(tmp_path)]) == 0
+        outdir = tmp_path / name
+        script = (outdir / f"{name}.gp").read_text()
+        plotted = re.findall(r"'([^']+\.csv)' using 1:(\d+) with lines", script)
+        assert plotted
+        for filename, column in plotted:
+            header, _ = read_csv_columns((outdir / filename).read_text())
+            assert header[int(column) - 1] == expected.get(filename[:5], "P_tot")
+        curves = {p.name for p in outdir.glob("*.csv")} - {"fig3c.csv"}
+        assert {filename for filename, _ in plotted} == curves
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "3", "--horizon", "2", "--points", "21", "--json"],
+    ["ensemble", "--n", "3", "--realizations", "2", "--horizon", "2",
+     "--points", "21"],
+    ["kernel", "--dim", "2", "--xi", "0.5,1.0"],
+], ids=["simulate", "ensemble", "kernel"])
+def test_stdout_writes_the_primary_table_and_no_file(argv, tmp_path,
+                                                     monkeypatch, capsys):
+    from chiralchain import cli
+
+    def no_detector(*args, **kwargs):
+        raise AssertionError("--stdout ran the burst detector")
+
+    monkeypatch.setattr(cli, "detect_bursts", no_detector)
+    outdir = tmp_path / "out"
+    assert main(argv + ["--stdout", "--outdir", str(outdir)]) == 0
+    header, _ = read_csv_columns(capsys.readouterr().out)
+    assert header[0] in ("t", "xi")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--dim", "1", "--xi", "0:1:inf", "--stdout"],
+    ["kernel", "--dim", "1", "--xi", "0:1e-320:1", "--stdout"],
+    ["kernel", "--dim", "1", "--xi", "0:inf:1", "--stdout"],
+    ["simulate", "--n", "5", "--shift-site", "3", "--stdout"],
+], ids=["inf-stop", "subnormal-step", "inf-step", "half-shift-pair"])
+def test_cli_process_reports_a_config_error_in_one_line(argv):
+    # a subprocess sees what pytest would capture: tracebacks and warnings
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "chiralchain.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
+    assert run.stdout == ""
