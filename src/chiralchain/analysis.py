@@ -54,20 +54,15 @@ __all__ = [
     "BurstPeak",
     "BurstReport",
     "run_ensemble",
+    "detector_defaults",
     "detect_plateaus",
     "detect_bursts",
     "fit_decay_rate",
     "localization_metric",
-    "PLATEAU_EPS_RATE",
-    "PLATEAU_MIN_DURATION",
-    "PLATEAU_WINDOW",
-    "BURST_PROMINENCE_FRACTION",
-    "BURST_WINDOW",
-    "MIN_POINTS_PER_UNIT_TIME",
-    "PLATEAU_POPULATION_FLOOR",
 ]
 
-# frozen detector defaults, in units of gamma and 1/gamma
+# frozen detector defaults, in units of gamma and 1/gamma; detector_defaults
+# scales them to a rate
 PLATEAU_EPS_RATE = 2e-4
 PLATEAU_MIN_DURATION = 1.0
 PLATEAU_WINDOW = (0.5, 1500.0)
@@ -75,6 +70,24 @@ PLATEAU_POPULATION_FLOOR = 1e-6
 BURST_PROMINENCE_FRACTION = 0.40
 BURST_WINDOW = (0.5, 1000.0)
 MIN_POINTS_PER_UNIT_TIME = 20.0
+
+
+def detector_defaults(gamma: float) -> dict:
+    """The default detector parameters at rate gamma, as manifests record them.
+
+    Rates scale with gamma and times with 1/gamma; windows are tuples.
+    """
+    return {
+        "plateau": {
+            "eps_rate": PLATEAU_EPS_RATE * gamma,
+            "min_duration": PLATEAU_MIN_DURATION / gamma,
+            "window": (PLATEAU_WINDOW[0] / gamma, PLATEAU_WINDOW[1] / gamma),
+        },
+        "burst": {
+            "prominence_fraction": BURST_PROMINENCE_FRACTION,
+            "window": (BURST_WINDOW[0] / gamma, BURST_WINDOW[1] / gamma),
+        },
+    }
 
 
 @dataclass(frozen=True)
@@ -167,19 +180,6 @@ class PlateauReport:
     def count(self) -> int:
         return len(self.intervals)
 
-    def to_dict(self) -> dict:
-        return {
-            "intervals": [
-                {"t_start": p.t_start, "t_end": p.t_end,
-                 "mean_level": p.mean_level}
-                for p in self.intervals
-            ],
-            "eps_rate": self.eps_rate,
-            "min_duration": self.min_duration,
-            "window": list(self.window),
-            "gamma": self.gamma,
-        }
-
 
 def _window_mask(times: np.ndarray, window: tuple, gamma: float) -> np.ndarray:
     t_lo, t_hi = window
@@ -207,17 +207,15 @@ def detect_plateaus(trajectory: Trajectory,
     The instantaneous rate lambda(t) = I_tot/P_tot (exact for this model,
     no numerical differentiation) is compared against eps_rate; a plateau
     is a maximal run below threshold lasting at least min_duration.
-    Samples with P_tot below 1e-6 never count toward a plateau.  Defaults
-    scale with the trajectory's gamma as documented in the module
-    docstring.
+    Samples with P_tot below 1e-6 never count toward a plateau.  Unset
+    parameters come from detector_defaults(trajectory.gamma).
     """
     gamma = trajectory.gamma
-    if eps_rate is None:
-        eps_rate = PLATEAU_EPS_RATE * gamma
-    if min_duration is None:
-        min_duration = PLATEAU_MIN_DURATION / gamma
-    if window is None:
-        window = (PLATEAU_WINDOW[0] / gamma, PLATEAU_WINDOW[1] / gamma)
+    defaults = detector_defaults(gamma)["plateau"]
+    eps_rate = defaults["eps_rate"] if eps_rate is None else eps_rate
+    min_duration = (defaults["min_duration"] if min_duration is None
+                    else min_duration)
+    window = defaults["window"] if window is None else window
     if eps_rate <= 0.0 or min_duration <= 0.0:
         raise ConfigError("eps_rate and min_duration must be positive")
     mask = _window_mask(trajectory.times, window, gamma)
@@ -260,18 +258,6 @@ class BurstReport:
     def count(self) -> int:
         return len(self.peaks)
 
-    def to_dict(self) -> dict:
-        return {
-            "peaks": [
-                {"t_peak": p.t_peak, "height": p.height,
-                 "prominence": p.prominence}
-                for p in self.peaks
-            ],
-            "min_prominence": self.min_prominence,
-            "window": list(self.window),
-            "gamma": self.gamma,
-        }
-
 
 BurstSource = Union[Trajectory, EnsembleResult, tuple]
 
@@ -284,8 +270,9 @@ def detect_bursts(source: BurstSource,
 
     Accepts a Trajectory, an EnsembleResult (mean intensity), or a plain
     (times, intensity) pair; the pair form needs gamma when the defaults
-    should scale with a rate other than 1.  min_prominence defaults to
-    40% of the maximum intensity inside the window.
+    should scale with a rate other than 1.  Unset parameters come from
+    detector_defaults(gamma): the window, and min_prominence as the
+    prominence fraction (40%) of the maximum intensity inside the window.
     """
     if isinstance(source, Trajectory):
         times, intensity_curve = source.times, source.intensity
@@ -300,13 +287,13 @@ def detect_bursts(source: BurstSource,
         if times.shape != intensity_curve.shape or times.ndim != 1:
             raise ConfigError("times and intensity must be matching 1D arrays")
         gamma = 1.0 if gamma is None else gamma
-    if window is None:
-        window = (BURST_WINDOW[0] / gamma, BURST_WINDOW[1] / gamma)
+    defaults = detector_defaults(gamma)["burst"]
+    window = defaults["window"] if window is None else window
     mask = _window_mask(times, window, gamma)
     t_w = times[mask]
     i_w = intensity_curve[mask]
     if min_prominence is None:
-        min_prominence = BURST_PROMINENCE_FRACTION * float(np.max(i_w))
+        min_prominence = defaults["prominence_fraction"] * float(np.max(i_w))
     if min_prominence <= 0.0:
         raise ConfigError("min_prominence must be positive")
     indices, prominences = _find_peaks(i_w, min_prominence)

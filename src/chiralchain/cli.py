@@ -27,14 +27,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .analysis import (BURST_PROMINENCE_FRACTION, BURST_WINDOW,
-                       PLATEAU_EPS_RATE, PLATEAU_MIN_DURATION, PLATEAU_WINDOW,
-                       EnsembleResult, detect_bursts, run_ensemble)
+from .analysis import (EnsembleResult, detect_bursts, detector_defaults,
+                       run_ensemble)
 from .chain import ChainConfig, DisorderSpec, build_chain, load_config_file
 from .dynamics import (_write_csv, log_grid, propagate, steady_state,
                        uniform_excitation, uniform_grid, write_trajectory_csv,
@@ -57,20 +57,6 @@ def _resolve_outdir(arg: Optional[str]) -> str:
     if arg:
         return arg
     return os.environ.get(OUTDIR_ENV, ".")
-
-
-def _detector_defaults(gamma: float) -> dict:
-    return {
-        "plateau": {
-            "eps_rate": PLATEAU_EPS_RATE * gamma,
-            "min_duration": PLATEAU_MIN_DURATION / gamma,
-            "window": [PLATEAU_WINDOW[0] / gamma, PLATEAU_WINDOW[1] / gamma],
-        },
-        "burst": {
-            "prominence_fraction": BURST_PROMINENCE_FRACTION,
-            "window": [BURST_WINDOW[0] / gamma, BURST_WINDOW[1] / gamma],
-        },
-    }
 
 
 class _DigestWriter:
@@ -130,7 +116,7 @@ def _write_run(outdir: str, command: str, parameters: dict,
         "duration_seconds": time.monotonic() - started,
     }
     if gamma is not None:
-        manifest["detector_defaults"] = _detector_defaults(gamma)
+        manifest["detector_defaults"] = detector_defaults(gamma)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -253,13 +239,12 @@ def cmd_ensemble(args) -> int:
     metadata = _data_metadata(config, disorder, grid_record)
 
     def write_report(fh):
-        window = (BURST_WINDOW[0] / config.gamma,
-                  BURST_WINDOW[1] / config.gamma)
         try:
-            report = detect_bursts(result, window=window).to_dict()
+            report = asdict(detect_bursts(result))
         except (ConfigError, ResolutionError) as error:
             # a grid too short or too coarse for the detector
-            report = {"skipped": str(error), "window": list(window)}
+            window = detector_defaults(config.gamma)["burst"]["window"]
+            report = {"skipped": str(error), "window": window}
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -277,6 +262,10 @@ def cmd_ensemble(args) -> int:
 # kernel
 # ---------------------------------------------------------------------------
 
+# most points of a start:step:stop range (80 MB per table column)
+_MAX_XI_POINTS = 10**7
+
+
 def _parse_xi_range(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
@@ -292,14 +281,16 @@ def _parse_xi_range(spec: str) -> np.ndarray:
             # every value up to stop; the slack keeps a stop that lies on
             # the grid but reads a rounding error short of it
             count = int(math.floor(steps + 1e-9)) + 1
+            if count > _MAX_XI_POINTS:
+                raise ValueError
             return start + step * np.arange(count)
         if "," in spec:
             return np.array([float(p) for p in spec.split(",")])
         return np.array([float(spec)])
     except ValueError as exc:
         raise ConfigError(
-            f"bad xi range {spec!r}; use start:step:stop, a comma list, "
-            "or a single value") from exc
+            f"bad xi range {spec!r}; use start:step:stop of at most "
+            f"{_MAX_XI_POINTS} points, a comma list, or a single value") from exc
 
 
 def _kernel_table(args, xi_values: np.ndarray) -> tuple:

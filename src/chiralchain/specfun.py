@@ -1,20 +1,19 @@
 """Self-contained Bessel functions for the dipole-dipole kernels.
 
-Provides the Bessel functions J0, J1, J2 and Y0, Y1, Y2 behind the planar
+Evaluates J0, J1, J2, Y0 and Y1, the Bessel functions behind the planar
 and free-space kernels, in numpy alone, so the package needs no scipy at
-run time.  The tests compare these values, and the kernels built on them,
-with scipy.special as an independent code path.
+run time.  The module exports nothing: the kernels call its private core,
+``_bessel_columns``, on their separations and fold Y2 = (2/x) Y1 - Y0
+into their own formulas.  The tests compare the columns, and the kernels
+built on them, with scipy.special as an independent code path.
 
 Evaluation strategy
 -------------------
-One private core, ``_bessel_columns``, returns J0, J1, J2, Y0 and Y1 of
-an array of points as a (points, 5) table in a single pass over fixed
-blocks of 256 points (``_BLOCK``), so a kernel table is a few numpy
-passes with no Python per point.  ``bessel_j`` and ``bessel_y`` are
-column views of it: a float goes in as a one-element block and comes out
-as a float, J of a negative point is J of |x| with the sign of its
-parity, and Y2 = (2/x) Y1 - Y0 on the columns of the same points.
-Within a block each point takes its branch by mask:
+``_bessel_columns`` returns J0, J1, J2, Y0 and Y1 of an array of points
+x >= 0 as a (points, 5) table in a single pass over fixed blocks of 256
+points (``_BLOCK``), so a kernel table is a few numpy passes with no
+Python per point.  Y is -inf at 0 and below 1e-305, where it has left
+the double range.  Within a block each point takes its branch by mask:
 
 * x < 6:   ascending power series, J_n by A&S 9.1.10 and Y0, Y1 by
            A&S 9.1.11 with harmonic-number coefficients on the same
@@ -33,7 +32,8 @@ Within a block each point takes its branch by mask:
            integral runs on [0, t_max(x)] per point, and one
            e^{-x sinh t} matrix serves both Y0 and Y1.  The integrands are
            entire, so the fixed rule is accurate to near machine precision
-           over the supported range |x| <= 50.
+           over the supported range x <= 50: absolute error below 1e-12
+           for J and 1e-10 for Y.
 
 Every operation acts on one point at a time or sums one point's row, so
 a value does not depend on the block it was evaluated in: a table equals
@@ -43,13 +43,10 @@ the same points evaluated one by one, bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-
-__all__ = ["bessel_j", "bessel_y"]
+__all__: list = []
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -58,8 +55,8 @@ _EULER_GAMMA = 0.5772156649015329
 # near 1e-14 absolute.
 _SERIES_LIMIT = 6.0
 
-# Below this the Y_n values overflow double precision range; the caller
-# is told the function diverged rather than handed an overflowed number.
+# Below this the Y_n values overflow double precision range; they are
+# reported as the divergence -inf rather than an overflowed number.
 _Y_DIVERGENCE_CUTOFF = 1e-305
 
 # Points per pass of the array evaluation; its largest temporaries, the
@@ -109,27 +106,6 @@ _SERIES_COEF = np.ones((5, 61))
 _SERIES_COEF[3, :59] = np.where(_M[:-1] % 2, 1.0, -1.0) * _HARMONIC[:-1]
 # Y1: H_m + H_{m+1}, with H_0 + H_1 = 1
 _SERIES_COEF[4, 1:60] = _HARMONIC[:-1] + _HARMONIC[1:]
-
-
-def _check_order(order: int, name: str) -> None:
-    if not isinstance(order, (int, np.integer)) or order not in (0, 1, 2):
-        raise DomainError(f"{name} supports orders (0, 1, 2), got {order!r}")
-
-
-def _evaluated(name: str, x, values: Callable[[np.ndarray], np.ndarray],
-               positive: bool = False):
-    """values() of the validated points of x; a float in, a float out."""
-    points = np.asarray(x, dtype=float)
-    flat = points.ravel()
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        raise DomainError(f"{name} requires finite x, got {float(flat[bad][0])!r}")
-    if positive:
-        bad = flat <= 0.0
-        if bad.any():
-            raise DomainError(f"{name} requires x > 0, got {float(flat[bad][0])!r}")
-    out = values(flat)
-    return float(out[0]) if points.ndim == 0 else out.reshape(points.shape)
 
 
 def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -221,45 +197,3 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
             if points.any():
                 out[start:start + _BLOCK][points] = branch(block[points])
     return out
-
-
-def bessel_j(order: int, x):
-    """Bessel function of the first kind, J_order(x), order in {0, 1, 2}.
-
-    x is a float, giving a float, or an array, giving an array of its
-    shape.  Absolute error below 1e-12 for |x| <= 50.
-    """
-    _check_order(order, "bessel_j")
-
-    def values(x: np.ndarray) -> np.ndarray:
-        out = _bessel_columns(np.abs(x))[:, order]
-        # J_n(-x) = (-1)^n J_n(x)
-        return np.where(x < 0.0, -out, out) if order % 2 else out
-
-    return _evaluated("bessel_j", x, values)
-
-
-def bessel_y(order: int, x):
-    """Bessel function of the second kind, Y_order(x), order in {0, 1, 2}.
-
-    x is a float, giving a float, or an array, giving an array of its
-    shape; every point must be > 0.  Absolute error below 1e-10 for
-    x <= 50.  For x below a tiny documented cutoff
-    (1e-305) the value has left the double range and the divergence is
-    reported as -inf.
-    """
-    _check_order(order, "bessel_y")
-
-    def values(x: np.ndarray) -> np.ndarray:
-        columns = _bessel_columns(x)
-        if order < 2:
-            return columns[:, 3 + order]
-        # Y2 = (2/x) Y1 - Y0; no cancellation trouble since Y2 is
-        # dominated by the (2/x) Y1 term at small x and all terms
-        # share magnitude at large x.  Below x ~ 1e-154 it overflows
-        # to -inf, as the divergence it is.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(x >= _Y_DIVERGENCE_CUTOFF,
-                            2.0 / x * columns[:, 4] - columns[:, 3], -math.inf)
-
-    return _evaluated("bessel_y", x, values, positive=True)

@@ -1,11 +1,11 @@
-"""Closed-form references for small chains.
+"""Closed-form references for chains of any length.
 
 These are independent analytic solutions used to pin down the numerical
-propagator: the fully unidirectional (cascaded, gamma_L = 0) two- and
-three-atom chains admit elementary solutions because the generator is
-triangular, and the reciprocal three-atom chain at spacing phase pi has
-an exactly solvable eigensystem with a two-dimensional decoherence-free
-subspace.
+propagator: the fully unidirectional (cascaded, gamma_L = 0) chain has a
+triangular generator, which the Laguerre polynomials solve for every N
+and any atom positions, and the reciprocal three-atom chain at spacing
+phase pi has an exactly solvable eigensystem with a two-dimensional
+decoherence-free subspace.
 
 All solutions start from the uniform single-excitation state
 c_m(0) = 1/sqrt(N) and use gamma = gamma_R as the rate unit.
@@ -21,55 +21,48 @@ import numpy as np
 from chiralchain.errors import DomainError
 
 __all__ = [
-    "cascaded_n2",
-    "cascaded_n3",
+    "cascaded",
     "DarkModesN3",
     "dark_modes_n3",
 ]
 
 
-def _check_args(xi, t) -> None:
-    if not math.isfinite(xi) or xi < 0.0:
-        raise DomainError(f"xi must be finite and >= 0, got {xi!r}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr < 0.0):
+def cascaded(phases, t) -> np.ndarray:
+    """Amplitudes c_m(t) of the unidirectional chain, as (N,) + t.shape.
+
+    phases holds the phase positions phi_m, finite and non-decreasing (a
+    CouplingMatrix's positions); t, in units of 1/gamma, is a float or an
+    array.  The chain obeys dc_m/dt = -c_m/2 - sum_{j<m} e^{-i(phi_m -
+    phi_j)} c_j.  In d_m = e^{i phi_m} c_m its generator is -1/2 - S/(1 - S),
+    S the shift down by one site, and the Laguerre generating function
+    (DLMF 18.12.13) gives exp(-t S/(1 - S)) = sum_k L_k^(-1)(t) S^k, so
+
+        c_m(t) = e^{-i phi_m} e^{-t/2} sum_{k=0}^{m} L_k^(-1)(t) d_{m-k}(0).
+
+    L_k^(-1) comes from its three-term recurrence, L_0 = 1, L_1 = -t,
+    (k + 1) L_{k+1} = (2k - t) L_k - (k - 1) L_{k-1}; the explicit
+    polynomial sums lose digits to cancellation at N = 20, t = 30.
+    """
+    phases = np.asarray(phases, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if (phases.ndim != 1 or phases.size == 0 or not np.all(np.isfinite(phases))
+            or np.any(np.diff(phases) < 0.0)):
+        raise DomainError("phases must be finite and non-decreasing")
+    if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise DomainError("t must be finite and >= 0")
-
-
-def cascaded_n2(xi: float, t):
-    """Amplitudes (c1, c2) of the unidirectional two-atom chain.
-
-    c1 = e^{-t/2} / sqrt(2)
-    c2 = e^{-t/2} (1 - t e^{-i xi}) / sqrt(2)
-
-    t in units of 1/gamma.  Accepts scalar or array t.
-    """
-    _check_args(xi, t)
-    t = np.asarray(t, dtype=float)
-    envelope = np.exp(-0.5 * t) / math.sqrt(2.0)
-    phase = np.exp(-1j * xi)
-    c1 = envelope.astype(complex)
-    c2 = envelope * (1.0 - t * phase)
-    return c1, c2
-
-
-def cascaded_n3(xi: float, t):
-    """Amplitudes (c1, c2, c3) of the unidirectional three-atom chain.
-
-    c1 = e^{-t/2} / sqrt(3)
-    c2 = e^{-t/2} (1 - t e^{-i xi}) / sqrt(3)
-    c3 = e^{-t/2} [t^2 e^{-2 i xi} - 2 t (e^{-i xi} + e^{-2 i xi}) + 2]
-         / (2 sqrt(3))
-    """
-    _check_args(xi, t)
-    t = np.asarray(t, dtype=float)
-    envelope = np.exp(-0.5 * t) / math.sqrt(3.0)
-    p1 = np.exp(-1j * xi)
-    p2 = np.exp(-2j * xi)
-    c1 = envelope.astype(complex)
-    c2 = envelope * (1.0 - t * p1)
-    c3 = envelope * (t * t * p2 - 2.0 * t * (p1 + p2) + 2.0) / 2.0
-    return c1, c2, c3
+    n = phases.size
+    laguerre = np.empty((n,) + t.shape)
+    laguerre[0] = 1.0
+    if n > 1:
+        laguerre[1] = -t
+    for k in range(1, n - 1):
+        laguerre[k + 1] = ((2 * k - t) * laguerre[k]
+                           - (k - 1) * laguerre[k - 1]) / (k + 1)
+    d0 = np.exp(1j * phases) / math.sqrt(n)
+    sums = np.array([np.tensordot(d0[m::-1], laguerre[:m + 1], axes=1)
+                     for m in range(n)])
+    envelope = np.exp(-0.5 * t)
+    return np.exp(-1j * phases).reshape((n,) + (1,) * t.ndim) * envelope * sums
 
 
 @dataclass(frozen=True)

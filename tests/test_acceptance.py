@@ -13,14 +13,14 @@ import pytest
 import scipy.integrate
 from scipy.special import struve
 
-from chiralchain import (ChainConfig, DisorderSpec, bessel_j,
-                         bessel_y, build_chain, detect_bursts,
+from bessel import bessel
+from chiralchain import (ChainConfig, DisorderSpec, build_chain, detect_bursts,
                          detect_plateaus, fit_decay_rate,
                          kernel_1d_reciprocal, kernel_2d, kernel_3d,
                          localization_metric, log_grid, propagate,
                          run_ensemble, steady_state, uniform_excitation,
                          uniform_grid)
-from oracles import cascaded_n2, cascaded_n3
+from oracles import cascaded
 from quadrature import oscillatory_integral, principal_value
 
 GAMMA_IMBALANCE = 0.9  # gamma_L / gamma_R for the staircase regime
@@ -53,12 +53,10 @@ def test_criterion_01_cascaded_closed_forms():
     grid = uniform_grid(20.0, 2001)
     worst = 0.0
     for xi in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
-        two = propagate(cascaded_chain(2, xi), uniform_excitation(2), grid)
-        expected2 = np.stack(cascaded_n2(xi, grid), axis=1)
-        worst = max(worst, float(np.max(np.abs(two.amplitudes - expected2))))
-        three = propagate(cascaded_chain(3, xi), uniform_excitation(3), grid)
-        expected3 = np.stack(cascaded_n3(xi, grid), axis=1)
-        worst = max(worst, float(np.max(np.abs(three.amplitudes - expected3))))
+        for n in (2, 3):
+            got = propagate(cascaded_chain(n, xi), uniform_excitation(n), grid)
+            expected = cascaded(xi * np.arange(n), grid).T
+            worst = max(worst, float(np.max(np.abs(got.amplitudes - expected))))
     assert worst < 1e-9
     passed(1, "cascaded closed forms")
 
@@ -204,8 +202,8 @@ def test_criterion_12_kernel_limits():
 
     # dispersive part rebuilt from the absorptive part alone
     def absorptive(a):
-        head = bessel_j(1, a) / a if a > 0.0 else 0.5
-        return 2.0 * (bessel_j(0, a) - head)
+        head = bessel("J1", a) / a if a > 0.0 else 0.5
+        return 2.0 * (bessel("J0", a) - head)
 
     for xi in (0.5, 1.0, 2.0, 5.0):
         pv = principal_value(absorptive, xi, tol=1e-6)
@@ -221,35 +219,34 @@ def test_criterion_12_kernel_limits():
 
 def test_criterion_13_special_functions():
     x = np.linspace(0.05, 50.0, 500)
-    for fn in (bessel_j, bessel_y):
-        f0 = np.array([fn(0, v) for v in x])
-        f1 = np.array([fn(1, v) for v in x])
-        f2 = np.array([fn(2, v) for v in x])
-        assert np.max(np.abs(f2 - ((2.0 / x) * f1 - f0))) < 1e-10
+    # J2 = (2/x) J1 - J0; Y2 is defined by the same recurrence
+    j0, j1, j2 = (np.array([bessel(name, v) for v in x])
+                  for name in ("J0", "J1", "J2"))
+    assert np.max(np.abs(j2 - ((2.0 / x) * j1 - j0))) < 1e-10
     w = np.linspace(0.1, 50.0, 500)
     for v in w:
-        wronskian = bessel_j(1, v) * bessel_y(0, v) - bessel_j(0, v) * bessel_y(1, v)
+        wronskian = bessel("J1", v) * bessel("Y0", v) - bessel("J0", v) * bessel("Y1", v)
         assert abs(wronskian - 2.0 / (math.pi * v)) < 1e-9
 
     # each PV integrand is g(a) / (a - b), with g passed to principal_value;
     # J1(a) / (a (a - b)) has g(a) = J1(a) / a
     def weighted(a):
-        return bessel_j(1, a) / a if a > 0.0 else 0.5
+        return bessel("J1", a) / a if a > 0.0 else 0.5
 
     for b in (0.5, 1.0, 2.0, 5.0):
-        lhs = principal_value(lambda a: bessel_j(0, a), b, tol=1e-7)
-        rhs = -(math.pi / 2.0) * (bessel_y(0, b) + struve(0, b))
+        lhs = principal_value(lambda a: bessel("J0", a), b, tol=1e-7)
+        rhs = -(math.pi / 2.0) * (bessel("Y0", b) + struve(0, b))
         assert abs(lhs - rhs) < 1e-6
 
         lhs = principal_value(weighted, b, tol=1e-7)
-        rhs = -(2.0 + math.pi * b * (bessel_y(1, b) + struve(1, b))) / (2.0 * b * b)
+        rhs = -(2.0 + math.pi * b * (bessel("Y1", b) + struve(1, b))) / (2.0 * b * b)
         assert abs(lhs - rhs) < 1e-6
 
         # J2(a) (1/(a - b) + 1/(a + b))
         def symmetrized(a, b=b):
-            return 2.0 * a * bessel_j(2, a) / (a + b)
+            return 2.0 * a * bessel("J2", a) / (a + b)
 
         lhs = principal_value(symmetrized, b, tol=1e-7)
-        rhs = -4.0 / (b * b) - math.pi * bessel_y(2, b)
+        rhs = -4.0 / (b * b) - math.pi * bessel("Y2", b)
         assert abs(lhs - rhs) < 1e-6
     passed(13, "special functions")

@@ -1,5 +1,6 @@
 """Ensemble reduction, plateau and burst detectors, fits, localization."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
                                   PLATEAU_WINDOW, EnsembleResult,
                                   PlateauInterval, _find_peaks,
                                   detect_bursts, detect_plateaus,
+                                  detector_defaults,
                                   fit_decay_rate, localization_metric,
                                   run_ensemble)
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
@@ -241,7 +243,7 @@ def test_plateaus_found_for_odd_not_even():
         assert 0.0 < interval.mean_level <= 1.0
     even = detect_plateaus(staircase_trajectory(4))
     assert even.count == 0
-    payload = odd.to_dict()
+    payload = dataclasses.asdict(odd)
     assert payload["eps_rate"] == PLATEAU_EPS_RATE
     assert len(payload["intervals"]) == odd.count
     assert set(payload["intervals"][0]) == {"t_start", "t_end", "mean_level"}
@@ -338,9 +340,25 @@ def test_burst_detector_counts_prominent_peaks():
     assert lowered.count == 3
     narrowed = detect_bursts((times, curve), window=(0.5, 250.0))
     assert narrowed.count == 1
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     assert len(payload["peaks"]) == 2
-    assert payload["window"] == [0.5, 1000.0]
+    assert payload["window"] == (0.5, 1000.0)
+
+
+def test_detectors_fill_unset_parameters_from_detector_defaults():
+    gamma = 2.0
+    defaults = detector_defaults(gamma)
+    times = uniform_grid(750.0, 30001)
+    total = np.exp(-1e-5 * times)
+    plateaus = detect_plateaus(synthetic(times, total, 1e-5 * total, gamma))
+    assert (plateaus.eps_rate, plateaus.min_duration, plateaus.window) == (
+        defaults["plateau"]["eps_rate"], defaults["plateau"]["min_duration"],
+        defaults["plateau"]["window"])
+    curve = bump(times, 100.0, 1.0)
+    bursts = detect_bursts((times, curve), gamma=gamma)
+    assert bursts.window == defaults["burst"]["window"] == (0.25, 500.0)
+    assert bursts.min_prominence == pytest.approx(
+        defaults["burst"]["prominence_fraction"], rel=1e-12)
 
 
 def test_burst_detector_gamma_scales_window():

@@ -16,9 +16,9 @@ import chiralchain
 from chiralchain import dynamics
 from chiralchain.analysis import run_ensemble
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
-from chiralchain.cli import _parse_xi_range, main
+from chiralchain.cli import _MAX_XI_POINTS, _parse_xi_range, main
 from chiralchain.dynamics import steady_state, uniform_excitation, uniform_grid
-from chiralchain.errors import NumericsError
+from chiralchain.errors import ConfigError, NumericsError
 from chiralchain.kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
 
@@ -173,6 +173,12 @@ def test_kernel_2d_table_against_scipy(capsys):
 def test_xi_range_never_passes_stop():
     assert _parse_xi_range("0:1:2.6").tolist() == [0.0, 1.0, 2.0]
     assert _parse_xi_range("0:1:3").tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_xi_range_point_cap():
+    # one point over the cap is refused before any array is made
+    with pytest.raises(ConfigError, match="bad xi range"):
+        _parse_xi_range(f"0:1:{_MAX_XI_POINTS}")
 
 
 @pytest.mark.parametrize("spec,count,last", [("0.01:0.005:50", 9999, 50.0),
@@ -608,8 +614,12 @@ def test_stdout_writes_the_primary_table_and_no_file(argv, tmp_path,
     ["kernel", "--dim", "1", "--xi", "0:1:inf", "--stdout"],
     ["kernel", "--dim", "1", "--xi", "0:1e-320:1", "--stdout"],
     ["kernel", "--dim", "1", "--xi", "0:inf:1", "--stdout"],
+    # 1e17 and 1e11 points, over the cap
+    ["kernel", "--dim", "1", "--xi", "0:1e-17:1", "--stdout"],
+    ["kernel", "--dim", "1", "--xi", "0:1e-9:100", "--stdout"],
     ["simulate", "--n", "5", "--shift-site", "3", "--stdout"],
-], ids=["inf-stop", "subnormal-step", "inf-step", "half-shift-pair"])
+], ids=["inf-stop", "subnormal-step", "inf-step", "tiny-step", "1e11-points",
+        "half-shift-pair"])
 def test_cli_process_reports_a_config_error_in_one_line(argv):
     # a subprocess sees what pytest would capture: tracebacks and warnings
     src = os.path.dirname(os.path.dirname(chiralchain.__file__))

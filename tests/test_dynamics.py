@@ -9,7 +9,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm, null_space
@@ -22,7 +22,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   uniform_grid, write_trajectory_csv,
                                   write_trajectory_json)
 from chiralchain.errors import ConfigError, IntegrityError
-from oracles import cascaded_n2, cascaded_n3
+from oracles import cascaded
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
 
@@ -64,24 +64,34 @@ def test_state_vector_invariants():
         uniform_excitation(0)
 
 
+def assert_propagate_matches_cascaded(n, xi, disorder=None):
+    matrix = build_chain(ChainConfig(n_atoms=n, xi=xi, gamma_left=0.0,
+                                     gamma_right=1.0), disorder)
+    grid = uniform_grid(20.0, 801)
+    trajectory = propagate(matrix, uniform_excitation(n), grid)
+    expected = cascaded(matrix.positions, grid).T
+    assert np.max(np.abs(trajectory.amplitudes - expected)) < 1e-12
+
+
 @pytest.mark.parametrize("xi", [0.0, math.pi / 4.0, math.pi / 2.0, math.pi])
 def test_propagate_matches_cascaded_n2(xi):
-    matrix = chain(2, xi, 0.0, 1.0)
-    grid = uniform_grid(20.0, 801)
-    trajectory = propagate(matrix, uniform_excitation(2), grid)
-    c1, c2 = cascaded_n2(xi, grid)
-    expected = np.stack([c1, c2], axis=1)
-    assert np.max(np.abs(trajectory.amplitudes - expected)) < 1e-12
+    assert_propagate_matches_cascaded(2, xi)
 
 
 @pytest.mark.parametrize("xi", [0.0, math.pi / 2.0, math.pi])
 def test_propagate_matches_cascaded_n3(xi):
-    matrix = chain(3, xi, 0.0, 1.0)
-    grid = uniform_grid(20.0, 801)
-    trajectory = propagate(matrix, uniform_excitation(3), grid)
-    c1, c2, c3 = cascaded_n3(xi, grid)
-    expected = np.stack([c1, c2, c3], axis=1)
-    assert np.max(np.abs(trajectory.amplitudes - expected)) < 1e-12
+    assert_propagate_matches_cascaded(3, xi)
+
+
+@pytest.mark.parametrize("n", [5, 11, 20])
+@pytest.mark.parametrize("xi", [0.0, math.pi / 2.0, math.pi])
+def test_propagate_matches_cascaded_long_chains(n, xi):
+    assert_propagate_matches_cascaded(n, xi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 11, 20])
+def test_propagate_matches_cascaded_with_a_shifted_site(n):
+    assert_propagate_matches_cascaded(n, 2.37, DisorderSpec.single_site(n // 2 + 1, 0.3))
 
 
 def test_matrix_exponential_and_runge_kutta_agree():
@@ -417,6 +427,45 @@ def test_stacked_generators_propagate_as_alone(n, chains, log, horizon,
         trapezoid = steps * (intensity[:-1] + intensity[1:]) / 2.0
         bound = (2.0 * np.linalg.norm(matrix.entries, 2) * steps) ** 3 / 12.0
         assert np.all(np.abs(lost - trapezoid) <= bound + 1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_core_does_not_depend_on_the_block_size(monkeypatch, block):
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    v = generator_stack()
+    c0 = uniform_excitation(4).amplitudes
+    for grid in (uniform_grid(20.0, 501),
+                 log_grid(horizon=100.0, points_per_decade=40)):
+        got = core_amplitudes(v, c0, grid)
+        assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), xi=st.floats(0.0, 10.0),
+       gamma_left=st.floats(0.0, 1.0), gamma_right=st.floats(0.0, 1.0),
+       shift=st.none() | st.tuples(st.integers(1, 8), st.floats(-0.9, 0.9)),
+       log=st.booleans())
+@example(n=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0, shift=(3, 0.3),
+         log=True)
+def test_swapping_rates_and_reversing_sites_mirrors_populations(
+        n, xi, gamma_left, gamma_right, shift, log):
+    # the mirror x -> -x turns right-going emission into left-going and
+    # takes site s with shift d to site n + 1 - s with shift -d
+    assume(max(gamma_left, gamma_right) > 0.0)
+    disorder = mirrored = DisorderSpec.none()
+    if shift is not None:
+        site, fraction = min(shift[0], n), shift[1]
+        disorder = DisorderSpec.single_site(site, fraction)
+        mirrored = DisorderSpec.single_site(n + 1 - site, -fraction)
+    grid = log_grid(1e3, 40) if log else uniform_grid(20.0, 801)
+
+    def populations(config, disorder):
+        return propagate(build_chain(config, disorder), uniform_excitation(n),
+                         grid, cross_check=False).populations
+
+    forward = populations(ChainConfig(n, xi, gamma_left, gamma_right), disorder)
+    backward = populations(ChainConfig(n, xi, gamma_right, gamma_left), mirrored)
+    assert np.max(np.abs(forward - backward[:, ::-1])) <= 1e-12
 
 
 def test_uniform_grid_costs_one_expm(monkeypatch):

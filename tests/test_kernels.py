@@ -6,9 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from bessel import bessel
 from chiralchain.errors import DomainError
 from chiralchain.kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
-from chiralchain.specfun import bessel_j, bessel_y
 
 
 def test_chiral_fg_zero_separation():
@@ -98,7 +98,7 @@ def test_2d_contact_limit():
 
 def test_2d_perpendicular_at_one():
     decay, _, _ = kernel_2d(1.0)
-    f = 2.0 * (bessel_j(0, 1.0) - bessel_j(1, 1.0))
+    f = 2.0 * (bessel("J0", 1.0) - bessel("J1", 1.0))
     assert decay == pytest.approx(0.5 * f, abs=1e-12)
 
 
@@ -107,9 +107,9 @@ def test_2d_perpendicular_at_one():
 def test_2d_closed_forms(xi, alignment):
     decay, shift, _ = kernel_2d(xi, alignment)
     a2 = alignment * alignment
-    f = 2.0 * (bessel_j(0, xi) - bessel_j(1, xi) / xi + a2 * bessel_j(2, xi))
-    g = (2.0 * bessel_y(0, xi) - 2.0 * bessel_y(1, xi) / xi
-         + 2.0 * a2 * bessel_y(2, xi)
+    f = 2.0 * (bessel("J0", xi) - bessel("J1", xi) / xi + a2 * bessel("J2", xi))
+    g = (2.0 * bessel("Y0", xi) - 2.0 * bessel("Y1", xi) / xi
+         + 2.0 * a2 * bessel("Y2", xi)
          - 4.0 / (math.pi * xi * xi) * (1.0 - 2.0 * a2))
     assert decay == pytest.approx(0.5 * f, abs=1e-12)
     assert shift == pytest.approx(0.5 * g, abs=1e-10)

