@@ -81,16 +81,18 @@ def chiral_fg(xi, gamma_left: float, gamma_right: float):
     F = (gamma_R e^{i xi} + gamma_L e^{-i xi}) / 2
     G = -i (gamma_R e^{i xi} - gamma_L e^{-i xi}) / 2
 
-    For gamma_left == gamma_right both are real: F = gamma cos(xi) and
-    G = gamma sin(xi), i.e. the decay and shift parts of the reciprocal
-    kernel.  F and G are complex, in xi's shape.
+    For gamma_left == gamma_right both are exactly real: F = gamma cos(xi)
+    and G = gamma sin(xi), i.e. the decay and shift parts of the
+    reciprocal kernel, with imaginary parts 0.0.  F and G are complex, in
+    xi's shape, and no part of either is -0.0.
     """
     xi = _separations(xi)
     _check_rates(gamma_left, gamma_right)
     phase = np.exp(1j * xi)
-    f = 0.5 * (gamma_right * phase + gamma_left / phase)
-    g = -0.5j * (gamma_right * phase - gamma_left / phase)
-    return f, g
+    # e^{-i xi} as the conjugate, so that equal rates cancel exactly
+    right, left = gamma_right * phase, gamma_left * phase.conj()
+    # adding 0.0 turns a part that is -0.0 into 0.0
+    return 0.5 * (right + left) + 0.0, -0.5j * (right - left) + 0.0
 
 
 def kernel_1d_reciprocal(xi):

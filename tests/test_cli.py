@@ -127,6 +127,21 @@ def test_kernel_chiral_columns(capsys):
     assert data.shape == (1, 7)
 
 
+def test_kernel_chiral_equal_rates_write_exact_zeros(capsys):
+    # the default rates are equal: F and G are real, and their imaginary
+    # columns read 0.0 with no -0.0 cell anywhere in the table
+    code = main(["kernel", "--dim", "1chiral", "--xi", "0:0.01:10", "--stdout"])
+    assert code == 0
+    text = capsys.readouterr().out
+    header, data = read_csv_columns(text)
+    assert data.shape == (1001, 7)
+    assert not data[:, header.index("F_im")].any()
+    assert not data[:, header.index("G_im")].any()
+    cells = [cell for line in text.splitlines() if not line.startswith("#")
+             for cell in line.split(",")]
+    assert "-0.0" not in cells
+
+
 def test_kernel_3d_contact_divergence_flag(capsys):
     code = main(["kernel", "--dim", "3", "--xi", "0,1,2",
                  "--alignment", "0.5", "--stdout"])
@@ -168,6 +183,21 @@ def test_kernel_2d_table_against_scipy(capsys):
     assert np.max(np.abs(data[:, 1] - 0.5 * f)) < 1e-12
     assert np.max(np.abs(data[:, 2] - 0.5 * g)) < 1e-10
     assert not data[:, 3].any()
+
+
+def test_kernel_2d_row_at_a_large_separation(capsys):
+    from scipy import special
+    code = main(["kernel", "--dim", "2", "--xi", "300", "--alignment", "0.5",
+                 "--stdout"])
+    assert code == 0
+    header, data = read_csv_columns(capsys.readouterr().out)
+    xi, a2 = 300.0, 0.25
+    decay = special.jv(0, xi) - special.jv(1, xi) / xi + a2 * special.jv(2, xi)
+    shift = (special.yv(0, xi) - special.yv(1, xi) / xi + a2 * special.yv(2, xi)
+             - 2.0 / (math.pi * xi ** 2) * (1.0 - 2.0 * a2))
+    assert data.shape == (1, 4)
+    assert abs(data[0, 1] - decay) < 1e-12
+    assert abs(data[0, 2] - shift) < 1e-10
 
 
 def test_xi_range_never_passes_stop():

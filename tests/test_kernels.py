@@ -31,9 +31,10 @@ def test_chiral_fg_reciprocal_reduction(xi):
     # equal rates recombine into the 1D kernel with Gamma_1D = 2 gamma
     f, g = chiral_fg(xi, 0.5, 0.5)
     decay, shift = kernel_1d_reciprocal(xi)
-    assert f.real == pytest.approx(decay, abs=1e-14)
-    assert g.real == pytest.approx(shift, abs=1e-14)
-    assert abs(f.imag) < 1e-14 and abs(g.imag) < 1e-14
+    assert f.real == decay and g.real == shift
+    # exactly real, and no negative zero
+    assert f.imag == g.imag == 0.0
+    assert not np.signbit(f.imag) and not np.signbit(g.imag)
 
 
 def test_chiral_fg_rate_validation():

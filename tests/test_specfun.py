@@ -149,28 +149,33 @@ def test_bessel_wronskian(x):
 
 
 def test_branch_crossover_continuity():
-    # both evaluation strategies must agree at the handover argument
-    from chiralchain.specfun import _integral_columns, _series_columns
-    x = np.array([6.0])
-    gap = np.abs(_series_columns(x)[0] - _integral_columns(x)[0])
-    # columns J0, J1, J2, Y0, Y1
-    assert np.all(gap[:3] < 1e-12)
-    assert np.all(gap[3:] < 1e-10)
+    # each pair of neighbouring branches agrees at its handover: the series
+    # and Miller's recurrence at 1, the recurrence and Hankel's expansion at
+    # 17, both evaluated at the last float below the handover
+    from chiralchain.specfun import (_HANKEL_LIMIT, _SERIES_LIMIT, _hankel_columns,
+                                     _miller_columns, _series_columns)
+    for below, above, limit in ((_series_columns, _miller_columns, _SERIES_LIMIT),
+                                (_miller_columns, _hankel_columns, _HANKEL_LIMIT)):
+        x = np.array([np.nextafter(limit, 0.0)])
+        gap = np.abs(below(x)[0] - above(x)[0])
+        # columns J0, J1, J2, Y0, Y1
+        assert np.all(gap[:3] < 1e-12)
+        assert np.all(gap[3:] < 1e-10)
 
 
 def test_bessel_y_reports_divergence_below_cutoff():
     assert bessel("Y0", 1e-306) == -math.inf
 
 
-# dense grid crossing the J1/x handover (0.1) and the series/quadrature
-# handover (6.0)
+# dense grid crossing the J1/x handover (0.1) and the branch handovers
+# (1 and 17)
 DENSE_X = np.linspace(0.01, 50.0, 4001)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_bessel_arrays_against_scipy(order):
     from scipy import special
-    assert DENSE_X.min() < 0.1 and DENSE_X.max() > 6.0
+    assert DENSE_X.min() < 0.1 and DENSE_X.max() > 17.0
     j = bessel(f"J{order}", DENSE_X)
     y = bessel(f"Y{order}", DENSE_X)
     assert j.shape == y.shape == DENSE_X.shape
@@ -191,8 +196,8 @@ TABLE_X = 0.01 + 0.005 * np.arange(9999)
 
 
 def test_bessel_value_does_not_depend_on_its_block():
-    # shifting a table by an offset puts every point in another block
-    # position, next to other points
+    # shifting a table by an offset puts every point in another position,
+    # next to other points
     x = TABLE_X[::4]
     table = _bessel_columns(x)
     for offset in (1, 100, 255):
@@ -200,13 +205,14 @@ def test_bessel_value_does_not_depend_on_its_block():
 
 
 def test_bessel_table_equals_pointwise_calls():
-    # the table takes both branches of every column
+    # the table takes all three branches of every column
     assert np.array_equal(_bessel_columns(TABLE_X), np.concatenate(
         [_bessel_columns(np.array([x])) for x in TABLE_X.tolist()]))
 
 
-# the series/quadrature handover 6 and its neighbouring floats
-CROSSOVER_X = np.array([np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)])
+# the branch handovers 1 and 17 and their neighbouring floats
+CROSSOVER_X = np.array([np.nextafter(limit, direction) for limit in (1.0, 17.0)
+                        for direction in (0.0, limit, math.inf)])
 
 
 def test_bessel_columns_against_scipy():
@@ -219,9 +225,22 @@ def test_bessel_columns_against_scipy():
         assert np.max(np.abs(columns[:, order] - special.jv(order, x))) < 1e-12
     for order in (0, 1):
         assert np.max(np.abs(columns[:, 3 + order] - special.yv(order, x))) < 1e-10
-    # every block position, next to other points
+    # every position, next to other points
     for offset in (1, 100, 255):
         assert np.array_equal(_bessel_columns(x[offset:]), columns[offset:])
+
+
+def test_bessel_columns_against_scipy_at_large_arguments():
+    # far beyond the kernel tables' 50: Hankel's expansion only gets more
+    # accurate as x grows
+    from scipy import special
+
+    x = np.linspace(6.0, 1000.0, 20001)
+    columns = _bessel_columns(x)
+    for order in (0, 1, 2):
+        assert np.max(np.abs(columns[:, order] - special.jv(order, x))) < 1e-12
+    for order in (0, 1):
+        assert np.max(np.abs(columns[:, 3 + order] - special.yv(order, x))) < 1e-10
 
 
 @pytest.mark.parametrize("b", [0.5, 2.0])
