@@ -202,6 +202,9 @@ def test_bessel_value_does_not_depend_on_its_block():
     table = _bessel_columns(x)
     for offset in (1, 100, 255):
         assert np.array_equal(_bessel_columns(x[offset:]), table[offset:])
+    # and the points of one branch on their own
+    middle = (x >= 1.0) & (x < 17.0)
+    assert np.array_equal(_bessel_columns(x[middle]), table[middle])
 
 
 def test_bessel_table_equals_pointwise_calls():
