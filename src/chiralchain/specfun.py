@@ -12,16 +12,16 @@ Evaluation strategy
 ``_bessel_columns`` returns J0, J1, J2, Y0 and Y1 of an array of points
 x >= 0 as a (points, 5) table.  Each point takes the branch of its
 argument, and each branch is a fixed sequence of elementwise numpy
-operations over all of its points, so a kernel table costs a few hundred
-numpy calls and no Python per point.  Y is -inf at 0 and below 1e-305,
+operations over its points, so a kernel table costs a few hundred numpy
+calls and no Python per point.  Y is -inf at 0 and below 1e-305,
 where it has left the double range.
 
 * x < 1:        ascending power series, J_n by A&S 9.1.10 and Y0, Y1 by
                 A&S 9.1.11 with harmonic-number coefficients on the same
-                J0 and J1 sums.  The five term recurrences form one
-                (points, 5, 61) matrix, each row summed in order through
+                J0 and J1 sums.  The five term recurrences form a
+                (points, 5, 17) matrix, each row summed in order through
                 its first term below the bound, as a term-by-term loop
-                would stop.
+                would stop; the points go through in chunks of 1024.
 * 1 <= x < 17:  Miller's backward recurrence from the order
                 2 floor(x) + 18, normalised by J0 + 2 sum J_2k = 1, with
                 Y0 and Y1 from the Neumann sums of the same J_k
@@ -34,8 +34,10 @@ Against 30-digit mpmath values at a few hundred points, every column is
 within 4e-16 absolute from x = 1 to 1000, and the expansion only gets
 more accurate as x grows; below 1 the series gives J within 3e-16 and
 Y0 within 5e-14 absolute, and Y1, which diverges like -2/(pi x), within
-3e-16 relative.  Apart from the series' term matrix, no branch holds
-more than a few arrays of its points.
+3e-16 relative.  Miller's and Hankel's branches hold about a dozen
+arrays of their points at a time and the series one chunk's term
+matrices, so a table's peak memory is about five times its own size
+plus 2 MB, however many points it has.
 
 Every operation acts on one point at a time, so a value does not depend
 on the other points of its call: a table equals the same points
@@ -53,8 +55,6 @@ import numpy as np
 __all__: list = []
 
 _EULER_GAMMA = 0.5772156649015329
-# e^gamma / 2, so that ln(x/2) + gamma = ln(_HALF_EXP_GAMMA x)
-_HALF_EXP_GAMMA = 0.5 * math.exp(_EULER_GAMMA)
 
 # Branch limits: the series below _SERIES_LIMIT, Miller's algorithm up
 # to _HANKEL_LIMIT, Hankel's expansion from there on.
@@ -68,20 +68,18 @@ _Y_DIVERGENCE_CUTOFF = 1e-305
 
 # Miller's algorithm runs the recurrence two orders per step, j = 25 ... 0,
 # each step making r_{2j+1} and r_2j from the coefficients (2j+2)/x and
-# (2j+1)/x.  A point starts at its order M = 2 floor(x) + 18, which is at
-# most 50 below x = 17: its step j = M/2 is where j - 9 equals floor(x).
-_PAIR = np.arange(25.0, -1.0, -1.0)[:, None]
-_PAIR_STEPS = np.stack([2.0 * _PAIR + 2.0, 2.0 * _PAIR + 1.0])
-_PAIR_SEED = _PAIR - 9.0
-# Per step j, the weights of r_2j in the normalisation J0 + 2 sum J_2k = 1
+# (2j+1)/x, formed in the step from 2/x.  A point starts at its order
+# M = 2 floor(x) + 18, which is at most 50 below x = 17: its step j = M/2
+# is where j equals floor(x) + 9.  Each step holds j and the weights of r_2j in the normalisation J0 + 2 sum J_2k = 1
 # and in the Neumann sum of Y0, and of r_{2j+1} in that of Y1 (A&S 9.1.88,
 # 9.1.89), both sums without their ln(x/2) and 1/x terms:
 # -(4/pi) sum_{k>=1} (-1)^k J_2k / k and
 # -(2/pi) [J1 + sum_{k>=1} (-1)^k (2k+1) J_{2k+1} / (k (k+1))].
-_MILLER_WEIGHTS = [(2.0,
-                    -(4.0 / math.pi) * (-1.0) ** j / j,
-                    -(2.0 / math.pi) * (-1.0) ** j * (2 * j + 1) / (j * (j + 1)))
-                   for j in range(25, 0, -1)] + [(1.0, 0.0, -2.0 / math.pi)]
+_MILLER_STEPS = [(j, 2.0,
+                  -(4.0 / math.pi) * (-1.0) ** j / j,
+                  -(2.0 / math.pi) * (-1.0) ** j * (2 * j + 1) / (j * (j + 1)))
+                 for j in range(25, 0, -1)] + [(0, 1.0, 0.0, -2.0 / math.pi)]
+
 
 # Hankel's expansion (DLMF 10.17.3), J_nu + i Y_nu =
 # sqrt(2 / (pi x)) (P_nu + i Q_nu) e^{i (x - nu pi/2 - pi/4)}, with
@@ -90,35 +88,42 @@ _MILLER_WEIGHTS = [(2.0,
 # P0, Q0 / w, P1, Q1 / w as polynomials in w^2, highest power first, for
 # Horner's rule.  With 16 terms each, the first term left out, a_32 w^32,
 # is below 3e-16 at x = 17 and falls off as x^-32.
-_HANKEL_TERMS = 16
-_HANKEL_COEF = []
-for _nu in (0, 1):
-    _k = np.arange(1, 2 * _HANKEL_TERMS)
-    _a = np.cumprod(np.concatenate([[1.0], (4 * _nu * _nu - (2 * _k - 1) ** 2) / (8.0 * _k)]))
-    _a *= np.repeat((-1.0) ** np.arange(_HANKEL_TERMS), 2)
-    _HANKEL_COEF += [_a[-2::-2].tolist(), _a[::-2].tolist()]
+def _hankel_rows(nu: int, terms: int = 16) -> list:
+    """The rows P_nu and Q_nu / w of _HANKEL_COEF, highest power first."""
+    k = np.arange(1, 2 * terms)
+    a = np.cumprod(np.concatenate([[1.0], (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)]))
+    a *= np.repeat((-1.0) ** np.arange(terms), 2)
+    return [a[-2::-2].tolist(), a[::-2].tolist()]
 
-# The series branch sums five term recurrences as one (points, 5, 61)
+
+_HANKEL_COEF = _hankel_rows(0) + _hankel_rows(1)
+
+# The series branch sums five term recurrences as one (points, 5, 17)
 # matrix: J0, J1, J2 (A&S 9.1.10) and the Y0 and Y1 tails (A&S 9.1.11).
 # Each row is a running product of ratios q / _SERIES_DENOM, q = x^2/4,
 # after its first term, times _SERIES_COEF; an infinite denominator pads a
-# shorter row with zeros.  m = 1 ... 60 below.
-_M = np.arange(1, 61)
-# harmonic numbers H_1 ... H_60
+# shorter row with zeros.  m = 1 ... 16 below.  Below x = 1, the largest
+# argument the series takes, every row reaches its first term under its
+# bound by its 11th term, well inside the matrix.
+_M = np.arange(1, 17)
+# harmonic numbers H_1 ... H_16
 _HARMONIC = np.cumsum(1.0 / _M)
 _SERIES_DENOM = np.array([
     # J_n: t_m = t_{m-1} * (-q / (m (m+n)))
     *(-_M * (_M + n) for n in range(3)),
-    # Y0: q^m / (m!)^2 from m = 1, through m = 59
+    # Y0: q^m / (m!)^2 from m = 1, through m = 15
     np.concatenate([_M[1:-1] ** 2, [math.inf] * 2]),
-    # Y1: (-q)^m / (m! (m+1)!) from m = 0, through m = 59
+    # Y1: (-q)^m / (m! (m+1)!) from m = 0, through m = 15
     np.concatenate([-_M[:-1] * _M[1:], [math.inf]]),
 ], dtype=float)
-_SERIES_COEF = np.ones((5, 61))
+_SERIES_COEF = np.ones((5, _M.size + 1))
 # Y0: (-1)^{m+1} H_m
-_SERIES_COEF[3, :59] = np.where(_M[:-1] % 2, 1.0, -1.0) * _HARMONIC[:-1]
+_SERIES_COEF[3, :_M.size - 1] = np.where(_M[:-1] % 2, 1.0, -1.0) * _HARMONIC[:-1]
 # Y1: H_m + H_{m+1}, with H_0 + H_1 = 1
-_SERIES_COEF[4, 1:60] = _HARMONIC[:-1] + _HARMONIC[1:]
+_SERIES_COEF[4, 1:_M.size] = _HARMONIC[:-1] + _HARMONIC[1:]
+# The series sums take their points this many at a time, so that the
+# term matrices of a call hold at most 5 * 17 * 1024 doubles each.
+_SERIES_CHUNK = 1024
 
 
 def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -134,23 +139,28 @@ def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
 
 
 def _series_sums(x: np.ndarray) -> np.ndarray:
-    """J0, J1, J2 and the Y0 and Y1 tails at x, as (..., 5).
+    """J0, J1, J2 and the Y0 and Y1 tails of points 0 <= x < 1, as (n, 5).
 
     The tails are sum_{m>=1} (-1)^{m+1} H_m q^m / (m!)^2 and
     sum_{m>=0} (-1)^m (H_m + H_{m+1}) q^m / (m! (m+1)!), q = x^2/4.  A J
     row is summed through its first term within 1e-18 (1 + |t_0|), a tail
     through its first term within 1e-18.
     """
-    half = 0.5 * x[..., None]
-    q = half * half
-    # first terms (x/2)^n / n! of J_n, q of the Y0 tail and 1 of the Y1 tail
-    first = np.concatenate([np.ones_like(half), half, 0.5 * q, q,
-                            np.ones_like(half)], axis=-1)[..., None]
-    terms = _SERIES_COEF * np.cumprod(np.concatenate(
-        [first, q[..., None, :] / _SERIES_DENOM], axis=-1), axis=-1)
-    bound = 1e-18 * (1.0 + np.abs(first))
-    bound[..., 3:, :] = 1e-18
-    return _sum_through_first(terms, np.abs(terms) <= bound)
+    out = np.empty((x.size, 5))
+    for start in range(0, x.size, _SERIES_CHUNK):
+        half = 0.5 * x[start:start + _SERIES_CHUNK, None]
+        q = half * half
+        one = np.ones_like(half)
+        # first terms (x/2)^n / n! of J_n, q of the Y0 tail and 1 of the Y1 tail
+        first = np.concatenate([one, half, 0.5 * q, q, one], axis=-1)[..., None]
+        terms = _SERIES_COEF * np.cumprod(np.concatenate(
+            [first, q[..., None, :] / _SERIES_DENOM], axis=-1), axis=-1)
+        # first >= 0, so 1 + first is 1 + |t_0|
+        bound = 1e-18 * (1.0 + first)
+        bound[:, 3:] = 1e-18
+        out[start:start + _SERIES_CHUNK] = _sum_through_first(
+            terms, np.abs(terms) <= bound)
+    return out
 
 
 def _series_columns(x: np.ndarray) -> np.ndarray:
@@ -175,15 +185,15 @@ def _series_columns(x: np.ndarray) -> np.ndarray:
 
 
 def _operands(rows: list) -> list:
-    """(..., points) arrays as they are, or as Python floats for one point.
+    """Arrays of points as they are, or as Python floats for one point.
 
     Python floats round exactly like numpy's elementwise arithmetic, so a
     single point can take a branch's Python loop on floats, without
     numpy's per-call cost, and get the bits it gets in a table.
     """
-    if rows[0].shape[-1] != 1:
+    if rows[0].size != 1:
         return rows
-    return [row[..., 0].tolist() for row in rows]
+    return [row.item() for row in rows]
 
 
 def _miller_columns(x: np.ndarray) -> np.ndarray:
@@ -199,19 +209,17 @@ def _miller_columns(x: np.ndarray) -> np.ndarray:
     recurrence makes the terms, and J2 is (2/x) J1 - J0.
     """
     t = 2.0 / x
-    steps_odd, steps_even, seeds = _operands(
-        [*(_PAIR_STEPS * t), _PAIR_SEED == np.floor(x)])
+    v, start = _operands([t, np.floor(x) + 9.0])
     r_odd = r_even = norm = neumann0 = neumann1 = 0.0
-    for a_odd, a_even, seed, (w_norm, w_0, w_1) in zip(
-            steps_odd, steps_even, seeds, _MILLER_WEIGHTS):
-        r_odd = a_odd * r_even - r_odd
-        r_even = a_even * r_odd - r_even + seed
+    for j, w_norm, w_0, w_1 in _MILLER_STEPS:
+        r_odd = (2 * j + 2) * v * r_even - r_odd
+        r_even = (2 * j + 1) * v * r_odd - r_even + (start == j)
         norm = norm + w_norm * r_even
         neumann0 = neumann0 + w_0 * r_even
         neumann1 = neumann1 + w_1 * r_odd
     j0, j1 = r_even / norm, r_odd / norm
     # Y_n gets (2/pi) (ln(x/2) + gamma) J_n, and Y1 also -(2/(pi x)) J0
-    log_term = (2.0 / math.pi) * np.log(_HALF_EXP_GAMMA * x)
+    log_term = (2.0 / math.pi) * (np.log(0.5 * x) + _EULER_GAMMA)
     out = np.empty((x.size, 5))
     out[:, 0], out[:, 1], out[:, 2] = j0, j1, t * j1 - j0
     out[:, 3] = log_term * j0 + neumann0 / norm
@@ -257,13 +265,8 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     the divergence cutoff.
     """
     branch = np.searchsorted(_BRANCH_LIMITS, x, side="right")
-    counts = np.bincount(branch, minlength=3).tolist()
-    if x.size in counts:
-        # one branch takes every point, as for the single points of
-        # quadrature integrands, whose calls are mostly this overhead
-        return _BRANCHES[counts.index(x.size)](x)
     out = np.empty(x.shape + (5,))
-    for k, count in enumerate(counts):
+    for k, count in enumerate(np.bincount(branch, minlength=3).tolist()):
         if count:
             points = branch == k
             out[points] = _BRANCHES[k](x[points])

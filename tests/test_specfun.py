@@ -9,6 +9,7 @@ failure points at the package's code.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,12 @@ def test_bessel_value_does_not_depend_on_its_block():
     # and the points of one branch on their own
     middle = (x >= 1.0) & (x < 17.0)
     assert np.array_equal(_bessel_columns(x[middle]), table[middle])
+    # the series takes its points in chunks, so a shift moves points
+    # across a chunk boundary
+    x = np.linspace(0.0, 1.0, 3000, endpoint=False)
+    table = _bessel_columns(x)
+    for offset in (1, 500):
+        assert np.array_equal(_bessel_columns(x[offset:]), table[offset:])
 
 
 def test_bessel_table_equals_pointwise_calls():
@@ -231,6 +238,23 @@ def test_bessel_columns_against_scipy():
     # every position, next to other points
     for offset in (1, 100, 255):
         assert np.array_equal(_bessel_columns(x[offset:]), columns[offset:])
+
+
+def test_bessel_table_memory_is_a_few_columns_per_point():
+    # every branch's temporaries are a few arrays of its points or a
+    # chunk of fixed size, so a table's peak is a few times its own
+    # (points, 5) size plus a fixed allowance, however many points it has
+    n = 2**15
+    output = 5 * 8 * n
+    for lo, hi in ((0.0, 1.0), (1.0, 17.0), (17.0, 1000.0)):
+        x = np.linspace(lo, hi, n, endpoint=False)
+        tracemalloc.start()
+        try:
+            _bessel_columns(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * output + 4e6, (lo, hi, peak)
 
 
 def test_bessel_columns_against_scipy_at_large_arguments():
