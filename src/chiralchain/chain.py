@@ -61,12 +61,7 @@ class ChainConfig:
             raise ConfigError(f"n_atoms must be a positive int, got {self.n_atoms!r}")
         if not math.isfinite(self.xi) or self.xi < 0.0:
             raise ConfigError(f"xi must be finite and >= 0, got {self.xi!r}")
-        for name, g in (("gamma_left", self.gamma_left),
-                        ("gamma_right", self.gamma_right)):
-            if not math.isfinite(g) or g < 0.0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {g!r}")
-        if self.gamma_left == 0.0 and self.gamma_right == 0.0:
-            raise ConfigError("gamma_left and gamma_right cannot both vanish")
+        _check_rates(self.gamma_left, self.gamma_right)
 
     @property
     def gamma(self) -> float:
@@ -84,6 +79,14 @@ class ChainConfig:
                 "xi_over_pi": _over_pi(self.xi),
                 "gamma_left": float(self.gamma_left),
                 "gamma_right": float(self.gamma_right)}
+
+
+def _check_rates(gamma_left: float, gamma_right: float) -> None:
+    for name, g in (("gamma_left", gamma_left), ("gamma_right", gamma_right)):
+        if not math.isfinite(g) or g < 0.0:
+            raise ConfigError(f"{name} must be finite and >= 0, got {g!r}")
+    if gamma_left == 0.0 and gamma_right == 0.0:
+        raise ConfigError("gamma_left and gamma_right cannot both vanish")
 
 
 def _over_pi(xi: float) -> float:
@@ -138,6 +141,10 @@ class DisorderSpec:
                     f"fluctuation_fraction must lie in [0, 0.5), got {w!r}")
             if self.n_realizations < 1:
                 raise ConfigError("n_realizations must be >= 1")
+            # numpy seeds a generator with non-negative integers only
+            if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+                raise ConfigError(
+                    f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def none(cls) -> "DisorderSpec":
@@ -242,11 +249,7 @@ def build_coupling_matrix(positions: np.ndarray, gamma_left: float,
         raise ConfigError("positions must be a non-empty 1D array")
     if np.any(np.diff(pos) < -_ORDERING_SLACK * max(abs(pos).max(), 1.0)):
         raise ConfigError("positions must be non-decreasing")
-    for name, g in (("gamma_left", gamma_left), ("gamma_right", gamma_right)):
-        if not math.isfinite(g) or g < 0.0:
-            raise ConfigError(f"{name} must be finite and >= 0, got {g!r}")
-    if gamma_left == 0.0 and gamma_right == 0.0:
-        raise ConfigError("gamma_left and gamma_right cannot both vanish")
+    _check_rates(gamma_left, gamma_right)
     n = pos.size
     sep = np.abs(pos[:, None] - pos[None, :])
     phase = np.exp(-1j * sep)

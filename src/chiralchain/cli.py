@@ -36,9 +36,9 @@ from . import __version__
 from .analysis import (EnsembleResult, detect_bursts, detector_defaults,
                        run_ensemble)
 from .chain import ChainConfig, DisorderSpec, build_chain, load_config_file
-from .dynamics import (_write_csv, log_grid, propagate, steady_state,
-                       uniform_excitation, uniform_grid, write_trajectory_csv,
-                       write_trajectory_json)
+from .dynamics import (_MAX_POINTS, _write_csv, log_grid, propagate,
+                       steady_state, uniform_excitation, uniform_grid,
+                       write_trajectory_csv, write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
                      NumericsError, ResolutionError)
 from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
@@ -262,10 +262,6 @@ def cmd_ensemble(args) -> int:
 # kernel
 # ---------------------------------------------------------------------------
 
-# most points of a start:step:stop range (80 MB per table column)
-_MAX_XI_POINTS = 10**7
-
-
 def _parse_xi_range(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
@@ -281,7 +277,7 @@ def _parse_xi_range(spec: str) -> np.ndarray:
             # every value up to stop; the slack keeps a stop that lies on
             # the grid but reads a rounding error short of it
             count = int(math.floor(steps + 1e-9)) + 1
-            if count > _MAX_XI_POINTS:
+            if count > _MAX_POINTS:
                 raise ValueError
             return start + step * np.arange(count)
         if "," in spec:
@@ -290,7 +286,7 @@ def _parse_xi_range(spec: str) -> np.ndarray:
     except ValueError as exc:
         raise ConfigError(
             f"bad xi range {spec!r}; use start:step:stop of at most "
-            f"{_MAX_XI_POINTS} points, a comma list, or a single value") from exc
+            f"{_MAX_POINTS} points, a comma list, or a single value") from exc
 
 
 def _kernel_table(args, xi_values: np.ndarray) -> tuple:

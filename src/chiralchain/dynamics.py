@@ -58,6 +58,9 @@ __all__ = [
 _UNDERFLOW_FLOOR = 1e-300
 # first nonzero time of a log grid, in units of 1/gamma
 _LOG_T_MIN = 1e-2
+# most points of a time grid or of a kernel table's xi range (80 MB per
+# column); a grid past it is refused before any array is made
+_MAX_POINTS = 10**7
 _NORM_SLACK = 1e-9
 _CHECK_SEED = 0x5EED
 # cross-check: max-norm tolerance and number of re-solved grid times
@@ -121,8 +124,8 @@ def uniform_grid(horizon: float = 20.0, points: int = 2000) -> np.ndarray:
     """Uniformly spaced times [0, horizon] (times in units of 1/gamma)."""
     if not math.isfinite(horizon) or horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon!r}")
-    if points < 2:
-        raise ConfigError(f"points must be >= 2, got {points!r}")
+    if not 2 <= points <= _MAX_POINTS:
+        raise ConfigError(f"points must lie in [2, {_MAX_POINTS}], got {points!r}")
     return np.linspace(0.0, horizon, points)
 
 
@@ -135,6 +138,8 @@ def log_grid(horizon: float = 1e4, points_per_decade: int = 400) -> np.ndarray:
         raise ConfigError("points_per_decade must be >= 1")
     decades = math.log10(horizon / _LOG_T_MIN)
     count = max(2, int(round(decades * points_per_decade)) + 1)
+    if count >= _MAX_POINTS:
+        raise ConfigError(f"a log grid of {count + 1} points exceeds {_MAX_POINTS}")
     times = np.logspace(math.log10(_LOG_T_MIN), math.log10(horizon), count)
     times[-1] = horizon
     return np.concatenate(([0.0], times))
@@ -701,10 +706,12 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray) -> np.ndarray
                 factor = min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
                 h = h_step * factor
             else:
+                # only a rejected step tests the floor: an accepted step clipped
+                # to land on a record time may be as short as the grid asks
                 h = h_step * max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-13:
-                raise NumericsError(
-                    "Runge-Kutta step size underflow", estimate=t, residual=h)
+                if h < 1e-13:
+                    raise NumericsError(
+                        "Runge-Kutta step size underflow", estimate=t, residual=h)
         out[idx] = y
     return out
 

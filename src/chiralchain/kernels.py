@@ -13,10 +13,12 @@ Gamma_2D as appropriate) equals 1.
 Each kernel is one function of the dimensionless separation xi = k*r,
 a float or an array, and returns its values in xi's shape (numpy
 scalars for a float): the same call fills a CLI table and gives a
-single point.  The 2D and 3D kernels
-add shift_divergent flags for separations where the coherent shift has
-no finite value (contact, and separations so small that it overflows);
-the decay there still carries its finite limit and the shift is NaN.
+single point.  The 2D and 3D kernels add shift_divergent flags for
+separations where the coherent shift has no finite value (contact, and
+separations so small that it overflows); the decay there still carries
+its finite limit and the shift is NaN.  They take their points in chunks
+of 4096, so a table of any length peaks at its own columns, about 18
+bytes a point, plus under 10 MB for the temporaries of one chunk.
 
 The 1D chiral reservoir is characterised instead by the pair (F, G) of
 symmetric and antisymmetric combinations of the directional rates; for
@@ -31,8 +33,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .specfun import (_EULER_GAMMA, _bessel_columns, _series_sums,
-                      _sum_through_first)
+from .specfun import _EULER_GAMMA, _bessel_columns, _power_series, _series_sums
 
 __all__ = [
     "chiral_fg",
@@ -51,12 +52,6 @@ def _separations(xi) -> np.ndarray:
     return xi
 
 
-def _alignment_squared(alignment: float) -> float:
-    if not math.isfinite(alignment) or abs(alignment) > 1.0:
-        raise DomainError(f"alignment must lie in [-1, 1], got {alignment!r}")
-    return alignment * alignment
-
-
 def _check_rates(gamma_left: float, gamma_right: float) -> None:
     for name, g in (("gamma_left", gamma_left), ("gamma_right", gamma_right)):
         if not math.isfinite(g) or g < 0.0:
@@ -65,14 +60,30 @@ def _check_rates(gamma_left: float, gamma_right: float) -> None:
         raise DomainError("gamma_left and gamma_right cannot both vanish")
 
 
-def _flag_divergent(decay: np.ndarray, shift: np.ndarray):
-    """(decay, shift, flags), the shift NaN and flagged wherever it is not finite.
+# points per pass of the 2D and 3D kernels, which bounds their temporaries
+_CHUNK = 4096
 
-    Indexing with () gives numpy scalars for a float xi, as the numpy
-    functions of the 1D kernels do, and the arrays themselves otherwise.
+
+def _table(columns, xi, alignment: float):
+    """(decay, shift, shift_divergent) of columns(chunk, a^2) over xi.
+
+    The shift is NaN and flagged wherever it is not finite.  Indexing
+    with () gives numpy scalars for a float xi, as the numpy functions
+    of the 1D kernels do, and the arrays themselves otherwise.
     """
+    xi = _separations(xi)
+    if not math.isfinite(alignment) or abs(alignment) > 1.0:
+        raise DomainError(f"alignment must lie in [-1, 1], got {alignment!r}")
+    a2 = alignment * alignment
+    flat = xi.ravel()
+    decay, shift = np.empty_like(flat), np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        decay[chunk], shift[chunk] = columns(flat[chunk], a2)
+    decay, shift = decay.reshape(xi.shape), shift.reshape(xi.shape)
     divergent = ~np.isfinite(shift)
-    return decay[()], np.where(divergent, math.nan, shift)[()], divergent[()]
+    shift[divergent] = math.nan
+    return decay[()], shift[()], divergent[()]
 
 
 def chiral_fg(xi, gamma_left: float, gamma_right: float):
@@ -122,8 +133,10 @@ def kernel_3d(xi, alignment: float = 0.0):
     1/xi^3 and is flagged instead of returned, at contact and wherever
     the powers of xi underflow.
     """
-    xi = _separations(xi)
-    a2 = _alignment_squared(alignment)
+    return _table(_columns_3d, xi, alignment)
+
+
+def _columns_3d(xi: np.ndarray, a2: float):
     perp = 1.0 - a2
     quad_combo = 1.0 - 3.0 * a2
     sin, cos = np.sin(xi), np.cos(xi)
@@ -131,30 +144,21 @@ def kernel_3d(xi, alignment: float = 0.0):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sinc = np.where(xi < 1e-2, 1.0 - xi * xi / 6.0 + xi**4 / 120.0, sin / xi)
         sin2_cos3 = sin / xi**2 + cos / xi**3
-        gamma_uv = 1.5 * (perp * sinc + quad_combo * _cos2_sin3(xi, sin, cos))
+        bracket = cos / xi**2 - sin / xi**3
+        small = xi < _BRACKET_SERIES_LIMIT
+        bracket[small] = _power_series(-1.0 / 3.0, xi[small, None] ** 2, _BRACKET_DENOM)
+        gamma_uv = 1.5 * (perp * sinc + quad_combo * bracket)
         omega_uv = 0.75 * (-perp * cos / xi + quad_combo * sin2_cos3)
     # the Dicke limit exactly at contact
-    return _flag_divergent(np.where(xi == 0.0, 0.5, 0.5 * gamma_uv), omega_uv)
+    return np.where(xi == 0.0, 0.5, 0.5 * gamma_uv), omega_uv
 
 
 # cos/xi^2 - sin/xi^3 cancels two terms of order 1/xi^2 down to -1/3;
 # the direct form holds to a few ulp only from about xi = 1.2 on
 _BRACKET_SERIES_LIMIT = 1.2
-# its series: a_0 = -1/3, a_j = a_{j-1} * (-xi^2 / (2j (2j+3))), j <= 16
-_BRACKET_DENOM = 2.0 * np.arange(1, 17) * (2.0 * np.arange(1, 17) + 3.0)
-
-
-def _cos2_sin3(xi: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """cos(xi)/xi^2 - sin(xi)/xi^3, by its series below _BRACKET_SERIES_LIMIT."""
-    out = np.empty_like(xi)
-    small = xi < _BRACKET_SERIES_LIMIT
-    x = xi[~small]
-    out[~small] = cos[~small] / x**2 - sin[~small] / x**3
-    q = (xi[small] ** 2)[:, None]
-    terms = np.cumprod(np.concatenate(
-        [np.full_like(q, -1.0 / 3.0), -q / _BRACKET_DENOM], axis=1), axis=1)
-    out[small] = _sum_through_first(terms, np.abs(terms) < 1e-18)
-    return out
+# its series: a_0 = -1/3, a_j = a_{j-1} * (-xi^2 / (2j (2j+3))), j <= 16,
+# the denominators with their sign
+_BRACKET_DENOM = -2.0 * np.arange(1, 17) * (2.0 * np.arange(1, 17) + 3.0)
 
 
 def kernel_2d(xi, alignment: float = 0.0):
@@ -175,47 +179,41 @@ def kernel_2d(xi, alignment: float = 0.0):
     flagged too.  g is the Kramers-Kronig partner of f, which the test
     suite verifies by principal-value reconstruction.
     """
-    xi = _separations(xi)
-    a2 = _alignment_squared(alignment)
-    decay = np.full(xi.shape, 0.5)  # f(0+) = 1
-    shift = np.full(xi.shape, math.nan)
-    apart = xi > 0.0
-    x = xi[apart]
+    return _table(_columns_2d, xi, alignment)
+
+
+def _columns_2d(x: np.ndarray, a2: float):
     j0, j1, j2, y0, y1 = _bessel_columns(x).T
-    j1_over_x = _j1_over_x(x, j1)
-    # decay = f / 2 = J0 - J1/xi + a^2 J2
-    decay[apart] = j0 - j1_over_x + a2 * j2
-    # shift = g / 2 with Y2 = 2 Y1/xi - Y0 folded in; Y0 = -inf below the
-    # Y cutoff leaves it non-finite there, and so flagged
+    # the plain quotients overflow below 0.1, where the series replace them;
+    # ln(x/2) = -inf at contact and Y0 = -inf below the Y cutoff leave the
+    # shift non-finite there, and so flagged
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shift[apart] = 0.5 * (2.0 * (1.0 - a2) * y0
-                              - 2.0 * (1.0 - 2.0 * a2) * _y1_pole_free(x, y1, j1_over_x))
-    return _flag_divergent(decay, shift)
+        j1_over_x, y1_pole_free = _j1_y1_over_x(x, j1, y1)
+        # shift = g / 2 with Y2 = 2 Y1/xi - Y0 folded in
+        shift = 0.5 * (2.0 * (1.0 - a2) * y0
+                       - 2.0 * (1.0 - 2.0 * a2) * y1_pole_free)
+    # decay = f / 2 = J0 - J1/xi + a^2 J2; at contact the series give J0 = 1,
+    # J1/xi = 1/2 and J2 = 0, so exactly the Dicke limit f(0+) = 1
+    return j0 - j1_over_x + a2 * j2, shift
 
 
-def _y1_pole_free(x: np.ndarray, y1: np.ndarray, j1_over_x: np.ndarray) -> np.ndarray:
-    # Y1(x)/x + 2/(pi x^2), which grows only like ln(x) at small x.  Below
-    # 0.1 it comes from the Y1 series without its -2/(pi x) pole, since
-    # the plain sum there cancels two terms of order 1/x^2.
-    out = np.empty_like(x)
-    big = x >= 0.1
-    out[big] = y1[big] / x[big] + 2.0 / (math.pi * x[big] * x[big])
-    small = x[~big]
-    log_term = np.log(0.5 * small) + _EULER_GAMMA
-    out[~big] = ((2.0 / math.pi) * log_term * j1_over_x[~big]
-                 - _series_sums(small)[:, 4] / (2.0 * math.pi))
-    return out
+# the J1(x)/x series: t_0 = 1/2, t_m = t_{m-1} * (-x^2/4 / (m (m+1))), m <= 19,
+# the denominators with their sign
+_J1_DENOM = -np.arange(1.0, 20.0) * np.arange(2.0, 21.0)
 
 
-def _j1_over_x(x: np.ndarray, j1: np.ndarray) -> np.ndarray:
-    # J1(x)/x by its own series at small argument; J1 ~ x/2 there, so the
-    # plain quotient would just amplify rounding in J1.
-    out = np.empty_like(x)
-    big = x >= 0.1
-    out[big] = j1[big] / x[big]
-    q = (0.25 * x[~big] * x[~big])[:, None]
-    m = np.arange(1, 20)
-    terms = np.cumprod(np.concatenate(
-        [np.full_like(q, 0.5), -q / (m * (m + 1))], axis=1), axis=1)
-    out[~big] = _sum_through_first(terms, np.abs(terms) < 1e-18)
-    return out
+def _j1_y1_over_x(x: np.ndarray, j1: np.ndarray, y1: np.ndarray):
+    """J1(x)/x and Y1(x)/x + 2/(pi x^2), which grows only like ln(x) at small x.
+
+    Below 0.1 both come from series: J1 ~ x/2 there, so the plain quotient
+    would just amplify rounding in J1, and the plain Y1 sum cancels two
+    terms of order 1/x^2, so the Y1 series enters without its -2/(pi x) pole.
+    """
+    j1_over_x, y1_pole_free = j1 / x, y1 / x + 2.0 / (math.pi * x * x)
+    small = x < 0.1
+    x = x[small]
+    j1_over_x[small] = _power_series(0.5, (0.25 * x * x)[:, None], _J1_DENOM)
+    log_term = np.log(0.5 * x) + _EULER_GAMMA
+    y1_pole_free[small] = ((2.0 / math.pi) * log_term * j1_over_x[small]
+                           - _series_sums(x)[:, 4] / (2.0 * math.pi))
+    return j1_over_x, y1_pole_free

@@ -21,7 +21,8 @@ where it has left the double range.
                 J0 and J1 sums.  The five term recurrences form a
                 (points, 5, 17) matrix, each row summed in order through
                 its first term below the bound, as a term-by-term loop
-                would stop; the points go through in chunks of 1024.
+                would stop (``_power_series``, which the kernels' own
+                small-argument series use too).
 * 1 <= x < 17:  Miller's backward recurrence from the order
                 2 floor(x) + 18, normalised by J0 + 2 sum J_2k = 1, with
                 Y0 and Y1 from the Neumann sums of the same J_k
@@ -35,9 +36,9 @@ within 4e-16 absolute from x = 1 to 1000, and the expansion only gets
 more accurate as x grows; below 1 the series gives J within 3e-16 and
 Y0 within 5e-14 absolute, and Y1, which diverges like -2/(pi x), within
 3e-16 relative.  Miller's and Hankel's branches hold about a dozen
-arrays of their points at a time and the series one chunk's term
-matrices, so a table's peak memory is about five times its own size
-plus 2 MB, however many points it has.
+arrays of their points at a time and the series a few (points, 5, 17)
+term matrices; the kernels bound the memory by handing over their
+points in chunks of fixed size.
 
 Every operation acts on one point at a time, so a value does not depend
 on the other points of its call: a table equals the same points
@@ -121,21 +122,26 @@ _SERIES_COEF = np.ones((5, _M.size + 1))
 _SERIES_COEF[3, :_M.size - 1] = np.where(_M[:-1] % 2, 1.0, -1.0) * _HARMONIC[:-1]
 # Y1: H_m + H_{m+1}, with H_0 + H_1 = 1
 _SERIES_COEF[4, 1:_M.size] = _HARMONIC[:-1] + _HARMONIC[1:]
-# The series sums take their points this many at a time, so that the
-# term matrices of a call hold at most 5 * 17 * 1024 doubles each.
-_SERIES_CHUNK = 1024
 
 
-def _sum_through_first(terms: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Row sums of terms through each row's first True in last (all if none).
+def _power_series(first, q, denom, coef=1.0, bound=1e-18):
+    """Row sums of coef_k t_k with t_0 = first and t_k = t_{k-1} q / denom_k.
 
-    This is the stopping rule of a term-by-term loop, applied per point
-    to a (points, terms) matrix, so a sum does not depend on the other
-    points of its call.
+    q / denom is a (..., terms - 1) array of ratios and first broadcasts
+    to one term per row.  A row is summed in term order through its first
+    term within bound, |coef_k t_k| <= bound, or through its last term: the
+    stopping rule of a term-by-term loop, applied per point, so a sum
+    does not depend on the other points of its call.
     """
-    after = np.cumsum(last, axis=-1) > last
+    rows = np.broadcast_shapes(np.shape(q), np.shape(denom))[:-1]
+    terms = np.concatenate([np.broadcast_to(first, rows + (1,)), q / denom], axis=-1)
+    # the running products, then the terms past each row's stop zeroed, in place
+    np.cumprod(terms, axis=-1, out=terms)
+    terms *= coef
+    last = np.abs(terms) <= bound
+    terms[np.cumsum(last, axis=-1) > last] = 0.0
     # summed in term order, as such a loop adds them
-    return np.cumsum(np.where(after, 0.0, terms), axis=-1)[..., -1]
+    return np.cumsum(terms, axis=-1, out=terms)[..., -1]
 
 
 def _series_sums(x: np.ndarray) -> np.ndarray:
@@ -146,21 +152,15 @@ def _series_sums(x: np.ndarray) -> np.ndarray:
     row is summed through its first term within 1e-18 (1 + |t_0|), a tail
     through its first term within 1e-18.
     """
-    out = np.empty((x.size, 5))
-    for start in range(0, x.size, _SERIES_CHUNK):
-        half = 0.5 * x[start:start + _SERIES_CHUNK, None]
-        q = half * half
-        one = np.ones_like(half)
-        # first terms (x/2)^n / n! of J_n, q of the Y0 tail and 1 of the Y1 tail
-        first = np.concatenate([one, half, 0.5 * q, q, one], axis=-1)[..., None]
-        terms = _SERIES_COEF * np.cumprod(np.concatenate(
-            [first, q[..., None, :] / _SERIES_DENOM], axis=-1), axis=-1)
-        # first >= 0, so 1 + first is 1 + |t_0|
-        bound = 1e-18 * (1.0 + first)
-        bound[:, 3:] = 1e-18
-        out[start:start + _SERIES_CHUNK] = _sum_through_first(
-            terms, np.abs(terms) <= bound)
-    return out
+    half = 0.5 * x[:, None]
+    q = half * half
+    one = np.ones_like(half)
+    # first terms (x/2)^n / n! of J_n, q of the Y0 tail and 1 of the Y1 tail
+    first = np.concatenate([one, half, 0.5 * q, q, one], axis=-1)[..., None]
+    # first >= 0, so 1 + first is 1 + |t_0|
+    bound = 1e-18 * (1.0 + first)
+    bound[:, 3:] = 1e-18
+    return _power_series(first, q[..., None], _SERIES_DENOM, _SERIES_COEF, bound)
 
 
 def _series_columns(x: np.ndarray) -> np.ndarray:

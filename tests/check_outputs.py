@@ -16,7 +16,7 @@ the list records the numpy version, the BLAS library and the thread
 count, and a run on another build says so next to any difference.  All
 presets take about 20 s on one 2-core x86-64 host; pytest does not
 collect this file, but tests/test_check_outputs.py runs the kernel
-presets and the ensemble (about 2 s) against the same list.
+presets and the ensemble (about 3 s) against the same list.
 Exit status: 0 when every digest matches, 1 otherwise.
 """
 
@@ -56,6 +56,9 @@ PRESETS = [
                              "--gamma-l", "0.3", "--gamma-r", "0.9"]),
     ("kernel_2", ["kernel", "--dim", "2", *_KERNEL_XI]),
     ("kernel_3", ["kernel", "--dim", "3", *_KERNEL_XI]),
+    # small separations, where the kernels take their series branches
+    *((f"kernel_{dim}_small", ["kernel", "--dim", dim, "--xi", "0.0001:0.0001:1.2",
+                                "--alignment", "0.5"]) for dim in ("2", "3")),
 ] + [(f"figure_fig{k}", ["figure", f"fig{k}"]) for k in range(2, 8)]
 
 

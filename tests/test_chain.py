@@ -49,6 +49,15 @@ def test_disorder_spec_modes():
         DisorderSpec.ensemble(0.01, 0, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, None, "7"])
+def test_ensemble_seed_must_be_a_non_negative_integer(seed):
+    # numpy's generators take non-negative integer seeds only
+    with pytest.raises(ConfigError, match="seed"):
+        DisorderSpec(mode="ensemble", fluctuation_fraction=0.01,
+                     n_realizations=10, seed=seed)
+    assert DisorderSpec.ensemble(0.01, 10, np.int64(0)).seed == 0
+
+
 def test_positions_uniform_lattice():
     config = ChainConfig(n_atoms=4, xi=math.pi, gamma_left=1.0, gamma_right=1.0)
     positions = build_positions(config)

@@ -16,8 +16,9 @@ import chiralchain
 from chiralchain import dynamics
 from chiralchain.analysis import run_ensemble
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
-from chiralchain.cli import _MAX_XI_POINTS, _parse_xi_range, main
-from chiralchain.dynamics import steady_state, uniform_excitation, uniform_grid
+from chiralchain.cli import _parse_xi_range, main
+from chiralchain.dynamics import (_MAX_POINTS, steady_state, uniform_excitation,
+                                  uniform_grid)
 from chiralchain.errors import ConfigError, NumericsError
 from chiralchain.kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
@@ -208,7 +209,7 @@ def test_xi_range_never_passes_stop():
 def test_xi_range_point_cap():
     # one point over the cap is refused before any array is made
     with pytest.raises(ConfigError, match="bad xi range"):
-        _parse_xi_range(f"0:1:{_MAX_XI_POINTS}")
+        _parse_xi_range(f"0:1:{_MAX_POINTS}")
 
 
 @pytest.mark.parametrize("spec,count,last", [("0.01:0.005:50", 9999, 50.0),
@@ -326,6 +327,28 @@ def test_error_exit_codes(capsys):
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main(["figure", "fig99"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "--n", "3", "--xi-over-pi", "1", "--seed", "-1"],
+    ["simulate", "--points", "100000000000000000"],
+    ["ensemble", "--n", "3", "--xi-over-pi", "1",
+     "--points", "100000000000000000"],
+    ["simulate", "--log-grid", "--points-per-decade", "100000000000000000"],
+])
+def test_bad_seed_and_absurd_grids_exit_2_with_one_error_line(argv, tmp_path,
+                                                              capsys):
+    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_short_horizon_passes_the_cross_check(tmp_path):
+    # steps clipped to 5e-16 to land on the record times are no underflow
+    assert main(["simulate", "--n", "3", "--xi-over-pi", "1", "--points",
+                 "2000", "--horizon", "1e-12", "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["parameters"]["cross_check"] is True
 
 
 @pytest.mark.parametrize("failure", ["integrity", "numerics"])

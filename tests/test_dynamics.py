@@ -21,7 +21,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   steady_state, uniform_excitation,
                                   uniform_grid, write_trajectory_csv,
                                   write_trajectory_json)
-from chiralchain.errors import ConfigError, IntegrityError
+from chiralchain.errors import ConfigError, IntegrityError, NumericsError
 from oracles import cascaded
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
@@ -49,6 +49,20 @@ def test_log_grid_shape():
     assert np.all(np.diff(grid) > 0.0)
     with pytest.raises(ConfigError):
         log_grid(horizon=1e-3, points_per_decade=100)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: uniform_grid(20.0, dynamics._MAX_POINTS + 1),
+    lambda: uniform_grid(20.0, 10**17),
+    # 6 decades of points_per_decade points, plus t = 0 and the horizon
+    lambda: log_grid(1e4, dynamics._MAX_POINTS // 6 + 1),
+    lambda: log_grid(1e4, 10**17),
+], ids=["uniform_cap", "uniform_1e17", "log_cap", "log_1e17"])
+def test_grids_past_the_point_cap_are_refused_before_allocating(build):
+    # such arrays would take 80 MB to many PB; the refusal is a
+    # ConfigError, not a MemoryError
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_state_vector_invariants():
@@ -101,6 +115,22 @@ def test_matrix_exponential_and_runge_kutta_agree():
     fast = propagate(matrix, state, grid, cross_check=False)
     slow = dynamics._dp54(matrix.entries, state.amplitudes, grid[1:])
     assert np.max(np.abs(fast.amplitudes[1:] - slow)) < 1e-10
+
+
+@pytest.mark.parametrize("horizon", [1e-12, 1e-14, 1e-20])
+def test_runge_kutta_check_passes_on_short_horizons(horizon):
+    # the steps clipped to land on record times are far shorter than the
+    # step-size floor 1e-13, and they are accepted, not an underflow
+    matrix = chain(3, math.pi, 1.0, 1.0)
+    trajectory = propagate(matrix, uniform_excitation(3), uniform_grid(horizon, 2000))
+    assert trajectory.total[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_runge_kutta_step_underflow_raises_on_a_stiff_generator():
+    # rates of order 1e16 drive rejected steps below the floor
+    v = np.diag([-1e16, -1.0]).astype(complex)
+    with pytest.raises(NumericsError, match="step size underflow"):
+        dynamics._dp54(v, np.ones(2, dtype=complex), np.array([1.0]))
 
 
 def test_propagate_raises_when_the_cross_check_disagrees(monkeypatch):

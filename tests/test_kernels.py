@@ -1,6 +1,7 @@
 """Dipole-dipole kernels: closed-form points, limits, and invariants."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from bessel import bessel
 from chiralchain.errors import DomainError
+from chiralchain import kernels
 from chiralchain.kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
 
@@ -199,6 +201,40 @@ def test_kernel_columns_equal_pointwise_calls():
         assert all(isinstance(value, np.generic) for point in points for value in point)
         for column, values in zip(columns, zip(*points)):
             assert np.array_equal(column, values, equal_nan=True)
+
+
+@pytest.mark.parametrize("kernel", [kernel_2d, kernel_3d])
+def test_kernel_value_does_not_depend_on_its_chunk(kernel):
+    # the table takes its points in chunks, so shifting it moves points
+    # across chunk boundaries; small separations take the series branches
+    xi = np.concatenate([np.linspace(0.0, 1.5, 2 * kernels._CHUNK + 100),
+                         0.01 + 0.07 * np.arange(715)])
+    # as a 2D array, whose values come out in its shape
+    xi = xi[:xi.size // 8 * 8].reshape(-1, 8)
+    columns = kernel(xi, 0.5)
+    assert all(column.shape == xi.shape for column in columns)
+    for offset in (1, 3):
+        shifted = kernel(xi.ravel()[offset:], 0.5)
+        for column, values in zip(columns, shifted):
+            assert np.array_equal(column.ravel()[offset:], values, equal_nan=True)
+
+
+def test_kernel_table_memory_is_a_few_columns_per_point():
+    # the 2D and 3D kernels hand their points to the Bessel core and their
+    # series in chunks of fixed size, so a table's peak is a few of its
+    # columns plus a fixed allowance, however many points it has: over the
+    # series branches of small separations as well as beyond them
+    n = 2**17
+    for kernel, hi in ((kernel_2d, 0.1), (kernel_3d, 1.2),
+                       (kernel_2d, 50.0), (kernel_3d, 50.0)):
+        xi = np.linspace(0.0, hi, n)
+        tracemalloc.start()
+        try:
+            kernel(xi, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n + 12e6, (kernel.__name__, hi, peak)
 
 
 @pytest.mark.parametrize("build", [kernel_2d, kernel_3d])
