@@ -138,10 +138,10 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     if disorder.n_realizations < 2:
         raise ConfigError("need at least 2 realizations")
     grid = np.asarray(grid, dtype=float)
-    generators = np.stack([build_chain(config, disorder, index).entries
-                           for index in range(disorder.n_realizations)])
+    matrices = [build_chain(config, disorder, index)
+                for index in range(disorder.n_realizations)]
     mean_total, std_total, mean_intensity, std_intensity = _propagate_stack(
-        generators, uniform_excitation(config.n_atoms), grid,
+        matrices, uniform_excitation(config.n_atoms), grid,
         cross_check=cross_check)
     return EnsembleResult(
         times=grid,

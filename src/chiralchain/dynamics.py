@@ -8,14 +8,15 @@ matrices, the degree and scaling chosen per matrix.  A grid whose times
 all equal j*h to within a few ulp is uniform, of step h
 (np.linspace rounds its steps to about 16 distinct floats;
 exp(V a) exp(V b) = exp(V (a + b)) makes stepping by h exact up to those
-ulp).  It advances B steps at a time by one matmul against
-exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h), so the state passes from
-block to block through one exponential instead of B chained products and
-rounding does not add up over long runs; the whole grid costs a single
-expm call (for h and B h).  Any other grid, such as a log grid, advances
-one step at a time, with one exponential per step taken up to B steps
-per expm call.  The same core evolves a whole stack of generators at
-once, which is how disorder ensembles run.
+ulp).  It is cut into blocks of B rows: the first row of each block, its
+coarse state, comes from the one before by exp(V B h), so rounding does
+not add up over long runs, and every row of a chunk of blocks comes from
+the chunk's coarse states by one matmul against exp(V h)^j for
+j < B; the whole grid costs a single expm call (for h and B h).  Any
+other grid, such as a log grid, advances one step at a time, with one
+exponential per step taken up to B steps per expm call.  The same core
+evolves a whole stack of generators at once, which is how disorder
+ensembles run.
 
 Every propagation can be cross-checked against an independently coded
 adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)); the two
@@ -23,9 +24,15 @@ backends disagreeing beyond 1e-8 in max norm raises IntegrityError, on
 the theory that silent numerical corruption is worse than a crash.
 
 Observables: site populations P_m = |c_m|^2, total population P_tot,
-the emitted intensity I_tot = -c^dag (V + V^dag) c = -dP_tot/dt (always
->= 0 because -(V + V^dag) is positive semidefinite), pair coherences,
-and the t -> infinity state as the orthogonal projection onto null(V).
+the emitted intensity I_tot = -dP_tot/dt, pair coherences, and the
+t -> infinity state as the orthogonal projection onto null(V).  With
+w_m = exp(-i phi_m) at the phase positions phi_m, the emission form is
+rank 2, -(V + V^dag) = gamma_R w w^dag + gamma_L conj(w) w^T, so
+I_tot = gamma_R |w^dag c|^2 + gamma_L |w^T c|^2: the sum of the
+intensities emitted to the right and to the left, each >= 0.  The same
+matmul that gives a chunk's amplitudes gives both projections, and the
+intensity never cancels terms of size gamma |c|^2 as -c^dag (V + V^dag) c
+would on the long-lived plateaus.
 
 Populations below 1e-300 are clamped to zero and flagged, so extreme
 subradiance studies cannot leak denormals into downstream analysis.
@@ -72,6 +79,8 @@ _RK_TOL = 1e-12
 _BLOCK = 64
 # most entries B*N^2 of one generator's powers (32 KB; see _evolve)
 _BLOCK_ENTRIES = 2048
+# entries W*(N+2) of one generator's chunk of grid rows (see _evolve)
+_CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
 # grid times of P_tot and I_tot staged per generator before an ensemble
@@ -203,27 +212,50 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _observables(v: np.ndarray, states: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Populations, P_tot and I_tot of amplitudes (R, K, N) under v (R, N, N).
+def _observables(table: np.ndarray, weights: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Populations and (P_tot, I_tot) of the rows of an emitted table.
 
-    The last axis must be contiguous, for the (re, im) float view.
+    table is (R, K, N + 2): the amplitudes c and the projections w^dag c
+    and w^T c (see _evolve); weights (R, N + 2, 2), from _generators,
+    takes the squared moduli of a row to P_tot and to
+    I_tot = gamma_R |w^dag c|^2 + gamma_L |w^T c|^2, the rank-2 form of
+    -c^dag (V + V^dag) c, which adds two nonnegative terms instead of
+    cancelling terms of size gamma |c|^2 down to the emitted intensity.
+    Returns the populations (R, K, N), (P_tot, I_tot) as (R, K, 2) and
+    whether a population was clamped.
     """
-    populations = np.abs(states)
-    populations *= populations
-    tiny = populations < _UNDERFLOW_FLOOR
+    n = table.shape[-1] - 2
+    # |c_m|^2, |w^dag c|^2 and |w^T c|^2, with no other temporary
+    squares = np.abs(table)
+    squares *= squares
+    populations = squares[..., :n]
     clamped = False
-    if tiny.any():
+    if populations.min() < _UNDERFLOW_FLOOR:
+        tiny = populations < _UNDERFLOW_FLOOR
         clamped = bool(populations[tiny].any())
         populations[tiny] = 0.0
-    # a sum over a short last axis is several times slower than this matvec
-    total = populations @ np.ones(states.shape[2])
-    # -c^dag (V + V^dag) c = -2 Re(c^dag V c), and Re(conj(a) b) is
-    # a.re b.re + a.im b.im: one sum over the (re, im) float views
-    products = states @ v.swapaxes(1, 2)
-    intensity_arr = -2.0 * np.einsum("rkn,rkn->rk", states.view(float),
-                                     products.view(float))
-    return populations, total, intensity_arr, clamped
+    # (P_tot, I_tot) of every row from one product: a sum over a short
+    # last axis is several times slower than a matmul
+    return populations, squares @ weights, clamped
+
+
+def _generators(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stack V (R, N, N), emission vectors w (R, N) and weights.
+
+    w_m = exp(-i phi_m) from the positions phi of each matrix: the
+    strictly lower part of V is -gamma_R w w^dag and the strictly upper
+    part -gamma_L conj(w) w^T, so -(V + V^dag) = gamma_R w w^dag +
+    gamma_L conj(w) w^T.  weights (R, N + 2, 2) takes
+    (|c_1|^2 .. |c_N|^2, |w^dag c|^2, |w^T c|^2) to (P_tot, I_tot).
+    """
+    v = np.stack([m.entries for m in matrices])
+    n_stack, n = v.shape[:2]
+    w = np.exp(-1j * np.stack([m.positions for m in matrices]))
+    weights = np.zeros((n_stack, n + 2, 2))
+    weights[:, :n, 0] = 1.0
+    weights[:, n:, 1] = [[m.gamma_right, m.gamma_left] for m in matrices]
+    return v, w, weights
 
 
 # Scaling and squaring with diagonal Pade approximants, Al-Mohy & Higham,
@@ -444,76 +476,88 @@ def _is_uniform(grid: np.ndarray) -> bool:
     return bool(np.all(np.abs(grid - line) <= _RUN_ULPS * np.spacing(grid)))
 
 
-def _evolve(v: np.ndarray, c0: np.ndarray, grid: np.ndarray,
+def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
             emit: Callable[[int, np.ndarray], None]) -> None:
     """Advance c0 under every generator of the stack v across the grid.
 
-    v has shape (R, N, N).  emit(k, block) receives, in grid order, the
-    amplitudes at grid indices k .. k + b - 1 as an (R, b, N) array with
-    b <= _BLOCK, starting with the initial state at k = 0; the block is
-    only valid during the call.  A uniform grid of step h advances B
-    steps per matmul against exp(V h)^1 .. exp(V h)^(B-1) and exp(V B h),
-    so the state passes from block to block through one exponential, not
-    B chained products.  B is _BLOCK, capped so that the R*B*N^2 entries
-    of the powers never exceed the R*K*N amplitudes of the trajectories,
-    and so that one generator's powers stay within _BLOCK_ENTRIES.
-    Blocking only saves per-call overhead, and larger powers measured
-    slower: N = 200 with B = 10 against B = 1, and N = 9 or 10 with B*N^2
-    near 5000 under multithreaded OpenBLAS, which threads complex
-    matrix-vector products of 4096 or more entries.  Any other grid
-    advances one step at a time, and the same cap bounds the steps whose
-    exponentials one expm call takes on the whole stack.
+    v has shape (R, N, N) and w (R, N).  emit(k, table) receives, in grid
+    order, the rows k .. k + c - 1 of the grid as an (R, c, N + 2) array,
+    starting with the initial state at k = 0: per row the amplitudes c,
+    then the projections w^dag c and w^T c.  The table is only valid
+    during the call.
+
+    The grid is cut into blocks of B rows and chunks of W rows, W a
+    multiple of B.  The first row of each block, its coarse state, comes
+    from the coarse state before it by one small product per generator:
+    exp(V B h) on a uniform grid of step h, so rounding does not add up
+    over long runs, and the step's own exponential on any other grid,
+    where B = 1 and the exponentials of up to _BLOCK steps come from one
+    expm call.  Then one product per chunk, coarse states (R, W/B, N) @
+    S (R, N, B (N + 2)) in row form, gives every row of the chunk: S
+    holds (E^j)^T, (E^j)^T conj(w) and (E^j)^T w for j = 0 .. B - 1,
+    E = exp(V h), less the identity of j = 0, whose amplitudes are the
+    coarse states themselves.  A uniform grid costs one expm call (for h
+    and B h) in all.
+
+    B is _BLOCK, capped so that the R B N^2 entries of the powers never
+    exceed the R K N amplitudes of the trajectories, and so that one
+    generator's powers stay within _BLOCK_ENTRIES: blocking only saves
+    per-call overhead, and larger powers measured slower (N = 200 with
+    B = 10 against B = 1, and N = 9 or 10 with B N^2 near 5000 under
+    multithreaded OpenBLAS).  W is the least multiple of B that is at
+    least max(_BLOCK, _CHUNK_ENTRIES / (N + 2)) rows, which keeps a
+    chunk near 32 kB per generator at N = 5.  W depends on N and the grid
+    but never on R, so a generator's rows are bit for bit the same alone
+    and in a stack.
     """
     n_stack, n = v.shape[:2]
-    cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
-    # emitted blocks hold a whole number of full-width products
-    slots = cap * max(1, _BLOCK // cap)
-    pending = np.empty((n_stack, slots, n), dtype=complex)
-    pending[:, 0] = c0
-    filled, emitted = 1, 0
-    current = pending[:, 0, :, None].copy()
-
-    def advance(stacked: np.ndarray, size: int) -> int:
-        """Keep up to size of the states stacked @ current; returns how many.
-
-        Fewer are kept where the pending block fills up, and the next
-        product starts from the last state kept.
-        """
-        nonlocal filled, emitted, current
-        if filled == slots:
-            emit(emitted, pending)
-            emitted += slots
-            filled = 0
-        size = min(size, slots - filled)
-        block = (stacked @ current).reshape(n_stack, -1, n)
-        pending[:, filled:filled + size] = block[:, :size]
-        current = block[:, size - 1, :, None]
-        filled += size
-        return size
-
     count = grid.size - 1
-    if _is_uniform(grid):
+    cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
+    uniform = _is_uniform(grid)
+    width = min(cap, count) if uniform else 1
+    # [I | conj(w) | w]: a row state c^T times it is (c, w^dag c, w^T c)
+    frame = np.zeros((n_stack, n, width, n + 2), dtype=complex)
+    frame[:, range(n), 0, range(n)] = 1.0
+    frame[:, :, 0, n] = w.conj()
+    frame[:, :, 0, n + 1] = w
+    if uniform:
         h = grid[-1] / count
-        width = min(cap, count)
         ends = _exponentials(v, [h] if width == 1 else [h, width * h])
-        # powers[:, j] = exp(V h (j+1)), so that rows (j, site) of the
-        # flattened stack map a state to the next B states in one matmul
-        powers = np.empty((n_stack, width, n, n), dtype=complex)
-        powers[:, 0] = ends[:, 0]
-        for j in range(1, width - 1):
-            np.matmul(powers[:, j - 1], ends[:, 0], out=powers[:, j])
-        powers[:, width - 1] = ends[:, -1]
-        stacked = powers.reshape(n_stack, width * n, n)
-        done = 0
-        while done < count:
-            done += advance(stacked, min(width, count - done))
+        transposed = ends[:, 0].swapaxes(1, 2)
+        for j in range(1, width):
+            frame[:, :, j] = transposed @ frame[:, :, j - 1]
+        leap = ends[:, -1]
     else:
         steps = np.diff(grid)
-        for first in range(0, count, cap):
-            exponentials = _exponentials(v, steps[first:first + cap])
-            for j in range(exponentials.shape[1]):
-                advance(exponentials[:, j], 1)
-    emit(emitted, pending[:, :filled])
+    # S less the identity of j = 0: the coarse states are their own rows
+    fine = frame.reshape(n_stack, n, -1)[..., n:]
+    blocks = -(-max(_BLOCK, _CHUNK_ENTRIES // (n + 2)) // width)
+    chunk = np.empty((n_stack, blocks, width * (n + 2)), dtype=complex)
+    coarse = chunk[..., :n]
+    table = chunk.reshape(n_stack, blocks * width, n + 2)
+    coarse[:, 0] = c0
+    first, filled = 0, 1
+
+    def flush() -> None:
+        np.matmul(coarse[:, :filled], fine, out=chunk[:, :filled, n:])
+        emit(first, table[:, :min(filled * width, grid.size - first)])
+
+    for index in range(1, -(-grid.size // width)):
+        if uniform:
+            step = leap
+        else:
+            j = (index - 1) % cap
+            if j == 0:
+                exponentials = _exponentials(v, steps[index - 1:index - 1 + cap])
+            step = exponentials[:, j]
+        if filled == blocks:
+            flush()
+            first, filled = first + blocks * width, 0
+        # after a flush the coarse state before sits at index -1
+        np.matmul(step, coarse[:, filled - 1, :, None],
+                  out=coarse[:, filled, :, None])
+        filled += 1
+    flush()
 
 
 def _exponentials(v: np.ndarray, scales) -> np.ndarray:
@@ -561,24 +605,25 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
     """
     grid = _validate_grid(grid)
     _check_sites(matrix.n_atoms, initial)
-    v = matrix.entries[None]
-    states = np.empty((grid.size, matrix.n_atoms), dtype=complex)
-    populations = np.empty((grid.size, matrix.n_atoms))
+    n = matrix.n_atoms
+    v, w, weights = _generators([matrix])
+    states = np.empty((grid.size, n), dtype=complex)
+    populations = np.empty((grid.size, n))
     total = np.empty(grid.size)
     intensity_arr = np.empty(grid.size)
     clamped = False
 
-    def keep(k: int, block: np.ndarray) -> None:
+    def keep(k: int, table: np.ndarray) -> None:
         nonlocal clamped
-        stop = k + block.shape[1]
-        pops, block_total, block_intensity, clamp = _observables(v, block)
-        states[k:stop] = block[0]
+        stop = k + table.shape[1]
+        pops, observed, clamp = _observables(table, weights)
+        states[k:stop] = table[0, :, :n]
         populations[k:stop] = pops[0]
-        total[k:stop] = block_total[0]
-        intensity_arr[k:stop] = block_intensity[0]
+        total[k:stop] = observed[0, :, 0]
+        intensity_arr[k:stop] = observed[0, :, 1]
         clamped |= clamp
 
-    _evolve(v, initial.amplitudes, grid, keep)
+    _evolve(v, w, initial.amplitudes, grid, keep)
     if cross_check:
         picks = _check_points(grid.size)
         _cross_check(v, initial.amplitudes, grid[picks], states[None, picks])
@@ -601,39 +646,41 @@ def _chunk_ends(size: int) -> list:
     return ends
 
 
-def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
+def _propagate_stack(matrices, initial: StateVector, grid, *,
                      cross_check: bool) -> tuple[np.ndarray, ...]:
-    """Mean and std of P_tot and I_tot over the stack v, each of shape (K,).
+    """Mean and std of P_tot and I_tot over the coupling matrices, each (K,).
 
     Returns (mean P_tot, std P_tot, mean I_tot, std I_tot), the standard
-    deviations with the n-1 divisor.  Observables are taken block by
-    block and staged in C-contiguous (R, c) buffers of at most
-    _MOMENT_WIDTH + 1 grid times, whose moments over the stack axis are
-    taken as each chunk fills; memory is O(R W + K), not O(R K).  numpy
-    adds the rows of an (R, c) block with c > 1 in generator order, as it
-    does for the whole (R, K) array, so the moments are bit for bit those
-    of the full arrays.  Only the cross-check times are kept for the RK
-    comparison, which runs on every generator of the stack.
+    deviations with the n-1 divisor.  The matrices are propagated as one
+    stack.  Observables are taken chunk by chunk and staged in
+    C-contiguous (R, c) buffers of at most _MOMENT_WIDTH + 1 grid times,
+    whose moments over the stack axis are taken as each buffer fills;
+    memory is O(R W + K), not O(R K).  numpy adds the rows of an (R, c)
+    block with c > 1 in generator order, as it does for the whole (R, K)
+    array, so the moments are bit for bit those of the full arrays.  Only
+    the cross-check times are kept for the RK comparison, which runs on
+    every generator of the stack.
     """
     grid = _validate_grid(grid)
-    _check_sites(v.shape[-1], initial)
-    n_stack = v.shape[0]
+    v, w, weights = _generators(matrices)
+    n_stack, n = v.shape[:2]
+    _check_sites(n, initial)
     ends = _chunk_ends(grid.size)
     staging = np.empty((2, n_stack * min(grid.size, _MOMENT_WIDTH + 1)))
     # [observable][mean, std] over the grid, observables P_tot and I_tot
     moments = np.empty((2, 2, grid.size))
     picks = (_check_points(grid.size) if cross_check
              else np.empty(0, dtype=int))
-    checked = np.empty((n_stack, picks.size, v.shape[-1]), dtype=complex)
+    checked = np.empty((n_stack, picks.size, n), dtype=complex)
     chunk, start = 0, 0
 
-    def reduce(first: int, block: np.ndarray) -> None:
+    def reduce(first: int, table: np.ndarray) -> None:
         nonlocal chunk, start
-        stop = first + block.shape[1]
-        _, block_total, block_intensity, _ = _observables(v, block)
-        observed = np.stack((block_total, block_intensity))
+        stop = first + table.shape[1]
+        # P_tot and I_tot of the table, as two (R, c) views
+        observed = _observables(table, weights)[1].transpose(2, 0, 1)
         hit = (picks >= first) & (picks < stop)
-        checked[:, hit] = block[:, picks[hit] - first]
+        checked[:, hit] = table[:, picks[hit] - first, :n]
         k = first
         while k < stop:
             end = ends[chunk]
@@ -650,7 +697,7 @@ def _propagate_stack(v: np.ndarray, initial: StateVector, grid, *,
                     std[start:end] = values.std(axis=0, ddof=1)
                 chunk, start = chunk + 1, end
 
-    _evolve(v, initial.amplitudes, grid, reduce)
+    _evolve(v, w, initial.amplitudes, grid, reduce)
     if cross_check:
         _cross_check(v, initial.amplitudes, grid[picks], checked)
     return tuple(moments.reshape(4, grid.size))

@@ -138,8 +138,11 @@ def _power_series(first, q, denom, coef=1.0, bound=1e-18):
     # the running products, then the terms past each row's stop zeroed, in place
     np.cumprod(terms, axis=-1, out=terms)
     terms *= coef
-    last = np.abs(terms) <= bound
-    terms[np.cumsum(last, axis=-1) > last] = 0.0
+    within = np.abs(terms) <= bound
+    # each row stops at its first term within bound, or at its last term
+    within[..., -1] = True
+    stop = np.argmax(within, axis=-1, keepdims=True)
+    terms[np.arange(terms.shape[-1]) > stop] = 0.0
     # summed in term order, as such a loop adds them
     return np.cumsum(terms, axis=-1, out=terms)[..., -1]
 
@@ -265,12 +268,20 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     the divergence cutoff.
     """
     branch = np.searchsorted(_BRANCH_LIMITS, x, side="right")
-    out = np.empty(x.shape + (5,))
-    for k, count in enumerate(np.bincount(branch, minlength=3).tolist()):
-        if count:
-            points = branch == k
-            out[points] = _BRANCHES[k](x[points])
-    return out
+    # the points in branch order, each branch a contiguous slice of them
+    order = np.argsort(branch, kind="stable")
+    ordered = x[order]
+    columns = np.empty(x.shape + (5,))
+    start = 0
+    for k, end in enumerate(np.cumsum(np.bincount(branch, minlength=3)).tolist()):
+        if end > start:
+            columns[start:end] = _BRANCHES[k](ordered[start:end])
+        start = end
+    # back in the order of x: a gather of rows, several times cheaper
+    # than scattering them
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return np.take(columns, inverse, axis=0)
 
 
 _BRANCHES = (_series_columns, _miller_columns, _hankel_columns)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -146,17 +147,19 @@ def test_run_ensemble_cross_checks_every_realization(monkeypatch):
     run_ensemble(config, disorder, grid, cross_check=False)
 
 
-def full_observables(v, grid):
+def full_observables(matrices, grid):
     """P_tot and I_tot, each (R, K), collected from the propagation core."""
+    v, w, weights = dynamics._generators(matrices)
     totals = np.empty((v.shape[0], grid.size))
     intensities = np.empty((v.shape[0], grid.size))
 
-    def keep(k, block):
-        _, total, intensity, _ = dynamics._observables(v, block)
-        totals[:, k:k + block.shape[1]] = total
-        intensities[:, k:k + block.shape[1]] = intensity
+    def keep(k, table):
+        _, observed, _ = dynamics._observables(table, weights)
+        totals[:, k:k + table.shape[1]] = observed[..., 0]
+        intensities[:, k:k + table.shape[1]] = observed[..., 1]
 
-    dynamics._evolve(v, uniform_excitation(v.shape[1]).amplitudes, grid, keep)
+    dynamics._evolve(v, w, uniform_excitation(v.shape[1]).amplitudes, grid,
+                     keep)
     return totals, intensities
 
 
@@ -173,15 +176,15 @@ def test_chunk_ends_never_leave_one_column():
 @pytest.mark.parametrize("tail", [0, 1, 2])
 @pytest.mark.parametrize("realizations", [2, 20])
 def test_chunked_moments_equal_moments_of_full_arrays(realizations, tail):
-    # N = 9 emits blocks of 50 grid times, which straddle the chunk ends
+    # N = 9 emits tables of 200 grid times, which straddle the chunk ends
     config = ChainConfig(n_atoms=9, xi=0.5 * math.pi, gamma_left=0.7,
                          gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.02, realizations, 3)
-    v = np.stack([build_chain(config, disorder, index).entries
-                  for index in range(realizations)])
+    matrices = [build_chain(config, disorder, index)
+                for index in range(realizations)]
     grid = uniform_grid(40.0, 2 * dynamics._MOMENT_WIDTH + tail)
-    totals, intensities = full_observables(v, grid)
-    moments = dynamics._propagate_stack(v, uniform_excitation(9), grid,
+    totals, intensities = full_observables(matrices, grid)
+    moments = dynamics._propagate_stack(matrices, uniform_excitation(9), grid,
                                         cross_check=False)
     want = (totals.mean(axis=0), totals.std(axis=0, ddof=1),
             intensities.mean(axis=0), intensities.std(axis=0, ddof=1))
@@ -231,6 +234,28 @@ def test_run_ensemble_memory_does_not_grow_with_grid():
             tracemalloc.stop()
         transient.append(peak - 4 * result.mean_total.nbytes)
     assert transient[1] <= 1.5 * transient[0]
+
+
+def test_staircase_plateau_intensity_in_extended_precision():
+    # on the plateaus, I_tot/P_tot < 1e-5, the dense -2 Re(c^dag V c)
+    # cancelled terms of size gamma |c|^2 and was off by up to 4e-5
+    trajectory = staircase_trajectory(5)
+    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9,
+                         gamma_right=1.0)
+    positions = build_chain(config).positions
+    rows = np.flatnonzero(trajectory.intensity < 1e-5 * trajectory.total)
+    assert rows.size > 1000
+    worst = 0.0
+    with mpmath.workdps(50):
+        w = [mpmath.exp(-1j * mpmath.mpf(float(phi))) for phi in positions]
+        for k in rows:
+            c = [mpmath.mpc(complex(value)) for value in trajectory.amplitudes[k]]
+            right = sum(mpmath.conj(wm) * cm for wm, cm in zip(w, c))
+            left = sum(wm * cm for wm, cm in zip(w, c))
+            exact = 1.0 * abs(right) ** 2 + 0.9 * abs(left) ** 2
+            worst = max(worst, float(abs(trajectory.intensity[k] - exact) / exact))
+    assert worst < 1e-9
+    assert detect_plateaus(trajectory).count == 11
 
 
 def test_plateaus_found_for_odd_not_even():

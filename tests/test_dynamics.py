@@ -376,13 +376,17 @@ def test_json_export_round_trip():
 
 
 def core_amplitudes(v, c0, grid):
-    """Collect the blocks of the batched core into (R, K, N) amplitudes."""
+    """Collect the tables of the batched core into (R, K, N) amplitudes.
+
+    The amplitudes do not depend on the projection vectors, so any w of
+    the right shape gives them; the projections are not read.
+    """
     out = np.empty((v.shape[0], grid.size, v.shape[1]), dtype=complex)
 
-    def keep(k, block):
-        out[:, k:k + block.shape[1]] = block
+    def keep(k, table):
+        out[:, k:k + table.shape[1]] = table[..., :-2]
 
-    dynamics._evolve(v, c0, grid, keep)
+    dynamics._evolve(v, np.ones(v.shape[:2]), c0, grid, keep)
     return out
 
 
@@ -468,6 +472,55 @@ def test_core_does_not_depend_on_the_block_size(monkeypatch, block):
                  log_grid(horizon=100.0, points_per_decade=40)):
         got = core_amplitudes(v, c0, grid)
         assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+def core_tables(matrices, c0, grid):
+    """The core's tables as one (R, K, N + 2) array, and where each began."""
+    v, w, _ = dynamics._generators(matrices)
+    out = np.empty((v.shape[0], grid.size, v.shape[1] + 2), dtype=complex)
+    starts = []
+
+    def keep(k, table):
+        starts.append(k)
+        out[:, k:k + table.shape[1]] = table
+
+    dynamics._evolve(v, w, c0, grid, keep)
+    return out, starts
+
+
+def geometric_grid(size):
+    """0 and size - 1 geometrically spaced times: the core's per-step path."""
+    return np.concatenate(([0.0], np.geomspace(1e-2, 100.0, size - 1)))
+
+
+@pytest.mark.parametrize("blocks", [1, 3, None])
+def test_core_rows_across_chunk_ends(monkeypatch, blocks):
+    # N = 4 on 256 or more points takes blocks of B = _BLOCK rows, so
+    # _CHUNK_ENTRIES = blocks * B * (N + 2) makes chunks of that many
+    # blocks; None keeps the default.  The grids end one row before, on
+    # and one row after a chunk end.
+    if blocks is not None:
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES",
+                            blocks * dynamics._BLOCK * 6)
+    matrices = [chain(4, 2.2, 0.7, 1.0), chain(4, math.pi, 0.9, 1.0)]
+    v, w, _ = dynamics._generators(matrices)
+    c0 = uniform_excitation(4).amplitudes
+    for make in (lambda size: uniform_grid(0.04 * (size - 1), size),
+                 geometric_grid):
+        rows = core_tables(matrices, c0, make(2001))[1][1]
+        if blocks is not None:
+            assert rows == blocks * dynamics._BLOCK
+        end = rows * max(2, -(-260 // rows))
+        for size in (end - 1, end, end + 1):
+            grid = make(size)
+            table, starts = core_tables(matrices, c0, grid)
+            assert starts == list(range(0, size, rows))
+            reference = expm_reference(v, c0, grid)
+            assert np.max(np.abs(table[..., :4] - reference)) < 1e-12
+            right = np.einsum("rn,rkn->rk", w.conj(), reference)
+            left = np.einsum("rn,rkn->rk", w, reference)
+            assert np.max(np.abs(table[..., 4] - right)) < 1e-12
+            assert np.max(np.abs(table[..., 5] - left)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -212,6 +212,16 @@ def test_bessel_value_does_not_depend_on_its_block():
         assert np.array_equal(_bessel_columns(x[offset:]), table[offset:])
 
 
+def test_bessel_value_does_not_depend_on_the_order_of_its_points():
+    # shuffled points interleave the three branches, so each branch's
+    # points are gathered from all over the call and put back
+    x = np.concatenate([TABLE_X, [0.0, 1e-310, 1.0, 17.0, 3.0, 3.0]])
+    table = _bessel_columns(x)
+    order = np.random.default_rng(17).permutation(x.size)
+    assert np.array_equal(_bessel_columns(x[order]), table[order])
+    assert np.array_equal(_bessel_columns(x[::-1]), table[::-1])
+
+
 def test_bessel_table_equals_pointwise_calls():
     # the table takes all three branches of every column
     assert np.array_equal(_bessel_columns(TABLE_X), np.concatenate(
