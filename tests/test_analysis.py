@@ -249,11 +249,13 @@ def test_staircase_plateau_intensity_in_extended_precision():
     with mpmath.workdps(50):
         w = [mpmath.exp(-1j * mpmath.mpf(float(phi))) for phi in positions]
         for k in rows:
-            c = [mpmath.mpc(complex(value)) for value in trajectory.amplitudes[k]]
+            c = [mpmath.mpc(complex(x)) for x in trajectory.amplitudes[k]]
             right = sum(mpmath.conj(wm) * cm for wm, cm in zip(w, c))
             left = sum(wm * cm for wm, cm in zip(w, c))
-            exact = 1.0 * abs(right) ** 2 + 0.9 * abs(left) ** 2
-            worst = max(worst, float(abs(trajectory.intensity[k] - exact) / exact))
+            exact = (config.gamma_right * abs(right) ** 2
+                     + config.gamma_left * abs(left) ** 2)
+            error = abs(trajectory.intensity[k] - exact) / exact
+            worst = max(worst, float(error))
     assert worst < 1e-9
     assert detect_plateaus(trajectory).count == 11
 
