@@ -79,7 +79,7 @@ _RK_TOL = 1e-12
 _BLOCK = 64
 # most entries B*N^2 of one generator's powers (32 KB; see _evolve)
 _BLOCK_ENTRIES = 2048
-# entries W*(N+2) of one generator's chunk of grid rows (see _evolve)
+# entries C*(N+2) of one generator's chunk of C grid rows (see _evolve)
 _CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
@@ -486,13 +486,13 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     then the projections w^dag c and w^T c.  The table is only valid
     during the call.
 
-    The grid is cut into blocks of B rows and chunks of W rows, W a
+    The grid is cut into blocks of B rows and chunks of C rows, C a
     multiple of B.  The first row of each block, its coarse state, comes
     from the coarse state before it by one small product per generator:
     exp(V B h) on a uniform grid of step h, so rounding does not add up
     over long runs, and the step's own exponential on any other grid,
     where B = 1 and the exponentials of up to _BLOCK steps come from one
-    expm call.  Then one product per chunk, coarse states (R, W/B, N) @
+    expm call.  Then one product per chunk, coarse states (R, C/B, N) @
     S (R, N, B (N + 2)) in row form, gives every row of the chunk: S
     holds (E^j)^T, (E^j)^T conj(w) and (E^j)^T w for j = 0 .. B - 1,
     E = exp(V h), less the identity of j = 0, whose amplitudes are the
@@ -504,11 +504,13 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     generator's powers stay within _BLOCK_ENTRIES: blocking only saves
     per-call overhead, and larger powers measured slower (N = 200 with
     B = 10 against B = 1, and N = 9 or 10 with B N^2 near 5000 under
-    multithreaded OpenBLAS).  W is the least multiple of B that is at
-    least max(_BLOCK, _CHUNK_ENTRIES / (N + 2)) rows, which keeps a
-    chunk near 32 kB per generator at N = 5.  W depends on N and the grid
-    but never on R, so a generator's rows are bit for bit the same alone
-    and in a stack.
+    multithreaded OpenBLAS).  C is the least multiple of B that is at
+    least max(_BLOCK, _CHUNK_ENTRIES / (N + 2)) rows (C = 320 at N = 5).
+    C depends on N and the grid but never on R, so a generator's rows are
+    bit for bit the same alone and in a stack.  Each generator costs
+    C (N + 2) x 16 bytes for its chunk and B N (N + 2) x 16 bytes for S
+    (36 kB each at N = 5), and _observables adds C (N + 2) x 8
+    bytes of squared moduli per chunk.
     """
     n_stack, n = v.shape[:2]
     count = grid.size - 1
@@ -655,9 +657,10 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
     stack.  Observables are taken chunk by chunk and staged in
     C-contiguous (R, c) buffers of at most _MOMENT_WIDTH + 1 grid times,
     whose moments over the stack axis are taken as each buffer fills;
-    memory is O(R W + K), not O(R K).  numpy adds the rows of an (R, c)
-    block with c > 1 in generator order, as it does for the whole (R, K)
-    array, so the moments are bit for bit those of the full arrays.  Only
+    memory is O(R (_MOMENT_WIDTH + C (N + 2)) + K), C the chunk rows of
+    _evolve, not O(R K): about 0.12 MB per generator at N = 5.  numpy
+    adds the rows of an (R, c) block with c > 1 in generator order, as it
+    does for the whole (R, K) array, so the moments are bit for bit those of the full arrays.  Only
     the cross-check times are kept for the RK comparison, which runs on
     every generator of the stack.
     """

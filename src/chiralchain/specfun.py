@@ -268,19 +268,15 @@ def _bessel_columns(x: np.ndarray) -> np.ndarray:
     the divergence cutoff.
     """
     branch = np.searchsorted(_BRANCH_LIMITS, x, side="right")
-    # the points in branch order, each branch a contiguous slice of them;
-    # increasing points, such as a kernel table's, are in that order
-    increasing = bool(np.all(branch[1:] >= branch[:-1]))
-    order = None if increasing else np.argsort(branch, kind="stable")
-    ordered = x if increasing else x[order]
+    # the points in branch order, each branch a contiguous slice of them
+    order = np.argsort(branch, kind="stable")
+    ordered = x[order]
     columns = np.empty(x.shape + (5,))
     start = 0
     for k, end in enumerate(np.cumsum(np.bincount(branch, minlength=3)).tolist()):
         if end > start:
             columns[start:end] = _BRANCHES[k](ordered[start:end])
         start = end
-    if increasing:
-        return columns
     # back in the order of x: a gather of rows, several times cheaper
     # than scattering them
     inverse = np.empty_like(order)

@@ -375,19 +375,22 @@ def test_json_export_round_trip():
     assert payload["times"] == [float(t) for t in grid]
 
 
-def core_amplitudes(v, c0, grid):
-    """Collect the tables of the batched core into (R, K, N) amplitudes.
-
-    The amplitudes do not depend on the projection vectors, so any w of
-    the right shape gives them; the projections are not read.
-    """
-    out = np.empty((v.shape[0], grid.size, v.shape[1]), dtype=complex)
+def core_tables(v, w, c0, grid):
+    """The core's tables as one (R, K, N + 2) array, and where each began."""
+    out = np.empty((v.shape[0], grid.size, v.shape[1] + 2), dtype=complex)
+    starts = []
 
     def keep(k, table):
-        out[:, k:k + table.shape[1]] = table[..., :-2]
+        starts.append(k)
+        out[:, k:k + table.shape[1]] = table
 
-    dynamics._evolve(v, np.ones(v.shape[:2]), c0, grid, keep)
-    return out
+    dynamics._evolve(v, w, c0, grid, keep)
+    return out, starts
+
+
+def core_amplitudes(v, c0, grid):
+    """The core's (R, K, N) amplitudes, which do not depend on w."""
+    return core_tables(v, np.ones(v.shape[:2]), c0, grid)[0][..., :-2]
 
 
 def expm_reference(v, c0, grid):
@@ -474,20 +477,6 @@ def test_core_does_not_depend_on_the_block_size(monkeypatch, block):
         assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
 
 
-def core_tables(matrices, c0, grid):
-    """The core's tables as one (R, K, N + 2) array, and where each began."""
-    v, w, _ = dynamics._generators(matrices)
-    out = np.empty((v.shape[0], grid.size, v.shape[1] + 2), dtype=complex)
-    starts = []
-
-    def keep(k, table):
-        starts.append(k)
-        out[:, k:k + table.shape[1]] = table
-
-    dynamics._evolve(v, w, c0, grid, keep)
-    return out, starts
-
-
 def geometric_grid(size):
     """0 and size - 1 geometrically spaced times: the core's per-step path."""
     return np.concatenate(([0.0], np.geomspace(1e-2, 100.0, size - 1)))
@@ -507,13 +496,13 @@ def test_core_rows_across_chunk_ends(monkeypatch, blocks):
     c0 = uniform_excitation(4).amplitudes
     for make in (lambda size: uniform_grid(0.04 * (size - 1), size),
                  geometric_grid):
-        rows = core_tables(matrices, c0, make(2001))[1][1]
+        rows = core_tables(v, w, c0, make(2001))[1][1]
         if blocks is not None:
             assert rows == blocks * dynamics._BLOCK
         end = rows * max(2, -(-260 // rows))
         for size in (end - 1, end, end + 1):
             grid = make(size)
-            table, starts = core_tables(matrices, c0, grid)
+            table, starts = core_tables(v, w, c0, grid)
             assert starts == list(range(0, size, rows))
             reference = expm_reference(v, c0, grid)
             assert np.max(np.abs(table[..., :4] - reference)) < 1e-12
