@@ -123,9 +123,10 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     and propagated together as one batch, so a given seed yields
     bitwise-identical output.  Neither the amplitudes nor the whole P_tot
     and I_tot of each realization are kept: the moments over the stack
-    are taken every 2048 grid times, so memory grows with the number of
-    realizations plus the grid length, not with their product, and the
-    moments are bit for bit those of the full (R, K) arrays.  Every
+    are taken of each chunk of grid rows the propagation core emits, so
+    memory grows with the number of realizations plus the grid length,
+    not with their product, and the moments are bit for bit those of the
+    full (R, K) arrays.  Every
     draw keeps the site order (DisorderSpec holds w below 0.5), so no
     realization is skipped and n_skipped stays 0.  Standard deviations
     use the n-1 divisor.  With cross_check on, every

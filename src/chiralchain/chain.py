@@ -247,6 +247,8 @@ def build_coupling_matrix(positions: np.ndarray, gamma_left: float,
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 1 or pos.size < 1:
         raise ConfigError("positions must be a non-empty 1D array")
+    if not np.all(np.isfinite(pos)):
+        raise ConfigError("positions must be finite")
     if np.any(np.diff(pos) < -_ORDERING_SLACK * max(abs(pos).max(), 1.0)):
         raise ConfigError("positions must be non-decreasing")
     _check_rates(gamma_left, gamma_right)

@@ -83,9 +83,6 @@ _BLOCK_ENTRIES = 2048
 _CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
-# grid times of P_tot and I_tot staged per generator before an ensemble
-# takes their moments over the stack (see _propagate_stack)
-_MOMENT_WIDTH = 2048
 # rows formatted per write by the CSV and JSON writers: about 100 kB of
 # text; 4096 rows left a long-running process's heap 1 MB larger
 _WRITE_ROWS = 1024
@@ -103,9 +100,10 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 1:
             raise ConfigError("amplitudes must be a non-empty 1D array")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if norm_sq > 1.0 + _NORM_SLACK:
+        # written so that a NaN norm fails too
+        if not norm_sq <= 1.0 + _NORM_SLACK:
             raise ConfigError(
-                f"state norm^2 = {norm_sq!r} exceeds 1 beyond tolerance")
+                f"state norm^2 = {norm_sq!r} is not at most 1 within tolerance")
         object.__setattr__(self, "amplitudes", amps)
         amps.flags.writeable = False
 
@@ -509,8 +507,9 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     C depends on N and the grid but never on R, so a generator's rows are
     bit for bit the same alone and in a stack.  Each generator costs
     C (N + 2) x 16 bytes for its chunk and B N (N + 2) x 16 bytes for S
-    (36 kB each at N = 5), and _observables adds C (N + 2) x 8
-    bytes of squared moduli per chunk.
+    (36 kB each at N = 5), and _observables adds C (N + 2) x 8 bytes of
+    squared moduli and C x 2 x 8 bytes of (P_tot, I_tot) per chunk (18
+    and 5 kB), which an ensemble reduces over the stack in place.
     """
     n_stack, n = v.shape[:2]
     count = grid.size - 1
@@ -584,7 +583,7 @@ def _cross_check(v: np.ndarray, c0: np.ndarray, times: np.ndarray,
     for entries, checked in zip(v, states):
         rk_states = _dp54(entries, c0, times)
         deviation = float(np.max(np.abs(checked - rk_states)))
-        if deviation > _CHECK_TOL:
+        if not deviation <= _CHECK_TOL:  # NaN fails too
             raise IntegrityError(
                 "matrix-exponential and Runge-Kutta backends disagree "
                 f"({deviation:.3e} > {_CHECK_TOL:.1e})",
@@ -634,33 +633,20 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
                       gamma=matrix.gamma, underflow_clamped=clamped)
 
 
-def _chunk_ends(size: int) -> list:
-    """Ends of the grid chunks whose moments are taken together.
-
-    Chunks are _MOMENT_WIDTH grid times wide; a last chunk of one time
-    joins the chunk before it, because numpy reduces an (R, 1) block as
-    one pairwise sum, which rounds differently from the row-by-row sum of
-    every wider block.
-    """
-    ends = list(range(_MOMENT_WIDTH, size, _MOMENT_WIDTH)) + [size]
-    if len(ends) > 1 and ends[-1] - ends[-2] == 1:
-        del ends[-2]
-    return ends
-
-
 def _propagate_stack(matrices, initial: StateVector, grid, *,
                      cross_check: bool) -> tuple[np.ndarray, ...]:
     """Mean and std of P_tot and I_tot over the coupling matrices, each (K,).
 
     Returns (mean P_tot, std P_tot, mean I_tot, std I_tot), the standard
     deviations with the n-1 divisor.  The matrices are propagated as one
-    stack.  Observables are taken chunk by chunk and staged in
-    C-contiguous (R, c) buffers of at most _MOMENT_WIDTH + 1 grid times,
-    whose moments over the stack axis are taken as each buffer fills;
-    memory is O(R (_MOMENT_WIDTH + C (N + 2)) + K), C the chunk rows of
-    _evolve, not O(R K): about 0.12 MB per generator at N = 5.  numpy
-    adds the rows of an (R, c) block with c > 1 in generator order, as it
-    does for the whole (R, K) array, so the moments are bit for bit those of the full arrays.  Only
+    stack, and each table that _evolve emits is reduced over the stack
+    axis as it comes: its (P_tot, I_tot) rows form a C-contiguous
+    (R, 2c) array, whose rows numpy adds in generator order, as it does
+    for the whole (R, K) arrays, so the moments are bit for bit those of
+    the full arrays.  2c >= 2 columns hold even for a one-row table, whose
+    two (R, 1) columns alone numpy would add pairwise.  Memory is
+    O(R C (N + 2) + K), C the chunk rows of _evolve, not O(R K): about
+    0.1 MB per generator at N = 5 (see _evolve).  Only
     the cross-check times are kept for the RK comparison, which runs on
     every generator of the stack.
     """
@@ -668,42 +654,25 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
     v, w, weights = _generators(matrices)
     n_stack, n = v.shape[:2]
     _check_sites(n, initial)
-    ends = _chunk_ends(grid.size)
-    staging = np.empty((2, n_stack * min(grid.size, _MOMENT_WIDTH + 1)))
-    # [observable][mean, std] over the grid, observables P_tot and I_tot
-    moments = np.empty((2, 2, grid.size))
+    # [mean, std] of (P_tot, I_tot) at every grid time
+    moments = np.empty((2, grid.size, 2))
     picks = (_check_points(grid.size) if cross_check
              else np.empty(0, dtype=int))
     checked = np.empty((n_stack, picks.size, n), dtype=complex)
-    chunk, start = 0, 0
 
     def reduce(first: int, table: np.ndarray) -> None:
-        nonlocal chunk, start
         stop = first + table.shape[1]
-        # P_tot and I_tot of the table, as two (R, c) views
-        observed = _observables(table, weights)[1].transpose(2, 0, 1)
+        observed = _observables(table, weights)[1].reshape(n_stack, -1)
+        moments[0, first:stop] = observed.mean(axis=0).reshape(-1, 2)
+        moments[1, first:stop] = observed.std(axis=0, ddof=1).reshape(-1, 2)
         hit = (picks >= first) & (picks < stop)
         checked[:, hit] = table[:, picks[hit] - first, :n]
-        k = first
-        while k < stop:
-            end = ends[chunk]
-            upto = min(stop, end)
-            # (P_tot, I_tot) of the chunk, each a C-contiguous (R, c) array
-            staged = staging[:, :n_stack * (end - start)].reshape(
-                2, n_stack, end - start)
-            part = observed[:, :, k - first:upto - first]
-            staged[:, :, k - start:upto - start] = part
-            k = upto
-            if k == end:
-                for (mean, std), values in zip(moments, staged):
-                    mean[start:end] = values.mean(axis=0)
-                    std[start:end] = values.std(axis=0, ddof=1)
-                chunk, start = chunk + 1, end
 
     _evolve(v, w, initial.amplitudes, grid, reduce)
     if cross_check:
         _cross_check(v, initial.amplitudes, grid[picks], checked)
-    return tuple(moments.reshape(4, grid.size))
+    mean, std = moments
+    return mean[:, 0], std[:, 0], mean[:, 1], std[:, 1]
 
 
 # Dormand-Prince 5(4) tableau

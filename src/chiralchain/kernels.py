@@ -33,7 +33,8 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .specfun import _EULER_GAMMA, _bessel_columns, _power_series, _series_sums
+from .specfun import (_EULER_GAMMA, _SERIES_COEF, _SERIES_DENOM,
+                      _bessel_columns, _power_series)
 
 __all__ = [
     "chiral_fg",
@@ -212,8 +213,13 @@ def _j1_y1_over_x(x: np.ndarray, j1: np.ndarray, y1: np.ndarray):
     j1_over_x, y1_pole_free = j1 / x, y1 / x + 2.0 / (math.pi * x * x)
     small = x < 0.1
     x = x[small]
-    j1_over_x[small] = _power_series(0.5, (0.25 * x * x)[:, None], _J1_DENOM)
+    # q = x^2/4, formed as _series_sums forms it
+    half = 0.5 * x[:, None]
+    q = half * half
+    j1_over_x[small] = _power_series(0.5, q, _J1_DENOM)
     log_term = np.log(0.5 * x) + _EULER_GAMMA
+    # the Y1 tail, the last row of _series_sums, summed alone
+    y1_tail = _power_series(1.0, q, _SERIES_DENOM[4], _SERIES_COEF[4])
     y1_pole_free[small] = ((2.0 / math.pi) * log_term * j1_over_x[small]
-                           - _series_sums(x)[:, 4] / (2.0 * math.pi))
+                           - y1_tail / (2.0 * math.pi))
     return j1_over_x, y1_pole_free

@@ -50,6 +50,11 @@ PRESETS = [
     ("ensemble", ["ensemble", "--n", "5", "--xi-over-pi", "1",
                   "--gamma-l", "0.9", "--gamma-r", "1", "--fluct", "0.005",
                   "--realizations", "200", "--seed", "7"]),
+    # 641 = 2 * 320 + 1 grid times: the core's last table at N = 5 is one row
+    ("ensemble_tail", ["ensemble", "--n", "5", "--xi-over-pi", "1",
+                       "--gamma-l", "0.9", "--gamma-r", "1", "--fluct", "0.005",
+                       "--realizations", "200", "--seed", "7",
+                       "--horizon", "64", "--points", "641"]),
     ("kernel_1", ["kernel", "--dim", "1", *_KERNEL_XI]),
     ("kernel_1chiral", ["kernel", "--dim", "1chiral", *_KERNEL_XI]),
     ("kernel_1chiral_asym", ["kernel", "--dim", "1chiral", *_KERNEL_XI,

@@ -1,0 +1,34 @@
+"""What the propagation core emits, collected over the whole grid."""
+
+import numpy as np
+
+from chiralchain import dynamics
+
+
+def core_tables(v, w, c0, grid):
+    """The core's tables as one (R, K, N + 2) array, and where each began."""
+    out = np.empty((v.shape[0], grid.size, v.shape[1] + 2), dtype=complex)
+    starts = []
+
+    def keep(k, table):
+        starts.append(k)
+        out[:, k:k + table.shape[1]] = table
+
+    dynamics._evolve(v, w, c0, grid, keep)
+    return out, starts
+
+
+def full_observables(matrices, c0, grid):
+    """P_tot and I_tot of every coupling matrix, each a C-contiguous (R, K),
+    and where each of the core's tables began.
+
+    _observables takes each table on its own, as the propagators do: the
+    product of a one-row table can round differently from the same row in
+    a longer product.
+    """
+    v, w, weights = dynamics._generators(matrices)
+    table, starts = core_tables(v, w, c0, grid)
+    observed = np.concatenate(
+        [dynamics._observables(part, weights)[1]
+         for part in np.split(table, starts[1:], axis=1)], axis=1)
+    return observed[..., 0].copy(), observed[..., 1].copy(), starts

@@ -22,6 +22,7 @@ from chiralchain.dynamics import (Trajectory, log_grid, propagate,
                                   uniform_excitation, uniform_grid)
 from chiralchain.errors import (ConfigError, FitError, IntegrityError,
                                 NumericsError, ResolutionError)
+from core_tables import core_tables, full_observables
 
 
 def staircase_trajectory(n, horizon=1500.0, points=37501):
@@ -147,45 +148,22 @@ def test_run_ensemble_cross_checks_every_realization(monkeypatch):
     run_ensemble(config, disorder, grid, cross_check=False)
 
 
-def full_observables(matrices, grid):
-    """P_tot and I_tot, each (R, K), collected from the propagation core."""
-    v, w, weights = dynamics._generators(matrices)
-    totals = np.empty((v.shape[0], grid.size))
-    intensities = np.empty((v.shape[0], grid.size))
-
-    def keep(k, table):
-        _, observed, _ = dynamics._observables(table, weights)
-        totals[:, k:k + table.shape[1]] = observed[..., 0]
-        intensities[:, k:k + table.shape[1]] = observed[..., 1]
-
-    dynamics._evolve(v, w, uniform_excitation(v.shape[1]).amplitudes, grid,
-                     keep)
-    return totals, intensities
-
-
-def test_chunk_ends_never_leave_one_column():
-    width = dynamics._MOMENT_WIDTH
-    assert dynamics._chunk_ends(2) == [2]
-    assert dynamics._chunk_ends(width + 1) == [width + 1]
-    assert dynamics._chunk_ends(2 * width) == [width, 2 * width]
-    assert dynamics._chunk_ends(2 * width + 1) == [width, 2 * width + 1]
-    assert dynamics._chunk_ends(2 * width + 2) == [width, 2 * width,
-                                                   2 * width + 2]
-
-
 @pytest.mark.parametrize("tail", [0, 1, 2])
-@pytest.mark.parametrize("realizations", [2, 20])
+@pytest.mark.parametrize("realizations", [2, 20, 200])
 def test_chunked_moments_equal_moments_of_full_arrays(realizations, tail):
-    # N = 9 emits tables of 200 grid times, which straddle the chunk ends
-    config = ChainConfig(n_atoms=9, xi=0.5 * math.pi, gamma_left=0.7,
+    # N = 5 emits tables of 320 grid times, so a tail of 1 makes the last
+    # table one row, whose (R, 1) columns numpy would add pairwise
+    config = ChainConfig(n_atoms=5, xi=0.5 * math.pi, gamma_left=0.7,
                          gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.02, realizations, 3)
     matrices = [build_chain(config, disorder, index)
                 for index in range(realizations)]
-    grid = uniform_grid(40.0, 2 * dynamics._MOMENT_WIDTH + tail)
-    totals, intensities = full_observables(matrices, grid)
-    moments = dynamics._propagate_stack(matrices, uniform_excitation(9), grid,
-                                        cross_check=False)
+    c0 = uniform_excitation(5)
+    grid = uniform_grid(40.0, 2 * 320 + tail)
+    totals, intensities, starts = full_observables(matrices, c0.amplitudes,
+                                                   grid)
+    assert grid.size - starts[-1] == (tail or 320)
+    moments = dynamics._propagate_stack(matrices, c0, grid, cross_check=False)
     want = (totals.mean(axis=0), totals.std(axis=0, ddof=1),
             intensities.mean(axis=0), intensities.std(axis=0, ddof=1))
     for got, expected in zip(moments, want):
@@ -195,9 +173,13 @@ def test_chunked_moments_equal_moments_of_full_arrays(realizations, tail):
 def test_cross_check_spans_chunks(monkeypatch):
     config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.01, 4, 5)
-    grid = uniform_grid(5.0, 2 * dynamics._MOMENT_WIDTH + 1)
+    grid = uniform_grid(5.0, 2001)
+    v, w, _ = dynamics._generators(
+        [build_chain(config, disorder, index) for index in range(4)])
+    starts = core_tables(v, w, uniform_excitation(3).amplitudes, grid)[1]
     picks = dynamics._check_points(grid.size)
-    assert np.unique(picks // dynamics._MOMENT_WIDTH).size > 1
+    # the re-solved times fall in several of the core's tables
+    assert np.unique(np.searchsorted(starts, picks, side="right")).size > 1
     honest = dynamics._dp54
     checked = []
 

@@ -162,6 +162,9 @@ def test_matrix_not_conjugate_symmetric_when_chiral():
 def test_build_coupling_matrix_validation():
     with pytest.raises(ConfigError):
         build_coupling_matrix(np.array([0.0, 2.0, 1.0]), 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_coupling_matrix(np.array([0.0, bad, 2.0]), 1.0, 1.0)
     with pytest.raises(ConfigError):
         build_coupling_matrix(np.array([0.0, 1.0]), 0.0, 0.0)
     with pytest.raises(ConfigError):

@@ -19,7 +19,7 @@ def test_deviation_report_finds_the_one_changed_cell(tmp_path):
 
 
 # the presets cheap enough for every test run, about 3 s together
-CHEAP_PRESETS = {"ensemble", "kernel_1", "kernel_1chiral",
+CHEAP_PRESETS = {"ensemble", "ensemble_tail", "kernel_1", "kernel_1chiral",
                  "kernel_1chiral_asym", "kernel_2", "kernel_3",
                  "kernel_2_small", "kernel_3_small"}
 

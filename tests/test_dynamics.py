@@ -22,6 +22,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   uniform_grid, write_trajectory_csv,
                                   write_trajectory_json)
 from chiralchain.errors import ConfigError, IntegrityError, NumericsError
+from core_tables import core_tables
 from oracles import cascaded
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
@@ -72,6 +73,8 @@ def test_state_vector_invariants():
     assert not state.amplitudes.flags.writeable
     with pytest.raises(ConfigError):
         StateVector(np.array([1.0, 1.0]))  # norm^2 = 2
+    with pytest.raises(ConfigError):
+        StateVector(np.array([0.5, math.nan]))
     with pytest.raises(ConfigError):
         StateVector(np.zeros((2, 2)))
     with pytest.raises(ConfigError):
@@ -138,10 +141,12 @@ def test_propagate_raises_when_the_cross_check_disagrees(monkeypatch):
     state = uniform_excitation(3)
     grid = uniform_grid(5.0, 101)
     honest = dynamics._dp54
-    monkeypatch.setattr(dynamics, "_dp54",
-                        lambda *args, **kwargs: honest(*args, **kwargs) + 1e-6)
-    with pytest.raises(IntegrityError):
-        propagate(matrix, state, grid)
+    # a NaN deviation is no agreement either
+    for offset in (1e-6, math.nan):
+        monkeypatch.setattr(dynamics, "_dp54", lambda *args, offset=offset,
+                            **kwargs: honest(*args, **kwargs) + offset)
+        with pytest.raises(IntegrityError):
+            propagate(matrix, state, grid)
     propagate(matrix, state, grid, cross_check=False)
 
 
@@ -373,19 +378,6 @@ def test_json_export_round_trip():
                      for row in payload["amplitudes"]])
     assert np.max(np.abs(amps - trajectory.amplitudes)) == 0.0
     assert payload["times"] == [float(t) for t in grid]
-
-
-def core_tables(v, w, c0, grid):
-    """The core's tables as one (R, K, N + 2) array, and where each began."""
-    out = np.empty((v.shape[0], grid.size, v.shape[1] + 2), dtype=complex)
-    starts = []
-
-    def keep(k, table):
-        starts.append(k)
-        out[:, k:k + table.shape[1]] = table
-
-    dynamics._evolve(v, w, c0, grid, keep)
-    return out, starts
 
 
 def core_amplitudes(v, c0, grid):
