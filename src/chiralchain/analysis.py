@@ -107,7 +107,8 @@ class EnsembleResult:
     def __post_init__(self):
         for name in ("times", "mean_total", "std_total",
                      "mean_intensity", "std_intensity"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # a copy: run_ensemble's times are the caller's grid
+            arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.flags.writeable = False
         if np.any(self.std_total < 0.0) or np.any(self.std_intensity < 0.0):
@@ -122,16 +123,16 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     The realizations' coupling matrices are stacked in fixed index order
     and propagated together as one batch, so a given seed yields
     bitwise-identical output.  Neither the amplitudes nor the whole P_tot
-    and I_tot of each realization are kept: the moments over the stack
-    are taken of each chunk of grid rows the propagation core emits, so
-    memory grows with the number of realizations plus the grid length,
-    not with their product, and the moments are bit for bit those of the
-    full (R, K) arrays.  Every
-    draw keeps the site order (DisorderSpec holds w below 0.5), so no
-    realization is skipped and n_skipped stays 0.  Standard deviations
-    use the n-1 divisor.  With cross_check on, every
-    realization is re-solved at sampled grid times by the Runge-Kutta
-    backend, as in propagate.
+    and I_tot of each realization are kept: the propagation core yields
+    the grid rows a chunk at a time, each table valid only until the next
+    is requested, and the moments over the stack are taken of each table
+    as it comes.  So memory grows with the number of realizations plus
+    the grid length, not with their product, and the moments are bit for
+    bit those of the full (R, K) arrays.  Every draw keeps the site order
+    (DisorderSpec holds w below 0.5), so no realization is skipped and
+    n_skipped stays 0.  Standard deviations use the n-1 divisor.  With
+    cross_check on, every realization is re-solved at sampled grid times
+    by the Runge-Kutta backend, as in propagate.
     """
     if disorder.mode != "ensemble":
         raise ConfigError(

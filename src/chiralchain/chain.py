@@ -139,8 +139,10 @@ class DisorderSpec:
             if not math.isfinite(w) or w < 0.0 or w >= 0.5:
                 raise ConfigError(
                     f"fluctuation_fraction must lie in [0, 0.5), got {w!r}")
-            if self.n_realizations < 1:
-                raise ConfigError("n_realizations must be >= 1")
+            if (not isinstance(self.n_realizations, (int, np.integer))
+                    or self.n_realizations < 1):
+                raise ConfigError("n_realizations must be a positive integer, "
+                                  f"got {self.n_realizations!r}")
             # numpy seeds a generator with non-negative integers only
             if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
                 raise ConfigError(
@@ -244,7 +246,8 @@ class CouplingMatrix:
 def build_coupling_matrix(positions: np.ndarray, gamma_left: float,
                           gamma_right: float) -> CouplingMatrix:
     """Assemble V from phase positions and the two directional rates."""
-    pos = np.asarray(positions, dtype=float)
+    # a copy, since CouplingMatrix freezes it
+    pos = np.array(positions, dtype=float)
     if pos.ndim != 1 or pos.size < 1:
         raise ConfigError("positions must be a non-empty 1D array")
     if not np.all(np.isfinite(pos)):

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -96,7 +96,8 @@ class StateVector:
     time: float = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        # a copy: freezing the caller's own array would lock it too
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise ConfigError("amplitudes must be a non-empty 1D array")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -212,7 +213,7 @@ def _validate_grid(grid: np.ndarray) -> np.ndarray:
 
 def _observables(table: np.ndarray, weights: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Populations and (P_tot, I_tot) of the rows of an emitted table.
+    """Populations and (P_tot, I_tot) of the rows of a table of _evolve.
 
     table is (R, K, N + 2): the amplitudes c and the projections w^dag c
     and w^T c (see _evolve); weights (R, N + 2, 2), from _generators,
@@ -474,15 +475,15 @@ def _is_uniform(grid: np.ndarray) -> bool:
     return bool(np.all(np.abs(grid - line) <= _RUN_ULPS * np.spacing(grid)))
 
 
-def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
-            emit: Callable[[int, np.ndarray], None]) -> None:
+def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
+            ) -> Iterator[tuple[int, np.ndarray]]:
     """Advance c0 under every generator of the stack v across the grid.
 
-    v has shape (R, N, N) and w (R, N).  emit(k, table) receives, in grid
-    order, the rows k .. k + c - 1 of the grid as an (R, c, N + 2) array,
+    v has shape (R, N, N) and w (R, N).  Yields (k, table) in grid order:
+    the rows k .. k + c - 1 of the grid as an (R, c, N + 2) array,
     starting with the initial state at k = 0: per row the amplitudes c,
-    then the projections w^dag c and w^T c.  The table is only valid
-    during the call.
+    then the projections w^dag c and w^T c.  A table stays valid only
+    until the next one is requested; a consumer copies what it keeps.
 
     The grid is cut into blocks of B rows and chunks of C rows, C a
     multiple of B.  The first row of each block, its coarse state, comes
@@ -538,11 +539,6 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
     table = chunk.reshape(n_stack, blocks * width, n + 2)
     coarse[:, 0] = c0
     first, filled = 0, 1
-
-    def flush() -> None:
-        np.matmul(coarse[:, :filled], fine, out=chunk[:, :filled, n:])
-        emit(first, table[:, :min(filled * width, grid.size - first)])
-
     for index in range(1, -(-grid.size // width)):
         if uniform:
             step = leap
@@ -552,13 +548,15 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray,
                 exponentials = _exponentials(v, steps[index - 1:index - 1 + cap])
             step = exponentials[:, j]
         if filled == blocks:
-            flush()
+            np.matmul(coarse, fine, out=chunk[..., n:])
+            yield first, table
             first, filled = first + blocks * width, 0
-        # after a flush the coarse state before sits at index -1
+        # after a full chunk the coarse state before sits at index -1
         np.matmul(step, coarse[:, filled - 1, :, None],
                   out=coarse[:, filled, :, None])
         filled += 1
-    flush()
+    np.matmul(coarse[:, :filled], fine, out=chunk[:, :filled, n:])
+    yield first, table[:, :grid.size - first]
 
 
 def _exponentials(v: np.ndarray, scales) -> np.ndarray:
@@ -613,9 +611,7 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
     total = np.empty(grid.size)
     intensity_arr = np.empty(grid.size)
     clamped = False
-
-    def keep(k: int, table: np.ndarray) -> None:
-        nonlocal clamped
+    for k, table in _evolve(v, w, initial.amplitudes, grid):
         stop = k + table.shape[1]
         pops, observed, clamp = _observables(table, weights)
         states[k:stop] = table[0, :, :n]
@@ -623,8 +619,6 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
         total[k:stop] = observed[0, :, 0]
         intensity_arr[k:stop] = observed[0, :, 1]
         clamped |= clamp
-
-    _evolve(v, w, initial.amplitudes, grid, keep)
     if cross_check:
         picks = _check_points(grid.size)
         _cross_check(v, initial.amplitudes, grid[picks], states[None, picks])
@@ -639,7 +633,7 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
 
     Returns (mean P_tot, std P_tot, mean I_tot, std I_tot), the standard
     deviations with the n-1 divisor.  The matrices are propagated as one
-    stack, and each table that _evolve emits is reduced over the stack
+    stack, and each table that _evolve yields is reduced over the stack
     axis as it comes: its (P_tot, I_tot) rows form a C-contiguous
     (R, 2c) array, whose rows numpy adds in generator order, as it does
     for the whole (R, K) arrays, so the moments are bit for bit those of
@@ -659,16 +653,13 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
     picks = (_check_points(grid.size) if cross_check
              else np.empty(0, dtype=int))
     checked = np.empty((n_stack, picks.size, n), dtype=complex)
-
-    def reduce(first: int, table: np.ndarray) -> None:
+    for first, table in _evolve(v, w, initial.amplitudes, grid):
         stop = first + table.shape[1]
         observed = _observables(table, weights)[1].reshape(n_stack, -1)
         moments[0, first:stop] = observed.mean(axis=0).reshape(-1, 2)
         moments[1, first:stop] = observed.std(axis=0, ddof=1).reshape(-1, 2)
         hit = (picks >= first) & (picks < stop)
         checked[:, hit] = table[:, picks[hit] - first, :n]
-
-    _evolve(v, w, initial.amplitudes, grid, reduce)
     if cross_check:
         _cross_check(v, initial.amplitudes, grid[picks], checked)
     mean, std = moments

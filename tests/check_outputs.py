@@ -16,7 +16,8 @@ the list records the numpy version, the BLAS library and the thread
 count, and a run on another build says so next to any difference.  All
 presets take about 20 s on one 2-core x86-64 host; pytest does not
 collect this file, but tests/test_check_outputs.py runs the kernel
-presets and the ensemble (about 3 s) against the same list.
+presets, the ensembles, staircase and local_unchecked (about 5 s) against
+the same list.
 Exit status: 0 when every digest matches, 1 otherwise.
 """
 
@@ -39,14 +40,17 @@ ROOT = HERE.parent
 HASHES = HERE / "output_hashes.json"
 BLAS_THREADS = 1
 _KERNEL_XI = ["--xi", "0.01:0.005:50"]
+_LOCAL = ["simulate", "--n", "5", "--xi-over-pi", "0.75",
+          "--gamma-l", "0.9", "--gamma-r", "1", "--shift-site", "3",
+          "--shift", "0.30", "--log-grid", "--horizon", "1e4", "--json"]
 # (output directory, command line) of each preset
 PRESETS = [
     ("staircase", ["simulate", "--n", "5", "--xi-over-pi", "1",
                    "--gamma-l", "0.9", "--gamma-r", "1",
                    "--horizon", "1500", "--points", "37501"]),
-    ("local", ["simulate", "--n", "5", "--xi-over-pi", "0.75",
-               "--gamma-l", "0.9", "--gamma-r", "1", "--shift-site", "3",
-               "--shift", "0.30", "--log-grid", "--horizon", "1e4", "--json"]),
+    ("local", _LOCAL),
+    # the same data files as local: the cross-check never changes them
+    ("local_unchecked", [*_LOCAL, "--no-cross-check"]),
     ("ensemble", ["ensemble", "--n", "5", "--xi-over-pi", "1",
                   "--gamma-l", "0.9", "--gamma-r", "1", "--fluct", "0.005",
                   "--realizations", "200", "--seed", "7"]),

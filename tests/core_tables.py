@@ -1,4 +1,8 @@
-"""What the propagation core emits, collected over the whole grid."""
+"""The tables the propagation core yields, collected over the whole grid.
+
+Each table is copied as it comes: it stays valid only until the next one
+is requested.
+"""
 
 import numpy as np
 
@@ -9,12 +13,9 @@ def core_tables(v, w, c0, grid):
     """The core's tables as one (R, K, N + 2) array, and where each began."""
     out = np.empty((v.shape[0], grid.size, v.shape[1] + 2), dtype=complex)
     starts = []
-
-    def keep(k, table):
+    for k, table in dynamics._evolve(v, w, c0, grid):
         starts.append(k)
         out[:, k:k + table.shape[1]] = table
-
-    dynamics._evolve(v, w, c0, grid, keep)
     return out, starts
 
 

@@ -7,7 +7,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from chiralchain import dynamics
 from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
@@ -96,32 +95,45 @@ def test_run_ensemble_zero_width_has_zero_spread():
     assert np.max(np.abs(result.mean_total - clean.total)) == 0.0
 
 
-def test_run_ensemble_matches_loop_of_propagate(monkeypatch):
+# at 641 = 2 * 320 + 1 points the core's last table is one row
+@pytest.mark.parametrize("realizations, points", [(6, 1251), (20, 641)])
+def test_run_ensemble_matches_loop_of_propagate(monkeypatch, realizations,
+                                                points):
     config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
-    disorder = DisorderSpec.ensemble(0.01, 6, 3)
-    grid = uniform_grid(50.0, 1251)
+    disorder = DisorderSpec.ensemble(0.01, realizations, 3)
+    grid = uniform_grid(50.0, points)
     shapes = []
+    honest = dynamics.expm
 
     def counting_expm(a):
         shapes.append(a.shape)
-        return expm(a)
+        return honest(a)
 
     monkeypatch.setattr(dynamics, "expm", counting_expm)
     result = run_ensemble(config, disorder, grid)
     # one call for the whole stack: the step and the block exponentials
-    assert shapes == [(12, 5, 5)]
+    assert shapes == [(2 * realizations, 5, 5)]
     monkeypatch.undo()
     runs = [propagate(build_chain(config, disorder, index),
                       uniform_excitation(5), grid, cross_check=False)
-            for index in range(6)]
+            for index in range(realizations)]
     totals = np.array([run.total for run in runs])
     intensities = np.array([run.intensity for run in runs])
-    assert np.max(np.abs(result.mean_total - totals.mean(axis=0))) < 1e-12
-    assert np.max(np.abs(result.std_total - totals.std(axis=0, ddof=1))) < 1e-12
-    assert np.max(np.abs(result.mean_intensity
-                         - intensities.mean(axis=0))) < 1e-12
-    assert np.max(np.abs(result.std_intensity
-                         - intensities.std(axis=0, ddof=1))) < 1e-12
+    # both consumers read the same tables of the core: bit for bit equal
+    assert np.array_equal(result.mean_total, totals.mean(axis=0))
+    assert np.array_equal(result.std_total, totals.std(axis=0, ddof=1))
+    assert np.array_equal(result.mean_intensity, intensities.mean(axis=0))
+    assert np.array_equal(result.std_intensity,
+                          intensities.std(axis=0, ddof=1))
+
+
+def test_run_ensemble_leaves_the_callers_grid_writeable():
+    config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    grid = uniform_grid(3.0, 61)
+    result = run_ensemble(config, DisorderSpec.ensemble(0.01, 2, 0), grid)
+    assert grid.flags.writeable
+    assert not result.times.flags.writeable
+    assert np.array_equal(result.times, grid)
 
 
 def test_run_ensemble_cross_checks_every_realization(monkeypatch):
@@ -151,8 +163,8 @@ def test_run_ensemble_cross_checks_every_realization(monkeypatch):
 @pytest.mark.parametrize("tail", [0, 1, 2])
 @pytest.mark.parametrize("realizations", [2, 20, 200])
 def test_chunked_moments_equal_moments_of_full_arrays(realizations, tail):
-    # N = 5 emits tables of 320 grid times, so a tail of 1 makes the last
-    # table one row, whose (R, 1) columns numpy would add pairwise
+    # at N = 5 the core yields tables of 320 grid times, so a tail of 1 makes
+    # the last table one row, whose (R, 1) columns numpy would add pairwise
     config = ChainConfig(n_atoms=5, xi=0.5 * math.pi, gamma_left=0.7,
                          gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.02, realizations, 3)

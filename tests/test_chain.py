@@ -58,6 +58,13 @@ def test_ensemble_seed_must_be_a_non_negative_integer(seed):
     assert DisorderSpec.ensemble(0.01, 10, np.int64(0)).seed == 0
 
 
+@pytest.mark.parametrize("count", [0, 2.5, math.nan, "7"])
+def test_ensemble_realization_count_must_be_a_positive_integer(count):
+    with pytest.raises(ConfigError, match="n_realizations"):
+        DisorderSpec.ensemble(0.01, count, 3)
+    assert DisorderSpec.ensemble(0.01, np.int64(2), 3).n_realizations == 2
+
+
 def test_positions_uniform_lattice():
     config = ChainConfig(n_atoms=4, xi=math.pi, gamma_left=1.0, gamma_right=1.0)
     positions = build_positions(config)
@@ -169,6 +176,13 @@ def test_build_coupling_matrix_validation():
         build_coupling_matrix(np.array([0.0, 1.0]), 0.0, 0.0)
     with pytest.raises(ConfigError):
         build_coupling_matrix(np.array([[0.0, 1.0]]), 1.0, 1.0)
+
+
+def test_build_coupling_matrix_leaves_the_callers_positions_writeable():
+    positions = np.array([0.0, 1.0, 2.5])
+    matrix = build_coupling_matrix(positions, 0.9, 1.0)
+    assert positions.flags.writeable
+    assert not matrix.positions.flags.writeable
 
 
 CONFIG_TEXT = """

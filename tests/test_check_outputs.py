@@ -18,10 +18,11 @@ def test_deviation_report_finds_the_one_changed_cell(tmp_path):
         ("N", 0.0, 0.0), ("P1_inf", 0.25, 0.5), ("shift", 0.0, 0.0)]
 
 
-# the presets cheap enough for every test run, about 3 s together
-CHEAP_PRESETS = {"ensemble", "ensemble_tail", "kernel_1", "kernel_1chiral",
-                 "kernel_1chiral_asym", "kernel_2", "kernel_3",
-                 "kernel_2_small", "kernel_3_small"}
+# the presets cheap enough for every test run, about 5 s together; the
+# two simulate runs cover propagate on a uniform and on a log grid
+CHEAP_PRESETS = {"staircase", "local_unchecked", "ensemble", "ensemble_tail",
+                 "kernel_1", "kernel_1chiral", "kernel_1chiral_asym",
+                 "kernel_2", "kernel_3", "kernel_2_small", "kernel_3_small"}
 
 
 def test_cheap_presets_write_the_recorded_bytes(tmp_path):

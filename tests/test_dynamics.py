@@ -79,6 +79,10 @@ def test_state_vector_invariants():
         StateVector(np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         uniform_excitation(0)
+    # the state freezes its own copy, not the caller's array
+    amplitudes = np.full(4, 0.5, dtype=complex)
+    assert not StateVector(amplitudes).amplitudes.flags.writeable
+    assert amplitudes.flags.writeable
 
 
 def assert_propagate_matches_cascaded(n, xi, disorder=None):
