@@ -218,7 +218,7 @@ def detect_plateaus(trajectory: Trajectory,
     min_duration = (defaults["min_duration"] if min_duration is None
                     else min_duration)
     window = defaults["window"] if window is None else window
-    if eps_rate <= 0.0 or min_duration <= 0.0:
+    if not (eps_rate > 0.0 and min_duration > 0.0):
         raise ConfigError("eps_rate and min_duration must be positive")
     mask = _window_mask(trajectory.times, window, gamma)
     times = trajectory.times[mask]
@@ -296,7 +296,7 @@ def detect_bursts(source: BurstSource,
     i_w = intensity_curve[mask]
     if min_prominence is None:
         min_prominence = defaults["prominence_fraction"] * float(np.max(i_w))
-    if min_prominence <= 0.0:
+    if not min_prominence > 0.0:
         raise ConfigError("min_prominence must be positive")
     indices, prominences = _find_peaks(i_w, min_prominence)
     peaks = tuple(

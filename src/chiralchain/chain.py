@@ -186,8 +186,10 @@ def build_positions(config: ChainConfig,
     """
     if disorder is None:
         disorder = DisorderSpec.none()
-    if realization_index < 0:
-        raise ConfigError(f"realization_index must be >= 0, got {realization_index}")
+    if (not isinstance(realization_index, (int, np.integer))
+            or realization_index < 0):
+        raise ConfigError(
+            f"realization_index must be an integer >= 0, got {realization_index!r}")
     n = config.n_atoms
     offsets = np.zeros(n)
     if disorder.mode == "single_site":

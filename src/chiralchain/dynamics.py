@@ -123,8 +123,8 @@ class StateVector:
 
 def uniform_excitation(n_atoms: int) -> StateVector:
     """The symmetric state c_m = 1/sqrt(N) shared by the whole chain."""
-    if n_atoms < 1:
-        raise ConfigError(f"n_atoms must be >= 1, got {n_atoms!r}")
+    if not isinstance(n_atoms, (int, np.integer)) or n_atoms < 1:
+        raise ConfigError(f"n_atoms must be an integer >= 1, got {n_atoms!r}")
     return StateVector(np.full(n_atoms, 1.0 / math.sqrt(n_atoms), dtype=complex))
 
 
@@ -132,8 +132,9 @@ def uniform_grid(horizon: float = 20.0, points: int = 2000) -> np.ndarray:
     """Uniformly spaced times [0, horizon] (times in units of 1/gamma)."""
     if not math.isfinite(horizon) or horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon!r}")
-    if not 2 <= points <= _MAX_POINTS:
-        raise ConfigError(f"points must lie in [2, {_MAX_POINTS}], got {points!r}")
+    if not isinstance(points, (int, np.integer)) or not 2 <= points <= _MAX_POINTS:
+        raise ConfigError(
+            f"points must be an integer in [2, {_MAX_POINTS}], got {points!r}")
     return np.linspace(0.0, horizon, points)
 
 
@@ -142,8 +143,9 @@ def log_grid(horizon: float = 1e4, points_per_decade: int = 400) -> np.ndarray:
     if not _LOG_T_MIN < horizon or not math.isfinite(horizon):
         raise ConfigError(
             f"need {_LOG_T_MIN!r} < horizon < inf, got horizon={horizon!r}")
-    if points_per_decade < 1:
-        raise ConfigError("points_per_decade must be >= 1")
+    if (not isinstance(points_per_decade, (int, np.integer))
+            or points_per_decade < 1):
+        raise ConfigError("points_per_decade must be an integer >= 1")
     decades = math.log10(horizon / _LOG_T_MIN)
     count = max(2, int(round(decades * points_per_decade)) + 1)
     if count >= _MAX_POINTS:
@@ -297,7 +299,8 @@ def _ell(a: np.ndarray, m: int) -> np.ndarray:
     for _ in range(2 * m + 1):
         sums = sums @ magnitude
     power_norm = sums[:, 0].max(axis=-1)
-    with np.errstate(divide="ignore"):
+    # a zero matrix gives 0 / 0, which the last line drops
+    with np.errstate(divide="ignore", invalid="ignore"):
         alpha = power_norm / (magnitude.sum(axis=-2).max(axis=-1) * _PADE_ELL[m])
         value = np.ceil(np.log2(alpha / 2.0 ** -53) / (2 * m))
     return np.where(power_norm > 0.0, np.maximum(value, 0.0), 0.0).astype(int)
@@ -352,23 +355,20 @@ def _exp_sinch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) < 0.0135, series, direct)
 
 
-def _square(r: np.ndarray, a: np.ndarray, s: int, lower: np.ndarray,
-            upper: np.ndarray) -> np.ndarray:
+def _square(r: np.ndarray, a: np.ndarray, s: int) -> np.ndarray:
     """r^(2^s), where r = r_m(2^-s A) for the stack a.
 
-    A triangular matrix (mask lower or upper) keeps its zero triangle and
-    gets the exact diagonal and first off-diagonal of exp(2^-i A) after
-    every squaring (Code Fragment 2.1 of Al-Mohy & Higham).
+    A triangular matrix of a (a diagonal one is triangular both ways)
+    keeps its zero triangle and gets the exact diagonal of exp(2^-i A) at
+    every i from s down to 0, and the exact first off-diagonal after every
+    squaring (Code Fragment 2.1 of Al-Mohy & Higham).  At s = 0 that is
+    the exact diagonal alone.
     """
+    lower = ~np.triu(a, 1).any(axis=(1, 2))
+    upper = ~np.tril(a, -1).any(axis=(1, 2))
     triangular = np.flatnonzero(lower | upper)
-    if triangular.size == 0:
-        for _ in range(s):
-            r = r @ r
-        return r
     r[lower] = np.tril(r[lower])
     r[upper] = np.triu(r[upper])
-    if s == 0:
-        return r
     t = a[triangular]
     diag = np.diagonal(t, axis1=1, axis2=2)
     below = np.diagonal(t, -1, axis1=1, axis2=2)
@@ -398,34 +398,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     7, 9 or 13, Al-Mohy & Higham (2009), Algorithm 5.1, with exact 1-norms
     of the powers of A.  Degree and scaling are chosen per matrix, so a
     matrix's exponential does not depend on the rest of the stack;
-    matrices that share both are evaluated together.  A diagonal matrix
-    gets the exponential of its diagonal; a triangular one keeps its zero
-    triangle exactly zero.
+    matrices that share both are evaluated together.  Every matrix takes
+    this one path: a triangular one, a diagonal one included, keeps its
+    zero triangle exactly zero and gets the exact exponential of its
+    diagonal at every scaling.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
     n = a.shape[-1]
-    flat = a.reshape(-1, n, n)
-    lower = ~np.triu(flat, 1).any(axis=(1, 2))
-    upper = ~np.tril(flat, -1).any(axis=(1, 2))
-    diagonal = lower & upper
-    if not diagonal.any():
-        return _expm_general(flat, lower, upper).reshape(a.shape)
-    out = np.zeros_like(flat)
-    sites = np.arange(n)
-    out[np.flatnonzero(diagonal)[:, None], sites, sites] = np.exp(
-        flat[diagonal][:, sites, sites])
-    general = ~diagonal
-    if general.any():
-        out[general] = _expm_general(flat[general], lower[general],
-                                     upper[general])
-    return out.reshape(a.shape)
-
-
-def _expm_general(x: np.ndarray, lower: np.ndarray,
-                  upper: np.ndarray) -> np.ndarray:
-    """Algorithm 5.1 on a stack of non-diagonal matrices (G, N, N)."""
+    x = a.reshape(-1, n, n)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
@@ -455,17 +437,12 @@ def _expm_general(x: np.ndarray, lower: np.ndarray,
         s += _ell(x[undecided] * (2.0 ** -s)[:, None, None], 13)
         degree[undecided] = 13
         scaling[undecided] = s
-    groups = sorted(set(zip(degree.tolist(), scaling.tolist())))
-    if len(groups) == 1:  # the whole stack, without copies of its powers
-        (m, s), = groups
-        return _square(_pade(m, s, powers), x, s, lower, upper)
     result = np.empty_like(x)
-    for m, s in groups:
+    for m, s in sorted(set(zip(degree.tolist(), scaling.tolist()))):
         members = np.flatnonzero((degree == m) & (scaling == s))
         r = _pade(m, s, [p[members] for p in powers])
-        result[members] = _square(r, x[members], s, lower[members],
-                                  upper[members])
-    return result
+        result[members] = _square(r, x[members], s)
+    return result.reshape(a.shape)
 
 
 def _is_uniform(grid: np.ndarray) -> bool:

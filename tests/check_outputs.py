@@ -16,8 +16,8 @@ the list records the numpy version, the BLAS library and the thread
 count, and a run on another build says so next to any difference.  All
 presets take about 20 s on one 2-core x86-64 host; pytest does not
 collect this file, but tests/test_check_outputs.py runs the kernel
-presets, the ensembles, staircase and local_unchecked (about 5 s) against
-the same list.
+presets, the ensembles, staircase, cascaded and local_unchecked (about
+5 s) against the same list.
 Exit status: 0 when every digest matches, 1 otherwise.
 """
 
@@ -59,6 +59,10 @@ PRESETS = [
                        "--gamma-l", "0.9", "--gamma-r", "1", "--fluct", "0.005",
                        "--realizations", "200", "--seed", "7",
                        "--horizon", "64", "--points", "641"]),
+    # gamma_L = 0: V is lower triangular, and both its exponentials have s = 0
+    ("cascaded", ["simulate", "--n", "4", "--xi-over-pi", "1",
+                  "--gamma-l", "0", "--gamma-r", "1",
+                  "--horizon", "40", "--points", "2001"]),
     ("kernel_1", ["kernel", "--dim", "1", *_KERNEL_XI]),
     ("kernel_1chiral", ["kernel", "--dim", "1chiral", *_KERNEL_XI]),
     ("kernel_1chiral_asym", ["kernel", "--dim", "1chiral", *_KERNEL_XI,

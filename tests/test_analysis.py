@@ -279,8 +279,10 @@ def test_plateau_window_coverage_and_resolution():
         detect_plateaus(sparse)
     with pytest.raises(ConfigError):
         detect_plateaus(short, window=(5.0, 5.0))
-    with pytest.raises(ConfigError):
-        detect_plateaus(short, eps_rate=-1.0, window=(0.5, 8.0))
+    for bad in ({"eps_rate": -1.0}, {"eps_rate": math.nan},
+                {"min_duration": math.nan}):
+        with pytest.raises(ConfigError, match="positive"):
+            detect_plateaus(short, window=(0.5, 8.0), **bad)
 
 
 def test_plateau_population_floor():
@@ -398,8 +400,9 @@ def test_burst_detector_input_guards():
         detect_bursts((times[:100], np.zeros(100)))
     with pytest.raises(ResolutionError):
         detect_bursts((times[::100], np.zeros(201)))
-    with pytest.raises(ConfigError, match="positive"):
-        detect_bursts((times, np.zeros(times.size)), min_prominence=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ConfigError, match="positive"):
+            detect_bursts((times, np.zeros(times.size)), min_prominence=bad)
 
 
 def assert_peaks_match_scipy(x, min_prominence):

@@ -100,8 +100,9 @@ def test_ensemble_positions_reproducible():
     assert not np.array_equal(first, other)
     with pytest.raises(ConfigError):
         build_positions(config, disorder, realization_index=20)
-    with pytest.raises(ConfigError):
-        build_positions(config, disorder, realization_index=-1)
+    for index in (-1, 2.5):
+        with pytest.raises(ConfigError):
+            build_positions(config, disorder, realization_index=index)
 
 
 @settings(max_examples=200, deadline=None)

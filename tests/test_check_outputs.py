@@ -19,10 +19,12 @@ def test_deviation_report_finds_the_one_changed_cell(tmp_path):
 
 
 # the presets cheap enough for every test run, about 5 s together; the
-# two simulate runs cover propagate on a uniform and on a log grid
-CHEAP_PRESETS = {"staircase", "local_unchecked", "ensemble", "ensemble_tail",
-                 "kernel_1", "kernel_1chiral", "kernel_1chiral_asym",
-                 "kernel_2", "kernel_3", "kernel_2_small", "kernel_3_small"}
+# simulate runs cover propagate on a uniform and on a log grid, and on a
+# cascaded (triangular) chain
+CHEAP_PRESETS = {"staircase", "local_unchecked", "cascaded", "ensemble",
+                 "ensemble_tail", "kernel_1", "kernel_1chiral",
+                 "kernel_1chiral_asym", "kernel_2", "kernel_3",
+                 "kernel_2_small", "kernel_3_small"}
 
 
 def test_cheap_presets_write_the_recorded_bytes(tmp_path):

@@ -58,10 +58,14 @@ def test_log_grid_shape():
     # 6 decades of points_per_decade points, plus t = 0 and the horizon
     lambda: log_grid(1e4, dynamics._MAX_POINTS // 6 + 1),
     lambda: log_grid(1e4, 10**17),
-], ids=["uniform_cap", "uniform_1e17", "log_cap", "log_1e17"])
+    lambda: uniform_grid(20.0, 2.5),
+    lambda: log_grid(1e4, 2.5),
+    lambda: log_grid(1e4, math.nan),
+], ids=["uniform_cap", "uniform_1e17", "log_cap", "log_1e17",
+        "uniform_2.5", "log_2.5", "log_nan"])
 def test_grids_past_the_point_cap_are_refused_before_allocating(build):
     # such arrays would take 80 MB to many PB; the refusal is a
-    # ConfigError, not a MemoryError
+    # ConfigError, not a MemoryError; so is a count that is not an integer
     with pytest.raises(ConfigError):
         build()
 
@@ -77,8 +81,9 @@ def test_state_vector_invariants():
         StateVector(np.array([0.5, math.nan]))
     with pytest.raises(ConfigError):
         StateVector(np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        uniform_excitation(0)
+    for count in (0, 2.5, math.nan):
+        with pytest.raises(ConfigError):
+            uniform_excitation(count)
     # the state freezes its own copy, not the caller's array
     amplitudes = np.full(4, 0.5, dtype=complex)
     assert not StateVector(amplitudes).amplitudes.flags.writeable
@@ -586,12 +591,24 @@ def test_expm_of_stiff_cascaded_chain():
     assert np.all(np.tril(dynamics.expm(upper), -1) == 0.0)
 
 
+def test_expm_of_unscaled_cascaded_chain_has_exact_diagonal():
+    # at this norm expm picks s = 0: no squaring, and still the exact
+    # diagonal and zero triangle of the triangular treatment
+    a = chain(5, math.pi, 0.0, 1.0).entries * 0.6
+    got = dynamics.expm(a)
+    assert np.array_equal(np.diagonal(got), np.exp(np.diagonal(a)))
+    assert np.all(np.triu(got, 1) == 0.0)
+
+
+@pytest.mark.filterwarnings("error")  # a zero matrix divides 0 by 0 in _ell
 def test_expm_of_zero_and_diagonal_matrices_is_exact():
     assert np.array_equal(dynamics.expm(np.zeros((3, 4, 4), dtype=complex)),
                           np.broadcast_to(np.eye(4), (3, 4, 4)))
-    diagonal = np.array([0.3 + 1.0j, -2.0, 5e-3, -700.0])
-    assert np.array_equal(dynamics.expm(np.diag(diagonal)),
-                          np.diag(np.exp(diagonal)))
+    # a norm of 700 takes s > 0, a norm near 1 takes s = 0
+    for diagonal in ([0.3 + 1.0j, -2.0, 5e-3, -700.0],
+                     [0.3 + 1.0j, -0.2, 5e-3, -0.7]):
+        assert np.array_equal(dynamics.expm(np.diag(diagonal)),
+                              np.diag(np.exp(diagonal)))
 
 
 def test_expm_of_a_matrix_does_not_depend_on_its_stack():
