@@ -11,12 +11,12 @@ exp(V a) exp(V b) = exp(V (a + b)) makes stepping by h exact up to those
 ulp).  It is cut into blocks of B rows: the first row of each block, its
 coarse state, comes from the one before by exp(V B h), so rounding does
 not add up over long runs, and every row of a chunk of blocks comes from
-the chunk's coarse states by one matmul against exp(V h)^j for
-j < B; the whole grid costs a single expm call (for h and B h).  Any
-other grid, such as a log grid, advances one step at a time, with one
-exponential per step taken up to B steps per expm call.  The same core
-evolves a whole stack of generators at once, which is how disorder
-ensembles run.
+the chunk's coarse states by one real matmul against exp(V h)^j for
+j < B, in the 2 x 2 real block form of complex numbers; the whole grid
+costs a single expm call (for h and B h).  Any other grid, such as a log
+grid, advances one step at a time, with one exponential per step taken
+up to _STEPS steps per expm call.  The same core evolves a whole stack
+of generators at once, which is how disorder ensembles run.
 
 Every propagation can be cross-checked against an independently coded
 adaptive embedded Runge-Kutta integrator (Dormand-Prince 5(4)); the two
@@ -76,8 +76,11 @@ _CHECK_POINTS = 10
 # relative and absolute local error bound of each Runge-Kutta step
 _RK_TOL = 1e-12
 # steps advanced per matmul on a uniform grid
-_BLOCK = 64
-# most entries B*N^2 of one generator's powers (32 KB; see _evolve)
+_BLOCK = 32
+# step exponentials per expm call on any other grid
+_STEPS = 64
+# most entries B*N^2 of one generator's powers (64 KB in real form; see
+# _evolve)
 _BLOCK_ENTRIES = 2048
 # entries C*(N+2) of one generator's chunk of C grid rows (see _evolve)
 _CHUNK_ENTRIES = 2048
@@ -232,12 +235,19 @@ def _observables(table: np.ndarray, weights: np.ndarray
     squares *= squares
     populations = squares[..., :n]
     clamped = False
-    if populations.min() < _UNDERFLOW_FLOOR:
+    # the contiguous minimum first: scanning the strided populations costs
+    # several times more, and is needed only when some square is tiny
+    if squares.min() < _UNDERFLOW_FLOOR and populations.min() < _UNDERFLOW_FLOOR:
         tiny = populations < _UNDERFLOW_FLOOR
         clamped = bool(populations[tiny].any())
         populations[tiny] = 0.0
     # (P_tot, I_tot) of every row from one product: a sum over a short
-    # last axis is several times slower than a matmul
+    # last axis is several times slower than a matmul.  A one-row product
+    # takes another BLAS path than a longer one and rounds differently, so
+    # a one-row table goes through as two copies of its row.
+    if table.shape[-2] == 1:
+        doubled = np.repeat(squares, 2, axis=-2) @ weights
+        return populations, doubled[..., :1, :].copy(), clamped
     return populations, squares @ weights, clamped
 
 
@@ -467,13 +477,18 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
     from the coarse state before it by one small product per generator:
     exp(V B h) on a uniform grid of step h, so rounding does not add up
     over long runs, and the step's own exponential on any other grid,
-    where B = 1 and the exponentials of up to _BLOCK steps come from one
-    expm call.  Then one product per chunk, coarse states (R, C/B, N) @
-    S (R, N, B (N + 2)) in row form, gives every row of the chunk: S
+    where B = 1 and the exponentials of up to _STEPS steps come from one
+    expm call.  Then one product per chunk gives every row of the chunk
+    from its coarse states, in row form c^T S: S (R, N, B (N + 2) - N)
     holds (E^j)^T, (E^j)^T conj(w) and (E^j)^T w for j = 0 .. B - 1,
     E = exp(V h), less the identity of j = 0, whose amplitudes are the
-    coarse states themselves.  A uniform grid costs one expm call (for h
-    and B h) in all.
+    coarse states themselves.  The product is taken in real arithmetic,
+    a dgemm per generator, which measured about twice as fast as the
+    complex product at N = 5: S is built once in its real form, each
+    entry s as the 2 x 2 block [[Re s, Im s], [-Im s, Re s]], interleaved
+    so that the float view (Re c_1, Im c_1, ..) of the coarse states
+    (R, C/B, 2N) times it is the float view of the rows; the complex S is
+    dropped.  A uniform grid costs one expm call (for h and B h) in all.
 
     B is _BLOCK, capped so that the R B N^2 entries of the powers never
     exceed the R K N amplitudes of the trajectories, and so that one
@@ -484,16 +499,22 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
     least max(_BLOCK, _CHUNK_ENTRIES / (N + 2)) rows (C = 320 at N = 5).
     C depends on N and the grid but never on R, so a generator's rows are
     bit for bit the same alone and in a stack.  Each generator costs
-    C (N + 2) x 16 bytes for its chunk and B N (N + 2) x 16 bytes for S
-    (36 kB each at N = 5), and _observables adds C (N + 2) x 8 bytes of
-    squared moduli and C x 2 x 8 bytes of (P_tot, I_tot) per chunk (18
-    and 5 kB), which an ensemble reduces over the stack in place.
+    C (N + 2) x 16 bytes for its chunk and 2N x 2 (B (N + 2) - N) x 8
+    bytes for the real form of S (36 and 35 kB at N = 5; the real form
+    takes twice the bytes of the complex S, so _BLOCK is 32, not 64,
+    which keeps S at its complex size, and the chunk product at R = 20
+    measured 53 us at B = 32 against 64 us at B = 64), and
+    _observables adds C (N + 2) x 8 bytes of squared moduli and
+    C x 2 x 8 bytes of (P_tot, I_tot) per chunk (18 and 5 kB), which an
+    ensemble reduces over the stack in place: 96 kB per generator in
+    all, measured with tracemalloc on a stack of 200.
     """
     n_stack, n = v.shape[:2]
     count = grid.size - 1
-    cap = max(1, min(_BLOCK, grid.size // n, _BLOCK_ENTRIES // (n * n)))
+    bound = min(grid.size // n, _BLOCK_ENTRIES // (n * n))
     uniform = _is_uniform(grid)
-    width = min(cap, count) if uniform else 1
+    width = max(1, min(_BLOCK, bound, count)) if uniform else 1
+    cap = max(1, min(_STEPS, bound))
     # [I | conj(w) | w]: a row state c^T times it is (c, w^dag c, w^T c)
     frame = np.zeros((n_stack, n, width, n + 2), dtype=complex)
     frame[:, range(n), 0, range(n)] = 1.0
@@ -510,9 +531,21 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
         steps = np.diff(grid)
     # S less the identity of j = 0: the coarse states are their own rows
     fine = frame.reshape(n_stack, n, -1)[..., n:]
+    # S in real form: rows 2m and 2m + 1 hold (Re S_mk, Im S_mk) and
+    # (-Im S_mk, Re S_mk) for every column k, filled with no temporary
+    real_fine = np.empty((n_stack, n, 2, fine.shape[-1], 2))
+    real_fine[:, :, 0] = fine.view(float).reshape(n_stack, n, -1, 2)
+    np.negative(fine.imag, out=real_fine[:, :, 1, :, 0])
+    real_fine[:, :, 1, :, 1] = fine.real
+    real_fine = real_fine.reshape(n_stack, 2 * n, -1)
+    del frame, fine
     blocks = -(-max(_BLOCK, _CHUNK_ENTRIES // (n + 2)) // width)
     chunk = np.empty((n_stack, blocks, width * (n + 2)), dtype=complex)
     coarse = chunk[..., :n]
+    # each block's coarse state as an (R, N, 1) column, made once: slicing
+    # it anew for every step product cost a third of that product
+    columns = [coarse[:, b, :, None] for b in range(blocks)]
+    floats = chunk.view(float)
     table = chunk.reshape(n_stack, blocks * width, n + 2)
     coarse[:, 0] = c0
     first, filled = 0, 1
@@ -525,14 +558,14 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
                 exponentials = _exponentials(v, steps[index - 1:index - 1 + cap])
             step = exponentials[:, j]
         if filled == blocks:
-            np.matmul(coarse, fine, out=chunk[..., n:])
+            np.matmul(floats[..., :2 * n], real_fine, out=floats[..., 2 * n:])
             yield first, table
             first, filled = first + blocks * width, 0
         # after a full chunk the coarse state before sits at index -1
-        np.matmul(step, coarse[:, filled - 1, :, None],
-                  out=coarse[:, filled, :, None])
+        np.matmul(step, columns[filled - 1], out=columns[filled])
         filled += 1
-    np.matmul(coarse[:, :filled], fine, out=chunk[:, :filled, n:])
+    np.matmul(floats[:, :filled, :2 * n], real_fine,
+              out=floats[:, :filled, 2 * n:])
     yield first, table[:, :grid.size - first]
 
 
@@ -613,13 +646,14 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
     stack, and each table that _evolve yields is reduced over the stack
     axis as it comes: its (P_tot, I_tot) rows form a C-contiguous
     (R, 2c) array, whose rows numpy adds in generator order, as it does
-    for the whole (R, K) arrays, so the moments are bit for bit those of
-    the full arrays.  2c >= 2 columns hold even for a one-row table, whose
-    two (R, 1) columns alone numpy would add pairwise.  Memory is
-    O(R C (N + 2) + K), C the chunk rows of _evolve, not O(R K): about
-    0.1 MB per generator at N = 5 (see _evolve).  Only
-    the cross-check times are kept for the RK comparison, which runs on
-    every generator of the stack.
+    for the whole (R, K) arrays.  The reduction is the two passes of
+    numpy's mean and std, the sum over the stack taken once for both, so
+    the moments are bit for bit those of the full arrays.  2c >= 2
+    columns hold even for a one-row table, whose two (R, 1) columns alone
+    numpy would add pairwise.  Memory is O(R C (N + 2) + K), C the chunk
+    rows of _evolve, not O(R K): 96 kB per generator at N = 5 (see
+    _evolve).  Only the cross-check times are kept for the RK comparison,
+    which runs on every generator of the stack.
     """
     grid = _validate_grid(grid)
     v, w, weights = _generators(matrices)
@@ -633,8 +667,16 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
     for first, table in _evolve(v, w, initial.amplitudes, grid):
         stop = first + table.shape[1]
         observed = _observables(table, weights)[1].reshape(n_stack, -1)
-        moments[0, first:stop] = observed.mean(axis=0).reshape(-1, 2)
-        moments[1, first:stop] = observed.std(axis=0, ddof=1).reshape(-1, 2)
+        # numpy's two-pass mean and std(ddof=1), the sum taken once
+        mean, std = moments[:, first:stop].reshape(2, -1)
+        np.add.reduce(observed, axis=0, out=mean)
+        mean /= n_stack
+        observed -= mean
+        np.square(observed, out=observed)
+        np.add.reduce(observed, axis=0, out=std)
+        std /= n_stack - 1
+        np.sqrt(std, out=std)
+        del observed  # freed before the next table's squares are made
         hit = (picks >= first) & (picks < stop)
         checked[:, hit] = table[:, picks[hit] - first, :n]
     if cross_check:

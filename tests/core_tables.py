@@ -23,13 +23,10 @@ def full_observables(matrices, c0, grid):
     """P_tot and I_tot of every coupling matrix, each a C-contiguous (R, K),
     and where each of the core's tables began.
 
-    _observables takes each table on its own, as the propagators do: the
-    product of a one-row table can round differently from the same row in
-    a longer product.
+    _observables takes the whole (R, K, N + 2) array at once, not each
+    table on its own as the propagators do.
     """
     v, w, weights = dynamics._generators(matrices)
     table, starts = core_tables(v, w, c0, grid)
-    observed = np.concatenate(
-        [dynamics._observables(part, weights)[1]
-         for part in np.split(table, starts[1:], axis=1)], axis=1)
+    observed = dynamics._observables(table, weights)[1]
     return observed[..., 0].copy(), observed[..., 1].copy(), starts

@@ -230,6 +230,26 @@ def test_run_ensemble_memory_does_not_grow_with_grid():
     assert transient[1] <= 1.5 * transient[0]
 
 
+def test_run_ensemble_memory_per_realization():
+    # peak traced memory beyond the four returned (K,) moment arrays, per
+    # realization: at N = 5 the chunk of 320 rows (36 kB), the real form
+    # of the powers (35 kB), the squared moduli (18 kB) and P_tot and
+    # I_tot (5 kB) of one chunk, within the 0.1 MB that README states
+    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    realizations = 200
+    disorder = DisorderSpec.ensemble(0.005, realizations, 7)
+    grid = uniform_grid(40.0, 1001)
+    run_ensemble(config, disorder, grid)
+    tracemalloc.start()
+    try:
+        result = run_ensemble(config, disorder, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    transient = peak - 4 * result.mean_total.nbytes
+    assert transient / realizations <= 100e3
+
+
 def test_staircase_plateau_intensity_in_extended_precision():
     # on the plateaus, I_tot/P_tot < 1e-5, the dense -2 Re(c^dag V c)
     # cancelled terms of size gamma |c|^2 and was off by up to 4e-5

@@ -467,15 +467,38 @@ def test_stacked_generators_propagate_as_alone(n, chains, log, horizon,
         assert np.all(np.abs(lost - trapezoid) <= bound + 1e-12)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("block", [1, 7, 32, 64])
 def test_core_does_not_depend_on_the_block_size(monkeypatch, block):
+    # _BLOCK sets the rows per block of the uniform grid, _STEPS the step
+    # exponentials per expm call of the log grid
     monkeypatch.setattr(dynamics, "_BLOCK", block)
+    monkeypatch.setattr(dynamics, "_STEPS", block)
     v = generator_stack()
     c0 = uniform_excitation(4).amplitudes
     for grid in (uniform_grid(20.0, 501),
                  log_grid(horizon=100.0, points_per_decade=40)):
         got = core_amplitudes(v, c0, grid)
         assert np.max(np.abs(got - expm_reference(v, c0, grid))) < 1e-12
+
+
+def test_one_row_table_rounds_as_in_a_longer_table():
+    # at N = 5 the core yields tables of 320 grid times, so K = 641 ends in
+    # a one-row table; its P_tot and I_tot carry the bits of the same row
+    # in the product of the whole (R, K, N + 2) array
+    matrices = [chain(5, 0.5 * math.pi, 0.7, 1.0), chain(5, math.pi, 0.9, 1.0),
+                chain(5, 2.2, 0.3, 1.0)]
+    v, w, weights = dynamics._generators(matrices)
+    c0 = uniform_excitation(5)
+    grid = uniform_grid(40.0, 641)
+    table, starts = core_tables(v, w, c0.amplitudes, grid)
+    assert starts[-1] == 640
+    whole = dynamics._observables(table, weights)[1]
+    last = dynamics._observables(table[:, 640:], weights)[1]
+    assert np.array_equal(last[:, 0], whole[:, -1])
+    for matrix, observed in zip(matrices, whole):
+        trajectory = propagate(matrix, c0, grid, cross_check=False)
+        assert trajectory.total[-1] == observed[-1, 0]
+        assert trajectory.intensity[-1] == observed[-1, 1]
 
 
 def geometric_grid(size):
