@@ -132,7 +132,7 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     (DisorderSpec holds w below 0.5), so no realization is skipped and
     n_skipped stays 0.  Standard deviations use the n-1 divisor.  With
     cross_check on, every realization is re-solved at sampled grid times
-    by the Runge-Kutta backend, as in propagate.
+    by one Runge-Kutta pass over the whole stack, as in propagate.
     """
     if disorder.mode != "ensemble":
         raise ConfigError(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -136,28 +137,63 @@ def test_run_ensemble_leaves_the_callers_grid_writeable():
     assert np.array_equal(result.times, grid)
 
 
+def one_rk_pass(monkeypatch, config, disorder, grid):
+    """Run a checked ensemble; assert one _dp54 call took the whole stack.
+
+    Returns the record times of that call.  Then offsetting only the last
+    realization's RK rows must still fail the check.
+    """
+    honest = dynamics._dp54
+    calls = []
+
+    def recorded(v, c0, times):
+        states = honest(v, c0, times)
+        calls.append((v.shape, states.shape, times))
+        return states
+
+    monkeypatch.setattr(dynamics, "_dp54", recorded)
+    run_ensemble(config, disorder, grid, cross_check=True)
+    r, n = disorder.n_realizations, config.n_atoms
+    [(stack, states, times)] = calls
+    assert stack == (r, n, n)
+    assert states == (r, times.size, n)
+
+    def last_perturbed(v, c0, times):
+        states = honest(v, c0, times)
+        states[-1] += 1e-6
+        return states
+
+    monkeypatch.setattr(dynamics, "_dp54", last_perturbed)
+    with pytest.raises(IntegrityError, match=f"in realization {r - 1} "):
+        run_ensemble(config, disorder, grid, cross_check=True)
+    return times
+
+
 def test_run_ensemble_cross_checks_every_realization(monkeypatch):
     config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.01, 4, 5)
     grid = uniform_grid(5.0, 151)
+    one_rk_pass(monkeypatch, config, disorder, grid)
+    run_ensemble(config, disorder, grid, cross_check=False)
+
+
+def test_cross_check_names_the_realization_and_time(monkeypatch):
+    config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.01, 4, 5)
+    grid = uniform_grid(5.0, 151)
+    times = grid[dynamics._check_points(grid.size)].tolist()
     honest = dynamics._dp54
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return honest(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_dp54", counted)
-    run_ensemble(config, disorder, grid, cross_check=True)
-    assert len(calls) == 4
-
-    def perturbed(*args, **kwargs):
-        return honest(*args, **kwargs) + 1e-6
+    def perturbed(v, c0, times):
+        states = honest(v, c0, times)
+        states[2, 3] += 1e-6
+        return states
 
     monkeypatch.setattr(dynamics, "_dp54", perturbed)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError,
+                       match=re.escape(f"in realization 2 at t = {times[3]!r}")
+                       + "$"):
         run_ensemble(config, disorder, grid, cross_check=True)
-    run_ensemble(config, disorder, grid, cross_check=False)
 
 
 @pytest.mark.parametrize("tail", [0, 1, 2])
@@ -192,24 +228,8 @@ def test_cross_check_spans_chunks(monkeypatch):
     picks = dynamics._check_points(grid.size)
     # the re-solved times fall in several of the core's tables
     assert np.unique(np.searchsorted(starts, picks, side="right")).size > 1
-    honest = dynamics._dp54
-    checked = []
-
-    def counted(v, c0, times, **kwargs):
-        checked.append(times)
-        return honest(v, c0, times, **kwargs)
-
-    monkeypatch.setattr(dynamics, "_dp54", counted)
-    run_ensemble(config, disorder, grid, cross_check=True)
-    assert len(checked) == 4
-    assert all(np.array_equal(times, grid[picks]) for times in checked)
-
-    def perturbed(*args, **kwargs):
-        return honest(*args, **kwargs) + 1e-6
-
-    monkeypatch.setattr(dynamics, "_dp54", perturbed)
-    with pytest.raises(IntegrityError):
-        run_ensemble(config, disorder, grid, cross_check=True)
+    times = one_rk_pass(monkeypatch, config, disorder, grid)
+    assert np.array_equal(times, grid[picks])
 
 
 def test_run_ensemble_memory_does_not_grow_with_grid():

@@ -126,7 +126,16 @@ def test_matrix_exponential_and_runge_kutta_agree():
     state = uniform_excitation(5)
     fast = propagate(matrix, state, grid, cross_check=False)
     slow = dynamics._dp54(matrix.entries, state.amplitudes, grid[1:])
+    assert slow.shape == (300, 5)
     assert np.max(np.abs(fast.amplitudes[1:] - slow)) < 1e-10
+    # a stack of two gives (R, P, N), each row its generator's states
+    other = chain(5, 0.4, 0.0, 1.0)
+    stack = dynamics._dp54(np.stack([matrix.entries, other.entries]),
+                           state.amplitudes, grid[1:])
+    assert stack.shape == (2, 300, 5)
+    assert np.max(np.abs(stack[0] - slow)) < 1e-10
+    alone = propagate(other, state, grid, cross_check=False)
+    assert np.max(np.abs(stack[1] - alone.amplitudes[1:])) < 1e-10
 
 
 @pytest.mark.parametrize("horizon", [1e-12, 1e-14, 1e-20])
@@ -141,8 +150,38 @@ def test_runge_kutta_check_passes_on_short_horizons(horizon):
 def test_runge_kutta_step_underflow_raises_on_a_stiff_generator():
     # rates of order 1e16 drive rejected steps below the floor
     v = np.diag([-1e16, -1.0]).astype(complex)
+    c0 = np.ones(2, dtype=complex)
     with pytest.raises(NumericsError, match="step size underflow"):
-        dynamics._dp54(v, np.ones(2, dtype=complex), np.array([1.0]))
+        dynamics._dp54(v, c0, np.array([1.0]))
+    # the stack shares one step, so one stiff member sinks it to the floor
+    normal = chain(2, 1.0, 0.9, 1.0).entries
+    with pytest.raises(NumericsError, match="^Runge-Kutta step size underflow$"):
+        dynamics._dp54(np.stack([normal, v]), c0, np.array([1.0]))
+    assert dynamics._dp54(normal[None], c0, np.array([1.0])).shape == (1, 1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.integers(1, 4), n=st.integers(2, 7), xi=st.floats(0.0, 2 * math.pi),
+       gamma_left=st.one_of(st.just(0.0), st.floats(0.1, 1.0)),
+       width=st.floats(0.0, 0.05), seed=st.integers(0, 2**16),
+       horizon=st.floats(0.5, 20.0))
+def test_runge_kutta_stack_agrees_with_each_member(r, n, xi, gamma_left,
+                                                   width, seed, horizon):
+    # cascaded (gamma_L = 0) and disordered chains of every length: one
+    # RK pass over the stack against each member's matrix exponentials
+    config = ChainConfig(n_atoms=n, xi=xi, gamma_left=gamma_left,
+                         gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(width, r, seed)
+    matrices = [build_chain(config, disorder, index) for index in range(r)]
+    state = uniform_excitation(n)
+    grid = uniform_grid(horizon, 201)
+    picks = dynamics._check_points(grid.size)
+    stack = dynamics._dp54(np.stack([m.entries for m in matrices]),
+                           state.amplitudes, grid[picks])
+    assert stack.shape == (r, picks.size, n)
+    for matrix, rk_states in zip(matrices, stack):
+        exact = propagate(matrix, state, grid, cross_check=False)
+        assert np.max(np.abs(exact.amplitudes[picks] - rk_states)) < 1e-9
 
 
 def test_propagate_raises_when_the_cross_check_disagrees(monkeypatch):
