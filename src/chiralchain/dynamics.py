@@ -588,15 +588,16 @@ def _check_points(size: int) -> np.ndarray:
 
 def _cross_check(v: np.ndarray, c0: np.ndarray, times: np.ndarray,
                  states: np.ndarray) -> None:
-    """Compare states (P, N) of one generator v (N, N), or (R, P, N) of a
-    stack (R, N, N), at times with one call of the RK backend."""
-    deviations = np.abs(states - _dp54(v, c0, times)).reshape(-1, times.size, c0.size)
+    """Compare states (R, P, N) of a stack v (R, N, N) at times with one RK
+    call; an error names the time, and in an ensemble the realization."""
+    deviations = np.abs(states - _dp54(v, c0, times))
     worst = np.unravel_index(np.argmax(deviations), deviations.shape)
     deviation = float(deviations[worst])
     if not deviation <= _CHECK_TOL:  # NaN fails too; argmax finds it
+        where = f" in realization {worst[0]}" if len(v) > 1 else ""
         raise IntegrityError(
             "matrix-exponential and Runge-Kutta backends disagree "
-            f"({deviation:.3e} > {_CHECK_TOL:.1e}) in realization {worst[0]} "
+            f"({deviation:.3e} > {_CHECK_TOL:.1e}){where} "
             f"at t = {times[worst[1]]}", estimate=deviation, residual=deviation)
 
 
@@ -633,7 +634,7 @@ def propagate(matrix: CouplingMatrix, initial: StateVector, grid,
         clamped |= clamp
     if cross_check:
         picks = _check_points(grid.size)
-        _cross_check(v[0], initial.amplitudes, grid[picks], states[picks])
+        _cross_check(v, initial.amplitudes, grid[picks], states[None, picks])
     return Trajectory(times=grid, amplitudes=states, populations=populations,
                       total=total, intensity=intensity_arr,
                       gamma=matrix.gamma, underflow_clamped=clamped)
@@ -688,9 +689,14 @@ def _propagate_stack(matrices, initial: StateVector, grid, *,
 
 
 # Dormand-Prince 5(4) tableau
-_DP_A = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
@@ -698,42 +704,42 @@ _DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
 def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray) -> np.ndarray:
-    """Integrate dc/dt = V c from t = 0, recording at the given times.
-
-    One generator v (N, N) gives states (P, N); a stack (R, N, N) gives
-    (R, P, N), each stage one batched matmul on (R, N, 1) columns, and
-    shares one step size, accepted only when the scaled error is <= 1 at
-    every realization and site: never looser than per-generator control.
-    """
-    out = np.empty((*v.shape[:-2], record_times.size, c0.size), dtype=complex)
-    y = (c0.astype(complex) if v.ndim == 2
-         else np.tile(c0.astype(complex)[:, None], (len(v), 1, 1)))
-    a, b, e = _DP_A, _DP_B5, _DP_ERR
+    """Integrate dc/dt = V c from t = 0 for a stack v (R, N, N), recording
+    states (R, P, N) at the given times.  The stack shares one step size,
+    accepted only when the scaled error is <= 1 at every realization and
+    site: never looser than per-generator control."""
+    out = np.empty((len(v), record_times.size, c0.size), dtype=complex)
+    t = 0.0
+    y = np.tile(c0.astype(complex)[:, None], (len(v), 1, 1))
     k1 = v @ y
-    t, h = 0.0, 1e-3
+    h = 1e-3
     for idx, t_target in enumerate(record_times):
         while t < t_target:
             clipped = t + h >= t_target
             h_step = (t_target - t) if clipped else h
-            k2 = v @ (y + h_step * (a[1][0] * k1))
-            k3 = v @ (y + h_step * (a[2][0] * k1 + a[2][1] * k2))
-            k4 = v @ (y + h_step * (a[3][0] * k1 + a[3][1] * k2 + a[3][2] * k3))
-            k5 = v @ (y + h_step * (a[4][0] * k1 + a[4][1] * k2 + a[4][2] * k3
-                                    + a[4][3] * k4))
-            k6 = v @ (y + h_step * (a[5][0] * k1 + a[5][1] * k2 + a[5][2] * k3
-                                    + a[5][3] * k4 + a[5][4] * k5))
-            y5 = y + h_step * (b[0] * k1 + b[2] * k3 + b[3] * k4 + b[4] * k5
-                               + b[5] * k6)
+            k2 = v @ (y + h_step * (_DP_A[1][0] * k1))
+            k3 = v @ (y + h_step * (_DP_A[2][0] * k1 + _DP_A[2][1] * k2))
+            k4 = v @ (y + h_step * (_DP_A[3][0] * k1 + _DP_A[3][1] * k2
+                                    + _DP_A[3][2] * k3))
+            k5 = v @ (y + h_step * (_DP_A[4][0] * k1 + _DP_A[4][1] * k2
+                                    + _DP_A[4][2] * k3 + _DP_A[4][3] * k4))
+            k6 = v @ (y + h_step * (_DP_A[5][0] * k1 + _DP_A[5][1] * k2
+                                    + _DP_A[5][2] * k3 + _DP_A[5][3] * k4
+                                    + _DP_A[5][4] * k5))
+            y5 = y + h_step * (_DP_B5[0] * k1 + _DP_B5[2] * k3 + _DP_B5[3] * k4
+                               + _DP_B5[4] * k5 + _DP_B5[5] * k6)
             k7 = v @ y5
-            err_vec = h_step * (e[0] * k1 + e[2] * k3 + e[3] * k4 + e[4] * k5
-                                + e[5] * k6 + e[6] * k7)
+            err_vec = h_step * (_DP_ERR[0] * k1 + _DP_ERR[2] * k3
+                                + _DP_ERR[3] * k4 + _DP_ERR[4] * k5
+                                + _DP_ERR[5] * k6 + _DP_ERR[6] * k7)
             scale = _RK_TOL + _RK_TOL * np.maximum(np.abs(y), np.abs(y5))
             err = float(np.max(np.abs(err_vec) / scale))
             if err <= 1.0:
                 t = t_target if clipped else t + h_step
                 y = y5
                 k1 = k7  # first-same-as-last
-                h = h_step * min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
+                factor = min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
+                h = h_step * factor
             else:
                 # only a rejected step tests the floor: an accepted step clipped
                 # to land on a record time may be as short as the grid asks
@@ -741,7 +747,7 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray) -> np.ndarray
                 if h < 1e-13:
                     raise NumericsError(
                         "Runge-Kutta step size underflow", estimate=t, residual=h)
-        out[..., idx, :] = y.reshape(v.shape[:-1])
+        out[:, idx] = y[..., 0]
     return out
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -125,7 +126,7 @@ def test_matrix_exponential_and_runge_kutta_agree():
     grid = uniform_grid(15.0, 301)
     state = uniform_excitation(5)
     fast = propagate(matrix, state, grid, cross_check=False)
-    slow = dynamics._dp54(matrix.entries, state.amplitudes, grid[1:])
+    [slow] = dynamics._dp54(matrix.entries[None], state.amplitudes, grid[1:])
     assert slow.shape == (300, 5)
     assert np.max(np.abs(fast.amplitudes[1:] - slow)) < 1e-10
     # a stack of two gives (R, P, N), each row its generator's states
@@ -152,7 +153,7 @@ def test_runge_kutta_step_underflow_raises_on_a_stiff_generator():
     v = np.diag([-1e16, -1.0]).astype(complex)
     c0 = np.ones(2, dtype=complex)
     with pytest.raises(NumericsError, match="step size underflow"):
-        dynamics._dp54(v, c0, np.array([1.0]))
+        dynamics._dp54(v[None], c0, np.array([1.0]))
     # the stack shares one step, so one stiff member sinks it to the floor
     normal = chain(2, 1.0, 0.9, 1.0).entries
     with pytest.raises(NumericsError, match="^Runge-Kutta step size underflow$"):
@@ -190,10 +191,17 @@ def test_propagate_raises_when_the_cross_check_disagrees(monkeypatch):
     grid = uniform_grid(5.0, 101)
     honest = dynamics._dp54
     # a NaN deviation is no agreement either
+    last = float(grid[dynamics._check_points(grid.size)[-1]])
     for offset in (1e-6, math.nan):
-        monkeypatch.setattr(dynamics, "_dp54", lambda *args, offset=offset,
-                            **kwargs: honest(*args, **kwargs) + offset)
-        with pytest.raises(IntegrityError):
+        def perturbed(*args, **kwargs):
+            states = honest(*args, **kwargs)
+            states[:, -1] += offset
+            return states
+
+        monkeypatch.setattr(dynamics, "_dp54", perturbed)
+        # a single trajectory has no realization to name, only the time
+        with pytest.raises(IntegrityError,
+                           match=r"\) at t = " + re.escape(repr(last)) + "$"):
             propagate(matrix, state, grid)
     propagate(matrix, state, grid, cross_check=False)
 
