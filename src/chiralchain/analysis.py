@@ -90,7 +90,7 @@ def detector_defaults(gamma: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Per-time sample mean and standard deviation over disorder draws."""
 

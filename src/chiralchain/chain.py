@@ -69,7 +69,7 @@ class ChainConfig:
         return max(self.gamma_left, self.gamma_right)
 
     def to_dict(self) -> dict:
-        """The config-file keys of this chain, as parse_config_text reads them.
+        """The config-file keys of this chain, which from_dict reads back.
 
         An xi typed as q * pi (every CLI run) reads back exactly; for about
         13% of other xi no double q has q * pi == xi, and xi / pi reads back
@@ -79,6 +79,18 @@ class ChainConfig:
                 "xi_over_pi": _over_pi(self.xi),
                 "gamma_left": float(self.gamma_left),
                 "gamma_right": float(self.gamma_right)}
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "ChainConfig":
+        """The chain of a to_dict record, xi = xi_over_pi * pi; keys of
+        other records (such as disorder.*) are ignored."""
+        missing = [key for key in ("n_atoms", "xi_over_pi", "gamma_left",
+                                   "gamma_right") if key not in record]
+        if missing:
+            raise ConfigError(f"missing required config keys: {', '.join(missing)}")
+        return cls(n_atoms=record["n_atoms"], xi=record["xi_over_pi"] * math.pi,
+                   gamma_left=record["gamma_left"],
+                   gamma_right=record["gamma_right"])
 
 
 def _check_rates(gamma_left: float, gamma_right: float) -> None:
@@ -212,7 +224,7 @@ def build_positions(config: ChainConfig,
     return positions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """The non-Hermitian single-excitation generator V plus its provenance.
 
@@ -229,8 +241,11 @@ class CouplingMatrix:
     positions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries.flags.writeable = False
-        self.positions.flags.writeable = False
+        # copies: freezing the caller's own arrays would lock them too
+        for name in ("entries", "positions"):
+            arr = np.array(getattr(self, name))
+            object.__setattr__(self, name, arr)
+            arr.flags.writeable = False
 
     @property
     def n_atoms(self) -> int:
@@ -248,8 +263,7 @@ class CouplingMatrix:
 def build_coupling_matrix(positions: np.ndarray, gamma_left: float,
                           gamma_right: float) -> CouplingMatrix:
     """Assemble V from phase positions and the two directional rates."""
-    # a copy, since CouplingMatrix freezes it
-    pos = np.array(positions, dtype=float)
+    pos = np.asarray(positions, dtype=float)
     if pos.ndim != 1 or pos.size < 1:
         raise ConfigError("positions must be a non-empty 1D array")
     if not np.all(np.isfinite(pos)):
@@ -318,26 +332,9 @@ def parse_config_text(text: str) -> tuple[ChainConfig, DisorderSpec]:
             values[key] = caster(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
-    missing = [k for k in ("n_atoms", "xi_over_pi", "gamma_left", "gamma_right")
-               if k not in values]
-    if missing:
-        raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    config = ChainConfig(
-        n_atoms=values["n_atoms"],                       # type: ignore[arg-type]
-        xi=float(values["xi_over_pi"]) * math.pi,        # type: ignore[arg-type]
-        gamma_left=values["gamma_left"],                 # type: ignore[arg-type]
-        gamma_right=values["gamma_right"],               # type: ignore[arg-type]
-    )
-    mode = values.get("disorder.mode", "none")
-    disorder = DisorderSpec(
-        mode=mode,                                       # type: ignore[arg-type]
-        site=values.get("disorder.site"),                # type: ignore[arg-type]
-        shift_fraction=values.get("disorder.shift_fraction"),       # type: ignore[arg-type]
-        fluctuation_fraction=values.get("disorder.fluctuation_fraction"),  # type: ignore[arg-type]
-        n_realizations=values.get("disorder.n_realizations"),       # type: ignore[arg-type]
-        seed=values.get("disorder.seed"),                # type: ignore[arg-type]
-    )
-    return config, disorder
+    disorder = {key.removeprefix("disorder."): value
+                for key, value in values.items() if key.startswith("disorder.")}
+    return ChainConfig.from_dict(values), DisorderSpec(**disorder)
 
 
 def load_config_file(path) -> tuple[ChainConfig, DisorderSpec]:

@@ -159,10 +159,7 @@ def _merge_config(args, *, need_ensemble: bool) -> tuple:
         fields = config.to_dict()
     fields.update(_given(n_atoms=args.n, xi_over_pi=args.xi_over_pi,
                          gamma_left=args.gamma_l, gamma_right=args.gamma_r))
-    merged = ChainConfig(n_atoms=fields["n_atoms"],
-                         xi=fields["xi_over_pi"] * math.pi,
-                         gamma_left=fields["gamma_left"],
-                         gamma_right=fields["gamma_right"])
+    merged = ChainConfig.from_dict(fields)
 
     if need_ensemble:
         fields = {"mode": "ensemble", "fluctuation_fraction": 0.005,
@@ -340,8 +337,8 @@ def _traj_curve(n: int, xi_over_pi: float, gl: float, gr: float, grid,
     trajectory exists only while its file is written, so a figure holds
     one trajectory at a time.  I_tot is the column after P_tot.
     """
-    config = ChainConfig(n_atoms=n, xi=xi_over_pi * math.pi,
-                         gamma_left=gl, gamma_right=gr)
+    config = ChainConfig.from_dict({"n_atoms": n, "xi_over_pi": xi_over_pi,
+                                    "gamma_left": gl, "gamma_right": gr})
 
     def write(fh):
         trajectory = propagate(build_chain(config, disorder),

@@ -14,9 +14,10 @@ not add up over long runs, and every row of a chunk of blocks comes from
 the chunk's coarse states by one real matmul against exp(V h)^j for
 j < B, in the 2 x 2 real block form of complex numbers; the whole grid
 costs a single expm call (for h and B h).  Any other grid, such as a log
-grid, advances one step at a time, with one exponential per step taken
-up to _STEPS steps per expm call.  The same core evolves a whole stack
-of generators at once, which is how disorder ensembles run.
+grid, advances one step at a time, with one exponential per step, each
+expm call taking as many steps as the caps on B allow.  The same core
+evolves a whole stack of generators at once, which is how disorder
+ensembles run.
 
 Every propagation can be cross-checked against an independently coded
 adaptive Runge-Kutta integrator (Dormand-Prince 5(4)) that takes a whole
@@ -78,10 +79,8 @@ _CHECK_POINTS = 10
 _RK_TOL = 1e-12
 # steps advanced per matmul on a uniform grid
 _BLOCK = 32
-# step exponentials per expm call on any other grid
-_STEPS = 64
-# most entries B*N^2 of one generator's powers (64 KB in real form; see
-# _evolve)
+# most entries B*N^2 of one generator's powers (64 KB in real form), and
+# of its step exponentials per expm call off a uniform grid (see _evolve)
 _BLOCK_ENTRIES = 2048
 # entries C*(N+2) of one generator's chunk of C grid rows (see _evolve)
 _CHUNK_ENTRIES = 2048
@@ -92,7 +91,7 @@ _RUN_ULPS = 4
 _WRITE_ROWS = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex site amplitudes at one instant; norm**2 <= 1 (+ slack)."""
 
@@ -159,7 +158,7 @@ def log_grid(horizon: float = 1e4, points_per_decade: int = 400) -> np.ndarray:
     return np.concatenate(([0.0], times))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Propagated amplitudes plus derived observables on a time grid.
 
@@ -478,7 +477,7 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
     from the coarse state before it by one small product per generator:
     exp(V B h) on a uniform grid of step h, so rounding does not add up
     over long runs, and the step's own exponential on any other grid,
-    where B = 1 and the exponentials of up to _STEPS steps come from one
+    where B = 1 and the steps that fit the caps on B below share one
     expm call.  Then one product per chunk gives every row of the chunk
     from its coarse states, in row form c^T S: S (R, N, B (N + 2) - N)
     holds (E^j)^T, (E^j)^T conj(w) and (E^j)^T w for j = 0 .. B - 1,
@@ -515,7 +514,7 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
     bound = min(grid.size // n, _BLOCK_ENTRIES // (n * n))
     uniform = _is_uniform(grid)
     width = max(1, min(_BLOCK, bound, count)) if uniform else 1
-    cap = max(1, min(_STEPS, bound))
+    cap = max(1, bound)
     # [I | conj(w) | w]: a row state c^T times it is (c, w^dag c, w^T c)
     frame = np.zeros((n_stack, n, width, n + 2), dtype=complex)
     frame[:, range(n), 0, range(n)] = 1.0

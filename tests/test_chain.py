@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chiralchain.chain import (ChainConfig, DisorderSpec, build_chain,
-                               build_coupling_matrix, build_positions,
-                               parse_config_text)
+from chiralchain.chain import (ChainConfig, CouplingMatrix, DisorderSpec,
+                               build_chain, build_coupling_matrix,
+                               build_positions, parse_config_text)
 from chiralchain.errors import ConfigError
 
 
@@ -186,6 +186,18 @@ def test_build_coupling_matrix_leaves_the_callers_positions_writeable():
     assert not matrix.positions.flags.writeable
 
 
+def test_coupling_matrix_copies_the_callers_arrays():
+    entries = -0.5 * np.eye(2, dtype=complex)
+    positions = np.array([0.0, 1.0])
+    matrix = CouplingMatrix(entries=entries, gamma_left=0.5, gamma_right=0.5,
+                            positions=positions)
+    assert entries.flags.writeable and positions.flags.writeable
+    assert not matrix.entries.flags.writeable
+    assert not matrix.positions.flags.writeable
+    entries[0, 0] = positions[0] = 7.0
+    assert matrix.entries[0, 0] == -0.5 and matrix.positions[0] == 0.0
+
+
 CONFIG_TEXT = """
 # five atoms at half-wavelength spacing
 n_atoms = 5
@@ -225,6 +237,39 @@ def test_to_dict_reads_back_as_a_config_file(disorder):
         assert parsed_config.xi == config.xi
         assert parsed_config.to_dict() == record
         assert parsed_disorder == disorder
+
+
+# q a decimal of at most 6 significant digits in [0, 4], as typed on a
+# command line
+typed_q = st.builds(lambda digits, exponent: float(f"{digits}e{exponent}"),
+                    st.integers(0, 999_999), st.integers(-11, -5)
+                    ).filter(lambda q: q <= 4.0)
+disorders = st.one_of(
+    st.just(DisorderSpec.none()),
+    st.builds(DisorderSpec.single_site, st.integers(1, 60),
+              st.floats(-1.0, 1.0)),
+    st.builds(DisorderSpec.ensemble,
+              st.floats(0.0, 0.5, exclude_max=True), st.integers(1, 1000),
+              st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), q=typed_q, gl=st.floats(0.0, 2.0),
+       gr=st.floats(0.0, 2.0), disorder=disorders)
+@example(n=5, q=0.085, gl=0.9, gr=1.0, disorder=DisorderSpec.none())
+def test_records_read_back_as_the_same_objects(n, q, gl, gr, disorder):
+    assume(gl > 0.0 or gr > 0.0)
+    config = ChainConfig(n_atoms=n, xi=q * math.pi, gamma_left=gl,
+                         gamma_right=gr)
+    back = ChainConfig.from_dict(config.to_dict())
+    assert back == config
+    assert back.xi == q * math.pi
+    assert DisorderSpec(**disorder.to_dict()) == disorder
+    for key in config.to_dict():
+        record = config.to_dict()
+        del record[key]
+        with pytest.raises(ConfigError, match=f"missing required config keys: {key}$"):
+            ChainConfig.from_dict(record)
 
 
 def test_parse_config_defaults_to_no_disorder():

@@ -91,6 +91,24 @@ def test_state_vector_invariants():
     assert amplitudes.flags.writeable
 
 
+def test_array_records_compare_by_identity():
+    # a field-wise == would ask numpy for the truth value of an array
+    config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=0.9,
+                         gamma_right=1.0)
+    grid = uniform_grid(5.0, 11)
+    first, second = (propagate(build_chain(config), uniform_excitation(3),
+                               grid, cross_check=False) for _ in range(2))
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    assert first != second and first not in [second]
+    assert first == first and first in [second, first]
+    assert len({first, second, first}) == 2
+    assert uniform_excitation(3) != uniform_excitation(3)
+    assert build_chain(config) != build_chain(config)
+    # the records of parameters keep value equality
+    assert ChainConfig(**vars(config)) == config
+    assert DisorderSpec.single_site(2, 0.1) == DisorderSpec.single_site(2, 0.1)
+
+
 def assert_propagate_matches_cascaded(n, xi, disorder=None):
     matrix = build_chain(ChainConfig(n_atoms=n, xi=xi, gamma_left=0.0,
                                      gamma_right=1.0), disorder)
@@ -516,10 +534,11 @@ def test_stacked_generators_propagate_as_alone(n, chains, log, horizon,
 
 @pytest.mark.parametrize("block", [1, 7, 32, 64])
 def test_core_does_not_depend_on_the_block_size(monkeypatch, block):
-    # _BLOCK sets the rows per block of the uniform grid, _STEPS the step
-    # exponentials per expm call of the log grid
+    # _BLOCK sets the rows per block of the uniform grid; _BLOCK_ENTRIES
+    # caps them too and sets the step exponentials per expm call of the
+    # log grid, here to block at N = 4
     monkeypatch.setattr(dynamics, "_BLOCK", block)
-    monkeypatch.setattr(dynamics, "_STEPS", block)
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", block * 4 * 4)
     v = generator_stack()
     c0 = uniform_excitation(4).amplitudes
     for grid in (uniform_grid(20.0, 501),

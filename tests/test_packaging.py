@@ -1,7 +1,11 @@
-"""The package's third-party imports are exactly its declared dependencies."""
+"""The package's third-party imports are exactly its declared dependencies,
+its exports are its modules' exports, and its array records compare by
+identity."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -42,3 +46,19 @@ def test_package_exports_are_the_modules_exports():
         importlib.import_module(f"chiralchain.{name}").__all__ for name in modules))
     # sorted lists, not sets: a name listed twice fails too
     assert sorted(chiralchain.__all__) == sorted(exported | {"__version__"})
+
+
+def test_array_records_compare_by_identity():
+    # a field-wise == on ndarray fields raises instead of answering, and a
+    # frozen record with it has no hash
+    records = 0
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"chiralchain.{path.stem}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls)
+                    and any("ndarray" in str(field.type)
+                            for field in dataclasses.fields(cls))):
+                records += 1
+                assert not cls.__dataclass_params__.eq, cls.__qualname__
+    assert records == 4
