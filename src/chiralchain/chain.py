@@ -19,7 +19,7 @@ V is lower triangular.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -112,6 +112,15 @@ def _over_pi(xi: float) -> float:
     return ratio
 
 
+# the fields each disorder mode reads, with their types in to_dict
+_DISORDER_FIELDS = {
+    "none": {},
+    "single_site": {"site": int, "shift_fraction": float},
+    "ensemble": {"fluctuation_fraction": float, "n_realizations": int,
+                 "seed": int},
+}
+
+
 @dataclass(frozen=True)
 class DisorderSpec:
     """Positional disorder: none, one shifted site, or an ensemble.
@@ -121,7 +130,8 @@ class DisorderSpec:
     [-w, +w] (w = fluctuation_fraction, in units of xi) for every atom
     and every realization; w < 0.5 guarantees atoms never cross.
     Realizations are reproducible: the draw for realization r depends
-    only on (seed, r) and the atom order.
+    only on (seed, r) and the atom order.  A field the mode does not read
+    must be None.
     """
 
     mode: str = "none"
@@ -132,8 +142,16 @@ class DisorderSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in ("none", "single_site", "ensemble"):
+        if self.mode not in _DISORDER_FIELDS:
             raise ConfigError(f"unknown disorder mode {self.mode!r}")
+        # a field the mode does not read would be kept here but run as
+        # nothing and left out of to_dict, so of the manifest
+        unread = [f.name for f in fields(self)
+                  if f.name not in ("mode", *_DISORDER_FIELDS[self.mode])
+                  and getattr(self, f.name) is not None]
+        if unread:
+            raise ConfigError(f"disorder mode {self.mode!r} does not read "
+                              + ", ".join(unread))
         if self.mode == "single_site":
             if self.site is None or self.shift_fraction is None:
                 raise ConfigError("single_site disorder needs site and shift_fraction")
@@ -177,15 +195,9 @@ class DisorderSpec:
     def to_dict(self) -> dict:
         """mode plus the fields that mode reads, keyed as in a config file
         without the ``disorder.`` prefix."""
-        if self.mode == "single_site":
-            return {"mode": self.mode, "site": int(self.site),
-                    "shift_fraction": float(self.shift_fraction)}
-        if self.mode == "ensemble":
-            return {"mode": self.mode,
-                    "fluctuation_fraction": float(self.fluctuation_fraction),
-                    "n_realizations": int(self.n_realizations),
-                    "seed": int(self.seed)}
-        return {"mode": self.mode}
+        return {"mode": self.mode,
+                **{key: cast(getattr(self, key))
+                   for key, cast in _DISORDER_FIELDS[self.mode].items()}}
 
 
 def build_positions(config: ChainConfig,

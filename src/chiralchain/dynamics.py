@@ -38,6 +38,11 @@ would on the long-lived plateaus.
 
 Populations below 1e-300 are clamped to zero and flagged, so extreme
 subradiance studies cannot leak denormals into downstream analysis.
+
+Trajectories are written as CSV tables or JSON arrays of exactly the
+bytes that repr (json.dumps) gives each value, a block of rows at a
+time: reprs formats every distinct column of a block in one call, in
+numpy, and the block is written as one string.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
+from . import reprs
 from .chain import CouplingMatrix
 from .errors import ConfigError, IntegrityError, NumericsError
 
@@ -87,7 +93,8 @@ _CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
 # rows formatted per write by the CSV and JSON writers: about 100 kB of
-# text; 4096 rows left a long-running process's heap 1 MB larger
+# text from a 125 kB byte frame at five columns; blocks of 512, 4096 and
+# 16384 rows were slower
 _WRITE_ROWS = 1024
 
 
@@ -786,23 +793,28 @@ def _write_csv(stream: IO[str], comments: list, header: list,
                columns: list) -> None:
     """# key = value lines, the header row and the rows of the columns.
 
-    Values are written with repr, so floats parse back exactly and an
-    integer column stays 0/1.  The rows are written _WRITE_ROWS at a time:
-    per chunk each distinct column object is formatted once, so a column
-    passed twice costs one formatting, and the rows are joined in C.
+    Each cell holds the bytes of repr(float(x)), or of repr(int(x)) in an
+    integer column, so floats parse back exactly and an integer column
+    stays 0/1.  The rows are written _WRITE_ROWS at a time: reprs.cells
+    formats each distinct column object of the block once, in one call,
+    so a column passed twice costs one formatting, and the block's cells,
+    commas and newlines are one byte frame of 25 bytes a cell (128 kB for
+    five columns), written without its padding as one string.
     """
     for key, value in comments:
         stream.write(f"# {key} = {value}\n")
     stream.write(",".join(header) + "\n")
     distinct = {id(column): column for column in columns}
+    order = [list(distinct).index(id(column)) for column in columns]
     for start in range(0, len(columns[0]), _WRITE_ROWS):
-        stop = start + _WRITE_ROWS
-        # tolist() gives Python floats (ints), whose repr is repr(float(x))
-        cells = {key: list(map(repr, column[start:stop].tolist()))
-                 for key, column in distinct.items()}
-        rows = zip(*(cells[id(column)] for column in columns))
-        stream.write("\n".join(map(",".join, rows)) + "\n")
-        del cells, rows  # freed before the next chunk is formatted
+        cells = reprs.cells([column[start:start + _WRITE_ROWS]
+                             for column in distinct.values()])
+        frame = np.empty((cells.shape[1], len(columns), reprs.WIDTH + 1),
+                         dtype=np.uint8)
+        frame[:, :, :-1] = cells.transpose(1, 0, 2)[:, order]
+        frame[:, :, -1] = ord(",")
+        frame[:, -1, -1] = ord("\n")
+        stream.write(reprs.text(frame))
 
 
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
@@ -819,13 +831,31 @@ def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
 
 
 def _write_json_array(stream: IO[str], values: np.ndarray) -> None:
-    """json.dumps(values.tolist()), written _WRITE_ROWS rows at a time."""
+    """json.dumps(values.tolist()), written _WRITE_ROWS rows at a time.
+
+    Each block of rows is one byte frame: every value's cell from
+    reprs.cells, with the brackets of the inner lists that it opens and
+    closes and the ", " after it; json.dumps spells the non-finite values
+    NaN, Infinity and -Infinity.
+    """
+    depth = values.ndim - 1
     stream.write("[")
     for start in range(0, len(values), _WRITE_ROWS):
         if start:
             stream.write(", ")
-        chunk = values[start:start + _WRITE_ROWS].tolist()
-        stream.write(json.dumps(chunk)[1:-1])
+        block = values[start:start + _WRITE_ROWS]
+        frame = np.zeros(block.shape + (reprs.WIDTH + 2 * depth + 2,),
+                         dtype=np.uint8)
+        frame[..., depth:depth + reprs.WIDTH] = reprs.cells(
+            [block.reshape(-1)], json.dumps).reshape(block.shape + (reprs.WIDTH,))
+        frame[..., -2:] = np.frombuffer(b", ", dtype=np.uint8)
+        for axis in range(1, values.ndim):
+            # a list along axis opens before its first value, closes after its last
+            outer = (slice(None),) * axis
+            frame[outer + (0,) * (values.ndim - axis) + (axis - 1,)] = ord("[")
+            frame[outer + (-1,) * (values.ndim - axis) + (-2 - axis,)] = ord("]")
+        frame.reshape(-1, frame.shape[-1])[-1, -2:] = reprs.PAD
+        stream.write(reprs.text(frame))
     stream.write("]")
 
 

@@ -294,3 +294,30 @@ def test_parse_config_reports_line_numbers():
     text = "n_atoms = 2\nxi_over_pi = 1\nmystery = 3\n"
     with pytest.raises(ConfigError, match="line 3"):
         parse_config_text(text)
+
+
+_CHAIN_TEXT = "n_atoms = 5\nxi_over_pi = 1\ngamma_left = 0.9\ngamma_right = 1\n"
+
+
+@pytest.mark.parametrize("disorder_text,message", [
+    # no mode: the shift would run as no disorder
+    ("disorder.site = 3\ndisorder.shift_fraction = 0.05\n",
+     "disorder mode 'none' does not read site, shift_fraction$"),
+    # a seed under single_site would be dropped from the manifest
+    ("disorder.mode = single_site\ndisorder.site = 3\n"
+     "disorder.shift_fraction = 0.05\ndisorder.seed = 7\n",
+     "disorder mode 'single_site' does not read seed$"),
+])
+def test_disorder_keys_the_mode_does_not_read_are_refused(disorder_text,
+                                                          message, tmp_path):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(_CHAIN_TEXT + disorder_text)
+    with pytest.raises(ConfigError, match="does not read fluctuation_fraction$"):
+        DisorderSpec(mode="single_site", site=3, shift_fraction=0.05,
+                     fluctuation_fraction=0.0)
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(_CHAIN_TEXT + disorder_text)
+    from chiralchain.cli import main
+    assert main(["simulate", "--config", str(cfg), "--points", "11",
+                 "--outdir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()

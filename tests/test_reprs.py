@@ -1,0 +1,80 @@
+"""The block formatter writes exactly the bytes of repr, cell by cell."""
+
+import io
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chiralchain import dynamics, reprs
+
+
+def texts(cells):
+    """The text of each row of a (cells, WIDTH) byte array."""
+    return [row[row != reprs.PAD].tobytes().decode("ascii") for row in cells]
+
+
+def assert_float_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = texts(reprs.cells([values])[0])
+    assert got == [repr(x) for x in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+# +-0, +-inf, a NaN with a payload, the smallest subnormal, the largest
+# double and the smallest normal
+@example([0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8_0000_0000_0001, 1,
+          0x7FEF_FFFF_FFFF_FFFF, 1 << 52])
+def test_float_cells_are_repr_of_any_bit_pattern(patterns):
+    assert_float_reprs(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
+@example([-2**63, 2**63 - 1, 0, -1, 10**17, -10**17, 10**18 - 1, 10**18])
+def test_int_cells_are_repr_of_any_int64(values):
+    column = np.array(values, dtype=np.int64)
+    assert texts(reprs.cells([column])[0]) == [repr(v) for v in values]
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)])
+
+
+def test_float_cells_sweep_the_powers_and_the_layout_boundaries():
+    twos = neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+    tens = neighbours([float(f"1e{k}") for k in range(-307, 309)])
+    # repr switches to the exponent form below 1e-4 and from 1e16 on
+    edges = neighbours([1e-4, 1e16, 9.999999999999999e-5, 9999999999999998.0,
+                        0.001, 1e15, 123456789012345.6])
+    special = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([twos, tens, edges, special])
+    values = values[np.isfinite(values)]
+    assert_float_reprs(np.concatenate([values, -values]))
+
+
+def test_cells_of_mixed_columns_and_their_spelling():
+    floats = np.array([np.nan, -np.inf, 1.5e-310, 0.25])
+    ints = np.array([True, False, True, False])
+    cells = reprs.cells([floats, ints, floats.astype(np.float32)], json.dumps)
+    assert texts(cells[0]) == ["NaN", "-Infinity", "1.5e-310", "0.25"]
+    assert texts(cells[1]) == ["1", "0", "1", "0"]
+    assert texts(cells[2]) == ["NaN", "-Infinity", "0.0", "0.25"]
+    assert reprs.cells([np.zeros(0), np.zeros(0, dtype=int)]).shape == (2, 0, reprs.WIDTH)
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 3, 2), (0, 2, 2)])
+def test_json_array_is_json_dumps_of_the_list(shape):
+    values = np.geomspace(1e-320, 1e300, int(np.prod(shape))).reshape(shape)
+    values.reshape(-1)[:4] = [np.nan, np.inf, -np.inf, -0.0][:values.size]
+    out = io.StringIO()
+    # two rows per block, so blocks end inside the nested lists' rows
+    with mock.patch.object(dynamics, "_WRITE_ROWS", 2):
+        dynamics._write_json_array(out, values)
+    assert out.getvalue() == json.dumps(values.tolist())
