@@ -28,9 +28,11 @@ __all__: list = []
 WIDTH = 24
 PAD = 0
 
-# most cells formatted in one pass, whose temporaries take about 250
-# bytes a cell: a block of 1024 rows and up to six columns is one pass,
-# and wider blocks ran no slower in passes of this size than in one
+# most cells formatted in one pass, whose temporaries peak at about 390
+# bytes a cell: a block of 1024 rows and up to six columns is one pass.
+# Five such columns took 1.2x the time in passes of 3072 cells and 1.3x
+# in 2048; eight in one pass of 8192 took 0.88x the time of two passes,
+# at 1.7x the peak (BENCH_24.json)
 _PASS = 6144
 
 _U = np.uint64
@@ -174,15 +176,10 @@ def _source(u: np.ndarray, exponent) -> np.ndarray:
 
 def _lay_out(source: np.ndarray, cls: np.ndarray, negative) -> np.ndarray:
     """(cells, WIDTH) bytes: the sign, then the bytes of each cell's layout
-    class from its source, gathered 1024 cells at a time (190 kB of
-    indices)."""
+    class from its source, in one gather."""
     out = np.empty((len(cls), WIDTH), dtype=np.uint8)
     out[:, 0] = np.where(negative, ord("-"), PAD)
-    flat = source.reshape(-1)
-    for start in range(0, len(cls), 1024):
-        rows = cls[start:start + 1024]
-        offsets = 32 * np.arange(start, start + len(rows))[:, None]
-        out[start:start + len(rows), 1:] = flat[_TABLE[rows] + offsets]
+    out[:, 1:] = source.reshape(-1)[_TABLE[cls] + 32 * np.arange(len(cls))[:, None]]
     return out
 
 

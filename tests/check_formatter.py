@@ -4,8 +4,8 @@
     python tests/check_formatter.py --count 100000 --seed 3
 
 draws --count seeded uniform 64-bit patterns and formats each one, read
-as a float64 and as an int64, with chiralchain.reprs.cells, in blocks of
---block cells; every cell must hold the bytes of repr(float(x)) or
+as a float64 and as an int64, with chiralchain.reprs.cells, BLOCK
+patterns at a time; every cell must hold the bytes of repr(float(x)) or
 repr(int(x)).  Each mismatch is printed with its bit pattern.  10**7
 patterns take about 40 s on one 2-core x86-64 host; pytest does not
 collect this file, and tests/test_reprs.py runs the same comparison on
@@ -22,6 +22,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from chiralchain import reprs  # noqa: E402
+
+# patterns drawn and formatted at a time
+BLOCK = 1 << 16
 
 
 def mismatches(patterns: np.ndarray) -> list:
@@ -44,12 +47,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=10**7)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--block", type=int, default=1 << 16)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
     bad = 0
-    for start in range(0, args.count, args.block):
-        size = min(args.block, args.count - start)
+    for start in range(0, args.count, BLOCK):
+        size = min(BLOCK, args.count - start)
         patterns = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
         for pattern, kind, want, got in mismatches(patterns):
             bad += 1
