@@ -1,4 +1,7 @@
-"""Ensemble statistics and feature extraction for chain trajectories.
+"""Detectors, decay-rate fits and localization for chain trajectories.
+
+The detectors read a Trajectory, and the burst detector also the mean
+intensity of an EnsembleResult; dynamics makes both.
 
 Detectors and their calibration
 -------------------------------
@@ -39,21 +42,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .chain import ChainConfig, DisorderSpec, build_chain
-from .dynamics import Trajectory, _propagate_stack, uniform_excitation
+from .dynamics import EnsembleResult, Trajectory
 from .errors import ConfigError, FitError, NumericsError, ResolutionError
 
 __all__ = [
-    "EnsembleResult",
     "PlateauInterval",
     "PlateauReport",
     "BurstPeak",
     "BurstReport",
-    "run_ensemble",
     "detector_defaults",
     "detect_plateaus",
     "detect_bursts",
@@ -88,73 +88,6 @@ def detector_defaults(gamma: float) -> dict:
             "window": (BURST_WINDOW[0] / gamma, BURST_WINDOW[1] / gamma),
         },
     }
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
-    """Per-time sample mean and standard deviation over disorder draws."""
-
-    times: np.ndarray
-    mean_total: np.ndarray
-    std_total: np.ndarray
-    mean_intensity: np.ndarray
-    std_intensity: np.ndarray
-    n_realizations: int
-    seed: int
-    n_skipped: int = 0  # no draw breaks the site order (see run_ensemble)
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        for name in ("times", "mean_total", "std_total",
-                     "mean_intensity", "std_intensity"):
-            # a copy: run_ensemble's times are the caller's grid
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
-        if np.any(self.std_total < 0.0) or np.any(self.std_intensity < 0.0):
-            raise ConfigError("standard deviations must be non-negative")
-
-
-def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
-                 *, cross_check: bool = False) -> EnsembleResult:
-    """Propagate every disorder realization from the uniform excitation
-    and reduce to mean and std.
-
-    The realizations' coupling matrices are stacked in fixed index order
-    and propagated together as one batch, so a given seed yields
-    bitwise-identical output.  Neither the amplitudes nor the whole P_tot
-    and I_tot of each realization are kept: the propagation core yields
-    the grid rows a chunk at a time, each table valid only until the next
-    is requested, and the moments over the stack are taken of each table
-    as it comes.  So memory grows with the number of realizations plus
-    the grid length, not with their product, and the moments are bit for
-    bit those of the full (R, K) arrays.  Every draw keeps the site order
-    (DisorderSpec holds w below 0.5), so no realization is skipped and
-    n_skipped stays 0.  Standard deviations use the n-1 divisor.  With
-    cross_check on, every realization is re-solved at sampled grid times
-    by one Runge-Kutta pass over the whole stack, as in propagate.
-    """
-    if disorder.mode != "ensemble":
-        raise ConfigError(
-            f"run_ensemble needs disorder mode 'ensemble', got {disorder.mode!r}")
-    if disorder.n_realizations < 2:
-        raise ConfigError("need at least 2 realizations")
-    grid = np.asarray(grid, dtype=float)
-    matrices = [build_chain(config, disorder, index)
-                for index in range(disorder.n_realizations)]
-    mean_total, std_total, mean_intensity, std_intensity = _propagate_stack(
-        matrices, uniform_excitation(config.n_atoms), grid,
-        cross_check=cross_check)
-    return EnsembleResult(
-        times=grid,
-        mean_total=mean_total,
-        std_total=std_total,
-        mean_intensity=mean_intensity,
-        std_intensity=std_intensity,
-        n_realizations=disorder.n_realizations,
-        seed=disorder.seed,
-        gamma=config.gamma,
-    )
 
 
 @dataclass(frozen=True)

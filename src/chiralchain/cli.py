@@ -33,11 +33,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (EnsembleResult, detect_bursts, detector_defaults,
-                       run_ensemble)
+from .analysis import detect_bursts, detector_defaults
 from .chain import ChainConfig, DisorderSpec, build_chain, load_config_file
-from .dynamics import (_MAX_POINTS, _write_csv, log_grid, propagate,
-                       steady_state, uniform_excitation, uniform_grid,
+from .dynamics import (_MAX_POINTS, EnsembleResult, _write_csv, log_grid,
+                       propagate, run_ensemble, steady_state,
+                       uniform_excitation, uniform_grid,
                        write_trajectory_csv, write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, IntegrityError,
                      NumericsError, ResolutionError)
@@ -146,10 +146,11 @@ def _given(**flags) -> dict:
     return {key: value for key, value in flags.items() if value is not None}
 
 
-def _merge_config(args, *, need_ensemble: bool) -> tuple:
-    """Combine config file (if given) and flags; flags win field by field.
+def _merge_config(args) -> tuple:
+    """The chain from the config file (if given) and flags, flags winning
+    field by field, and the file's disorder, which each command resolves.
 
-    Fields go by the keys of ChainConfig.to_dict and DisorderSpec.to_dict.
+    Fields go by the keys of ChainConfig.to_dict.
     """
     fields = {"n_atoms": 2, "xi_over_pi": 0.0, "gamma_left": 1.0,
               "gamma_right": 1.0}
@@ -159,27 +160,7 @@ def _merge_config(args, *, need_ensemble: bool) -> tuple:
         fields = config.to_dict()
     fields.update(_given(n_atoms=args.n, xi_over_pi=args.xi_over_pi,
                          gamma_left=args.gamma_l, gamma_right=args.gamma_r))
-    merged = ChainConfig.from_dict(fields)
-
-    if need_ensemble:
-        fields = {"mode": "ensemble", "fluctuation_fraction": 0.005,
-                  "n_realizations": 200, "seed": DEFAULT_SEED}
-        if disorder.mode == "ensemble":
-            fields.update(disorder.to_dict())
-        fields.update(_given(fluctuation_fraction=args.fluct,
-                             n_realizations=args.realizations, seed=args.seed))
-        return merged, DisorderSpec(**fields)
-
-    shift_site = getattr(args, "shift_site", None)
-    shift = getattr(args, "shift", None)
-    if shift_site is not None or shift is not None:
-        if shift_site is None or shift is None:
-            raise ConfigError(
-                "--shift-site and --shift must be given together")
-        return merged, DisorderSpec.single_site(shift_site, shift)
-    if disorder.mode == "ensemble":
-        disorder = DisorderSpec.none()
-    return merged, disorder
+    return ChainConfig.from_dict(fields), disorder
 
 
 def _grid(args) -> tuple:
@@ -199,7 +180,17 @@ def _grid(args) -> tuple:
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    config, disorder = _merge_config(args, need_ensemble=False)
+    config, disorder = _merge_config(args)
+    if args.shift_site is not None or args.shift is not None:
+        if args.shift_site is None or args.shift is None:
+            raise ConfigError(
+                "--shift-site and --shift must be given together")
+        disorder = DisorderSpec.single_site(args.shift_site, args.shift)
+    elif disorder.mode == "ensemble":
+        raise ConfigError(
+            "simulate does not run the config file's disorder mode "
+            "'ensemble'; run ensemble, or replace it with --shift-site "
+            "and --shift")
     grid, grid_record = _grid(args)
     trajectory = propagate(build_chain(config, disorder),
                            uniform_excitation(config.n_atoms), grid,
@@ -230,7 +221,18 @@ def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
 
 def cmd_ensemble(args) -> int:
     started = time.monotonic()
-    config, disorder = _merge_config(args, need_ensemble=True)
+    config, disorder = _merge_config(args)
+    if disorder.mode == "single_site":
+        raise ConfigError(
+            "ensemble does not run the config file's disorder mode "
+            "'single_site'; run simulate")
+    fields = {"mode": "ensemble", "fluctuation_fraction": 0.005,
+              "n_realizations": 200, "seed": DEFAULT_SEED}
+    if disorder.mode == "ensemble":
+        fields.update(disorder.to_dict())
+    fields.update(_given(fluctuation_fraction=args.fluct,
+                         n_realizations=args.realizations, seed=args.seed))
+    disorder = DisorderSpec(**fields)
     grid, grid_record = _grid(args)
     result = run_ensemble(config, disorder, grid)
     metadata = _data_metadata(config, disorder, grid_record)

@@ -198,11 +198,6 @@ def _columns_2d(x: np.ndarray, a2: float):
     return j0 - j1_over_x + a2 * j2, shift
 
 
-# the J1(x)/x series: t_0 = 1/2, t_m = t_{m-1} * (-x^2/4 / (m (m+1))), m <= 19,
-# the denominators with their sign
-_J1_DENOM = -np.arange(1.0, 20.0) * np.arange(2.0, 21.0)
-
-
 def _j1_y1_over_x(x: np.ndarray, j1: np.ndarray, y1: np.ndarray):
     """J1(x)/x and Y1(x)/x + 2/(pi x^2), which grows only like ln(x) at small x.
 
@@ -216,7 +211,8 @@ def _j1_y1_over_x(x: np.ndarray, j1: np.ndarray, y1: np.ndarray):
     # q = x^2/4, formed as _series_sums forms it
     half = 0.5 * x[:, None]
     q = half * half
-    j1_over_x[small] = _power_series(0.5, q, _J1_DENOM)
+    # J1(x)/x: t_0 = 1/2, then the ratios of the J1 row of _series_sums
+    j1_over_x[small] = _power_series(0.5, q, _SERIES_DENOM[1])
     log_term = np.log(0.5 * x) + _EULER_GAMMA
     # the Y1 tail, the last row of _series_sums, summed alone
     y1_tail = _power_series(1.0, q, _SERIES_DENOM[4], _SERIES_COEF[4])

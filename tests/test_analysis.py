@@ -11,15 +11,14 @@ import pytest
 
 from chiralchain import dynamics
 from chiralchain.analysis import (BURST_PROMINENCE_FRACTION, PLATEAU_EPS_RATE,
-                                  PLATEAU_WINDOW, EnsembleResult,
-                                  PlateauInterval, _find_peaks,
+                                  PLATEAU_WINDOW, PlateauInterval, _find_peaks,
                                   detect_bursts, detect_plateaus,
                                   detector_defaults,
-                                  fit_decay_rate, localization_metric,
-                                  run_ensemble)
+                                  fit_decay_rate, localization_metric)
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
-from chiralchain.dynamics import (Trajectory, log_grid, propagate,
-                                  uniform_excitation, uniform_grid)
+from chiralchain.dynamics import (EnsembleResult, Trajectory, log_grid,
+                                  propagate, run_ensemble, uniform_excitation,
+                                  uniform_grid)
 from chiralchain.errors import (ConfigError, FitError, IntegrityError,
                                 NumericsError, ResolutionError)
 from core_tables import core_tables, full_observables
@@ -211,7 +210,9 @@ def test_chunked_moments_equal_moments_of_full_arrays(realizations, tail):
     totals, intensities, starts = full_observables(matrices, c0.amplitudes,
                                                    grid)
     assert grid.size - starts[-1] == (tail or 320)
-    moments = dynamics._propagate_stack(matrices, c0, grid, cross_check=False)
+    result = run_ensemble(config, disorder, grid)
+    moments = (result.mean_total, result.std_total,
+               result.mean_intensity, result.std_intensity)
     want = (totals.mean(axis=0), totals.std(axis=0, ddof=1),
             intensities.mean(axis=0), intensities.std(axis=0, ddof=1))
     for got, expected in zip(moments, want):

@@ -1,5 +1,6 @@
 """Chain geometry, disorder draws, coupling matrix structure, config files."""
 
+import json
 import math
 
 import numpy as np
@@ -321,3 +322,33 @@ def test_disorder_keys_the_mode_does_not_read_are_refused(disorder_text,
     assert main(["simulate", "--config", str(cfg), "--points", "11",
                  "--outdir", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,disorder_text", [
+    # run, it would be the clean chain, recorded as {"mode": "none"}
+    ("simulate", "disorder.mode = ensemble\ndisorder.fluctuation_fraction = 0.01\n"
+     "disorder.n_realizations = 4\ndisorder.seed = 3\n"),
+    # run, it would be the default ensemble, the shift dropped
+    ("ensemble", "disorder.mode = single_site\ndisorder.site = 3\n"
+     "disorder.shift_fraction = 0.05\n"),
+])
+def test_config_disorder_the_command_does_not_run_is_refused(
+        command, disorder_text, tmp_path, capsys):
+    mode = parse_config_text(_CHAIN_TEXT + disorder_text)[1].mode
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(_CHAIN_TEXT + disorder_text)
+    from chiralchain.cli import main
+    assert main([command, "--config", str(cfg), "--points", "11",
+                 "--outdir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+    assert (f"error: {command} does not run the config file's disorder mode "
+            f"{mode!r}") in capsys.readouterr().err
+    if command == "simulate":
+        # --shift-site and --shift replace the file's disorder, as they
+        # replace a file's shift
+        assert main([command, "--config", str(cfg), "--points", "11",
+                     "--shift-site", "2", "--shift", "0.05",
+                     "--outdir", str(tmp_path / "run")]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["parameters"]["disorder"] == {
+            "mode": "single_site", "site": 2, "shift_fraction": 0.05}

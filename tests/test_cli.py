@@ -14,11 +14,10 @@ import pytest
 
 import chiralchain
 from chiralchain import dynamics
-from chiralchain.analysis import run_ensemble
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
 from chiralchain.cli import _parse_xi_range, main
-from chiralchain.dynamics import (_MAX_POINTS, steady_state, uniform_excitation,
-                                  uniform_grid)
+from chiralchain.dynamics import (_MAX_POINTS, run_ensemble, steady_state,
+                                  uniform_excitation, uniform_grid)
 from chiralchain.errors import ConfigError, NumericsError
 from chiralchain.kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 

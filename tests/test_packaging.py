@@ -1,6 +1,6 @@
 """The package's third-party imports are exactly its declared dependencies,
-its exports are its modules' exports, and its array records compare by
-identity."""
+its exports are its modules' exports, its modules share only what they
+export (and an allowlist), and its array records compare by identity."""
 
 import ast
 import dataclasses
@@ -46,6 +46,39 @@ def test_package_exports_are_the_modules_exports():
         importlib.import_module(f"chiralchain.{name}").__all__ for name in modules))
     # sorted lists, not sets: a name listed twice fails too
     assert sorted(chiralchain.__all__) == sorted(exported | {"__version__"})
+
+
+def sibling_imports(path):
+    """(sibling module, name) of every from-import of a sibling module."""
+    return {(node.module, alias.name)
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module
+            for alias in node.names}
+
+
+# private names one module may take from another: the CLI's grid cap and
+# table writer, and specfun, the kernels' private Bessel core by design
+SHARED_PRIVATE_NAMES = {
+    "cli": {("dynamics", "_MAX_POINTS"), ("dynamics", "_write_csv")},
+    "kernels": {("specfun", name) for name in (
+        "_EULER_GAMMA", "_SERIES_COEF", "_SERIES_DENOM", "_bessel_columns",
+        "_power_series")},
+}
+
+
+def test_modules_share_only_what_they_export():
+    shared = {}
+    for path in PACKAGE.glob("*.py"):
+        imports = sibling_imports(path)
+        private = {(module, name) for module, name in imports
+                   if name.startswith("_")}
+        if private:
+            shared[path.stem] = private
+        if path.stem == "analysis":
+            # ensembles run in dynamics; analysis reads the records
+            assert {module for module, _ in imports} == {"dynamics", "errors"}
+    assert shared == SHARED_PRIVATE_NAMES
 
 
 def test_array_records_compare_by_identity():
