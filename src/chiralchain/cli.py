@@ -1,17 +1,19 @@
 """Command-line front end: simulation runs, figure presets, kernel tables.
 
-Four subcommands: ``simulate`` (one trajectory), ``figure`` (preset
-parameter sets emitting every curve of a named figure), ``kernel``
-(dipole-dipole kernel tables over a xi range), and ``ensemble``
-(position-fluctuation statistics).
+Four subcommands: ``simulate`` (one trajectory), ``figure`` (every
+curve of a named figure), ``kernel`` (dipole-dipole kernel tables over a
+xi range), and ``ensemble`` (position-fluctuation statistics).
 
 Every run writes its data as CSV with ``#``-prefixed metadata lines and
 a ``manifest.json`` recording the resolved parameters that the run
 reads, the detector defaults (except for kernel tables), and the sha256
 of each output, so any result can be reproduced bitwise from its
-manifest.  Each file is hashed as it streams to disk.  Data files never
-embed timestamps.  With ``--stdout`` the writer of the primary data
-file streams it to standard output and nothing is written.
+manifest.  A simulate or ensemble run, and each figure curve, runs one
+record: the config, disorder, grid and cross_check of a simulate or
+ensemble manifest.  A figure manifest lists the records of its curves
+under ``curves``.  Each file is hashed as it streams to disk.  Data
+files never embed timestamps.  With ``--stdout`` the writer of the
+primary data file streams it to standard output and nothing is written.
 
 Exit codes: 0 on success, 2 for configuration and domain errors, 3 for
 IntegrityError (the matrix-exponential and Runge-Kutta backends disagree)
@@ -39,8 +41,8 @@ from .dynamics import (_MAX_POINTS, EnsembleResult, _write_csv, log_grid,
                        propagate, run_ensemble, steady_state,
                        uniform_excitation, uniform_grid,
                        write_trajectory_csv, write_trajectory_json)
-from .errors import (ChiralChainError, ConfigError, IntegrityError,
-                     NumericsError, ResolutionError)
+from .errors import (ChiralChainError, ConfigError, NumericsError,
+                     ResolutionError)
 from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
 
 __all__ = ["main", "build_parser"]
@@ -49,14 +51,8 @@ OUTDIR_ENV = "CHIRALCHAIN_OUTDIR"
 DEFAULT_SEED = 7
 
 
-def _repr_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _resolve_outdir(arg: Optional[str]) -> str:
-    if arg:
-        return arg
-    return os.environ.get(OUTDIR_ENV, ".")
+    return arg or os.environ.get(OUTDIR_ENV, ".")
 
 
 class _DigestWriter:
@@ -133,12 +129,12 @@ def _data_metadata(config: ChainConfig, disorder: DisorderSpec,
                **{f"disorder_{key}": value
                   for key, value in disorder.to_dict().items()},
                **(grid or {}), "gamma": config.gamma}
-    return {key: _repr_float(value) if isinstance(value, float) else value
+    return {key: repr(float(value)) if isinstance(value, float) else value
             for key, value in records.items()}
 
 
 # ---------------------------------------------------------------------------
-# config assembly shared by simulate and ensemble
+# records: config assembly, and the one path from a record to a run
 # ---------------------------------------------------------------------------
 
 def _given(**flags) -> dict:
@@ -163,15 +159,39 @@ def _merge_config(args) -> tuple:
     return ChainConfig.from_dict(fields), disorder
 
 
-def _grid(args) -> tuple:
-    """The time grid of a run and its record; ensemble runs have no log grid."""
+def _uniform(horizon: float, points: int) -> dict:
+    return {"grid": "uniform", "horizon": horizon, "points": points}
+
+
+def _grid_record(args) -> dict:
+    """The time grid record of a run: its kind, and the keyword arguments
+    of uniform_grid or log_grid.  Ensemble runs have no log grid."""
     if getattr(args, "log_grid", False):
-        return (log_grid(horizon=args.horizon,
-                         points_per_decade=args.points_per_decade),
-                {"grid": "log", "horizon": args.horizon,
-                 "points_per_decade": args.points_per_decade})
-    return (uniform_grid(horizon=args.horizon, points=args.points),
-            {"grid": "uniform", "horizon": args.horizon, "points": args.points})
+        return {"grid": "log", "horizon": args.horizon,
+                "points_per_decade": args.points_per_decade}
+    return _uniform(args.horizon, args.points)
+
+
+def _run(record: dict) -> tuple:
+    """The chain, disorder and result of the run that a record describes.
+
+    record has the keys of a simulate or ensemble manifest's parameters:
+    config and disorder under their to_dict keys, the grid record and
+    cross_check.  An ensemble disorder runs run_ensemble; any other
+    propagates the uniform excitation of one chain.
+    """
+    config = ChainConfig.from_dict(record["config"])
+    disorder = DisorderSpec(**record["disorder"])
+    grid = dict(record["grid"])
+    times = (log_grid if grid.pop("grid") == "log" else uniform_grid)(**grid)
+    if disorder.mode == "ensemble":
+        result = run_ensemble(config, disorder, times,
+                              cross_check=record["cross_check"])
+    else:
+        result = propagate(build_chain(config, disorder),
+                           uniform_excitation(config.n_atoms), times,
+                           cross_check=record["cross_check"])
+    return config, disorder, result
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +211,16 @@ def cmd_simulate(args) -> int:
             "simulate does not run the config file's disorder mode "
             "'ensemble'; run ensemble, or replace it with --shift-site "
             "and --shift")
-    grid, grid_record = _grid(args)
-    trajectory = propagate(build_chain(config, disorder),
-                           uniform_excitation(config.n_atoms), grid,
-                           cross_check=not args.no_cross_check)
-    metadata = _data_metadata(config, disorder, grid_record)
+    parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
+                  "grid": _grid_record(args),
+                  "cross_check": not args.no_cross_check}
+    config, disorder, trajectory = _run(parameters)
+    metadata = _data_metadata(config, disorder, parameters["grid"])
     writers = {"trajectory.csv":
                lambda fh: write_trajectory_csv(trajectory, fh, metadata)}
     if args.json:
         writers["trajectory.json"] = (
             lambda fh: write_trajectory_json(trajectory, fh, metadata))
-    parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
-                  "grid": grid_record, "cross_check": not args.no_cross_check}
     _write_run(_resolve_outdir(args.outdir), "simulate", parameters,
                config.gamma, writers, started, args.stdout)
     return 0
@@ -212,9 +230,14 @@ def cmd_simulate(args) -> int:
 # ensemble
 # ---------------------------------------------------------------------------
 
+_ENSEMBLE_HEADER = ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"]
+
+
 def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
-    _write_csv(stream, list(metadata.items()),
-               ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"],
+    comments = list(metadata.items())
+    if result.underflow_clamped:
+        comments.append(("underflow_clamped", "true"))
+    _write_csv(stream, comments, _ENSEMBLE_HEADER,
                [result.times, result.mean_total, result.std_total,
                 result.mean_intensity, result.std_intensity])
 
@@ -232,10 +255,13 @@ def cmd_ensemble(args) -> int:
         fields.update(disorder.to_dict())
     fields.update(_given(fluctuation_fraction=args.fluct,
                          n_realizations=args.realizations, seed=args.seed))
-    disorder = DisorderSpec(**fields)
-    grid, grid_record = _grid(args)
-    result = run_ensemble(config, disorder, grid)
-    metadata = _data_metadata(config, disorder, grid_record)
+    # no Runge-Kutta check: forced on, it takes the README run from 0.36
+    # to 1.09 s in process
+    parameters = {"config": config.to_dict(),
+                  "disorder": DisorderSpec(**fields).to_dict(),
+                  "grid": _grid_record(args), "cross_check": False}
+    config, disorder, result = _run(parameters)
+    metadata = _data_metadata(config, disorder, parameters["grid"])
 
     def write_report(fh):
         try:
@@ -250,8 +276,6 @@ def cmd_ensemble(args) -> int:
     writers = {"ensemble.csv":
                lambda fh: _write_ensemble_csv(result, fh, metadata),
                "bursts.json": write_report}
-    parameters = {"config": config.to_dict(), "disorder": disorder.to_dict(),
-                  "grid": grid_record}
     _write_run(_resolve_outdir(args.outdir), "ensemble", parameters,
                config.gamma, writers, started, args.stdout)
     return 0
@@ -313,7 +337,7 @@ def cmd_kernel(args) -> int:
     read, header, columns = _kernel_table(args, _parse_xi_range(args.xi))
     # the table and the manifest record only what this dimension reads
     metadata = {"dimension": args.dim,
-                **{key: _repr_float(value) for key, value in read.items()}}
+                **{key: repr(float(value)) for key, value in read.items()}}
     parameters = {"dimension": args.dim, "xi": args.xi, **read}
 
     def write_table(fh):
@@ -328,171 +352,123 @@ def cmd_kernel(args) -> int:
 # figure presets
 # ---------------------------------------------------------------------------
 
-GAMMA_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+def _curve(n: int, xi_over_pi: float, gamma_left: float, grid: dict,
+           disorder: dict = DisorderSpec.none().to_dict(),
+           column: str = "P_tot") -> dict:
+    """The record of one figure curve: the parameters of its simulate or
+    ensemble run, with gamma_R = 1 and no check, and the plotted column."""
+    return {"config": {"n_atoms": n, "xi_over_pi": xi_over_pi,
+                       "gamma_left": gamma_left, "gamma_right": 1.0},
+            "disorder": disorder, "grid": grid, "cross_check": False,
+            "column": column}
 
 
-def _traj_curve(n: int, xi_over_pi: float, gl: float, gr: float, grid,
-                disorder: DisorderSpec = DisorderSpec.none()) -> tuple:
-    """One curve of a figure: its writer and the gnuplot column of P_tot.
-
-    The writer builds the chain, propagates and writes the curve.  The
-    trajectory exists only while its file is written, so a figure holds
-    one trajectory at a time.  I_tot is the column after P_tot.
-    """
-    config = ChainConfig.from_dict({"n_atoms": n, "xi_over_pi": xi_over_pi,
-                                    "gamma_left": gl, "gamma_right": gr})
-
-    def write(fh):
-        trajectory = propagate(build_chain(config, disorder),
-                               uniform_excitation(n), grid, cross_check=False)
-        write_trajectory_csv(trajectory, fh, _data_metadata(config, disorder))
-
-    return write, n + 2
-
-
-def _figure_fig2() -> dict:
-    grid = uniform_grid(20.0, 4001)
-    curves = {}
-    for n in (2, 3):
-        for tag, xi_over_pi in (("xi0", 0.0), ("xipi", 1.0)):
-            curves[f"fig2_N{n}_{tag}.csv"] = _traj_curve(
-                n, xi_over_pi, 0.0, 1.0, grid)
-    return curves
-
-
-def _figure_fig3() -> dict:
-    curves = {}
-    grid_a = uniform_grid(20.0, 4001)
-    grid_b = uniform_grid(100.0, 2501)
-    for n in (2, 3):
-        for gl in GAMMA_SWEEP:
-            tag = f"gl{gl:.1f}"
-            curves[f"fig3a_N{n}_{tag}.csv"] = _traj_curve(
-                n, 0.0, gl, 1.0, grid_a)
-            curves[f"fig3b_N{n}_{tag}.csv"] = _traj_curve(
-                n, 1.0, gl, 1.0, grid_b)
-
-    def write_c(fh):
-        sizes = np.arange(2, 14)
-        p1_inf = []
-        for n in sizes.tolist():
-            config = ChainConfig(n_atoms=n, xi=math.pi,
-                                 gamma_left=1.0, gamma_right=1.0)
-            state = steady_state(build_chain(config), uniform_excitation(n))
-            p1_inf.append(state.populations[0])
-        _write_csv(fh, [("xi_over_pi", 1.0), ("gamma_left", 1.0),
-                        ("gamma_right", 1.0)],
-                   ["N", "P1_inf"], [sizes, np.array(p1_inf)])
-
-    # a table over N, not a curve over time: the script leaves it out
-    curves["fig3c.csv"] = (write_c, None)
-    return curves
-
-
-def _figure_fig4() -> dict:
-    curves = {}
-    grid_a = uniform_grid(40.0, 2001)
-    grid_b = uniform_grid(1500.0, 37501)
-    for n in (2, 3, 4, 5, 6, 7, 10, 11):
-        curves[f"fig4a_N{n}.csv"] = _traj_curve(n, 1.0, 0.0, 1.0, grid_a)
-        curves[f"fig4b_N{n}.csv"] = _traj_curve(n, 1.0, 0.9, 1.0, grid_b)
-    return curves
-
-
-def _figure_fig5() -> dict:
-    curves = {}
-    grid = uniform_grid(1000.0, 25001)
-    for n in (4, 5):
-        write, total = _traj_curve(n, 1.0, 0.9, 1.0, grid)
-        curves[f"fig5a_N{n}.csv"] = (write, total + 1)  # I_tot
-    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9,
-                         gamma_right=1.0)
-    for tag, width in (("0.5pct", 0.005), ("1pct", 0.010)):
-        disorder = DisorderSpec.ensemble(width, 200, DEFAULT_SEED)
-        curves[f"fig5b_fluct{tag}.csv"] = (
-            lambda fh, d=disorder: _write_ensemble_csv(
-                run_ensemble(config, d, grid), fh, _data_metadata(config, d)),
-            4)  # mean_I_tot
-    return curves
-
-
-def _figure_fig6() -> dict:
-    grid = uniform_grid(1500.0, 37501)
-    return {
-        "fig6a_N5_shift3.csv": _traj_curve(
-            5, 1.0, 0.9, 1.0, grid, DisorderSpec.single_site(3, 0.05)),
-        "fig6b_N5_shift2.csv": _traj_curve(
-            5, 1.0, 0.9, 1.0, grid, DisorderSpec.single_site(2, 0.05)),
-        "fig6c_N4_shift1.csv": _traj_curve(
-            4, 1.0, 0.9, 1.0, grid, DisorderSpec.single_site(1, 0.05)),
-    }
-
-
-def _figure_fig7() -> dict:
-    grid = log_grid(horizon=1e4, points_per_decade=400)
-    return {
-        "fig7_N5_shift3_30pct.csv": _traj_curve(
-            5, 0.75, 0.9, 1.0, grid, DisorderSpec.single_site(3, 0.30)),
-    }
-
-
-# figure name -> builder of {file name: (writer, gnuplot column or None)}
-_FIGURE_BUILDERS = {
-    "fig2": _figure_fig2,
-    "fig3": _figure_fig3,
-    "fig4": _figure_fig4,
-    "fig5": _figure_fig5,
-    "fig6": _figure_fig6,
-    "fig7": _figure_fig7,
+# figure name -> (log-y, {file: curve record}); fig3 also writes fig3c.csv
+_FIGURES = {
+    "fig2": (False, {
+        f"fig2_N{n}_{tag}.csv": _curve(n, xi_over_pi, 0.0,
+                                       _uniform(20.0, 4001))
+        for n in (2, 3) for tag, xi_over_pi in (("xi0", 0.0), ("xipi", 1.0))}),
+    "fig3": (False, {
+        f"fig3{part}_N{n}_gl{gl:.1f}.csv": _curve(n, xi_over_pi, gl, grid)
+        for n in (2, 3) for gl in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        for part, xi_over_pi, grid in (("a", 0.0, _uniform(20.0, 4001)),
+                                       ("b", 1.0, _uniform(100.0, 2501)))}),
+    "fig4": (True, {
+        f"fig4{part}_N{n}.csv": _curve(n, 1.0, gl, grid)
+        for n in (2, 3, 4, 5, 6, 7, 10, 11)
+        for part, gl, grid in (("a", 0.0, _uniform(40.0, 2001)),
+                               ("b", 0.9, _uniform(1500.0, 37501)))}),
+    "fig5": (True, {
+        **{f"fig5a_N{n}.csv": _curve(n, 1.0, 0.9, _uniform(1000.0, 25001),
+                                     column="I_tot") for n in (4, 5)},
+        **{f"fig5b_fluct{tag}.csv": _curve(
+            5, 1.0, 0.9, _uniform(1000.0, 25001),
+            DisorderSpec.ensemble(width, 200, DEFAULT_SEED).to_dict(),
+            "mean_I_tot")
+           for tag, width in (("0.5pct", 0.005), ("1pct", 0.010))}}),
+    "fig6": (True, {
+        f"fig6{part}_N{n}_shift{site}.csv": _curve(
+            n, 1.0, 0.9, _uniform(1500.0, 37501),
+            DisorderSpec.single_site(site, 0.05).to_dict())
+        for part, n, site in (("a", 5, 3), ("b", 5, 2), ("c", 4, 1))}),
+    "fig7": (True, {
+        "fig7_N5_shift3_30pct.csv": _curve(
+            5, 0.75, 0.9, {"grid": "log", "horizon": 1e4,
+                           "points_per_decade": 400},
+            DisorderSpec.single_site(3, 0.30).to_dict())}),
 }
 
-_FIGURE_LOG_Y = {"fig4", "fig5", "fig6", "fig7"}
+
+def _curve_writer(record: dict):
+    """The writer of a figure curve: it runs the record and writes the
+    table, so a run exists only while its file is written and a figure
+    holds one at a time.  The # lines leave out the grid."""
+    def write(fh):
+        config, disorder, result = _run(record)
+        write_table = (_write_ensemble_csv if disorder.mode == "ensemble"
+                       else write_trajectory_csv)
+        write_table(result, fh, _data_metadata(config, disorder))
+    return write
 
 
-def _gnuplot_script(name: str, columns: dict) -> str:
-    """The script plotting each file's column; a None column is left out."""
+def _write_fig3c(fh) -> None:
+    """fig3c.csv: the first-site steady-state population over N, a table
+    over N rather than a curve over time."""
+    sizes = np.arange(2, 14)
+    p1_inf = []
+    for n in sizes.tolist():
+        config = ChainConfig(n_atoms=n, xi=math.pi,
+                             gamma_left=1.0, gamma_right=1.0)
+        state = steady_state(build_chain(config), uniform_excitation(n))
+        p1_inf.append(state.populations[0])
+    _write_csv(fh, [("xi_over_pi", 1.0), ("gamma_left", 1.0),
+                    ("gamma_right", 1.0)],
+               ["N", "P1_inf"], [sizes, np.array(p1_inf)])
+
+
+def _column(record: dict) -> int:
+    """The 1-based index of a curve's plotted column in its file."""
+    sites = [f"P_{m}" for m in range(1, record["config"]["n_atoms"] + 1)]
+    header = (_ENSEMBLE_HEADER if record["disorder"]["mode"] == "ensemble"
+              else ["t", *sites, "P_tot", "I_tot"])
+    return header.index(record["column"]) + 1
+
+
+def _gnuplot_script(name: str, log_y: bool, curves: dict) -> str:
+    """The script plotting each curve's column; the y label is that column,
+    one for the whole figure (an ensemble's mean_ left out)."""
+    (label,) = {record["column"].removeprefix("mean_")
+                for record in curves.values()}
+    plots = [f"'{fn}' using 1:{_column(curves[fn])} with lines "
+             f"title '{fn[:-4].replace('_', ' ')}'" for fn in sorted(curves)]
     lines = [
         f"# gnuplot script for {name}; run: gnuplot {name}.gp",
         'set datafile separator ","',
         "set key outside right",
         'set xlabel "gamma t"',
+        *(["set logscale y", "set format y '10^{%T}'"] if log_y else []),
+        f'set ylabel "{label}"',
+        *(["# fig3c.csv (N,P1_inf) suits a separate point plot:",
+           "#   plot 'fig3c.csv' using 1:2 with points"] if name == "fig3"
+          else []),
+        "plot \\\n  " + ", \\\n  ".join(plots),
+        "pause -1 'press enter to close'",
     ]
-    if name in _FIGURE_LOG_Y:
-        lines.append("set logscale y")
-        lines.append("set format y '10^{%T}'")
-    if name == "fig5":
-        lines.append('set ylabel "I_tot"')
-    else:
-        lines.append('set ylabel "P_tot"')
-    plot_parts = []
-    for fn in sorted(columns):
-        if columns[fn] is None:
-            continue
-        title = fn[:-4].replace("_", " ")
-        plot_parts.append(
-            f"'{fn}' using 1:{columns[fn]} with lines title '{title}'")
-    if name == "fig3":
-        lines.append("# fig3c.csv (N,P1_inf) suits a separate point plot:")
-        lines.append("#   plot 'fig3c.csv' using 1:2 with points")
-    if plot_parts:
-        lines.append("plot \\")
-        for i, part in enumerate(plot_parts):
-            sep = ", \\" if i < len(plot_parts) - 1 else ""
-            lines.append("  " + part + sep)
-    lines.append("pause -1 'press enter to close'")
     return "\n".join(lines) + "\n"
 
 
 def cmd_figure(args) -> int:
     started = time.monotonic()
     name = args.name
-    curves = _FIGURE_BUILDERS[name]()
-    writers = {fn: write for fn, (write, _) in curves.items()}
-    script = _gnuplot_script(
-        name, {fn: column for fn, (_, column) in curves.items()})
+    log_y, curves = _FIGURES[name]
+    writers = {fn: _curve_writer(record) for fn, record in curves.items()}
+    if name == "fig3":
+        writers["fig3c.csv"] = _write_fig3c
+    script = _gnuplot_script(name, log_y, curves)
     writers[f"{name}.gp"] = lambda fh: fh.write(script)
     outdir = os.path.join(_resolve_outdir(args.outdir), name)
-    parameters = {"figure": name}
+    parameters = {"figure": name, "curves": curves}
     _write_run(outdir, "figure", parameters, 1.0, writers, started)
     return 0
 
@@ -547,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     fig = sub.add_parser("figure", help="emit every curve of a named figure")
-    fig.add_argument("name", choices=tuple(_FIGURE_BUILDERS))
+    fig.add_argument("name", choices=tuple(_FIGURES))
     fig.add_argument("--outdir", help=f"parent directory "
                      f"(default: ${OUTDIR_ENV} or '.')")
     fig.set_defaults(func=cmd_figure)
@@ -592,12 +568,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IntegrityError, NumericsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ChiralChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # IntegrityError is a NumericsError
+        return 3 if isinstance(exc, NumericsError) else 2
 
 
 if __name__ == "__main__":

@@ -661,6 +661,7 @@ class EnsembleResult:
     seed: int
     n_skipped: int = 0  # no draw breaks the site order (see run_ensemble)
     gamma: float = 1.0
+    underflow_clamped: bool = False  # any draw's population was clamped
 
     def __post_init__(self):
         for name in ("times", "mean_total", "std_total",
@@ -713,9 +714,12 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     picks = (_check_points(grid.size) if cross_check
              else np.empty(0, dtype=int))
     checked = np.empty((n_stack, picks.size, n), dtype=complex)
+    clamped = False
     for first, table in _evolve(v, w, c0, grid):
         stop = first + table.shape[1]
-        observed = _observables(table, weights)[1].reshape(n_stack, -1)
+        observed, clamp = _observables(table, weights)[1:]
+        observed = observed.reshape(n_stack, -1)
+        clamped |= clamp
         # numpy's two-pass mean and std(ddof=1), the sum taken once
         mean, std = moments[:, first:stop].reshape(2, -1)
         np.add.reduce(observed, axis=0, out=mean)
@@ -735,7 +739,7 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
                           std_total=std[:, 0], mean_intensity=mean[:, 1],
                           std_intensity=std[:, 1],
                           n_realizations=n_stack, seed=disorder.seed,
-                          gamma=config.gamma)
+                          gamma=config.gamma, underflow_clamped=clamped)
 
 
 # Dormand-Prince 5(4) tableau

@@ -11,9 +11,10 @@ preset that wrote it from the ``src/`` of git revision REV (default HEAD)
 and prints the largest absolute and relative deviation of every column:
 the CSV columns by header, and the numbers of a JSON file by key.
 
-The digests depend on the numpy and BLAS build as well as on the code, so
-the list records the numpy version, the BLAS library and the thread
-count, and a run on another build says so next to any difference.  All
+The digests depend on the numpy and BLAS build and on the CPU as well as
+on the code, so the list records the numpy version, the BLAS library, the
+thread count, the OpenBLAS kernel family and numpy's SIMD targets, and a
+run on another build or CPU says so next to any difference.  All
 presets take about 20 s on one 2-core x86-64 host; pytest does not
 collect this file, but tests/test_check_outputs.py runs the kernel
 presets, the ensembles, staircase, cascaded and local_unchecked (about
@@ -24,6 +25,7 @@ Exit status: 0 when every digest matches, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -75,12 +77,37 @@ PRESETS = [
 ] + [(f"figure_fig{k}", ["figure", f"fig{k}"]) for k in range(2, 8)]
 
 
+def _blas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS picked for this CPU."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def _simd_targets() -> str:
+    """numpy's baseline SIMD targets, then the dispatched ones this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        enabled = [target for target in umath.__cpu_dispatch__
+                   if umath.__cpu_features__.get(target)]
+        return " ".join([*umath.__cpu_baseline__, *enabled])
+    except (ImportError, AttributeError):
+        return "unknown"
+
+
 def environment() -> dict:
     """What besides the code decides the digests."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": f"{blas['name']} {blas.get('version', '?')}",
-            "blas_threads": BLAS_THREADS}
+            "blas_threads": BLAS_THREADS, "blas_core": _blas_core(),
+            "simd_targets": _simd_targets()}
 
 
 def run_presets(src: Path, outdir: Path, names=None) -> None:
@@ -198,7 +225,8 @@ def compare(recorded: dict, found: dict, outdir: Path, against: str,
     was = {key: recorded.get(key) for key in here}
     if changed and was != here:
         print(f"note: the list was recorded with {was} and this run has {here};"
-              " the numpy or BLAS build may account for the differences")
+              " the numpy or BLAS build or the CPU may account for the"
+              " differences")
     return 1 if changed else 0
 
 

@@ -95,6 +95,20 @@ def test_run_ensemble_zero_width_has_zero_spread():
     assert np.max(np.abs(result.mean_total - clean.total)) == 0.0
 
 
+def test_run_ensemble_flags_a_clamp_as_propagate_does():
+    # the cascaded chain's populations fall below the floor by gamma t = 1000
+    grid = uniform_grid(1000.0, 10001)
+    flags = []
+    for gamma_left in (0.0, 0.9):
+        config = ChainConfig(n_atoms=3, xi=math.pi, gamma_left=gamma_left,
+                             gamma_right=1.0)
+        result = run_ensemble(config, DisorderSpec.ensemble(0.005, 4, 7), grid)
+        clean = propagate(build_chain(config), uniform_excitation(3), grid,
+                          cross_check=False)
+        flags.append((result.underflow_clamped, clean.underflow_clamped))
+    assert flags == [(True, True), (False, False)]
+
+
 # at 641 = 2 * 320 + 1 points the core's last table is one row
 @pytest.mark.parametrize("realizations, points", [(6, 1251), (20, 641)])
 def test_run_ensemble_matches_loop_of_propagate(monkeypatch, realizations,

@@ -18,6 +18,13 @@ def test_deviation_report_finds_the_one_changed_cell(tmp_path):
         ("N", 0.0, 0.0), ("P1_inf", 0.25, 0.5), ("shift", 0.0, 0.0)]
 
 
+def test_the_list_records_what_decides_the_digests():
+    recorded = json.loads(HASHES.read_text())
+    here = environment()
+    assert {"blas_core", "simd_targets"} <= set(here) <= set(recorded)
+    assert all(isinstance(value, (str, int)) for value in here.values())
+
+
 # the presets cheap enough for every test run, about 5 s together; the
 # simulate runs cover propagate on a uniform and on a log grid, and on a
 # cascaded (triangular) chain

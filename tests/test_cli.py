@@ -301,19 +301,6 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
     assert (tmp_path / "trajectory.csv").exists()
 
 
-def test_figure_fig2_emits_curves_and_script(tmp_path):
-    code = main(["figure", "fig2", "--outdir", str(tmp_path)])
-    assert code == 0
-    outdir = tmp_path / "fig2"
-    names = sorted(p.name for p in outdir.iterdir())
-    assert "fig2.gp" in names
-    assert "manifest.json" in names
-    csvs = [n for n in names if n.endswith(".csv")]
-    assert len(csvs) == 4  # N in {2, 3} x {xi0, xipi}
-    script = (outdir / "fig2.gp").read_text()
-    assert "set datafile separator" in script
-
-
 def test_error_exit_codes(capsys):
     # half-specified disorder pair
     assert main(["simulate", "--n", "5", "--xi-over-pi", "1",
@@ -519,6 +506,14 @@ def test_manifest_grid_records_numbers(tmp_path, argv):
     assert isinstance(grid["horizon"], float)
 
 
+def write_config(path, parameters):
+    """A manifest record's config and disorder as a --config file."""
+    path.write_text("".join(
+        [f"{key} = {value}\n" for key, value in parameters["config"].items()]
+        + [f"disorder.{key} = {value}\n"
+           for key, value in parameters["disorder"].items()]))
+
+
 @pytest.mark.parametrize("argv", [SHIFT_RUN + ["--json"], ENSEMBLE_RUN])
 def test_manifest_parameters_rerun_as_a_config_file(tmp_path, argv):
     """config and disorder written back as a --config file reproduce the run."""
@@ -526,10 +521,7 @@ def test_manifest_parameters_rerun_as_a_config_file(tmp_path, argv):
     first = json.loads((tmp_path / "first" / "manifest.json").read_text())
     parameters = first["parameters"]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(
-        [f"{key} = {value}\n" for key, value in parameters["config"].items()]
-        + [f"disorder.{key} = {value}\n"
-           for key, value in parameters["disorder"].items()]))
+    write_config(cfg, parameters)
     grid = parameters["grid"]
     rerun = [argv[0], "--config", str(cfg), "--horizon", str(grid["horizon"]),
              "--points", str(grid["points"]), *[f for f in argv if f == "--json"],
@@ -539,6 +531,66 @@ def test_manifest_parameters_rerun_as_a_config_file(tmp_path, argv):
     assert again["parameters"] == parameters
     assert ({e["path"]: e["sha256"] for e in again["outputs"]}
             == {e["path"]: e["sha256"] for e in first["outputs"]})
+
+
+def test_ensemble_manifest_records_the_check_it_runs(tmp_path, monkeypatch):
+    from chiralchain import cli
+    full = cli.run_ensemble
+    checks = []
+
+    def recording(config, disorder, grid, cross_check):
+        checks.append(cross_check)
+        return full(config, disorder, grid, cross_check=cross_check)
+
+    monkeypatch.setattr(cli, "run_ensemble", recording)
+    assert main(ENSEMBLE_RUN + ["--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert checks == [manifest["parameters"]["cross_check"]] == [False]
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig6"])
+def test_figure_manifest_reruns_its_curves(tmp_path, name):
+    """A figure manifest has one record per curve file, and a curve's
+    record, rerun through simulate --config with its grid flags, writes
+    the rows of the figure's file."""
+    assert main(["figure", name, "--outdir", str(tmp_path)]) == 0
+    outdir = tmp_path / name
+    names = sorted(p.name for p in outdir.iterdir())
+    assert {f"{name}.gp", "manifest.json"} <= set(names)
+    assert "set datafile separator" in (outdir / f"{name}.gp").read_text()
+    curves = json.loads((outdir / "manifest.json").read_text())[
+        "parameters"]["curves"]
+    csvs = [n for n in names if n.endswith(".csv")]
+    assert sorted(curves) == csvs
+    # fig2: N in {2, 3} x {xi0, xipi}; fig6: three shifted chains
+    assert len(csvs) == {"fig2": 4, "fig6": 3}[name]
+    filename = csvs[-1]
+    record = curves[filename]
+    assert record["disorder"]["mode"] == {"fig2": "none",
+                                          "fig6": "single_site"}[name]
+    cfg = tmp_path / "curve.cfg"
+    write_config(cfg, record)
+    grid = record["grid"]
+    assert main(["simulate", "--config", str(cfg), "--no-cross-check",
+                 "--horizon", str(grid["horizon"]), "--points",
+                 str(grid["points"]), "--outdir", str(tmp_path / "rerun")]) == 0
+
+    def rows(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+
+    assert rows(tmp_path / "rerun" / "trajectory.csv") == rows(outdir / filename)
+
+
+def test_ensemble_csv_flags_population_underflow(tmp_path):
+    # a cascaded chain's last sites empty below the floor within gamma t = 1000
+    assert main(["ensemble", "--n", "3", "--xi-over-pi", "1", "--gamma-l", "0",
+                 "--gamma-r", "1", "--realizations", "4", "--points", "10001",
+                 "--outdir", str(tmp_path)]) == 0
+    text = (tmp_path / "ensemble.csv").read_text()
+    assert comment_lines(text)[-1] == "# underflow_clamped = true"
+    _, data = read_csv_columns(text)
+    assert (data[:, 1] == 0.0).any()
 
 
 def test_simulate_data_file_metadata(tmp_path):
@@ -587,10 +639,13 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
     from chiralchain import cli
     full = cli.run_ensemble
     # the preset's 200 realizations on the first grid times only
-    monkeypatch.setattr(cli, "run_ensemble", lambda config, disorder, grid:
-                        full(config, disorder, grid[:11]))
+    monkeypatch.setattr(cli, "run_ensemble",
+                        lambda config, disorder, grid, cross_check:
+                        full(config, disorder, grid[:11],
+                             cross_check=cross_check))
     stream = io.StringIO()
-    cli._figure_fig5()["fig5b_fluct1pct.csv"][0](stream)
+    _, curves = cli._FIGURES["fig5"]
+    cli._curve_writer(curves["fig5b_fluct1pct.csv"])(stream)
     assert comment_lines(stream.getvalue()) == [
         "# n_atoms = 5",
         "# xi_over_pi = 1.0",
@@ -607,7 +662,7 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
 def test_fig3c_table():
     from chiralchain import cli
     stream = io.StringIO()
-    cli._figure_fig3()["fig3c.csv"][0](stream)
+    cli._write_fig3c(stream)
     lines = ["# xi_over_pi = 1.0", "# gamma_left = 1.0", "# gamma_right = 1.0",
              "N,P1_inf"]
     for n in range(2, 14):
