@@ -19,6 +19,7 @@ V is lower triangular.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -40,6 +41,18 @@ __all__ = [
 # Positions may coincide (Dicke clustering, e.g. xi = 0) but must never
 # cross; a tiny slack absorbs rounding in the offset arithmetic.
 _ORDERING_SLACK = 1e-12
+
+
+# the fields of a chain and of each disorder mode, with their types in
+# to_dict: records are checked against them, and config keys built from them
+_CHAIN_FIELDS = {"n_atoms": int, "xi_over_pi": float, "gamma_left": float,
+                 "gamma_right": float}
+_DISORDER_FIELDS = {
+    "none": {},
+    "single_site": {"site": int, "shift_fraction": float},
+    "ensemble": {"fluctuation_fraction": float, "n_realizations": int,
+                 "seed": int},
+}
 
 
 @dataclass(frozen=True)
@@ -84,8 +97,7 @@ class ChainConfig:
     def from_dict(cls, record: dict) -> "ChainConfig":
         """The chain of a to_dict record, xi = xi_over_pi * pi; keys of
         other records (such as disorder.*) are ignored."""
-        missing = [key for key in ("n_atoms", "xi_over_pi", "gamma_left",
-                                   "gamma_right") if key not in record]
+        missing = [key for key in _CHAIN_FIELDS if key not in record]
         if missing:
             raise ConfigError(f"missing required config keys: {', '.join(missing)}")
         return cls(n_atoms=record["n_atoms"], xi=record["xi_over_pi"] * math.pi,
@@ -112,15 +124,6 @@ def _over_pi(xi: float) -> float:
     return ratio
 
 
-# the fields each disorder mode reads, with their types in to_dict
-_DISORDER_FIELDS = {
-    "none": {},
-    "single_site": {"site": int, "shift_fraction": float},
-    "ensemble": {"fluctuation_fraction": float, "n_realizations": int,
-                 "seed": int},
-}
-
-
 @dataclass(frozen=True)
 class DisorderSpec:
     """Positional disorder: none, one shifted site, or an ensemble.
@@ -144,39 +147,38 @@ class DisorderSpec:
     def __post_init__(self):
         if self.mode not in _DISORDER_FIELDS:
             raise ConfigError(f"unknown disorder mode {self.mode!r}")
+        reads = _DISORDER_FIELDS[self.mode]
         # a field the mode does not read would be kept here but run as
         # nothing and left out of to_dict, so of the manifest
         unread = [f.name for f in fields(self)
-                  if f.name not in ("mode", *_DISORDER_FIELDS[self.mode])
+                  if f.name not in ("mode", *reads)
                   and getattr(self, f.name) is not None]
         if unread:
             raise ConfigError(f"disorder mode {self.mode!r} does not read "
                               + ", ".join(unread))
-        if self.mode == "single_site":
-            if self.site is None or self.shift_fraction is None:
-                raise ConfigError("single_site disorder needs site and shift_fraction")
-            if not isinstance(self.site, (int, np.integer)) or self.site < 1:
-                raise ConfigError(f"site must be a 1-based index, got {self.site!r}")
-            if not math.isfinite(self.shift_fraction):
-                raise ConfigError("shift_fraction must be finite")
+        missing = [name for name in reads if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"{self.mode} disorder needs " + ", ".join(missing))
+        for name, kind in reads.items():
+            value = getattr(self, name)
+            if kind is int and not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if kind is float and not (isinstance(value, numbers.Real)
+                                      and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite float, got {value!r}")
+        if self.mode == "single_site" and self.site < 1:
+            raise ConfigError(f"site must be a 1-based index, got {self.site!r}")
         if self.mode == "ensemble":
-            if (self.fluctuation_fraction is None or self.n_realizations is None
-                    or self.seed is None):
-                raise ConfigError(
-                    "ensemble disorder needs fluctuation_fraction, "
-                    "n_realizations, and seed")
             w = self.fluctuation_fraction
-            if not math.isfinite(w) or w < 0.0 or w >= 0.5:
+            if not 0.0 <= w < 0.5:
                 raise ConfigError(
                     f"fluctuation_fraction must lie in [0, 0.5), got {w!r}")
-            if (not isinstance(self.n_realizations, (int, np.integer))
-                    or self.n_realizations < 1):
-                raise ConfigError("n_realizations must be a positive integer, "
+            if self.n_realizations < 1:
+                raise ConfigError("n_realizations must be positive, "
                                   f"got {self.n_realizations!r}")
             # numpy seeds a generator with non-negative integers only
-            if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-                raise ConfigError(
-                    f"seed must be a non-negative integer, got {self.seed!r}")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
 
     @classmethod
     def none(cls) -> "DisorderSpec":
@@ -305,18 +307,10 @@ def build_chain(config: ChainConfig, disorder: DisorderSpec | None = None,
 # key = value configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n_atoms": int,
-    "xi_over_pi": float,
-    "gamma_left": float,
-    "gamma_right": float,
-    "disorder.mode": str,
-    "disorder.site": int,
-    "disorder.shift_fraction": float,
-    "disorder.fluctuation_fraction": float,
-    "disorder.n_realizations": int,
-    "disorder.seed": int,
-}
+_CONFIG_KEYS = {**_CHAIN_FIELDS, "disorder.mode": str,
+                **{f"disorder.{key}": kind
+                   for reads in _DISORDER_FIELDS.values()
+                   for key, kind in reads.items()}}
 
 
 def parse_config_text(text: str) -> tuple[ChainConfig, DisorderSpec]:

@@ -234,12 +234,10 @@ _ENSEMBLE_HEADER = ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"]
 
 
 def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
-    comments = list(metadata.items())
-    if result.underflow_clamped:
-        comments.append(("underflow_clamped", "true"))
-    _write_csv(stream, comments, _ENSEMBLE_HEADER,
-               [result.times, result.mean_total, result.std_total,
-                result.mean_intensity, result.std_intensity])
+    columns = [result.times, result.mean_total, result.std_total,
+               result.mean_intensity, result.std_intensity]
+    _write_csv(stream, metadata, dict(zip(_ENSEMBLE_HEADER, columns)),
+               result.underflow_clamped)
 
 
 def cmd_ensemble(args) -> int:
@@ -313,38 +311,35 @@ def _parse_xi_range(spec: str) -> np.ndarray:
 
 
 def _kernel_table(args, xi_values: np.ndarray) -> tuple:
-    """The parameters --dim reads, and the header and columns of its table,
+    """The parameters --dim reads, and its table (header name -> column),
     from one call of its kernel."""
     if args.dim == "1":
         decay, shift = kernel_1d_reciprocal(xi_values)
-        return {}, ["xi", "decay", "shift"], [xi_values, decay, shift]
+        return {}, {"xi": xi_values, "decay": decay, "shift": shift}
     if args.dim == "1chiral":
         f, g = chiral_fg(xi_values, args.gamma_l, args.gamma_r)
         # F_re and G_re repeat decay and shift: the same arrays, formatted once
         decay, shift = f.real, g.real
         return ({"gamma_left": args.gamma_l, "gamma_right": args.gamma_r},
-                ["xi", "decay", "shift", "F_re", "F_im", "G_re", "G_im"],
-                [xi_values, decay, shift, decay, f.imag, shift, g.imag])
+                {"xi": xi_values, "decay": decay, "shift": shift,
+                 "F_re": decay, "F_im": f.imag, "G_re": shift, "G_im": g.imag})
     kernel = kernel_2d if args.dim == "2" else kernel_3d
     decay, shift, divergent = kernel(xi_values, args.alignment)
     return ({"alignment": args.alignment},
-            ["xi", "decay", "shift", "shift_divergent"],
-            [xi_values, decay, shift, divergent.astype(int)])
+            {"xi": xi_values, "decay": decay, "shift": shift,
+             "shift_divergent": divergent.astype(int)})
 
 
 def cmd_kernel(args) -> int:
     started = time.monotonic()
-    read, header, columns = _kernel_table(args, _parse_xi_range(args.xi))
+    read, table = _kernel_table(args, _parse_xi_range(args.xi))
     # the table and the manifest record only what this dimension reads
     metadata = {"dimension": args.dim,
                 **{key: repr(float(value)) for key, value in read.items()}}
     parameters = {"dimension": args.dim, "xi": args.xi, **read}
-
-    def write_table(fh):
-        _write_csv(fh, list(metadata.items()), header, columns)
-
     _write_run(_resolve_outdir(args.outdir), "kernel", parameters, None,
-               {"kernel.csv": write_table}, started, args.stdout)
+               {"kernel.csv": lambda fh: _write_csv(fh, metadata, table)},
+               started, args.stdout)
     return 0
 
 
@@ -422,9 +417,8 @@ def _write_fig3c(fh) -> None:
                              gamma_left=1.0, gamma_right=1.0)
         state = steady_state(build_chain(config), uniform_excitation(n))
         p1_inf.append(state.populations[0])
-    _write_csv(fh, [("xi_over_pi", 1.0), ("gamma_left", 1.0),
-                    ("gamma_right", 1.0)],
-               ["N", "P1_inf"], [sizes, np.array(p1_inf)])
+    _write_csv(fh, {"xi_over_pi": 1.0, "gamma_left": 1.0, "gamma_right": 1.0},
+               {"N": sizes, "P1_inf": np.array(p1_inf)})
 
 
 def _column(record: dict) -> int:

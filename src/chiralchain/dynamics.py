@@ -213,7 +213,8 @@ class Trajectory:
 
 
 def _validate_grid(grid: np.ndarray) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
+    # a copy: a result's times must not change when the caller's grid does
+    g = np.array(grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise ConfigError("grid must be a 1D array with at least 2 points")
     if g[0] != 0.0:
@@ -666,7 +667,7 @@ class EnsembleResult:
     def __post_init__(self):
         for name in ("times", "mean_total", "std_total",
                      "mean_intensity", "std_intensity"):
-            # a copy: run_ensemble's times are the caller's grid
+            # a copy: freezing the caller's own arrays would lock them too
             arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             arr.flags.writeable = False
@@ -704,18 +705,18 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
             f"run_ensemble needs disorder mode 'ensemble', got {disorder.mode!r}")
     if disorder.n_realizations < 2:
         raise ConfigError("need at least 2 realizations")
-    grid = _validate_grid(grid)
+    times = _validate_grid(grid)
     n_stack, n = disorder.n_realizations, config.n_atoms
     v, w, weights = _generators([build_chain(config, disorder, index)
                                  for index in range(n_stack)])
     c0 = uniform_excitation(n).amplitudes
     # [mean, std] of (P_tot, I_tot) at every grid time
-    moments = np.empty((2, grid.size, 2))
-    picks = (_check_points(grid.size) if cross_check
+    moments = np.empty((2, times.size, 2))
+    picks = (_check_points(times.size) if cross_check
              else np.empty(0, dtype=int))
     checked = np.empty((n_stack, picks.size, n), dtype=complex)
     clamped = False
-    for first, table in _evolve(v, w, c0, grid):
+    for first, table in _evolve(v, w, c0, times):
         stop = first + table.shape[1]
         observed, clamp = _observables(table, weights)[1:]
         observed = observed.reshape(n_stack, -1)
@@ -733,7 +734,9 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
         hit = (picks >= first) & (picks < stop)
         checked[:, hit] = table[:, picks[hit] - first, :n]
     if cross_check:
-        _cross_check(v, c0, grid[picks], checked)
+        _cross_check(v, c0, times[picks], checked)
+    # EnsembleResult copies the grid: this copy too would raise the peak
+    del times
     mean, std = moments
     return EnsembleResult(times=grid, mean_total=mean[:, 0],
                           std_total=std[:, 0], mean_intensity=mean[:, 1],
@@ -837,21 +840,26 @@ def steady_state(matrix: CouplingMatrix, initial: StateVector) -> StateVector:
 # trajectory export
 # ---------------------------------------------------------------------------
 
-def _write_csv(stream: IO[str], comments: list, header: list,
-               columns: list) -> None:
+def _write_csv(stream: IO[str], metadata: dict, table: dict,
+               clamped: bool = False) -> None:
     """# key = value lines, the header row and the rows of the columns.
 
-    Each cell holds the bytes of repr(float(x)), or of repr(int(x)) in an
-    integer column, so floats parse back exactly and an integer column
-    stays 0/1.  The rows are written _WRITE_ROWS at a time: reprs.cells
-    formats each distinct column object of the block once, in one call,
-    so a column passed twice costs one formatting, and the block's cells,
-    commas and newlines are one byte frame of 25 bytes a cell (128 kB for
-    five columns), written without its padding as one string.
+    metadata gives the # lines, and clamped adds underflow_clamped = true;
+    table maps each header name to its column.  A cell holds the bytes of
+    repr(float(x)), or of repr(int(x)) in an integer column, so floats
+    parse back exactly and an integer column stays 0/1.  The rows are
+    written _WRITE_ROWS at a time: reprs.cells formats each distinct
+    column object of the block once, in one call, so a column under two
+    names costs one formatting, and the block's cells, commas and newlines
+    are one byte frame of 25 bytes a cell (128 kB for five columns),
+    written without its padding as one string.
     """
-    for key, value in comments:
+    for key, value in metadata.items():
         stream.write(f"# {key} = {value}\n")
-    stream.write(",".join(header) + "\n")
+    if clamped:
+        stream.write("# underflow_clamped = true\n")
+    stream.write(",".join(table) + "\n")
+    columns = list(table.values())
     distinct = {id(column): column for column in columns}
     order = [list(distinct).index(id(column)) for column in columns]
     for start in range(0, len(columns[0]), _WRITE_ROWS):
@@ -868,14 +876,11 @@ def _write_csv(stream: IO[str], comments: list, header: list,
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
                          metadata: Optional[dict] = None) -> None:
     """CSV columns t, P_1..P_N, P_tot, I_tot with # metadata lines."""
-    comments = list((metadata or {}).items())
-    if trajectory.underflow_clamped:
-        comments.append(("underflow_clamped", "true"))
-    n = trajectory.n_atoms
-    header = ["t"] + [f"P_{m}" for m in range(1, n + 1)] + ["P_tot", "I_tot"]
-    _write_csv(stream, comments, header,
-               [trajectory.times, *trajectory.populations.T, trajectory.total,
-                trajectory.intensity])
+    sites = {f"P_{m}": column
+             for m, column in enumerate(trajectory.populations.T, start=1)}
+    _write_csv(stream, metadata or {},
+               {"t": trajectory.times, **sites, "P_tot": trajectory.total,
+                "I_tot": trajectory.intensity}, trajectory.underflow_clamped)
 
 
 # the frame, not json.dumps(block.tolist()): writing the staircase's
@@ -913,27 +918,19 @@ def write_trajectory_json(trajectory: Trajectory, stream: IO[str],
                           metadata: Optional[dict] = None) -> None:
     """Full complex amplitudes as arrays of [re, im] pairs.
 
-    The bytes are those of json.dump(payload, stream, sort_keys=True).
-    json.dumps writes the payload with a marker in place of each of the
-    two arrays, amplitudes and times, so the keys, separators and scalars
-    are its own; the arrays are then written in place of the markers in
-    chunks of rows, so their nested lists are never built whole.
+    The bytes are those of json.dump(payload, stream, sort_keys=True) and
+    a newline, written key by key in sorted order: the scalars and the
+    metadata by json.dumps(..., sort_keys=True), and the two arrays by
+    _write_json_array in chunks of rows, so their nested lists are never
+    built whole.
     """
     # (re, im) float view of the amplitudes: no copy of a complex128 array
     pairs = np.ascontiguousarray(trajectory.amplitudes, dtype=complex).view(
         float).reshape(len(trajectory), -1, 2)
-    marker = "\0"
-    text = json.dumps({"metadata": dict(metadata or {}),
-                       "gamma": trajectory.gamma,
-                       "underflow_clamped": trajectory.underflow_clamped,
-                       "times": marker, "amplitudes": marker},
-                      sort_keys=True)
-    # sorted keys make amplitudes the first value and times the last but
-    # one, after which comes only a bool, whatever the metadata holds
-    head, _, rest = text.partition(json.dumps(marker))
-    between, _, tail = rest.rpartition(json.dumps(marker))
-    stream.write(head)
+    stream.write('{"amplitudes": ')
     _write_json_array(stream, pairs)
-    stream.write(between)
+    stream.write(f', "gamma": {json.dumps(trajectory.gamma)}, "metadata": '
+                 f'{json.dumps(dict(metadata or {}), sort_keys=True)}, "times": ')
     _write_json_array(stream, np.asarray(trajectory.times, dtype=float))
-    stream.write(tail + "\n")
+    stream.write(', "underflow_clamped": '
+                 f'{json.dumps(trajectory.underflow_clamped)}}}\n')

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chiralchain.chain import (ChainConfig, CouplingMatrix, DisorderSpec,
-                               build_chain, build_coupling_matrix,
+from chiralchain.chain import (_DISORDER_FIELDS, ChainConfig, CouplingMatrix,
+                               DisorderSpec, build_chain, build_coupling_matrix,
                                build_positions, parse_config_text)
 from chiralchain.errors import ConfigError
 
@@ -298,6 +298,26 @@ def test_parse_config_reports_line_numbers():
 
 
 _CHAIN_TEXT = "n_atoms = 5\nxi_over_pi = 1\ngamma_left = 0.9\ngamma_right = 1\n"
+
+
+@pytest.mark.parametrize("spec", [DisorderSpec.none(),
+                                  DisorderSpec.single_site(3, 0.05),
+                                  DisorderSpec.ensemble(0.01, 4, 7)])
+def test_every_disorder_field_is_checked_by_its_type(spec):
+    record = spec.to_dict()
+    assert set(record) == {"mode", *_DISORDER_FIELDS[spec.mode]}
+    for name, kind in _DISORDER_FIELDS[spec.mode].items():
+        missing = {key: value for key, value in record.items() if key != name}
+        with pytest.raises(ConfigError, match=f"disorder needs {name}$"):
+            DisorderSpec(**missing)
+        wrong = (2.5, "3") if kind is int else (math.nan, math.inf, "0.05")
+        for value in wrong:
+            with pytest.raises(ConfigError, match=f"^{name} must be "):
+                DisorderSpec(**{**record, name: value})
+    # a config file written from to_dict reads back as the same spec
+    text = _CHAIN_TEXT + "".join(f"disorder.{key} = {value}\n"
+                                 for key, value in record.items())
+    assert parse_config_text(text)[1] == spec
 
 
 @pytest.mark.parametrize("disorder_text,message", [

@@ -37,7 +37,8 @@ CHEAP_PRESETS = {"staircase", "local_unchecked", "cascaded", "ensemble",
 def test_cheap_presets_write_the_recorded_bytes(tmp_path):
     recorded = json.loads(HASHES.read_text())
     here = environment()
-    other = {key: (recorded.get(key), here[key]) for key in ("numpy", "blas")
+    other = {key: (recorded.get(key), here[key])
+             for key in ("numpy", "blas", "blas_core", "simd_targets")
              if recorded.get(key) != here[key]}
     if other:
         pytest.skip(f"digests recorded on another build (recorded, running): {other}")

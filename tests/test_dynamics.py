@@ -24,7 +24,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   write_trajectory_json)
 from chiralchain.errors import ConfigError, IntegrityError, NumericsError
 from core_tables import core_tables
-from oracles import cascaded
+from oracles import cascaded, geometric
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
 
@@ -139,6 +139,27 @@ def test_propagate_matches_cascaded_with_a_shifted_site(n):
     assert_propagate_matches_cascaded(n, 2.37, DisorderSpec.single_site(n // 2 + 1, 0.3))
 
 
+@pytest.mark.parametrize("n,xi,gamma_left,horizon,points", [
+    (5, math.pi, 0.9, 1500.0, 37501),  # the staircase
+    (11, math.pi, 0.9, 1500.0, 37501),
+    (40, math.pi, 0.5, 200.0, 2001),
+    (6, 0.0, 0.3, 20.0, 2001),
+    (7, math.pi, 1.5, 100.0, 2001),  # gamma_L > gamma_R
+    (200, math.pi, 0.9, 20.0, 2001),
+])
+def test_propagate_matches_the_geometric_closed_form(n, xi, gamma_left,
+                                                     horizon, points):
+    times = uniform_grid(horizon, points)
+    trajectory = propagate(chain(n, xi, gamma_left, 1.0), uniform_excitation(n),
+                           times, cross_check=False)
+    expected = geometric(n, xi, gamma_left, 1.0, times).T
+    deviation = np.max(np.abs(trajectory.amplitudes - expected), axis=1)
+    # the chain's phases m * float(pi) are off by about m * 1.2e-16, which
+    # the closed form's exact signs are not: an error growing as N t eps
+    # (at most 0.57 of this bound, at N = 200 and t = 18)
+    assert np.all(deviation <= 1e-13 + n * times * np.finfo(float).eps)
+
+
 def test_matrix_exponential_and_runge_kutta_agree():
     matrix = chain(5, 2.2, 0.7, 1.0)
     grid = uniform_grid(15.0, 301)
@@ -235,6 +256,19 @@ def test_propagate_grid_validation():
         propagate(matrix, state, np.array([0.0]))
     with pytest.raises(ConfigError):
         propagate(matrix, uniform_excitation(3), uniform_grid(1.0, 10))
+
+
+def test_results_do_not_share_the_callers_grid():
+    grid = np.linspace(0.0, 1.0, 5)
+    trajectory = propagate(chain(2, 1.0, 0.9, 1.0), uniform_excitation(2),
+                           grid, cross_check=False)
+    config = ChainConfig(n_atoms=2, xi=1.0, gamma_left=0.9, gamma_right=1.0)
+    ensemble = dynamics.run_ensemble(config, DisorderSpec.ensemble(0.01, 2, 0),
+                                     grid)
+    assert not np.shares_memory(grid, trajectory.times)
+    assert not np.shares_memory(grid, ensemble.times)
+    grid[1] = 99.0
+    assert trajectory.times[1] == ensemble.times[1] == 0.25
 
 
 def test_trajectory_accessors():
@@ -764,9 +798,9 @@ def test_write_csv_formats_a_repeated_column_once_per_chunk():
     other = np.geomspace(1e-300, 1e300, rows)
     out = io.StringIO()
     with mock.patch.object(reprs, "cells", wraps=reprs.cells) as cells:
-        dynamics._write_csv(out, [("note", "repeated"), ("gamma", 1.0)],
-                            ["a", "flag", "b", "a_again"],
-                            [twice, flags, other, twice])
+        dynamics._write_csv(out, {"note": "repeated", "gamma": 1.0},
+                            {"a": twice, "flag": flags, "b": other,
+                             "a_again": twice})
     # one formatter call per chunk, on the three distinct columns, not four
     assert [len(call.args[0]) for call in cells.call_args_list] == [3, 3, 3]
     lines = ["# note = repeated\n", "# gamma = 1.0\n", "a,flag,b,a_again\n"]
@@ -775,9 +809,12 @@ def test_write_csv_formats_a_repeated_column_once_per_chunk():
     assert out.getvalue().splitlines(True) == lines
     assert lines[3] == "-0.0,1,1e-300,-0.0\n"
     empty = io.StringIO()
-    dynamics._write_csv(empty, [("n", 0)], ["x", "y"],
-                        [np.zeros(0), np.zeros(0)])
+    dynamics._write_csv(empty, {"n": 0}, {"x": np.zeros(0), "y": np.zeros(0)})
     assert empty.getvalue() == "# n = 0\nx,y\n"
+    # the clamp line follows the metadata, before the header
+    clamped = io.StringIO()
+    dynamics._write_csv(clamped, {"n": 0}, {"x": np.zeros(0)}, clamped=True)
+    assert clamped.getvalue() == "# n = 0\n# underflow_clamped = true\nx\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -792,9 +829,9 @@ def test_write_csv_cells_are_repr_and_parse_back_exactly(values):
     out = io.StringIO()
     # seven rows per chunk, so the examples cross chunk boundaries
     with mock.patch.object(dynamics, "_WRITE_ROWS", 7):
-        dynamics._write_csv(out, [], ["x", "y", "x"], [first, second, first])
+        dynamics._write_csv(out, {}, {"x": first, "y": second, "x_again": first})
     header, *rows = out.getvalue().splitlines()
-    assert header == "x,y,x" and len(rows) == len(values)
+    assert header == "x,y,x_again" and len(rows) == len(values)
     for row, (x, y) in zip(rows, values):
         cells = row.split(",")
         assert cells == [repr(float(x)), repr(float(y)), repr(float(x))]

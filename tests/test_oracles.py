@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from chiralchain.errors import DomainError
-from oracles import DarkModesN3, cascaded, dark_modes_n3
+from oracles import (DarkModesN3, cascaded, dark_modes_n3, geometric,
+                     geometric_modes)
 
 XI_VALUES = [0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 2.37]
 
@@ -149,3 +150,48 @@ def test_dark_modes_gamma_validation():
         dark_modes_n3(gamma=0.0)
     with pytest.raises(DomainError):
         dark_modes_n3(gamma=-1.0)
+
+
+def sign_gauge_generator(n, xi, gamma_left, gamma_right):
+    """V at xi = 0 or pi with exact phases: exp(-i xi |u - v|) = s_u s_v."""
+    s = (-1.0) ** np.arange(1, n + 1) if xi == math.pi else np.ones(n)
+    v = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
+                 -gamma_left, -gamma_right) * np.outer(s, s)
+    np.fill_diagonal(v, -0.5 * (gamma_left + gamma_right))
+    return v
+
+
+@pytest.mark.parametrize("gamma_left", [0.3, 0.9, 1.5])
+@pytest.mark.parametrize("xi", [0.0, math.pi])
+@pytest.mark.parametrize("n", [1, 2, 5, 11, 40, 200])
+def test_geometric_modes_are_the_eigensystem(n, xi, gamma_left):
+    v = sign_gauge_generator(n, xi, gamma_left, 1.0)
+    lam, x, y = geometric_modes(n, xi, gamma_left, 1.0)
+    # residuals of V x_k = lambda_k x_k and y_k V = lambda_k y_k; the
+    # worst, 3.9e-14, is at N = 200, gamma_L = 0.9, where r_k - 1 ~ 5e-4
+    scale = np.abs(v).sum(axis=1).max() * max(np.abs(x).max(), np.abs(y).max())
+    assert np.abs(v @ x.T - x.T * lam).max() <= 1e-13 * scale
+    assert np.abs(y @ v - lam[:, None] * y).max() <= 1e-13 * scale
+    assert np.abs(y @ x.T - n * np.eye(n)).max() <= 1e-14 * n
+    # every eigenvalue numpy finds is the nearest of exactly one lambda_k
+    mu = np.linalg.eigvals(v)
+    distance = np.abs(lam[:, None] - mu[None, :])
+    assert sorted(distance.argmin(axis=1).tolist()) == list(range(n))
+    assert distance.min(axis=1).max() <= 1e-13 * np.abs(mu).max()
+
+
+def test_geometric_starts_from_its_initial_state():
+    c0 = np.array([0.6, -0.8j, 0.0])
+    assert np.allclose(geometric(3, math.pi, 0.5, 1.0, 0.0, c0), c0,
+                       rtol=0.0, atol=1e-15)
+    uniform = geometric(4, 0.0, 1.5, 1.0, np.zeros(2))
+    assert uniform.shape == (4, 2)
+    assert np.allclose(uniform, 0.5, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("args", [(3, 1.0, 0.5, 1.0), (3, math.pi, 1.0, 1.0),
+                                  (3, math.pi, 0.0, 1.0), (0, 0.0, 0.5, 1.0),
+                                  (3, 0.0, math.inf, 1.0)])
+def test_geometric_argument_validation(args):
+    with pytest.raises(DomainError):
+        geometric_modes(*args)
