@@ -10,10 +10,12 @@ reads, the detector defaults (except for kernel tables), and the sha256
 of each output, so any result can be reproduced bitwise from its
 manifest.  A simulate or ensemble run, and each figure curve, runs one
 record: the config, disorder, grid and cross_check of a simulate or
-ensemble manifest.  A figure manifest lists the records of its curves
-under ``curves``.  Each file is hashed as it streams to disk.  Data
-files never embed timestamps.  With ``--stdout`` the writer of the
-primary data file streams it to standard output and nothing is written.
+ensemble manifest, and writes its result's table, whose columns dynamics
+defines.  A figure is data: its curves, whose records its manifest lists
+under ``curves``, and its other tables with their script notes.  Each
+file is hashed as it streams to disk.  Data files never embed
+timestamps.  With ``--stdout`` the writer of the primary data file
+streams it to standard output and nothing is written.
 
 Exit codes: 0 on success, 2 for configuration and domain errors, 3 for
 IntegrityError (the matrix-exponential and Runge-Kutta backends disagree)
@@ -37,8 +39,8 @@ import numpy as np
 from . import __version__
 from .analysis import detect_bursts, detector_defaults
 from .chain import ChainConfig, DisorderSpec, build_chain, load_config_file
-from .dynamics import (_MAX_POINTS, EnsembleResult, _write_csv, log_grid,
-                       propagate, run_ensemble, steady_state,
+from .dynamics import (_MAX_POINTS, EnsembleResult, Trajectory, _write_csv,
+                       log_grid, propagate, run_ensemble, steady_state,
                        uniform_excitation, uniform_grid,
                        write_trajectory_csv, write_trajectory_json)
 from .errors import (ChiralChainError, ConfigError, NumericsError,
@@ -230,16 +232,6 @@ def cmd_simulate(args) -> int:
 # ensemble
 # ---------------------------------------------------------------------------
 
-_ENSEMBLE_HEADER = ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"]
-
-
-def _write_ensemble_csv(result: EnsembleResult, stream, metadata: dict) -> None:
-    columns = [result.times, result.mean_total, result.std_total,
-               result.mean_intensity, result.std_intensity]
-    _write_csv(stream, metadata, dict(zip(_ENSEMBLE_HEADER, columns)),
-               result.underflow_clamped)
-
-
 def cmd_ensemble(args) -> int:
     started = time.monotonic()
     config, disorder = _merge_config(args)
@@ -271,8 +263,8 @@ def cmd_ensemble(args) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    writers = {"ensemble.csv":
-               lambda fh: _write_ensemble_csv(result, fh, metadata),
+    writers = {"ensemble.csv": lambda fh: _write_csv(
+                   fh, metadata, result.table(), result.underflow_clamped),
                "bursts.json": write_report}
     _write_run(_resolve_outdir(args.outdir), "ensemble", parameters,
                config.gamma, writers, started, args.stdout)
@@ -358,55 +350,6 @@ def _curve(n: int, xi_over_pi: float, gamma_left: float, grid: dict,
             "column": column}
 
 
-# figure name -> (log-y, {file: curve record}); fig3 also writes fig3c.csv
-_FIGURES = {
-    "fig2": (False, {
-        f"fig2_N{n}_{tag}.csv": _curve(n, xi_over_pi, 0.0,
-                                       _uniform(20.0, 4001))
-        for n in (2, 3) for tag, xi_over_pi in (("xi0", 0.0), ("xipi", 1.0))}),
-    "fig3": (False, {
-        f"fig3{part}_N{n}_gl{gl:.1f}.csv": _curve(n, xi_over_pi, gl, grid)
-        for n in (2, 3) for gl in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        for part, xi_over_pi, grid in (("a", 0.0, _uniform(20.0, 4001)),
-                                       ("b", 1.0, _uniform(100.0, 2501)))}),
-    "fig4": (True, {
-        f"fig4{part}_N{n}.csv": _curve(n, 1.0, gl, grid)
-        for n in (2, 3, 4, 5, 6, 7, 10, 11)
-        for part, gl, grid in (("a", 0.0, _uniform(40.0, 2001)),
-                               ("b", 0.9, _uniform(1500.0, 37501)))}),
-    "fig5": (True, {
-        **{f"fig5a_N{n}.csv": _curve(n, 1.0, 0.9, _uniform(1000.0, 25001),
-                                     column="I_tot") for n in (4, 5)},
-        **{f"fig5b_fluct{tag}.csv": _curve(
-            5, 1.0, 0.9, _uniform(1000.0, 25001),
-            DisorderSpec.ensemble(width, 200, DEFAULT_SEED).to_dict(),
-            "mean_I_tot")
-           for tag, width in (("0.5pct", 0.005), ("1pct", 0.010))}}),
-    "fig6": (True, {
-        f"fig6{part}_N{n}_shift{site}.csv": _curve(
-            n, 1.0, 0.9, _uniform(1500.0, 37501),
-            DisorderSpec.single_site(site, 0.05).to_dict())
-        for part, n, site in (("a", 5, 3), ("b", 5, 2), ("c", 4, 1))}),
-    "fig7": (True, {
-        "fig7_N5_shift3_30pct.csv": _curve(
-            5, 0.75, 0.9, {"grid": "log", "horizon": 1e4,
-                           "points_per_decade": 400},
-            DisorderSpec.single_site(3, 0.30).to_dict())}),
-}
-
-
-def _curve_writer(record: dict):
-    """The writer of a figure curve: it runs the record and writes the
-    table, so a run exists only while its file is written and a figure
-    holds one at a time.  The # lines leave out the grid."""
-    def write(fh):
-        config, disorder, result = _run(record)
-        write_table = (_write_ensemble_csv if disorder.mode == "ensemble"
-                       else write_trajectory_csv)
-        write_table(result, fh, _data_metadata(config, disorder))
-    return write
-
-
 def _write_fig3c(fh) -> None:
     """fig3c.csv: the first-site steady-state population over N, a table
     over N rather than a curve over time."""
@@ -421,17 +364,70 @@ def _write_fig3c(fh) -> None:
                {"N": sizes, "P1_inf": np.array(p1_inf)})
 
 
+# figure name -> (log-y, {file: curve record}, {file: (writer, script note)}
+# of its tables that are not curves over time)
+_FIGURES = {
+    "fig2": (False, {
+        f"fig2_N{n}_{tag}.csv": _curve(n, xi_over_pi, 0.0,
+                                       _uniform(20.0, 4001))
+        for n in (2, 3) for tag, xi_over_pi in (("xi0", 0.0), ("xipi", 1.0))},
+        {}),
+    "fig3": (False, {
+        f"fig3{part}_N{n}_gl{gl:.1f}.csv": _curve(n, xi_over_pi, gl, grid)
+        for n in (2, 3) for gl in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        for part, xi_over_pi, grid in (("a", 0.0, _uniform(20.0, 4001)),
+                                       ("b", 1.0, _uniform(100.0, 2501)))},
+        {"fig3c.csv": (_write_fig3c, [
+            "# fig3c.csv (N,P1_inf) suits a separate point plot:",
+            "#   plot 'fig3c.csv' using 1:2 with points"])}),
+    "fig4": (True, {
+        f"fig4{part}_N{n}.csv": _curve(n, 1.0, gl, grid)
+        for n in (2, 3, 4, 5, 6, 7, 10, 11)
+        for part, gl, grid in (("a", 0.0, _uniform(40.0, 2001)),
+                               ("b", 0.9, _uniform(1500.0, 37501)))}, {}),
+    "fig5": (True, {
+        **{f"fig5a_N{n}.csv": _curve(n, 1.0, 0.9, _uniform(1000.0, 25001),
+                                     column="I_tot") for n in (4, 5)},
+        **{f"fig5b_fluct{tag}.csv": _curve(
+            5, 1.0, 0.9, _uniform(1000.0, 25001),
+            DisorderSpec.ensemble(width, 200, DEFAULT_SEED).to_dict(),
+            "mean_I_tot")
+           for tag, width in (("0.5pct", 0.005), ("1pct", 0.010))}}, {}),
+    "fig6": (True, {
+        f"fig6{part}_N{n}_shift{site}.csv": _curve(
+            n, 1.0, 0.9, _uniform(1500.0, 37501),
+            DisorderSpec.single_site(site, 0.05).to_dict())
+        for part, n, site in (("a", 5, 3), ("b", 5, 2), ("c", 4, 1))}, {}),
+    "fig7": (True, {
+        "fig7_N5_shift3_30pct.csv": _curve(
+            5, 0.75, 0.9, {"grid": "log", "horizon": 1e4,
+                           "points_per_decade": 400},
+            DisorderSpec.single_site(3, 0.30).to_dict())}, {}),
+}
+
+
+def _curve_writer(record: dict):
+    """The writer of a figure curve: it runs the record and writes the
+    table, so a run exists only while its file is written and a figure
+    holds one at a time.  The # lines leave out the grid."""
+    def write(fh):
+        config, disorder, result = _run(record)
+        _write_csv(fh, _data_metadata(config, disorder), result.table(),
+                   result.underflow_clamped)
+    return write
+
+
 def _column(record: dict) -> int:
     """The 1-based index of a curve's plotted column in its file."""
-    sites = [f"P_{m}" for m in range(1, record["config"]["n_atoms"] + 1)]
-    header = (_ENSEMBLE_HEADER if record["disorder"]["mode"] == "ensemble"
-              else ["t", *sites, "P_tot", "I_tot"])
+    header = (EnsembleResult.header() if record["disorder"]["mode"] == "ensemble"
+              else Trajectory.header(record["config"]["n_atoms"]))
     return header.index(record["column"]) + 1
 
 
-def _gnuplot_script(name: str, log_y: bool, curves: dict) -> str:
-    """The script plotting each curve's column; the y label is that column,
-    one for the whole figure (an ensemble's mean_ left out)."""
+def _gnuplot_script(name: str, log_y: bool, curves: dict, tables: dict) -> str:
+    """The script plotting each curve's column, with the notes of the other
+    tables; the y label is that column, one for the whole figure (an
+    ensemble's mean_ left out)."""
     (label,) = {record["column"].removeprefix("mean_")
                 for record in curves.values()}
     plots = [f"'{fn}' using 1:{_column(curves[fn])} with lines "
@@ -443,9 +439,7 @@ def _gnuplot_script(name: str, log_y: bool, curves: dict) -> str:
         'set xlabel "gamma t"',
         *(["set logscale y", "set format y '10^{%T}'"] if log_y else []),
         f'set ylabel "{label}"',
-        *(["# fig3c.csv (N,P1_inf) suits a separate point plot:",
-           "#   plot 'fig3c.csv' using 1:2 with points"] if name == "fig3"
-          else []),
+        *(line for _, note in tables.values() for line in note),
         "plot \\\n  " + ", \\\n  ".join(plots),
         "pause -1 'press enter to close'",
     ]
@@ -455,11 +449,10 @@ def _gnuplot_script(name: str, log_y: bool, curves: dict) -> str:
 def cmd_figure(args) -> int:
     started = time.monotonic()
     name = args.name
-    log_y, curves = _FIGURES[name]
+    log_y, curves, tables = _FIGURES[name]
     writers = {fn: _curve_writer(record) for fn, record in curves.items()}
-    if name == "fig3":
-        writers["fig3c.csv"] = _write_fig3c
-    script = _gnuplot_script(name, log_y, curves)
+    writers.update({fn: write for fn, (write, _) in tables.items()})
+    script = _gnuplot_script(name, log_y, curves, tables)
     writers[f"{name}.gp"] = lambda fh: fh.write(script)
     outdir = os.path.join(_resolve_outdir(args.outdir), name)
     parameters = {"figure": name, "curves": curves}

@@ -39,10 +39,11 @@ would on the long-lived plateaus.
 Populations below 1e-300 are clamped to zero and flagged, so extreme
 subradiance studies cannot leak denormals into downstream analysis.
 
-Trajectories are written as CSV tables or JSON arrays of exactly the
-bytes that repr (json.dumps) gives each value, a block of rows at a
-time: reprs formats every distinct column of a block in one call, in
-numpy, and the block is written as one string.
+The CSV columns of a trajectory and of an ensemble are their table().
+Tables and trajectory JSON arrays hold exactly the bytes that repr
+(json.dumps) gives each value, written a block of rows at a time: reprs
+formats every distinct column of a block in one call, in numpy, and the
+block is written as one string.
 """
 
 from __future__ import annotations
@@ -192,18 +193,30 @@ class Trajectory:
     def n_atoms(self) -> int:
         return self.amplitudes.shape[1]
 
+    @staticmethod
+    def header(n_atoms: int) -> list:
+        """The CSV header of a chain of n_atoms sites: t, P_1..P_N, P_tot, I_tot."""
+        return ["t", *(f"P_{m}" for m in range(1, n_atoms + 1)), "P_tot", "I_tot"]
+
+    def table(self) -> dict:
+        """The CSV table, header name -> column."""
+        return dict(zip(self.header(self.n_atoms), [
+            self.times, *self.populations.T, self.total, self.intensity]))
+
+    def _index(self, site) -> int:
+        """The 0-based column of a 1-based site index."""
+        if not isinstance(site, (int, np.integer)) or not 1 <= site <= self.n_atoms:
+            raise ConfigError(f"site must be an int in 1..{self.n_atoms}, got {site!r}")
+        return site - 1
+
     def population(self, site: int) -> np.ndarray:
         """P_site(t) for a 1-based site index."""
-        if not 1 <= site <= self.n_atoms:
-            raise ConfigError(f"site must be in 1..{self.n_atoms}, got {site}")
-        return self.populations[:, site - 1]
+        return self.populations[:, self._index(site)]
 
     def coherence(self, site_a: int, site_b: int) -> np.ndarray:
         """C_ab(t) = c_a(t) * conj(c_b(t)) for 1-based site indices."""
-        for s in (site_a, site_b):
-            if not 1 <= s <= self.n_atoms:
-                raise ConfigError(f"site must be in 1..{self.n_atoms}, got {s}")
-        return self.amplitudes[:, site_a - 1] * np.conj(self.amplitudes[:, site_b - 1])
+        return (self.amplitudes[:, self._index(site_a)]
+                * np.conj(self.amplitudes[:, self._index(site_b)]))
 
     def state_at(self, index: int) -> StateVector:
         return StateVector(self.amplitudes[index], time=float(self.times[index]))
@@ -674,6 +687,16 @@ class EnsembleResult:
         if np.any(self.std_total < 0.0) or np.any(self.std_intensity < 0.0):
             raise ConfigError("standard deviations must be non-negative")
 
+    @staticmethod
+    def header() -> list:
+        """The CSV header of an ensemble: t and the moments of P_tot, I_tot."""
+        return ["t", "mean_P_tot", "std_P_tot", "mean_I_tot", "std_I_tot"]
+
+    def table(self) -> dict:
+        """The CSV table, header name -> column."""
+        return dict(zip(self.header(), [self.times, self.mean_total, self.std_total,
+                                        self.mean_intensity, self.std_intensity]))
+
 
 def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
                  *, cross_check: bool = False) -> EnsembleResult:
@@ -745,7 +768,8 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
                           gamma=config.gamma, underflow_clamped=clamped)
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row of a is b5, the weights of the
+# fifth-order solution, where the seventh stage is taken (first same as last)
 _DP_A = (
     (),
     (1 / 5,),
@@ -753,11 +777,19 @@ _DP_A = (
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
+
+
+def _combination(terms: list, stages: list) -> np.ndarray:
+    """The sum of c * stages[j] over the (c, j) terms, left to right."""
+    total = terms[0][0] * stages[terms[0][1]]
+    for c, j in terms[1:]:
+        total += c * stages[j]
+    return total
 
 
 def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray) -> np.ndarray:
@@ -770,31 +802,24 @@ def _dp54(v: np.ndarray, c0: np.ndarray, record_times: np.ndarray) -> np.ndarray
     y = np.tile(c0.astype(complex)[:, None], (len(v), 1, 1))
     k1 = v @ y
     h = 1e-3
+    # the (coefficient, stage) pairs of each row with a nonzero coefficient
+    rows = [[(c, j) for j, c in enumerate(row) if c] for row in (*_DP_A[1:], _DP_ERR)]
     for idx, t_target in enumerate(record_times):
         while t < t_target:
             clipped = t + h >= t_target
             h_step = (t_target - t) if clipped else h
-            k2 = v @ (y + h_step * (_DP_A[1][0] * k1))
-            k3 = v @ (y + h_step * (_DP_A[2][0] * k1 + _DP_A[2][1] * k2))
-            k4 = v @ (y + h_step * (_DP_A[3][0] * k1 + _DP_A[3][1] * k2
-                                    + _DP_A[3][2] * k3))
-            k5 = v @ (y + h_step * (_DP_A[4][0] * k1 + _DP_A[4][1] * k2
-                                    + _DP_A[4][2] * k3 + _DP_A[4][3] * k4))
-            k6 = v @ (y + h_step * (_DP_A[5][0] * k1 + _DP_A[5][1] * k2
-                                    + _DP_A[5][2] * k3 + _DP_A[5][3] * k4
-                                    + _DP_A[5][4] * k5))
-            y5 = y + h_step * (_DP_B5[0] * k1 + _DP_B5[2] * k3 + _DP_B5[3] * k4
-                               + _DP_B5[4] * k5 + _DP_B5[5] * k6)
-            k7 = v @ y5
-            err_vec = h_step * (_DP_ERR[0] * k1 + _DP_ERR[2] * k3
-                                + _DP_ERR[3] * k4 + _DP_ERR[4] * k5
-                                + _DP_ERR[5] * k6 + _DP_ERR[6] * k7)
+            stages = [k1]
+            for terms in rows[:-1]:
+                # each stage's argument; the last row's is y5
+                y5 = y + h_step * _combination(terms, stages)
+                stages.append(v @ y5)
+            err_vec = h_step * _combination(rows[-1], stages)
             scale = _RK_TOL + _RK_TOL * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.max(np.abs(err_vec) / scale))
+            err = float((np.abs(err_vec) / scale).max())
             if err <= 1.0:
                 t = t_target if clipped else t + h_step
                 y = y5
-                k1 = k7  # first-same-as-last
+                k1 = stages[-1]  # first-same-as-last
                 factor = min(5.0, max(0.2, 0.9 * max(err, 1e-16) ** -0.2))
                 h = h_step * factor
             else:
@@ -875,12 +900,9 @@ def _write_csv(stream: IO[str], metadata: dict, table: dict,
 
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
                          metadata: Optional[dict] = None) -> None:
-    """CSV columns t, P_1..P_N, P_tot, I_tot with # metadata lines."""
-    sites = {f"P_{m}": column
-             for m, column in enumerate(trajectory.populations.T, start=1)}
-    _write_csv(stream, metadata or {},
-               {"t": trajectory.times, **sites, "P_tot": trajectory.total,
-                "I_tot": trajectory.intensity}, trajectory.underflow_clamped)
+    """The trajectory's table (Trajectory.table) with # metadata lines."""
+    _write_csv(stream, metadata or {}, trajectory.table(),
+               trajectory.underflow_clamped)
 
 
 # the frame, not json.dumps(block.tolist()): writing the staircase's

@@ -17,8 +17,8 @@ thread count, the OpenBLAS kernel family and numpy's SIMD targets, and a
 run on another build or CPU says so next to any difference.  All
 presets take about 20 s on one 2-core x86-64 host; pytest does not
 collect this file, but tests/test_check_outputs.py runs the kernel
-presets, the ensembles, staircase, cascaded and local_unchecked (about
-5 s) against the same list.
+presets, the ensembles, staircase, cascaded, local_unchecked and the
+figures fig2, fig3, fig5 and fig7 (about 6 s) against the same list.
 Exit status: 0 when every digest matches, 1 otherwise.
 """
 

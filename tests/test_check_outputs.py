@@ -25,13 +25,16 @@ def test_the_list_records_what_decides_the_digests():
     assert all(isinstance(value, (str, int)) for value in here.values())
 
 
-# the presets cheap enough for every test run, about 5 s together; the
+# the presets cheap enough for every test run, about 6 s together; the
 # simulate runs cover propagate on a uniform and on a log grid, and on a
-# cascaded (triangular) chain
+# cascaded (triangular) chain; the figures cover trajectory and ensemble
+# curves, their I_tot and mean_I_tot columns, a log-grid curve, fig3c.csv
+# and the gnuplot scripts
 CHEAP_PRESETS = {"staircase", "local_unchecked", "cascaded", "ensemble",
                  "ensemble_tail", "kernel_1", "kernel_1chiral",
                  "kernel_1chiral_asym", "kernel_2", "kernel_3",
-                 "kernel_2_small", "kernel_3_small"}
+                 "kernel_2_small", "kernel_3_small", "figure_fig2",
+                 "figure_fig3", "figure_fig5", "figure_fig7"}
 
 
 def test_cheap_presets_write_the_recorded_bytes(tmp_path):

@@ -644,7 +644,7 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
                         full(config, disorder, grid[:11],
                              cross_check=cross_check))
     stream = io.StringIO()
-    _, curves = cli._FIGURES["fig5"]
+    _, curves, _ = cli._FIGURES["fig5"]
     cli._curve_writer(curves["fig5b_fluct1pct.csv"])(stream)
     assert comment_lines(stream.getvalue()) == [
         "# n_atoms = 5",
@@ -671,6 +671,27 @@ def test_fig3c_table():
         state = steady_state(build_chain(config), uniform_excitation(n))
         lines.append(f"{n},{float(state.populations[0])!r}")
     assert stream.getvalue() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, data_file", [
+    (["simulate", "--n", "3", "--horizon", "2", "--points", "21"], "trajectory.csv"),
+    (ENSEMBLE_RUN, "ensemble.csv")])
+def test_data_file_header_is_the_result_table(tmp_path, argv, data_file):
+    from chiralchain import cli
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    header, _ = read_csv_columns((tmp_path / data_file).read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    _, _, result = cli._run(manifest["parameters"])
+    assert list(result.table()) == header
+
+
+def test_curve_column_indexes_its_result_table():
+    from chiralchain import cli
+    for _, curves, _ in cli._FIGURES.values():
+        for record in curves.values():
+            # the curve's chain and disorder on a two-point grid
+            _, _, result = cli._run({**record, "grid": cli._uniform(1.0, 2)})
+            assert list(result.table())[cli._column(record) - 1] == record["column"]
 
 
 def test_figure_scripts_plot_the_named_columns(tmp_path, monkeypatch):

@@ -288,6 +288,21 @@ def test_trajectory_accessors():
     assert np.array_equal(final.amplitudes, trajectory.amplitudes[-1])
 
 
+@pytest.mark.parametrize("site", [1.5, 1.0, 0, 4, "1"])
+def test_trajectory_sites_are_integer_indices(site):
+    # a float site, even a whole one, is refused like one out of range
+    trajectory = propagate(chain(3, 1.5, 0.5, 1.0), uniform_excitation(3),
+                           uniform_grid(1.0, 11), cross_check=False)
+    with pytest.raises(ConfigError):
+        trajectory.population(site)
+    with pytest.raises(ConfigError):
+        trajectory.coherence(1, site)
+    with pytest.raises(ConfigError):
+        trajectory.coherence(site, 2)
+    assert np.array_equal(trajectory.population(np.int64(3)),
+                          trajectory.populations[:, 2])
+
+
 def test_intensity_is_population_loss_rate():
     matrix = chain(4, 2.7, 0.4, 1.0)
     grid = uniform_grid(8.0, 8001)
