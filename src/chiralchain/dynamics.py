@@ -3,9 +3,9 @@
 The equation of motion dc/dt = V c is linear with constant V, so the
 primary propagator is exact stepping with the matrix exponential.
 Exponentials come from this module's expm: scaling and squaring with
-diagonal Pade approximants (Al-Mohy & Higham 2009) on a whole stack of
-matrices, the degree and scaling chosen per matrix.  A grid whose times
-all equal j*h to within a few ulp is uniform, of step h
+the degree-13 diagonal Pade approximant (Al-Mohy & Higham 2009) on a
+whole stack of matrices, the scaling chosen per matrix.  A grid whose
+times all equal j*h to within a few ulp is uniform, of step h
 (np.linspace rounds its steps to about 16 distinct floats;
 exp(V a) exp(V b) = exp(V (a + b)) makes stepping by h exact up to those
 ulp).  It is cut into blocks of B rows: the first row of each block, its
@@ -218,11 +218,8 @@ class Trajectory:
         return (self.amplitudes[:, self._index(site_a)]
                 * np.conj(self.amplitudes[:, self._index(site_b)]))
 
-    def state_at(self, index: int) -> StateVector:
-        return StateVector(self.amplitudes[index], time=float(self.times[index]))
-
     def final_state(self) -> StateVector:
-        return self.state_at(len(self) - 1)
+        return StateVector(self.amplitudes[-1], time=float(self.times[-1]))
 
 
 def _validate_grid(grid: np.ndarray) -> np.ndarray:
@@ -292,27 +289,16 @@ def _generators(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, w, weights
 
 
-# Scaling and squaring with diagonal Pade approximants, Al-Mohy & Higham,
-# SIAM J. Matrix Anal. Appl. 31, 970 (2009): for each degree m the bound
-# theta_m on the scaled norm, 1/|c_{2m+1}| of the leading backward-error
-# coefficient (for ell) and the coefficients b_0 .. b_m of r_m.
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
-_PADE_ELL = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
-             9: 5914384781877411840000.0,
-             13: 113250775606021113483283660800000000.0}
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
-        1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
+# Scaling and squaring with the diagonal Pade approximant r_13, Al-Mohy &
+# Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009): the bound theta_13 on
+# the scaled norm, 1/|c_27| of the leading backward-error coefficient (for
+# ell) and the coefficients b_0 .. b_13 of r_13.
+_PADE_THETA = 4.25
+_PADE_ELL = 113250775606021113483283660800000000.0
+_PADE_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
 
 
 def _onenorm(a: np.ndarray) -> np.ndarray:
@@ -320,41 +306,36 @@ def _onenorm(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _ell(a: np.ndarray, m: int) -> np.ndarray:
-    """Extra squarings that the rounding of r_m asks for, per matrix.
+def _ell(a: np.ndarray) -> np.ndarray:
+    """Extra squarings that the rounding of r_13 asks for, per matrix.
 
-    ell(A, m) = max(ceil(log2(alpha / u) / 2m), 0) with
-    alpha = ||abs(A)^(2m+1)||_1 / (||A||_1 |1/c_{2m+1}|); the norm of the
-    nonnegative power is e^T abs(A)^(2m+1) by vector products.
+    ell(A) = max(ceil(log2(alpha / u) / 26), 0) with
+    alpha = ||abs(A)^27||_1 / (||A||_1 |1/c_27|); the norm of the
+    nonnegative power is e^T abs(A)^27 by vector products.
     """
     magnitude = np.abs(a)
     sums = np.ones(a.shape[:-1])[:, None, :]
-    for _ in range(2 * m + 1):
+    for _ in range(27):
         sums = sums @ magnitude
     power_norm = sums[:, 0].max(axis=-1)
     # a zero matrix gives 0 / 0, which the last line drops
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = power_norm / (magnitude.sum(axis=-2).max(axis=-1) * _PADE_ELL[m])
-        value = np.ceil(np.log2(alpha / 2.0 ** -53) / (2 * m))
+        alpha = power_norm / (magnitude.sum(axis=-2).max(axis=-1) * _PADE_ELL)
+        value = np.ceil(np.log2(alpha / 2.0 ** -53) / 26)
     return np.where(power_norm > 0.0, np.maximum(value, 0.0), 0.0).astype(int)
 
 
-def _pade(m: int, s: int, powers: list) -> np.ndarray:
-    """r_m(2^-s A) for a stack; powers are A, A^2, A^4, A^6 (and A^8 if m = 9)."""
-    b = _PADE_B[m]
-    if m == 13:
-        scale = 2.0 ** -s
-        a1, a2, a4, a6 = (p * scale ** k for p, k in zip(powers, (1, 2, 4, 6)))
-        high = [(b[13], a6), (b[11], a4), (b[9], a2)]
-        u = a1 @ _series(b[1], [(b[7], a6), (b[5], a4), (b[3], a2)],
-                         a6 @ _series(0.0, high))
-        high = [(b[12], a6), (b[10], a4), (b[8], a2)]
-        v = _series(b[0], [(b[6], a6), (b[4], a4), (b[2], a2)],
-                    a6 @ _series(0.0, high))
-    else:
-        even = range((m - 1) // 2, 0, -1)
-        u = powers[0] @ _series(b[1], [(b[2 * k + 1], powers[k]) for k in even])
-        v = _series(b[0], [(b[2 * k], powers[k]) for k in even])
+def _pade(s: int, powers: list) -> np.ndarray:
+    """r_13(2^-s A) for a stack; powers are A, A^2, A^4, A^6."""
+    b = _PADE_B
+    scale = 2.0 ** -s
+    a1, a2, a4, a6 = (p * scale ** k for p, k in zip(powers, (1, 2, 4, 6)))
+    high = [(b[13], a6), (b[11], a4), (b[9], a2)]
+    u = a1 @ _series(b[1], [(b[7], a6), (b[5], a4), (b[3], a2)],
+                     a6 @ _series(0.0, high))
+    high = [(b[12], a6), (b[10], a4), (b[8], a2)]
+    v = _series(b[0], [(b[6], a6), (b[4], a4), (b[2], a2)],
+                a6 @ _series(0.0, high))
     # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U: the identity stays exact
     r = np.linalg.solve(v - u, u)
     r *= 2.0
@@ -389,7 +370,7 @@ def _exp_sinch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _square(r: np.ndarray, a: np.ndarray, s: int) -> np.ndarray:
-    """r^(2^s), where r = r_m(2^-s A) for the stack a.
+    """r^(2^s), where r = r_13(2^-s A) for the stack a.
 
     A triangular matrix of a (a diagonal one is triangular both ways)
     keeps its zero triangle and gets the exact diagonal of exp(2^-i A) at
@@ -427,14 +408,16 @@ def _square(r: np.ndarray, a: np.ndarray, s: int) -> np.ndarray:
 def expm(a: np.ndarray) -> np.ndarray:
     """exp(A) of every matrix of a stack (..., N, N).
 
-    Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
-    7, 9 or 13, Al-Mohy & Higham (2009), Algorithm 5.1, with exact 1-norms
-    of the powers of A.  Degree and scaling are chosen per matrix, so a
+    Scaling and squaring with the diagonal Pade approximant r_13, the
+    degree-13 branch of Al-Mohy & Higham (2009), Algorithm 5.1, with exact
+    1-norms of the powers of A.  The scaling is chosen per matrix, so a
     matrix's exponential does not depend on the rest of the stack;
-    matrices that share both are evaluated together.  Every matrix takes
-    this one path: a triangular one, a diagonal one included, keeps its
-    zero triangle exactly zero and gets the exact exponential of its
-    diagonal at every scaling.
+    matrices that share it are evaluated together.  The algorithm's lower
+    degrees 3 to 9 only save matrix products at small norms, and on
+    stacks of small generators numpy's per-call overhead, not the
+    products, sets the cost, so every matrix takes r_13.  A triangular
+    matrix, a diagonal one included, keeps its zero triangle exactly zero
+    and gets the exact exponential of its diagonal at every scaling.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
@@ -444,36 +427,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
-    powers = [x, x2, x4, x6]
     d6 = _onenorm(x6) ** (1 / 6)
-    eta = np.maximum(_onenorm(x4) ** (1 / 4), d6)
-    degree = np.zeros(x.shape[0], dtype=int)
-    scaling = np.zeros(x.shape[0], dtype=int)
-    undecided = np.ones(x.shape[0], dtype=bool)
-    for m in (3, 5, 7, 9):
-        if m == 7 and undecided.any():
-            x8 = x4 @ x4
-            powers.append(x8)
-            d8 = _onenorm(x8) ** (1 / 8)
-            eta = np.maximum(d6, d8)
-        pick = undecided & (eta <= _PADE_THETA[m])
-        if pick.any():
-            pick[pick] = _ell(x[pick], m) == 0
-            degree[pick] = m
-            undecided &= ~pick
-    if undecided.any():
-        d10 = _onenorm(x4 @ x6) ** (1 / 10)
-        eta = np.minimum(eta, np.maximum(d8, d10))[undecided]
-        with np.errstate(divide="ignore"):
-            s = np.where(eta > 0.0, np.maximum(
-                np.ceil(np.log2(eta / _PADE_THETA[13])), 0.0), 0.0).astype(int)
-        s += _ell(x[undecided] * (2.0 ** -s)[:, None, None], 13)
-        degree[undecided] = 13
-        scaling[undecided] = s
+    d8 = _onenorm(x4 @ x4) ** (1 / 8)
+    d10 = _onenorm(x4 @ x6) ** (1 / 10)
+    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    with np.errstate(divide="ignore"):
+        scaling = np.where(eta > 0.0, np.maximum(
+            np.ceil(np.log2(eta / _PADE_THETA)), 0.0), 0.0).astype(int)
+    scaling += _ell(x * (2.0 ** -scaling)[:, None, None])
     result = np.empty_like(x)
-    for m, s in sorted(set(zip(degree.tolist(), scaling.tolist()))):
-        members = np.flatnonzero((degree == m) & (scaling == s))
-        r = _pade(m, s, [p[members] for p in powers])
+    for s in sorted(set(scaling.tolist())):
+        members = np.flatnonzero(scaling == s)
+        r = _pade(s, [p[members] for p in (x, x2, x4, x6)])
         result[members] = _square(r, x[members], s)
     return result.reshape(a.shape)
 

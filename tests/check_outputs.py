@@ -9,7 +9,8 @@ file, one BLAS thread, into a temporary directory, and compares the
 sha256 of every file but the manifests with ``output_hashes.json``.  For each file whose digest differs it reruns the
 preset that wrote it from the ``src/`` of git revision REV (default HEAD)
 and prints the largest absolute and relative deviation of every column:
-the CSV columns by header, and the numbers of a JSON file by key.
+the CSV columns by header, and the numbers of a JSON file by key.  The
+report ends with the largest of each over all differing files.
 
 The digests depend on the numpy and BLAS build and on the CPU as well as
 on the code, so the list records the numpy version, the BLAS library, the
@@ -182,6 +183,18 @@ def deviations(reference: Path, actual: Path) -> list:
     return report
 
 
+def largest(reports: dict) -> str:
+    """The line naming the largest absolute and the largest relative
+    deviation over {file: deviations(...)}, each with its file and column."""
+    cells = [(absolute, relative, f"{name}, column {column}")
+             for name, report in reports.items()
+             for column, absolute, relative in report]
+    absolute = max(cells, key=lambda cell: cell[0])
+    relative = max(cells, key=lambda cell: cell[1])
+    return (f"largest deviation: {absolute[0]:.3g} absolute ({absolute[2]}),"
+            f" {relative[1]:.3g} relative ({relative[2]})")
+
+
 def reference_outputs(rev: str, workdir: Path, names: set) -> Path:
     """Run the named presets from the src/ of git revision rev; their
     output directory."""
@@ -207,6 +220,7 @@ def compare(recorded: dict, found: dict, outdir: Path, against: str,
             reference = reference_outputs(against, workdir, presets)
         except (OSError, subprocess.CalledProcessError) as exc:
             print(f"no reference outputs from {against}: {exc}")
+    reports = {}
     for name in changed:
         if name not in found:
             print(f"{name}: not written by this run")
@@ -216,8 +230,8 @@ def compare(recorded: dict, found: dict, outdir: Path, against: str,
             print(f"{name}: sha256 differs")
             if reference is not None and Path(name).suffix in (".csv", ".json"):
                 print(f"    {'column':<24} {'max abs':>10} {'max rel':>10}")
-                for column, absolute, relative in deviations(
-                        reference / name, outdir / name):
+                reports[name] = deviations(reference / name, outdir / name)
+                for column, absolute, relative in reports[name]:
                     print(f"    {column:<24} {absolute:>10.3g} {relative:>10.3g}")
     unchanged = sum(found.get(name) == digest for name, digest in files.items())
     print(f"{unchanged} of {len(files)} recorded files unchanged")
@@ -227,6 +241,8 @@ def compare(recorded: dict, found: dict, outdir: Path, against: str,
         print(f"note: the list was recorded with {was} and this run has {here};"
               " the numpy or BLAS build or the CPU may account for the"
               " differences")
+    if any(reports.values()):
+        print(largest(reports))
     return 1 if changed else 0
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from check_outputs import (HASHES, ROOT, deviations, digests, environment,
-                           run_presets)
+                           largest, run_presets)
 
 HEADER = "# xi_over_pi = 1.0\nN,P1_inf,shift\n"
 
@@ -16,6 +16,19 @@ def test_deviation_report_finds_the_one_changed_cell(tmp_path):
     actual.write_text(HEADER + "2,0.5,nan\n3,0.5,-1.0\n")
     assert deviations(reference, actual) == [
         ("N", 0.0, 0.0), ("P1_inf", 0.25, 0.5), ("shift", 0.0, 0.0)]
+
+
+def test_deviation_summary_names_the_largest_cells(tmp_path):
+    reference, actual = tmp_path / "reference.csv", tmp_path / "actual.csv"
+    reference.write_text(HEADER + "2,0.5,nan\n3,0.25,-1.0\n")
+    actual.write_text(HEADER + "2,0.5,nan\n3,0.5,-1.0\n")
+    other = tmp_path / "other.csv"
+    other.write_text(HEADER + "2,0.5,nan\n3,0.25,-1.5\n")
+    reports = {"a.csv": deviations(reference, actual),
+               "b.csv": deviations(reference, other)}
+    assert largest(reports) == ("largest deviation: 0.5 absolute (b.csv,"
+                                " column shift), 0.5 relative (a.csv,"
+                                " column P1_inf)")
 
 
 def test_the_list_records_what_decides_the_digests():

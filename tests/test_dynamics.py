@@ -24,7 +24,7 @@ from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   write_trajectory_json)
 from chiralchain.errors import ConfigError, IntegrityError, NumericsError
 from core_tables import core_tables
-from oracles import cascaded, geometric
+from oracles import cascaded, geometric, geometric_modes
 from expm_references import (EXPM_CASES, EXPM_DPS, LIVE_CASE, STORED_N,
                              input_digest, load_references, mpmath_expm)
 
@@ -719,6 +719,20 @@ def test_expm_matches_mpmath_across_chains_and_steps(n):
     assert worst < 5e-14
 
 
+@pytest.mark.parametrize("n", [64, 200])
+def test_expm_matches_the_geometric_closed_form(n):
+    # at xi = 0 the chain's phases are exact; exp(V h) = X^T e^{lambda h} Y / N
+    steps = np.logspace(-3, math.log10(300.0), 9)
+    for gamma_left in (0.5, 0.9):
+        v = chain(n, 0.0, gamma_left, 1.0).entries
+        lam, x, y = geometric_modes(n, 0.0, gamma_left, 1.0)
+        for h, got in zip(steps, dynamics.expm(v * steps[:, None, None])):
+            reference = (x.T * np.exp(lam * h)) @ y / n
+            # at most 0.63 of this bound, at N = 200, gamma_L = 0.9, h = 0.55
+            assert (relative_error(got, reference)
+                    <= 1e-14 + n * h * np.finfo(float).eps)
+
+
 def test_expm_of_stiff_cascaded_chain():
     # gamma_L = 0: V is lower triangular, exp(300 V) spans 1e-66 .. 1e-47
     a = chain(11, math.pi, 0.0, 1.0).entries * 300.0
@@ -749,7 +763,7 @@ def test_expm_of_zero_and_diagonal_matrices_is_exact():
                               np.diag(np.exp(diagonal)))
 
 
-def test_expm_of_a_matrix_does_not_depend_on_its_stack():
+def test_expm_of_a_matrix_does_not_depend_on_its_stack(monkeypatch):
     rng = np.random.default_rng(11)
     stack = []
     for norm in np.logspace(-3, math.log10(300.0), 48):
@@ -760,6 +774,19 @@ def test_expm_of_a_matrix_does_not_depend_on_its_stack():
     together = dynamics.expm(stack)
     for i in range(stack.shape[0]):
         assert np.array_equal(together[i], dynamics.expm(stack[i:i + 1])[0])
+    # every matrix takes r_13: a stack that needs no squaring, whatever
+    # its norms, is one Pade evaluation and so one linear solve
+    solve, calls = np.linalg.solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    small = stack[np.abs(stack).sum(axis=1).max(axis=1) <= 4.25]  # theta_13
+    assert len(small) == 32
+    dynamics.expm(small)
+    assert len(calls) == 1
 
 
 def test_staircase_total_population_stays_on_exact_exponential():
