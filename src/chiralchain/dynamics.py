@@ -428,9 +428,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     x4 = x2 @ x2
     x6 = x4 @ x2
     d6 = _onenorm(x6) ** (1 / 6)
-    d8 = _onenorm(x4 @ x4) ** (1 / 8)
-    d10 = _onenorm(x4 @ x6) ** (1 / 10)
-    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    # d8 <= d4 and d10 <= max(d4, d6), so eta <= max(d4, d6): where that
+    # bound is below theta_13, by far more than the rounding of the
+    # products, every scaling is 0 without A^8 and A^10
+    eta = np.maximum(_onenorm(x4) ** (1 / 4), d6)
+    if not np.all(eta <= _PADE_THETA * (1.0 - 1e-9)):
+        d8 = _onenorm(x4 @ x4) ** (1 / 8)
+        d10 = _onenorm(x4 @ x6) ** (1 / 10)
+        eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
     with np.errstate(divide="ignore"):
         scaling = np.where(eta > 0.0, np.maximum(
             np.ceil(np.log2(eta / _PADE_THETA)), 0.0), 0.0).astype(int)
@@ -645,10 +650,17 @@ class EnsembleResult:
     def __post_init__(self):
         for name in ("times", "mean_total", "std_total",
                      "mean_intensity", "std_intensity"):
-            # a copy: freezing the caller's own arrays would lock them too
-            arr = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            arr.flags.writeable = False
+            value = getattr(self, name)
+            # kept when it and the memory it views are frozen already, as
+            # run_ensemble hands them over; else a copy, since freezing
+            # the caller's own arrays would lock them too
+            base = value if getattr(value, "base", None) is None else value.base
+            if not (isinstance(value, np.ndarray) and value.dtype == float
+                    and isinstance(base, np.ndarray)
+                    and not (value.flags.writeable or base.flags.writeable)):
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if np.any(self.std_total < 0.0) or np.any(self.std_intensity < 0.0):
             raise ConfigError("standard deviations must be non-negative")
 
@@ -723,10 +735,10 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
         checked[:, hit] = table[:, picks[hit] - first, :n]
     if cross_check:
         _cross_check(v, c0, times[picks], checked)
-    # EnsembleResult copies the grid: this copy too would raise the peak
-    del times
+    # frozen, so that EnsembleResult keeps them instead of copying
+    times.flags.writeable = moments.flags.writeable = False
     mean, std = moments
-    return EnsembleResult(times=grid, mean_total=mean[:, 0],
+    return EnsembleResult(times=times, mean_total=mean[:, 0],
                           std_total=std[:, 0], mean_intensity=mean[:, 1],
                           std_intensity=std[:, 1],
                           n_realizations=n_stack, seed=disorder.seed,

@@ -3,7 +3,9 @@
 cells() lays every value of a few equal-length columns out as the bytes
 that repr(float(x)) or repr(int(x)) gives, one fixed-width row of bytes
 a cell, with PAD in the unused positions; text() drops the PAD bytes of
-a whole frame of such rows, separators included, in one pass.
+a whole frame of such rows, separators included, in one pass.  A column
+that holds one value throughout (one bit pattern, so -0.0 and each NaN
+payload stay apart) is formatted once and its cell repeated.
 
 The digits of a float are the shortest that read back to it, and among
 those the closest to it, as repr prints them.  They come from Schubfach
@@ -16,6 +18,7 @@ values; "-" on negative values and -0.0.  Past its sign byte, a layout
 depends only on the digit count and decpt, so it is one row of a table
 of byte indices built at import, and laying out a cell is one gather.
 Subnormal, infinite and NaN cells are spelled by a caller's function.
+Integer cells are repr of each value, written into PAD-filled rows.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ _POW10 = 10 ** np.arange(20, dtype=_U)
 _CHUNKS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
                    axis=-1).reshape(-1, 4).view(np.uint32)[:, 0]
 # g(e) = floor(10**e / 2**r) + 1 with r = floor(e log2 10) - 125, so that
-# 2**125 < g <= 2**126, as four 32-bit limbs, for the e = -k of every
-# normal double
+# 2**125 < g <= 2**126, as four 32-bit limbs (axis 0), for the e = -k of
+# every normal double (axis 1)
 _E_MIN, _E_MAX = -292, 324
 
 
@@ -56,17 +59,16 @@ def _g(e: int) -> int:
 
 
 _G = np.frombuffer(b"".join(_g(e).to_bytes(16, "big") for e in range(_E_MIN, _E_MAX + 1)),
-                   dtype=">u4").reshape(-1, 4).astype(_U)
+                   dtype=">u4").reshape(-1, 4).T.astype(_U)
 
-# a cell's source bytes, 8 words of 4: 20 digits (a float's 17 at 3..19,
-# an int's right-aligned), the exponent's 4 digits, then the fixed bytes,
-# whose source columns these are (_PAD's byte is PAD)
+# a cell's source bytes, 8 words of 4: 20 digits (a float's 17 at 3..19),
+# the exponent's 4 digits, then the fixed bytes, whose source columns
+# these are (_PAD's byte is PAD)
 _ZERO, _DOT, _E, _MINUS, _PLUS, _PAD = range(24, 30)
 _FIXED_WORDS = np.frombuffer(b"0.e-+\0\0\0", dtype=np.uint32)
-# layout classes: float fixed forms by decpt -3..16 and n = 1..17, float
-# exponent forms by the exponent's sign and width and n, ints by n = 1..20
+# layout classes: fixed forms by decpt -3..16 and n = 1..17, then
+# exponent forms by the exponent's sign and width and n
 _N_FIXED = 20 * 17
-_N_FLOAT = _N_FIXED + 4 * 17
 
 
 def _float_layout(decpt: int, n: int) -> list:
@@ -89,7 +91,6 @@ def _table() -> np.ndarray:
     # exponents +16, +100, -5 and -100 stand for their sign and width
     rows += [_float_layout(decpt, n) for decpt in (17, 101, -4, -99)
              for n in range(1, 18)]
-    rows += [list(range(20 - n, 20)) for n in range(1, 21)]
     return np.array([row + [_PAD] * (WIDTH - 1 - len(row)) for row in rows],
                     dtype=np.uint8)
 
@@ -100,7 +101,8 @@ _TABLE = _table()
 def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
     """floor(g cp / 2**128), its last bit set when bits 64..127 are not 0.
 
-    g holds the four 32-bit limbs of g (most significant first), cp < 2**61.
+    g holds the four 32-bit limbs of g (most significant first), each
+    (n,), and cp < 2**61 is (3, n): the three products of a cell at once.
     g exceeds 10**e / 2**r by less than 1, so g cp exceeds the exact
     product by less than 2**61: the bits below 2**64 are left out of the
     test, as in Schubfach's r_o.
@@ -135,9 +137,8 @@ def _shortest(bits: np.ndarray) -> tuple:
     k = (q * 1262611 - closer * 524031) >> 22
     h = (q + ((-k * 1741647) >> 19) + 3).astype(_U)
     cb = c << _U(2)
-    g = np.take(_G, -k - _E_MIN, axis=0).T
-    vbl, vb, vbr = (_round_to_odd(g, cbx << h)
-                    for cbx in (cb - _U(2) + closer, cb, cb + _U(2)))
+    g = np.take(_G, -k - _E_MIN, axis=1)
+    vbl, vb, vbr = _round_to_odd(g, np.stack([cb - _U(2) + closer, cb, cb + _U(2)]) << h)
     # vb = 4 x / 10**k rounded to odd, s of 16 or 17 digits; the digits
     # are one fewer when exactly one of the multiples of 10 around s lies
     # in the rounding interval [lower, upper] / 4, else those of whichever
@@ -210,39 +211,44 @@ def _float_cells(x: np.ndarray, spell) -> np.ndarray:
     return cells
 
 
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    negative = v < 0
-    # the magnitude in uint64 arithmetic, which holds -(-2**63)
-    u = v.view(_U)
-    u = np.where(negative, -u, u)
-    n = np.maximum(np.searchsorted(_POW10, u, side="right"), 1)
-    return _lay_out(_source(u, 0), _N_FLOAT + n - 1, negative)
-
-
 def cells(columns: list, spell=repr) -> np.ndarray:
     """(len(columns), rows, WIDTH) bytes of repr of every value, PAD-filled.
 
     The columns are equal-length 1-D arrays: float ones are formatted as
     repr(float(x)), the others as repr(int(x)).  spell(float(x)) gives the
     text of subnormal, infinite and NaN cells (repr for CSV, json.dumps
-    for JSON, which spells NaN and Infinity).
+    for JSON, which spells NaN and Infinity).  A column whose values all
+    have one bit pattern is formatted from its first value; the values
+    of the float columns are formatted together, in passes of at most
+    _PASS cells.
     """
-    columns = [np.asarray(column) for column in columns]
     rows = len(columns[0])
     out = np.empty((len(columns), rows, WIDTH), dtype=np.uint8)
-    floats = [i for i, column in enumerate(columns) if column.dtype.kind == "f"]
-    ints = [i for i in range(len(columns)) if i not in floats]
-    for group, dtype, fmt in ((floats, np.float64, lambda x: _float_cells(x, spell)),
-                              (ints, np.int64, _int_cells)):
-        if group:
-            values = np.concatenate([columns[i] for i in group]).astype(dtype, copy=False)
-            passes = np.array_split(values, max(1, -(-len(values) // _PASS)))
-            out[group] = np.concatenate([fmt(part) for part in passes]).reshape(
-                len(group), rows, WIDTH)
+    floats = {}
+    for i, column in enumerate(columns):
+        column = np.asarray(column)
+        x = column.astype(np.float64 if column.dtype.kind == "f" else np.int64, copy=False)
+        bits = x.view(_U)
+        # the end cells first: few varying columns pass that test, so few
+        # pay for the whole comparison
+        if rows and bits[-1] == bits[0] and (bits == bits[0]).all():
+            x = x[:1]
+        if x.dtype == np.float64:
+            floats[i] = x
+        else:
+            out[i] = np.array(list(map(repr, x.tolist())), dtype=f"S{WIDTH}").view(
+                np.uint8).reshape(-1, WIDTH)
+    if floats:
+        values = np.concatenate(list(floats.values()))
+        passes = np.array_split(values, max(1, -(-len(values) // _PASS)))
+        formatted = np.concatenate([_float_cells(part, spell) for part in passes])
+        start = 0
+        for i, x in floats.items():
+            out[i] = formatted[start:start + len(x)]
+            start += len(x)
     return out
 
 
 def text(frame: np.ndarray) -> str:
     """The bytes of frame, in order, without its PAD bytes."""
-    flat = frame.reshape(-1)
-    return flat[flat != PAD].tobytes().decode("ascii")
+    return frame.tobytes().translate(None, bytes([PAD])).decode("ascii")

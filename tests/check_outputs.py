@@ -8,8 +8,9 @@ runs every preset of PRESETS with the package under ``src/`` next to this
 file, one BLAS thread, into a temporary directory, and compares the
 sha256 of every file but the manifests with ``output_hashes.json``.  For each file whose digest differs it reruns the
 preset that wrote it from the ``src/`` of git revision REV (default HEAD)
-and prints the largest absolute and relative deviation of every column:
-the CSV columns by header, and the numbers of a JSON file by key.  The
+and prints the largest absolute and relative deviation of every column,
+the relative one scaled by the column's largest magnitude: the CSV
+columns by header, and the numbers of a JSON file by key.  The
 report ends with the largest of each over all differing files.
 
 The digests depend on the numpy and BLAS build and on the CPU as well as
@@ -162,9 +163,10 @@ def columns(path: Path) -> dict:
 def deviations(reference: Path, actual: Path) -> list:
     """(column, largest absolute, largest relative deviation) per column.
 
-    The relative deviation of two values is |a - b| / max(|a|, |b|).  Two
-    NaNs agree; a column that one file lacks, or whose length differs,
-    deviates by inf.
+    A cell's relative deviation is |a - b| over the largest finite |value|
+    of its column in either file, so that a cell near zero which moves by
+    rounding reads at rounding level, not at about 1.  Two NaNs agree; a
+    column that one file lacks, or whose length differs, deviates by inf.
     """
     expected, found = columns(reference), columns(actual)
     report = []
@@ -176,7 +178,9 @@ def deviations(reference: Path, actual: Path) -> list:
         with np.errstate(invalid="ignore", divide="ignore"):
             same = (a == b) | (np.isnan(a) & np.isnan(b))
             diff = np.where(same, 0.0, np.abs(a - b))
-            rel = np.where(same, 0.0, diff / np.fmax(np.abs(a), np.abs(b)))
+            magnitudes = np.abs(np.concatenate([a, b]))
+            scale = magnitudes[np.isfinite(magnitudes)].max(initial=0.0)
+            rel = np.where(same, 0.0, diff / scale)
         diff, rel = np.nan_to_num(diff, nan=math.inf), np.nan_to_num(rel, nan=math.inf)
         report.append((name, float(diff.max(initial=0.0)),
                        float(rel.max(initial=0.0))))

@@ -51,10 +51,17 @@ def test_ensemble_result_rejects_negative_std():
         EnsembleResult(times=t, mean_total=good, std_total=np.array([0.0, -1e-3]),
                        mean_intensity=good, std_intensity=good,
                        n_realizations=2, seed=0)
+    # a read-only view of the caller's writeable array is copied all the
+    # same: the caller could still change it through its own array
+    caller = np.zeros(2)
+    view = caller[:]
+    view.flags.writeable = False
     result = EnsembleResult(times=t, mean_total=good, std_total=good,
-                            mean_intensity=good, std_intensity=good,
+                            mean_intensity=view, std_intensity=good,
                             n_realizations=2, seed=0)
     assert not result.mean_total.flags.writeable
+    caller[0] = 1.0
+    assert result.mean_intensity[0] == 0.0
 
 
 def test_run_ensemble_guards():

@@ -24,8 +24,13 @@ def test_deviation_summary_names_the_largest_cells(tmp_path):
     actual.write_text(HEADER + "2,0.5,nan\n3,0.5,-1.0\n")
     other = tmp_path / "other.csv"
     other.write_text(HEADER + "2,0.5,nan\n3,0.25,-1.5\n")
+    # a cell near zero that moves by rounding reads 2e-17 / 0.5, not 2/3
+    near, moved = tmp_path / "near.csv", tmp_path / "moved.csv"
+    near.write_text(HEADER + "2,0.5,nan\n3,1e-17,-1.0\n")
+    moved.write_text(HEADER + "2,0.5,nan\n3,3e-17,-1.0\n")
     reports = {"a.csv": deviations(reference, actual),
-               "b.csv": deviations(reference, other)}
+               "b.csv": deviations(reference, other),
+               "c.csv": deviations(near, moved)}
     assert largest(reports) == ("largest deviation: 0.5 absolute (b.csv,"
                                 " column shift), 0.5 relative (a.csv,"
                                 " column P1_inf)")

@@ -78,3 +78,49 @@ def test_json_array_is_json_dumps_of_the_list(shape):
     with mock.patch.object(dynamics, "_WRITE_ROWS", 2):
         dynamics._write_json_array(out, values)
     assert out.getvalue() == json.dumps(values.tolist())
+
+
+# one bit pattern each: both zeros, a NaN with a payload, the smallest
+# subnormal and a value in the exponent form
+REPEATED = [0.0, -0.0, np.uint64(0x7FF8_0000_0000_0001).view(np.float64), 5e-324, 1e16]
+
+
+@pytest.mark.parametrize("spell", [repr, json.dumps])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_repeated_columns_are_the_text_of_their_value(spell, rows):
+    repeated = [np.full(rows, value) for value in REPEATED]
+    # differs from its first value only in the sign bit, or in the payload
+    zeros = np.where(np.arange(rows) % 2, -0.0, 0.0)
+    nans = np.array([0x7FF8_0000_0000_0001 + i for i in range(rows)],
+                    dtype=np.uint64).view(np.float64)
+    columns = repeated + [zeros, nans]
+    cells = reprs.cells(columns, spell)
+    for column, got in zip(columns, cells):
+        assert texts(got) == [spell(x) for x in column.tolist()]
+
+
+def test_int_and_flag_columns_are_repr_of_each_value():
+    flags = np.array([True, False, True, True])
+    extremes = np.array([-2**63, 2**63 - 1, 0, -7])
+    columns = [flags, np.ones(4, dtype=bool), np.zeros(4, dtype=int),
+               np.full(4, -2**63), extremes, flags.astype(np.int8)]
+    cells = reprs.cells(columns + [np.linspace(0.0, 1.0, 4)])
+    for column, got in zip(columns, cells):
+        assert texts(got) == [repr(int(v)) for v in column.tolist()]
+    assert texts(cells[-1]) == ["0.0", "0.3333333333333333", "0.6666666666666666", "1.0"]
+
+
+def test_a_column_repeats_in_one_block_and_varies_in_the_next():
+    # the blocks of three rows: repeated, varying, varying only in the
+    # sign of a zero, repeated with the other value
+    tail = np.array([1.5, 1.5, 1.5, 1.5, 2.5, 1.5, 0.0, -0.0, 0.0, 2.5, 2.5, 2.5])
+    flags = np.array([1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1])
+    table = {"x": np.arange(12.0), "tail": tail, "flag": flags,
+             "constant": np.full(12, -0.0)}
+    out = io.StringIO()
+    with mock.patch.object(dynamics, "_WRITE_ROWS", 3):
+        dynamics._write_csv(out, {}, table)
+    lines = ["x,tail,flag,constant\n"]
+    lines += [f"{x!r},{t!r},{f!r},-0.0\n"
+              for x, t, f in zip(table["x"].tolist(), tail.tolist(), flags.tolist())]
+    assert out.getvalue().splitlines(True) == lines
