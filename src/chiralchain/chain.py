@@ -14,6 +14,9 @@ The single-excitation amplitudes evolve under dc/dt = V c with
 so information travels rightward with rate gamma_R and leftward with
 gamma_L; gamma_L = 0 is the fully unidirectional (cascaded) limit, where
 V is lower triangular.
+
+build_chain is the one builder of V, from a chain, its disorder and a
+realization index, and load_config_file the one reader of config files.
 """
 
 from __future__ import annotations
@@ -31,10 +34,7 @@ __all__ = [
     "ChainConfig",
     "DisorderSpec",
     "CouplingMatrix",
-    "build_positions",
-    "build_coupling_matrix",
     "build_chain",
-    "parse_config_text",
     "load_config_file",
 ]
 
@@ -74,7 +74,12 @@ class ChainConfig:
             raise ConfigError(f"n_atoms must be a positive int, got {self.n_atoms!r}")
         if not math.isfinite(self.xi) or self.xi < 0.0:
             raise ConfigError(f"xi must be finite and >= 0, got {self.xi!r}")
-        _check_rates(self.gamma_left, self.gamma_right)
+        for name in ("gamma_left", "gamma_right"):
+            g = getattr(self, name)
+            if not math.isfinite(g) or g < 0.0:
+                raise ConfigError(f"{name} must be finite and >= 0, got {g!r}")
+        if self.gamma_left == 0.0 and self.gamma_right == 0.0:
+            raise ConfigError("gamma_left and gamma_right cannot both vanish")
 
     @property
     def gamma(self) -> float:
@@ -103,14 +108,6 @@ class ChainConfig:
         return cls(n_atoms=record["n_atoms"], xi=record["xi_over_pi"] * math.pi,
                    gamma_left=record["gamma_left"],
                    gamma_right=record["gamma_right"])
-
-
-def _check_rates(gamma_left: float, gamma_right: float) -> None:
-    for name, g in (("gamma_left", gamma_left), ("gamma_right", gamma_right)):
-        if not math.isfinite(g) or g < 0.0:
-            raise ConfigError(f"{name} must be finite and >= 0, got {g!r}")
-    if gamma_left == 0.0 and gamma_right == 0.0:
-        raise ConfigError("gamma_left and gamma_right cannot both vanish")
 
 
 def _over_pi(xi: float) -> float:
@@ -202,51 +199,15 @@ class DisorderSpec:
                    for key, cast in _DISORDER_FIELDS[self.mode].items()}}
 
 
-def build_positions(config: ChainConfig,
-                    disorder: DisorderSpec | None = None,
-                    realization_index: int = 0) -> np.ndarray:
-    """Phase positions phi_m = (m - 1 + offset_m) * xi for one realization.
-
-    Offsets come from the disorder.  Raises ConfigError if any two atoms
-    would swap order (coincident positions are allowed).
-    """
-    if disorder is None:
-        disorder = DisorderSpec.none()
-    if (not isinstance(realization_index, (int, np.integer))
-            or realization_index < 0):
-        raise ConfigError(
-            f"realization_index must be an integer >= 0, got {realization_index!r}")
-    n = config.n_atoms
-    offsets = np.zeros(n)
-    if disorder.mode == "single_site":
-        if disorder.site > n:
-            raise ConfigError(
-                f"site {disorder.site} exceeds chain length {n}")
-        offsets[disorder.site - 1] += disorder.shift_fraction
-    elif disorder.mode == "ensemble":
-        if realization_index >= disorder.n_realizations:
-            raise ConfigError(
-                f"realization_index {realization_index} out of range "
-                f"for {disorder.n_realizations} realizations")
-        rng = np.random.default_rng((disorder.seed, realization_index))
-        w = disorder.fluctuation_fraction
-        offsets += rng.uniform(-w, w, size=n)
-    positions = (np.arange(n) + offsets) * config.xi
-    if np.any(np.diff(positions) < -_ORDERING_SLACK * max(config.xi, 1.0)):
-        raise ConfigError(
-            "offsets reorder the chain; positions must stay non-decreasing")
-    return positions
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """The non-Hermitian single-excitation generator V plus its provenance.
 
-    entries is the dense complex matrix (read-only); diagonal entries all
-    equal -(gamma_left + gamma_right)/2, each upper off-diagonal entry has
-    modulus gamma_left and each lower one gamma_right, and V + V^dagger
-    is negative semidefinite of rank <= 2 (one collective channel per
-    propagation direction).
+    entries is the dense complex matrix at the phase positions (both
+    read-only); diagonal entries all equal -(gamma_left + gamma_right)/2,
+    each upper off-diagonal entry has modulus gamma_left and each lower
+    one gamma_right, and V + V^dagger is negative semidefinite of rank
+    <= 2 (one collective channel per propagation direction).
     """
 
     entries: np.ndarray
@@ -269,38 +230,59 @@ class CouplingMatrix:
     def gamma(self) -> float:
         return max(self.gamma_left, self.gamma_right)
 
-    def dissipator(self) -> np.ndarray:
-        """-(V + V^dagger), the positive-semidefinite emission form."""
-        return -(self.entries + self.entries.conj().T)
+
+def build_chain(config: ChainConfig, disorder: DisorderSpec | None = None,
+                realization_index: int = 0) -> CouplingMatrix:
+    """V of one realization, at phase positions phi_m = (m - 1 + offset_m) * xi.
+
+    Offsets come from the disorder.  Raises ConfigError if any two atoms
+    would swap order (coincident positions are allowed) or a position
+    overflows.
+    """
+    if disorder is None:
+        disorder = DisorderSpec.none()
+    if (not isinstance(realization_index, (int, np.integer))
+            or realization_index < 0):
+        raise ConfigError(
+            f"realization_index must be an integer >= 0, got {realization_index!r}")
+    n = config.n_atoms
+    offsets = np.zeros(n)
+    if disorder.mode == "single_site":
+        if disorder.site > n:
+            raise ConfigError(
+                f"site {disorder.site} exceeds chain length {n}")
+        offsets[disorder.site - 1] += disorder.shift_fraction
+    elif disorder.mode == "ensemble":
+        if realization_index >= disorder.n_realizations:
+            raise ConfigError(
+                f"realization_index {realization_index} out of range "
+                f"for {disorder.n_realizations} realizations")
+        rng = np.random.default_rng((disorder.seed, realization_index))
+        w = disorder.fluctuation_fraction
+        offsets += rng.uniform(-w, w, size=n)
+    with np.errstate(over="ignore"):  # refused just below
+        positions = (np.arange(n) + offsets) * config.xi
+    if not np.all(np.isfinite(positions)):
+        raise ConfigError("positions must be finite; xi * n_atoms overflows")
+    if np.any(np.diff(positions) < -_ORDERING_SLACK * max(config.xi, 1.0)):
+        raise ConfigError(
+            "offsets reorder the chain; positions must stay non-decreasing")
+    return _build_coupling_matrix(positions, config.gamma_left,
+                                  config.gamma_right)
 
 
-def build_coupling_matrix(positions: np.ndarray, gamma_left: float,
-                          gamma_right: float) -> CouplingMatrix:
-    """Assemble V from phase positions and the two directional rates."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 1 or pos.size < 1:
-        raise ConfigError("positions must be a non-empty 1D array")
-    if not np.all(np.isfinite(pos)):
-        raise ConfigError("positions must be finite")
-    if np.any(np.diff(pos) < -_ORDERING_SLACK * max(abs(pos).max(), 1.0)):
-        raise ConfigError("positions must be non-decreasing")
-    _check_rates(gamma_left, gamma_right)
-    n = pos.size
-    sep = np.abs(pos[:, None] - pos[None, :])
+def _build_coupling_matrix(positions: np.ndarray, gamma_left: float,
+                           gamma_right: float) -> CouplingMatrix:
+    """V at positions build_chain has checked (finite, non-decreasing) and
+    rates ChainConfig has checked (finite, >= 0, not both zero)."""
+    n = positions.size
+    sep = np.abs(positions[:, None] - positions[None, :])
     phase = np.exp(-1j * sep)
     v = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
                  -gamma_left * phase, -gamma_right * phase)
     np.fill_diagonal(v, -0.5 * (gamma_left + gamma_right))
     return CouplingMatrix(entries=v, gamma_left=gamma_left,
-                          gamma_right=gamma_right, positions=pos)
-
-
-def build_chain(config: ChainConfig, disorder: DisorderSpec | None = None,
-                realization_index: int = 0) -> CouplingMatrix:
-    """Positions plus matrix in one step."""
-    positions = build_positions(config, disorder, realization_index)
-    return build_coupling_matrix(positions, config.gamma_left,
-                                 config.gamma_right)
+                          gamma_right=gamma_right, positions=positions)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +295,14 @@ _CONFIG_KEYS = {**_CHAIN_FIELDS, "disorder.mode": str,
                    for key, kind in reads.items()}}
 
 
-def parse_config_text(text: str) -> tuple[ChainConfig, DisorderSpec]:
-    """Parse ``key = value`` lines (with # comments) into config objects.
+def load_config_file(path) -> tuple[ChainConfig, DisorderSpec]:
+    """Read a file of ``key = value`` lines (with # comments) into configs.
 
     Required keys: n_atoms, xi_over_pi, gamma_left, gamma_right.  The
     disorder.* keys are optional and default to mode none.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -326,9 +310,7 @@ def parse_config_text(text: str) -> tuple[ChainConfig, DisorderSpec]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -341,8 +323,3 @@ def parse_config_text(text: str) -> tuple[ChainConfig, DisorderSpec]:
     disorder = {key.removeprefix("disorder."): value
                 for key, value in values.items() if key.startswith("disorder.")}
     return ChainConfig.from_dict(values), DisorderSpec(**disorder)
-
-
-def load_config_file(path) -> tuple[ChainConfig, DisorderSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())

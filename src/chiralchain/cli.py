@@ -19,7 +19,7 @@ streams it to standard output and nothing is written.
 
 Exit codes: 0 on success, 2 for configuration and domain errors, 3 for
 IntegrityError (the matrix-exponential and Runge-Kutta backends disagree)
-and NumericsError (the Runge-Kutta step size underflows).
+and NumericsError (a Runge-Kutta step underflows or an expm step overflows).
 """
 
 from __future__ import annotations
@@ -343,10 +343,10 @@ def _curve(n: int, xi_over_pi: float, gamma_left: float, grid: dict,
            disorder: dict = DisorderSpec.none().to_dict(),
            column: str = "P_tot") -> dict:
     """The record of one figure curve: the parameters of its simulate or
-    ensemble run, with gamma_R = 1 and no check, and the plotted column."""
+    ensemble run, with gamma_R = 1 and the check, and the plotted column."""
     return {"config": {"n_atoms": n, "xi_over_pi": xi_over_pi,
                        "gamma_left": gamma_left, "gamma_right": 1.0},
-            "disorder": disorder, "grid": grid, "cross_check": False,
+            "disorder": disorder, "grid": grid, "cross_check": True,
             "column": column}
 
 

@@ -26,8 +26,8 @@ backends disagreeing beyond 1e-8 in max norm raise IntegrityError, as
 silent numerical corruption is worse than a crash.
 
 Observables: site populations P_m = |c_m|^2, total population P_tot,
-the emitted intensity I_tot = -dP_tot/dt, pair coherences, and the
-t -> infinity state as the orthogonal projection onto null(V).  With
+the emitted intensity I_tot = -dP_tot/dt, and the t -> infinity state
+as the orthogonal projection onto null(V).  With
 w_m = exp(-i phi_m) at the phase positions phi_m, the emission form is
 rank 2, -(V + V^dag) = gamma_R w w^dag + gamma_L conj(w) w^T, so
 I_tot = gamma_R |w^dag c|^2 + gamma_L |w^T c|^2: the sum of the
@@ -103,10 +103,9 @@ _WRITE_ROWS = 1024
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex site amplitudes at one instant; norm**2 <= 1 (+ slack)."""
+    """Complex site amplitudes of one state; norm**2 <= 1 (+ slack)."""
 
     amplitudes: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         # a copy: freezing the caller's own array would lock it too
@@ -128,10 +127,6 @@ class StateVector:
     @property
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    @property
-    def total_population(self) -> float:
-        return float(np.sum(self.populations))
 
 
 def uniform_excitation(n_atoms: int) -> StateVector:
@@ -174,7 +169,8 @@ class Trajectory:
 
     times has shape (K,), amplitudes (K, N).  populations are clamped at
     the underflow floor; total and intensity derive from the clamped and
-    raw amplitudes respectively.  gamma records the time-unit rate of the
+    raw amplitudes respectively; column m - 1 of amplitudes and of
+    populations is site m.  gamma records the time-unit rate of the
     generating matrix so detector defaults can scale with it.
     """
 
@@ -202,24 +198,6 @@ class Trajectory:
         """The CSV table, header name -> column."""
         return dict(zip(self.header(self.n_atoms), [
             self.times, *self.populations.T, self.total, self.intensity]))
-
-    def _index(self, site) -> int:
-        """The 0-based column of a 1-based site index."""
-        if not isinstance(site, (int, np.integer)) or not 1 <= site <= self.n_atoms:
-            raise ConfigError(f"site must be an int in 1..{self.n_atoms}, got {site!r}")
-        return site - 1
-
-    def population(self, site: int) -> np.ndarray:
-        """P_site(t) for a 1-based site index."""
-        return self.populations[:, self._index(site)]
-
-    def coherence(self, site_a: int, site_b: int) -> np.ndarray:
-        """C_ab(t) = c_a(t) * conj(c_b(t)) for 1-based site indices."""
-        return (self.amplitudes[:, self._index(site_a)]
-                * np.conj(self.amplitudes[:, self._index(site_b)]))
-
-    def final_state(self) -> StateVector:
-        return StateVector(self.amplitudes[-1], time=float(self.times[-1]))
 
 
 def _validate_grid(grid: np.ndarray) -> np.ndarray:
@@ -418,24 +396,29 @@ def expm(a: np.ndarray) -> np.ndarray:
     products, sets the cost, so every matrix takes r_13.  A triangular
     matrix, a diagonal one included, keeps its zero triangle exactly zero
     and gets the exact exponential of its diagonal at every scaling.
+    Raises NumericsError when a power norm is not finite.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(float)
     n = a.shape[-1]
     x = a.reshape(-1, n, n)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    d6 = _onenorm(x6) ** (1 / 6)
-    # d8 <= d4 and d10 <= max(d4, d6), so eta <= max(d4, d6): where that
-    # bound is below theta_13, by far more than the rounding of the
-    # products, every scaling is 0 without A^8 and A^10
-    eta = np.maximum(_onenorm(x4) ** (1 / 4), d6)
-    if not np.all(eta <= _PADE_THETA * (1.0 - 1e-9)):
-        d8 = _onenorm(x4 @ x4) ** (1 / 8)
-        d10 = _onenorm(x4 @ x6) ** (1 / 10)
-        eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    # an A that overflows or holds a NaN is refused below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x @ x
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        d6 = _onenorm(x6) ** (1 / 6)
+        # d8 <= d4 and d10 <= max(d4, d6), so eta <= max(d4, d6): where
+        # that bound is below theta_13, by far more than the rounding of
+        # the products, every scaling is 0 without A^8 and A^10
+        eta = np.maximum(_onenorm(x4) ** (1 / 4), d6)
+        if not np.all(eta <= _PADE_THETA * (1.0 - 1e-9)):
+            d8 = _onenorm(x4 @ x4) ** (1 / 8)
+            d10 = _onenorm(x4 @ x6) ** (1 / 10)
+            eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    if not np.all(np.isfinite(eta)):
+        raise NumericsError("expm: a power norm overflows or is NaN")
     with np.errstate(divide="ignore"):
         scaling = np.where(eta > 0.0, np.maximum(
             np.ceil(np.log2(eta / _PADE_THETA)), 0.0), 0.0).astype(int)
@@ -834,8 +817,7 @@ def steady_state(matrix: CouplingMatrix, initial: StateVector) -> StateVector:
     """
     _check_sites(matrix.n_atoms, initial)
     dark = _null_space(matrix.entries)
-    return StateVector(dark.T @ (dark.conj() @ initial.amplitudes),
-                       time=math.inf)
+    return StateVector(dark.T @ (dark.conj() @ initial.amplitudes))
 
 
 # ---------------------------------------------------------------------------

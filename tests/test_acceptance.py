@@ -112,7 +112,7 @@ def test_criterion_05_cascaded_first_atom():
         trajectory = propagate(matrix, uniform_excitation(n), grid,
                                cross_check=False)
         expected = np.exp(-gamma_r * grid) / n
-        assert np.max(np.abs(trajectory.population(1) - expected)) < 1e-10
+        assert np.max(np.abs(trajectory.populations[:, 0] - expected)) < 1e-10
     passed(5, "cascaded first-atom decay")
 
 

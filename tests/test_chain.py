@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chiralchain.chain import (_DISORDER_FIELDS, ChainConfig, CouplingMatrix,
-                               DisorderSpec, build_chain, build_coupling_matrix,
-                               build_positions, parse_config_text)
+                               DisorderSpec, _build_coupling_matrix,
+                               build_chain, load_config_file)
 from chiralchain.errors import ConfigError
 
 
@@ -68,42 +68,49 @@ def test_ensemble_realization_count_must_be_a_positive_integer(count):
 
 def test_positions_uniform_lattice():
     config = ChainConfig(n_atoms=4, xi=math.pi, gamma_left=1.0, gamma_right=1.0)
-    positions = build_positions(config)
+    positions = build_chain(config).positions
     assert np.allclose(positions, math.pi * np.arange(4))
 
 
 def test_positions_single_site_shift():
     config = ChainConfig(n_atoms=5, xi=2.0, gamma_left=0.9, gamma_right=1.0)
-    positions = build_positions(config, DisorderSpec.single_site(3, 0.05))
+    positions = build_chain(config, DisorderSpec.single_site(3, 0.05)).positions
     expected = 2.0 * (np.arange(5) + np.array([0, 0, 0.05, 0, 0]))
     assert np.allclose(positions, expected)
     with pytest.raises(ConfigError):
-        build_positions(config, DisorderSpec.single_site(6, 0.05))
+        build_chain(config, DisorderSpec.single_site(6, 0.05))
 
 
 def test_positions_reject_reordering():
     config = ChainConfig(n_atoms=3, xi=1.0, gamma_left=1.0, gamma_right=1.0)
     # a +1.5 xi shift pushes atom 1 past atom 2
     with pytest.raises(ConfigError):
-        build_positions(config, DisorderSpec.single_site(1, 1.5))
+        build_chain(config, DisorderSpec.single_site(1, 1.5))
     # coincident positions are fine (Dicke clustering)
-    positions = build_positions(config, DisorderSpec.single_site(1, 1.0))
+    positions = build_chain(config, DisorderSpec.single_site(1, 1.0)).positions
     assert positions[0] == positions[1]
+
+
+def test_positions_that_overflow_are_refused():
+    # each xi is finite, but 19 of them are not
+    config = ChainConfig(n_atoms=20, xi=1e307, gamma_left=1.0, gamma_right=1.0)
+    with pytest.raises(ConfigError, match="positions must be finite"):
+        build_chain(config)
 
 
 def test_ensemble_positions_reproducible():
     config = ChainConfig(n_atoms=6, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.01, 20, 42)
-    first = build_positions(config, disorder, realization_index=3)
-    again = build_positions(config, disorder, realization_index=3)
-    other = build_positions(config, disorder, realization_index=4)
+    first = build_chain(config, disorder, realization_index=3).positions
+    again = build_chain(config, disorder, realization_index=3).positions
+    other = build_chain(config, disorder, realization_index=4).positions
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
     with pytest.raises(ConfigError):
-        build_positions(config, disorder, realization_index=20)
+        build_chain(config, disorder, realization_index=20)
     for index in (-1, 2.5):
         with pytest.raises(ConfigError):
-            build_positions(config, disorder, realization_index=index)
+            build_chain(config, disorder, realization_index=index)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,14 +123,14 @@ def test_ensemble_draws_never_reorder_the_chain(n, xi, width, seed, index):
     # gap (1 + u_2 - u_1) * xi of any draw is never negative
     config = ChainConfig(n_atoms=n, xi=xi, gamma_left=1.0, gamma_right=1.0)
     disorder = DisorderSpec.ensemble(width, 10, seed)
-    positions = build_positions(config, disorder, index)
+    positions = build_chain(config, disorder, index).positions
     assert positions.shape == (n,)
 
 
 def test_ensemble_zero_width_is_clean_lattice():
     config = ChainConfig(n_atoms=4, xi=1.3, gamma_left=1.0, gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.0, 5, 0)
-    positions = build_positions(config, disorder, 2)
+    positions = build_chain(config, disorder, 2).positions
     assert np.allclose(positions, 1.3 * np.arange(4))
 
 
@@ -131,7 +138,7 @@ def test_coupling_matrix_entries():
     # compare the vectorized assembly against an explicit loop
     positions = np.array([0.0, 1.1, 2.9, 3.4])
     gl, gr = 0.4, 0.9
-    matrix = build_coupling_matrix(positions, gl, gr)
+    matrix = _build_coupling_matrix(positions, gl, gr)
     n = positions.size
     for u in range(n):
         for v in range(n):
@@ -155,11 +162,49 @@ def test_cascaded_matrix_is_lower_triangular():
 
 def test_dissipator_is_positive_semidefinite_rank_two():
     config = ChainConfig(n_atoms=7, xi=2.1, gamma_left=0.6, gamma_right=1.0)
-    matrix = build_chain(config)
-    emission = matrix.dissipator()
+    v = build_chain(config).entries
+    emission = -(v + v.conj().T)
     eigs = np.linalg.eigvalsh(emission)
     assert np.all(eigs > -1e-12)
     assert np.sum(eigs > 1e-10) <= 2  # one channel per direction
+
+
+chain_disorders = st.one_of(
+    st.just(DisorderSpec.none()),
+    st.tuples(st.integers(1, 60), st.floats(-1.0, 1.0)),
+    st.builds(DisorderSpec.ensemble, st.floats(0.0, 0.5, exclude_max=True),
+              st.just(10), st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), xi=st.floats(0.0, 3 * math.pi),
+       gl=st.floats(0.0, 2.0, allow_subnormal=False),
+       gr=st.floats(0.0, 2.0, allow_subnormal=False),
+       disorder=chain_disorders, index=st.integers(0, 9))
+def test_build_chain_is_the_rank_two_generator_of_its_positions(
+        n, xi, gl, gr, disorder, index):
+    assume(gl > 0.0 or gr > 0.0)
+    if isinstance(disorder, tuple):
+        site, shift = disorder
+        disorder = DisorderSpec.single_site(min(site, n), shift)
+    config = ChainConfig(n_atoms=n, xi=xi, gamma_left=gl, gamma_right=gr)
+    matrix = build_chain(config, disorder, index)
+    v, phi = matrix.entries, matrix.positions
+    assert np.all(np.diagonal(v) == -(gl + gr) / 2)
+    phase = np.exp(-1j * np.abs(phi[:, None] - phi[None, :]))
+    assert np.array_equal(np.tril(v, -1), np.tril(-gr * phase, -1))
+    assert np.array_equal(np.triu(v, 1), np.triu(-gl * phase, 1))
+    # -(V + V^dag) = gamma_R w w^dag + gamma_L conj(w) w^T, w = exp(-i phi):
+    # the products round the phases as differences of phi, not as |phi_j - phi_k|
+    w = np.exp(-1j * phi)
+    emission = -(v + v.conj().T)
+    form = gr * np.outer(w, w.conj()) + gl * np.outer(w.conj(), w)
+    scale = (gl + gr) * (1.0 + phi.max(initial=0.0)) * 8 * np.finfo(float).eps
+    assert np.max(np.abs(emission - form)) <= scale
+    # so positive semidefinite of rank <= 2, one channel per direction
+    eigs = np.linalg.eigvalsh(emission)
+    assert eigs[0] >= -n * scale
+    assert np.sum(eigs > n * scale) <= 2
 
 
 def test_matrix_not_conjugate_symmetric_when_chiral():
@@ -168,21 +213,9 @@ def test_matrix_not_conjugate_symmetric_when_chiral():
     assert np.max(np.abs(v - v.conj().T)) > 0.1
 
 
-def test_build_coupling_matrix_validation():
-    with pytest.raises(ConfigError):
-        build_coupling_matrix(np.array([0.0, 2.0, 1.0]), 1.0, 1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="finite"):
-            build_coupling_matrix(np.array([0.0, bad, 2.0]), 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        build_coupling_matrix(np.array([0.0, 1.0]), 0.0, 0.0)
-    with pytest.raises(ConfigError):
-        build_coupling_matrix(np.array([[0.0, 1.0]]), 1.0, 1.0)
-
-
 def test_build_coupling_matrix_leaves_the_callers_positions_writeable():
     positions = np.array([0.0, 1.0, 2.5])
-    matrix = build_coupling_matrix(positions, 0.9, 1.0)
+    matrix = _build_coupling_matrix(positions, 0.9, 1.0)
     assert positions.flags.writeable
     assert not matrix.positions.flags.writeable
 
@@ -211,8 +244,15 @@ disorder.shift_fraction = 0.05
 """
 
 
-def test_parse_config_round_trip():
-    config, disorder = parse_config_text(CONFIG_TEXT)
+def read_config(tmp_path, text):
+    """load_config_file of a file holding text."""
+    path = tmp_path / "chain.cfg"
+    path.write_text(text, encoding="utf-8")
+    return load_config_file(path)
+
+
+def test_parse_config_round_trip(tmp_path):
+    config, disorder = read_config(tmp_path, CONFIG_TEXT)
     assert config.n_atoms == 5
     assert config.xi == pytest.approx(math.pi)
     assert (config.gamma_left, config.gamma_right) == (0.9, 1.0)
@@ -223,7 +263,7 @@ def test_parse_config_round_trip():
 @pytest.mark.parametrize("disorder", [DisorderSpec.none(),
                                       DisorderSpec.single_site(3, 0.05),
                                       DisorderSpec.ensemble(0.01, 6, 3)])
-def test_to_dict_reads_back_as_a_config_file(disorder):
+def test_to_dict_reads_back_as_a_config_file(disorder, tmp_path):
     # 0.085 * pi / pi is 0.08500000000000002: the record keeps the typed value
     for xi_over_pi in (0.75, 0.085):
         config = ChainConfig(n_atoms=5, xi=xi_over_pi * math.pi,
@@ -234,7 +274,7 @@ def test_to_dict_reads_back_as_a_config_file(disorder):
             [f"{key} = {value}\n" for key, value in record.items()]
             + [f"disorder.{key} = {value}\n"
                for key, value in disorder.to_dict().items()])
-        parsed_config, parsed_disorder = parse_config_text(text)
+        parsed_config, parsed_disorder = read_config(tmp_path, text)
         assert parsed_config.xi == config.xi
         assert parsed_config.to_dict() == record
         assert parsed_disorder == disorder
@@ -273,9 +313,9 @@ def test_records_read_back_as_the_same_objects(n, q, gl, gr, disorder):
             ChainConfig.from_dict(record)
 
 
-def test_parse_config_defaults_to_no_disorder():
-    _, disorder = parse_config_text(
-        "n_atoms = 2\nxi_over_pi = 0\ngamma_left = 1\ngamma_right = 1\n")
+def test_parse_config_defaults_to_no_disorder(tmp_path):
+    _, disorder = read_config(
+        tmp_path, "n_atoms = 2\nxi_over_pi = 0\ngamma_left = 1\ngamma_right = 1\n")
     assert disorder.mode == "none"
 
 
@@ -286,15 +326,15 @@ def test_parse_config_defaults_to_no_disorder():
     ("n_atoms = two\n", "bad value"),
     ("n_atoms 2\n", "expected key = value"),
 ])
-def test_parse_config_errors(text, fragment):
+def test_parse_config_errors(text, fragment, tmp_path):
     with pytest.raises(ConfigError, match=fragment):
-        parse_config_text(text)
+        read_config(tmp_path, text)
 
 
-def test_parse_config_reports_line_numbers():
+def test_parse_config_reports_line_numbers(tmp_path):
     text = "n_atoms = 2\nxi_over_pi = 1\nmystery = 3\n"
     with pytest.raises(ConfigError, match="line 3"):
-        parse_config_text(text)
+        read_config(tmp_path, text)
 
 
 _CHAIN_TEXT = "n_atoms = 5\nxi_over_pi = 1\ngamma_left = 0.9\ngamma_right = 1\n"
@@ -303,7 +343,7 @@ _CHAIN_TEXT = "n_atoms = 5\nxi_over_pi = 1\ngamma_left = 0.9\ngamma_right = 1\n"
 @pytest.mark.parametrize("spec", [DisorderSpec.none(),
                                   DisorderSpec.single_site(3, 0.05),
                                   DisorderSpec.ensemble(0.01, 4, 7)])
-def test_every_disorder_field_is_checked_by_its_type(spec):
+def test_every_disorder_field_is_checked_by_its_type(spec, tmp_path):
     record = spec.to_dict()
     assert set(record) == {"mode", *_DISORDER_FIELDS[spec.mode]}
     for name, kind in _DISORDER_FIELDS[spec.mode].items():
@@ -317,7 +357,7 @@ def test_every_disorder_field_is_checked_by_its_type(spec):
     # a config file written from to_dict reads back as the same spec
     text = _CHAIN_TEXT + "".join(f"disorder.{key} = {value}\n"
                                  for key, value in record.items())
-    assert parse_config_text(text)[1] == spec
+    assert read_config(tmp_path, text)[1] == spec
 
 
 @pytest.mark.parametrize("disorder_text,message", [
@@ -331,13 +371,13 @@ def test_every_disorder_field_is_checked_by_its_type(spec):
 ])
 def test_disorder_keys_the_mode_does_not_read_are_refused(disorder_text,
                                                           message, tmp_path):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(_CHAIN_TEXT + disorder_text)
     with pytest.raises(ConfigError, match=message):
-        parse_config_text(_CHAIN_TEXT + disorder_text)
+        load_config_file(cfg)
     with pytest.raises(ConfigError, match="does not read fluctuation_fraction$"):
         DisorderSpec(mode="single_site", site=3, shift_fraction=0.05,
                      fluctuation_fraction=0.0)
-    cfg = tmp_path / "chain.cfg"
-    cfg.write_text(_CHAIN_TEXT + disorder_text)
     from chiralchain.cli import main
     assert main(["simulate", "--config", str(cfg), "--points", "11",
                  "--outdir", str(tmp_path / "run")]) == 2
@@ -354,9 +394,9 @@ def test_disorder_keys_the_mode_does_not_read_are_refused(disorder_text,
 ])
 def test_config_disorder_the_command_does_not_run_is_refused(
         command, disorder_text, tmp_path, capsys):
-    mode = parse_config_text(_CHAIN_TEXT + disorder_text)[1].mode
     cfg = tmp_path / "chain.cfg"
     cfg.write_text(_CHAIN_TEXT + disorder_text)
+    mode = load_config_file(cfg)[1].mode
     from chiralchain.cli import main
     assert main([command, "--config", str(cfg), "--points", "11",
                  "--outdir", str(tmp_path / "run")]) == 2

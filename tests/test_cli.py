@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,30 @@ def test_failed_cross_check_exits_3_without_a_manifest(failure, monkeypatch,
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "1e308"],
+    ["--horizon", "1e300", "--points", "3"],
+    ["--log-grid", "--points-per-decade", "1", "--horizon", "1e300"],
+    ["--gamma-l", "1e300"],
+], ids=["horizon", "three_points", "log_grid", "rate"])
+def test_overflowing_steps_exit_3_with_one_error_line(argv, tmp_path, capsys):
+    # V h overflows in expm's powers, which refuse it before the scaling;
+    # a warning would be a second line, so here it is an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", *argv, "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: expm: ") and err.count("\n") == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_every_figure_curve_runs_the_check():
+    from chiralchain import cli
+    records = [record for _, curves, _ in cli._FIGURES.values()
+               for record in curves.values()]
+    assert records and all(record["cross_check"] is True for record in records)
+
+
 @pytest.mark.parametrize("argv,keys,comments", [
     (["--dim", "1", "--alignment", "0.5"], {"dimension", "xi"},
      ["# dimension = 1"]),
@@ -698,11 +723,13 @@ def test_figure_scripts_plot_the_named_columns(tmp_path, monkeypatch):
     """Every `using 1:k` of a figure's script names P_tot in its file, or
     the intensity the fig5 curves plot, and every curve is plotted."""
     from chiralchain import cli
+    # every curve on a few points to t = 1: the Runge-Kutta check that
+    # each curve runs costs in proportion to the horizon
     short_uniform, short_log = cli.uniform_grid, cli.log_grid
     monkeypatch.setattr(cli, "uniform_grid",
-                        lambda horizon, points: short_uniform(horizon, 11))
+                        lambda horizon, points: short_uniform(1.0, 11))
     monkeypatch.setattr(cli, "log_grid", lambda horizon, points_per_decade:
-                        short_log(horizon, points_per_decade=2))
+                        short_log(1.0, points_per_decade=2))
     expected = {"fig5a": "I_tot", "fig5b": "mean_I_tot"}
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
         assert main(["figure", name, "--outdir", str(tmp_path)]) == 0

@@ -16,8 +16,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm, null_space
 
 from chiralchain import dynamics, reprs
-from chiralchain.chain import (ChainConfig, DisorderSpec, build_chain,
-                               build_coupling_matrix)
+from chiralchain.chain import (ChainConfig, DisorderSpec,
+                               _build_coupling_matrix, build_chain)
 from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   steady_state, uniform_excitation,
                                   uniform_grid, write_trajectory_csv,
@@ -74,7 +74,7 @@ def test_grids_past_the_point_cap_are_refused_before_allocating(build):
 def test_state_vector_invariants():
     state = uniform_excitation(4)
     assert state.n_atoms == 4
-    assert state.total_population == pytest.approx(1.0)
+    assert np.sum(state.populations) == pytest.approx(1.0)
     assert not state.amplitudes.flags.writeable
     with pytest.raises(ConfigError):
         StateVector(np.array([1.0, 1.0]))  # norm^2 = 2
@@ -300,30 +300,12 @@ def test_trajectory_accessors():
     trajectory = propagate(matrix, uniform_excitation(3), grid)
     assert len(trajectory) == 51
     assert trajectory.n_atoms == 3
-    assert np.array_equal(trajectory.population(1), trajectory.populations[:, 0])
-    with pytest.raises(ConfigError):
-        trajectory.population(4)
-    coherence = trajectory.coherence(1, 2)
-    manual = trajectory.amplitudes[:, 0] * np.conj(trajectory.amplitudes[:, 1])
-    assert np.array_equal(coherence, manual)
-    final = trajectory.final_state()
-    assert final.time == 5.0
-    assert np.array_equal(final.amplitudes, trajectory.amplitudes[-1])
-
-
-@pytest.mark.parametrize("site", [1.5, 1.0, 0, 4, "1"])
-def test_trajectory_sites_are_integer_indices(site):
-    # a float site, even a whole one, is refused like one out of range
-    trajectory = propagate(chain(3, 1.5, 0.5, 1.0), uniform_excitation(3),
-                           uniform_grid(1.0, 11), cross_check=False)
-    with pytest.raises(ConfigError):
-        trajectory.population(site)
-    with pytest.raises(ConfigError):
-        trajectory.coherence(1, site)
-    with pytest.raises(ConfigError):
-        trajectory.coherence(site, 2)
-    assert np.array_equal(trajectory.population(np.int64(3)),
-                          trajectory.populations[:, 2])
+    assert trajectory.amplitudes.shape == (51, 3)
+    assert np.array_equal(trajectory.times, grid)
+    # column m - 1 is site m; populations are |c_m|^2 above the floor
+    assert np.array_equal(trajectory.populations,
+                          np.abs(trajectory.amplitudes) ** 2)
+    assert np.array_equal(trajectory.amplitudes[0], uniform_excitation(3).amplitudes)
 
 
 def test_intensity_is_population_loss_rate():
@@ -345,7 +327,8 @@ def test_trajectory_intensity_matches_dissipator_form():
     grid = uniform_grid(1.0, 11)
     trajectory = propagate(matrix, state, grid, cross_check=False)
     c = state.amplitudes
-    expected = np.real(c.conj() @ matrix.dissipator() @ c)
+    v = matrix.entries
+    expected = np.real(c.conj() @ -(v + v.conj().T) @ c)
     assert expected == pytest.approx(trajectory.intensity[0], abs=1e-13)
 
 
@@ -359,7 +342,6 @@ def test_decoherence_free_even_chain_holds_population():
 def test_steady_state_even_chain_keeps_uniform_state():
     matrix = chain(2, math.pi, 1.0, 1.0)
     state = steady_state(matrix, uniform_excitation(2))
-    assert state.time == math.inf
     assert np.allclose(state.populations, [0.5, 0.5], atol=1e-12)
 
 
@@ -374,20 +356,20 @@ def test_steady_state_superradiant_chain_empties():
     # xi = 0, equal rates: uniform state is the fully bright mode
     matrix = chain(2, 0.0, 1.0, 1.0)
     state = steady_state(matrix, uniform_excitation(2))
-    assert state.total_population < 1e-18
+    assert np.sum(state.populations) < 1e-18
 
 
 def test_steady_state_cascaded_chain_is_exactly_empty():
     # gamma_L = 0 makes V defective (one eigenvector per Jordan block) but
     # nonsingular: null(V) is empty and nothing is propagated
     matrix = chain(3, math.pi, 0.0, 1.0)
-    assert steady_state(matrix, uniform_excitation(3)).total_population == 0.0
+    assert np.sum(steady_state(matrix, uniform_excitation(3)).populations) == 0.0
 
 
 def test_steady_state_is_the_orthogonal_projection_onto_null_space():
     # half-spacing offsets make V complex and its null space too
-    matrix = build_coupling_matrix(np.array([0.0, 1.0, 2.5, 3.5]) * math.pi,
-                                   1.0, 1.0)
+    matrix = _build_coupling_matrix(np.array([0.0, 1.0, 2.5, 3.5]) * math.pi,
+                                    1.0, 1.0)
     null = null_space(matrix.entries)
     assert null.shape[1] == 2
     c0 = np.array([0.1 + 0.5j, -0.3j, 0.4, 0.2 - 0.6j])
@@ -413,7 +395,7 @@ def test_steady_state_rank_tolerance_drops_quasi_dark_modes():
     sigma = np.linalg.svd(matrix.entries, compute_uv=False)
     assert sigma[-1] < 1e-9 * sigma[0]
     state = steady_state(matrix, uniform_excitation(400))
-    assert state.total_population == 0.0
+    assert np.sum(state.populations) == 0.0
 
 
 def mpmath_eigenvalues(matrix, dps):
@@ -784,6 +766,16 @@ def test_expm_of_zero_and_diagonal_matrices_is_exact():
                      [0.3 + 1.0j, -0.2, 5e-3, -0.7]):
         assert np.array_equal(dynamics.expm(np.diag(diagonal)),
                               np.diag(np.exp(diagonal)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e300, math.inf, math.nan])
+def test_expm_refuses_a_power_norm_that_is_not_finite(entry):
+    # A^2 overflows, or A holds inf or NaN: no scaling 2^-s is finite
+    stack = np.array([np.eye(3), [[-1.0, entry, 0.0], [0.0, -1.0, 0.0],
+                                  [entry, 0.0, -1.0]]])
+    with pytest.raises(NumericsError, match="power norm"):
+        dynamics.expm(stack)
 
 
 def test_expm_of_a_matrix_does_not_depend_on_its_stack(monkeypatch):
