@@ -13,12 +13,13 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import analysis, chain, dynamics, errors, kernels
+from . import analysis, chain, dynamics, errors, kernels, reprs
 from .analysis import *  # noqa: F401,F403
 from .chain import *  # noqa: F401,F403
 from .dynamics import *  # noqa: F401,F403
 from .errors import *  # noqa: F401,F403
 from .kernels import *  # noqa: F401,F403
+from .reprs import *  # noqa: F401,F403
 
 __all__ = ["__version__", *analysis.__all__, *chain.__all__,
-           *dynamics.__all__, *errors.__all__, *kernels.__all__]
+           *dynamics.__all__, *errors.__all__, *kernels.__all__, *reprs.__all__]

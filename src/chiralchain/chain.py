@@ -301,8 +301,12 @@ def load_config_file(path) -> tuple[ChainConfig, DisorderSpec]:
     Required keys: n_atoms, xi_over_pi, gamma_left, gamma_right.  The
     disorder.* keys are optional and default to mode none.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as error:
+        reason = error.strerror if isinstance(error, OSError) else "not UTF-8 text"
+        raise ConfigError(f"cannot read config file {path!r}: {reason}") from error
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

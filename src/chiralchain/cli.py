@@ -39,13 +39,13 @@ import numpy as np
 from . import __version__
 from .analysis import detect_bursts, detector_defaults
 from .chain import ChainConfig, DisorderSpec, build_chain, load_config_file
-from .dynamics import (_MAX_POINTS, EnsembleResult, Trajectory, _write_csv,
-                       log_grid, propagate, run_ensemble, steady_state,
-                       uniform_excitation, uniform_grid,
-                       write_trajectory_csv, write_trajectory_json)
+from .dynamics import (_MAX_POINTS, EnsembleResult, Trajectory, log_grid,
+                       propagate, run_ensemble, steady_state,
+                       uniform_excitation, uniform_grid)
 from .errors import (ChiralChainError, ConfigError, NumericsError,
                      ResolutionError)
 from .kernels import chiral_fg, kernel_1d_reciprocal, kernel_2d, kernel_3d
+from .reprs import _write_csv, write_trajectory_csv, write_trajectory_json
 
 __all__ = ["main", "build_parser"]
 
@@ -58,7 +58,7 @@ def _resolve_outdir(arg: Optional[str]) -> str:
 
 
 class _DigestWriter:
-    """Text stream that writes UTF-8 into a binary file and hashes it.
+    """Binary stream that writes into another and hashes what it writes.
 
     tell() is the number of bytes written so far; bench/tracing.py reads
     it around each trajectory writer.
@@ -69,12 +69,11 @@ class _DigestWriter:
         self.sha256 = hashlib.sha256()
         self.bytes = 0
 
-    def write(self, text: str) -> int:
-        data = text.encode("utf-8")
+    def write(self, data: bytes) -> int:
         self._fh.write(data)
         self.sha256.update(data)
         self.bytes += len(data)
-        return len(text)
+        return len(data)
 
     def tell(self) -> int:
         return self.bytes
@@ -85,16 +84,20 @@ def _write_run(outdir: str, command: str, parameters: dict,
                stdout: bool = False) -> None:
     """Write each output file plus a manifest with hashes and duration.
 
-    Each writer streams into its file through a _DigestWriter, so no
-    output is held whole in memory.  The manifest records the detector
+    Each writer streams bytes into its file through a _DigestWriter, so
+    no output is held whole in memory.  The manifest records the detector
     defaults for gamma, or none when gamma is None.  With stdout set,
-    only the first writer runs, into standard output, and no file is
-    written.
+    only the first writer runs, into standard output's binary stream, and
+    no file is written.
     """
     if stdout:
-        next(iter(writers.values()))(sys.stdout)
+        next(iter(writers.values()))(_DigestWriter(sys.stdout.buffer))
         return
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as error:
+        raise ConfigError(f"cannot create output directory {outdir!r}: "
+                          f"{error.strerror}") from error
     outputs = []
     for name, writer in writers.items():
         with open(os.path.join(outdir, name), "wb") as fh:
@@ -245,8 +248,8 @@ def cmd_ensemble(args) -> int:
         fields.update(disorder.to_dict())
     fields.update(_given(fluctuation_fraction=args.fluct,
                          n_realizations=args.realizations, seed=args.seed))
-    # no Runge-Kutta check: forced on, it takes the README run from 0.36
-    # to 1.09 s in process
+    # no Runge-Kutta check: forced on, it takes the README run from
+    # 0.31-0.33 to 0.88-0.92 s in process
     parameters = {"config": config.to_dict(),
                   "disorder": DisorderSpec(**fields).to_dict(),
                   "grid": _grid_record(args), "cross_check": False}
@@ -260,8 +263,7 @@ def cmd_ensemble(args) -> int:
             # a grid too short or too coarse for the detector
             window = detector_defaults(config.gamma)["burst"]["window"]
             report = {"skipped": str(error), "window": window}
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True).encode() + b"\n")
 
     writers = {"ensemble.csv": lambda fh: _write_csv(
                    fh, metadata, result.table(), result.underflow_clamped),
@@ -453,7 +455,7 @@ def cmd_figure(args) -> int:
     writers = {fn: _curve_writer(record) for fn, record in curves.items()}
     writers.update({fn: write for fn, (write, _) in tables.items()})
     script = _gnuplot_script(name, log_y, curves, tables)
-    writers[f"{name}.gp"] = lambda fh: fh.write(script)
+    writers[f"{name}.gp"] = lambda fh: fh.write(script.encode())
     outdir = os.path.join(_resolve_outdir(args.outdir), name)
     parameters = {"figure": name, "curves": curves}
     _write_run(outdir, "figure", parameters, 1.0, writers, started)

@@ -39,23 +39,18 @@ would on the long-lived plateaus.
 Populations below 1e-300 are clamped to zero and flagged, so extreme
 subradiance studies cannot leak denormals into downstream analysis.
 
-The CSV columns of a trajectory and of an ensemble are their table().
-Tables and trajectory JSON arrays hold exactly the bytes that repr
-(json.dumps) gives each value, written a block of rows at a time: reprs
-formats every distinct column of a block in one call, in numpy, and the
-block is written as one string.
+The CSV columns of a trajectory and of an ensemble are their table();
+reprs writes the tables and the trajectory JSON.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from . import reprs
 from .chain import ChainConfig, CouplingMatrix, DisorderSpec, build_chain
 from .errors import ConfigError, IntegrityError, NumericsError
 
@@ -69,8 +64,6 @@ __all__ = [
     "EnsembleResult",
     "run_ensemble",
     "steady_state",
-    "write_trajectory_csv",
-    "write_trajectory_json",
 ]
 
 _UNDERFLOW_FLOOR = 1e-300
@@ -95,10 +88,6 @@ _BLOCK_ENTRIES = 2048
 _CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
-# rows formatted per write by the CSV and JSON writers: about 100 kB of
-# text from a 125 kB byte frame at five columns; blocks of 512, 4096 and
-# 16384 rows were slower
-_WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -818,100 +807,3 @@ def steady_state(matrix: CouplingMatrix, initial: StateVector) -> StateVector:
     _check_sites(matrix.n_atoms, initial)
     dark = _null_space(matrix.entries)
     return StateVector(dark.T @ (dark.conj() @ initial.amplitudes))
-
-
-# ---------------------------------------------------------------------------
-# trajectory export
-# ---------------------------------------------------------------------------
-
-def _write_csv(stream: IO[str], metadata: dict, table: dict,
-               clamped: bool = False) -> None:
-    """# key = value lines, the header row and the rows of the columns.
-
-    metadata gives the # lines, and clamped adds underflow_clamped = true;
-    table maps each header name to its column.  A cell holds the bytes of
-    repr(float(x)), or of repr(int(x)) in an integer column, so floats
-    parse back exactly and an integer column stays 0/1.  The rows are
-    written _WRITE_ROWS at a time: reprs.cells formats each distinct
-    column object of the block once, in one call, so a column under two
-    names costs one formatting, and the block's cells, commas and newlines
-    are one byte frame of 25 bytes a cell (128 kB for five columns),
-    written without its padding as one string.
-    """
-    for key, value in metadata.items():
-        stream.write(f"# {key} = {value}\n")
-    if clamped:
-        stream.write("# underflow_clamped = true\n")
-    stream.write(",".join(table) + "\n")
-    columns = list(table.values())
-    distinct = {id(column): column for column in columns}
-    order = [list(distinct).index(id(column)) for column in columns]
-    for start in range(0, len(columns[0]), _WRITE_ROWS):
-        cells = reprs.cells([column[start:start + _WRITE_ROWS]
-                             for column in distinct.values()])
-        frame = np.empty((cells.shape[1], len(columns), reprs.WIDTH + 1),
-                         dtype=np.uint8)
-        frame[:, :, :-1] = cells.transpose(1, 0, 2)[:, order]
-        frame[:, :, -1] = ord(",")
-        frame[:, -1, -1] = ord("\n")
-        stream.write(reprs.text(frame))
-
-
-def write_trajectory_csv(trajectory: Trajectory, stream: IO[str],
-                         metadata: Optional[dict] = None) -> None:
-    """The trajectory's table (Trajectory.table) with # metadata lines."""
-    _write_csv(stream, metadata or {}, trajectory.table(),
-               trajectory.underflow_clamped)
-
-
-# the frame, not json.dumps(block.tolist()): writing the staircase's
-# 37501 rows took 168 against 396 ms, and 2402 log-grid rows 15 against 34
-def _write_json_array(stream: IO[str], values: np.ndarray) -> None:
-    """json.dumps(values.tolist()), written _WRITE_ROWS rows at a time.
-
-    Each block of rows is one byte frame: every value's cell from
-    reprs.cells, with the brackets of the inner lists that it opens and
-    closes and the ", " after it; json.dumps spells the non-finite values
-    NaN, Infinity and -Infinity.
-    """
-    depth = values.ndim - 1
-    stream.write("[")
-    for start in range(0, len(values), _WRITE_ROWS):
-        if start:
-            stream.write(", ")
-        block = values[start:start + _WRITE_ROWS]
-        frame = np.zeros(block.shape + (reprs.WIDTH + 2 * depth + 2,),
-                         dtype=np.uint8)
-        frame[..., depth:depth + reprs.WIDTH] = reprs.cells(
-            [block.reshape(-1)], json.dumps).reshape(block.shape + (reprs.WIDTH,))
-        frame[..., -2:] = np.frombuffer(b", ", dtype=np.uint8)
-        for axis in range(1, values.ndim):
-            # a list along axis opens before its first value, closes after its last
-            outer = (slice(None),) * axis
-            frame[outer + (0,) * (values.ndim - axis) + (axis - 1,)] = ord("[")
-            frame[outer + (-1,) * (values.ndim - axis) + (-2 - axis,)] = ord("]")
-        frame.reshape(-1, frame.shape[-1])[-1, -2:] = reprs.PAD
-        stream.write(reprs.text(frame))
-    stream.write("]")
-
-
-def write_trajectory_json(trajectory: Trajectory, stream: IO[str],
-                          metadata: Optional[dict] = None) -> None:
-    """Full complex amplitudes as arrays of [re, im] pairs.
-
-    The bytes are those of json.dump(payload, stream, sort_keys=True) and
-    a newline, written key by key in sorted order: the scalars and the
-    metadata by json.dumps(..., sort_keys=True), and the two arrays by
-    _write_json_array in chunks of rows, so their nested lists are never
-    built whole.
-    """
-    # (re, im) float view of the amplitudes: no copy of a complex128 array
-    pairs = np.ascontiguousarray(trajectory.amplitudes, dtype=complex).view(
-        float).reshape(len(trajectory), -1, 2)
-    stream.write('{"amplitudes": ')
-    _write_json_array(stream, pairs)
-    stream.write(f', "gamma": {json.dumps(trajectory.gamma)}, "metadata": '
-                 f'{json.dumps(dict(metadata or {}), sort_keys=True)}, "times": ')
-    _write_json_array(stream, np.asarray(trajectory.times, dtype=float))
-    stream.write(', "underflow_clamped": '
-                 f'{json.dumps(trajectory.underflow_clamped)}}}\n')

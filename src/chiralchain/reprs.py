@@ -1,4 +1,5 @@
-"""repr's text of whole numpy columns, a block of cells at a time.
+"""How a table becomes bytes: repr's text of whole numpy columns, a block
+of _PASS cells at a time, framed as CSV or JSON by the writers.
 
 cells() lays every value of a few equal-length columns out as the bytes
 that repr(float(x)) or repr(int(x)) gives, one fixed-width row of bytes
@@ -14,28 +15,36 @@ integer arithmetic: the 128-bit products g * cp it needs are summed from
 32-bit limbs.  A cell is then laid out by CPython's 'r' rules: exponent
 form when decpt <= -4 or decpt > 16 (value = 0.DIGITS * 10**decpt), with
 at least two exponent digits; otherwise fixed form, with ".0" on integral
-values; "-" on negative values and -0.0.  Past its sign byte, a layout
-depends only on the digit count and decpt, so it is one row of a table
-of byte indices built at import, and laying out a cell is one gather.
-Subnormal, infinite and NaN cells are spelled by a caller's function.
-Integer cells are repr of each value, written into PAD-filled rows.
+values; "-" on negative values and -0.0.  A layout depends only on the
+digit count and decpt, so it is one row of a table of byte indices built
+at import, whose first index is the cell's sign byte, and laying out a
+cell is one gather.  Subnormal, infinite and NaN cells are spelled by a
+caller's function.  Integer cells are repr of each value, written into
+PAD-filled rows.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from typing import IO, TYPE_CHECKING, Optional
+
 import numpy as np
 
-__all__: list = []
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
+
+__all__ = ["write_trajectory_csv", "write_trajectory_json"]
 
 # widest cell: -2.2250738585072014e-308
 WIDTH = 24
 PAD = 0
 
-# most cells formatted in one pass, whose temporaries peak at about 390
-# bytes a cell: a block of 1024 rows and up to six columns is one pass.
-# Five such columns took 1.2x the time in passes of 3072 cells and 1.3x
-# in 2048; eight in one pass of 8192 took 0.88x the time of two passes,
-# at 1.7x the peak (BENCH_24.json)
+# cells of a block, formatted in one pass, whose temporaries peak at
+# about 390 bytes a cell.  Five columns took 1.2x the time in passes of
+# 3072 cells and 1.3x in 2048, eight in one pass of 8192 0.88x that of
+# two passes at 1.7x the peak (BENCH_24.json), and blocks of 1024 rows
+# 1.02-1.03x that of blocks of _PASS cells (BENCH_32.json)
 _PASS = 6144
 
 _U = np.uint64
@@ -63,9 +72,11 @@ _G = np.frombuffer(b"".join(_g(e).to_bytes(16, "big") for e in range(_E_MIN, _E_
 
 # a cell's source bytes, 8 words of 4: 20 digits (a float's 17 at 3..19),
 # the exponent's 4 digits, then the fixed bytes, whose source columns
-# these are (_PAD's byte is PAD)
+# these are (_PAD's byte is PAD), and last the sign, PAD or "-": the
+# fixed bytes of a positive and of a negative cell are _FIXED_WORDS
 _ZERO, _DOT, _E, _MINUS, _PLUS, _PAD = range(24, 30)
-_FIXED_WORDS = np.frombuffer(b"0.e-+\0\0\0", dtype=np.uint32)
+_SIGN = 31
+_FIXED_WORDS = np.frombuffer(b"0.e-+\0\0\0" b"0.e-+\0\0-", dtype=_U)
 # layout classes: fixed forms by decpt -3..16 and n = 1..17, then
 # exponent forms by the exponent's sign and width and n
 _N_FIXED = 20 * 17
@@ -91,7 +102,7 @@ def _table() -> np.ndarray:
     # exponents +16, +100, -5 and -100 stand for their sign and width
     rows += [_float_layout(decpt, n) for decpt in (17, 101, -4, -99)
              for n in range(1, 18)]
-    return np.array([row + [_PAD] * (WIDTH - 1 - len(row)) for row in rows],
+    return np.array([[_SIGN] + row + [_PAD] * (WIDTH - 1 - len(row)) for row in rows],
                     dtype=np.uint8)
 
 
@@ -157,9 +168,9 @@ def _shortest(bits: np.ndarray) -> tuple:
     return d, k + shorter
 
 
-def _source(u: np.ndarray, exponent) -> np.ndarray:
+def _source(u: np.ndarray, exponent, negative: np.ndarray) -> np.ndarray:
     """Each cell's 32 source bytes: the 20 digits of u, the 4 of exponent,
-    the fixed bytes."""
+    the fixed bytes and the sign, "-" where negative."""
     source = np.empty((len(u), 8), dtype=np.uint32)
     high = u // _U(10**8)
     top = high // _U(10**8)
@@ -171,17 +182,14 @@ def _source(u: np.ndarray, exponent) -> np.ndarray:
         source[:, word] = _CHUNKS[upper]
         source[:, word + 1] = _CHUNKS[part - upper * np.uint32(10**4)]
     source[:, 5] = _CHUNKS[exponent]
-    source[:, 6:] = _FIXED_WORDS
+    source.view(_U)[:, 3] = _FIXED_WORDS[negative.view(np.uint8)]
     return source.view(np.uint8)
 
 
-def _lay_out(source: np.ndarray, cls: np.ndarray, negative) -> np.ndarray:
-    """(cells, WIDTH) bytes: the sign, then the bytes of each cell's layout
-    class from its source, in one gather."""
-    out = np.empty((len(cls), WIDTH), dtype=np.uint8)
-    out[:, 0] = np.where(negative, ord("-"), PAD)
-    out[:, 1:] = source.reshape(-1)[_TABLE[cls] + 32 * np.arange(len(cls))[:, None]]
-    return out
+def _lay_out(source: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """(cells, WIDTH) bytes of each cell's layout class from its source,
+    sign first, in one gather."""
+    return source.reshape(-1)[_TABLE[cls] + 32 * np.arange(len(cls))[:, None]]
 
 
 def _float_cells(x: np.ndarray, spell) -> np.ndarray:
@@ -197,13 +205,13 @@ def _float_cells(x: np.ndarray, spell) -> np.ndarray:
     exp = np.abs(decpt - 1)
     # d scaled to 17 digits, at source bytes 3..19; n counts them without
     # the trailing zeros
-    source = _source(d * _POW10[17 - n], np.minimum(exp, 9999))
+    source = _source(d * _POW10[17 - n], np.minimum(exp, 9999), np.signbit(x))
     n = 17 - np.argmax(source[:, 19:2:-1] != 48, axis=1)
     n[zero] = 1
     fixed = (decpt > -4) & (decpt <= 16)
     form = 2 * (decpt < 0) + (exp >= 100)
     cls = np.where(fixed, (decpt + 3) * 17, _N_FIXED + form * 17) + n - 1
-    cells = _lay_out(source, cls, np.signbit(x))
+    cells = _lay_out(source, cls)
     for i in np.flatnonzero(~normal & (magnitude != 0)):
         text = spell(float(x[i])).encode()
         cells[i] = PAD
@@ -219,8 +227,9 @@ def cells(columns: list, spell=repr) -> np.ndarray:
     text of subnormal, infinite and NaN cells (repr for CSV, json.dumps
     for JSON, which spells NaN and Infinity).  A column whose values all
     have one bit pattern is formatted from its first value; the values
-    of the float columns are formatted together, in passes of at most
-    _PASS cells.
+    of the float columns are formatted together, in one pass, whose
+    temporaries peak at about 390 bytes a cell: the writers pass blocks
+    of _PASS cells.
     """
     rows = len(columns[0])
     out = np.empty((len(columns), rows, WIDTH), dtype=np.uint8)
@@ -239,9 +248,7 @@ def cells(columns: list, spell=repr) -> np.ndarray:
             out[i] = np.array(list(map(repr, x.tolist())), dtype=f"S{WIDTH}").view(
                 np.uint8).reshape(-1, WIDTH)
     if floats:
-        values = np.concatenate(list(floats.values()))
-        passes = np.array_split(values, max(1, -(-len(values) // _PASS)))
-        formatted = np.concatenate([_float_cells(part, spell) for part in passes])
+        formatted = _float_cells(np.concatenate(list(floats.values())), spell)
         start = 0
         for i, x in floats.items():
             out[i] = formatted[start:start + len(x)]
@@ -249,6 +256,96 @@ def cells(columns: list, spell=repr) -> np.ndarray:
     return out
 
 
-def text(frame: np.ndarray) -> str:
+def text(frame: np.ndarray) -> bytes:
     """The bytes of frame, in order, without its PAD bytes."""
-    return frame.tobytes().translate(None, bytes([PAD])).decode("ascii")
+    return frame.tobytes().translate(None, bytes([PAD]))
+
+
+def _write_csv(stream: IO[bytes], metadata: dict, table: dict,
+               clamped: bool = False) -> None:
+    """# key = value lines, the header row and the rows of the columns.
+
+    metadata gives the # lines, and clamped adds underflow_clamped = true;
+    table maps each header name to its column.  A cell holds the bytes of
+    repr(float(x)), or of repr(int(x)) in an integer column, so floats
+    parse back exactly and an integer column stays 0/1.  Each distinct
+    column object is formatted once a block, so a column under two names
+    costs one formatting; a block holds _PASS of those cells, and its
+    cells, commas and newlines are one byte frame of 25 bytes a cell,
+    written without its padding.
+    """
+    lines = [f"# {key} = {value}\n" for key, value in metadata.items()]
+    if clamped:
+        lines.append("# underflow_clamped = true\n")
+    lines.append(",".join(table) + "\n")
+    stream.write("".join(lines).encode())
+    columns = list(table.values())
+    distinct = {id(column): column for column in columns}
+    order = [list(distinct).index(id(column)) for column in columns]
+    rows = max(1, _PASS // len(distinct))
+    for start in range(0, len(columns[0]), rows):
+        block = cells([column[start:start + rows] for column in distinct.values()])
+        frame = np.empty((block.shape[1], len(columns), WIDTH + 1), dtype=np.uint8)
+        frame[:, :, :-1] = block.transpose(1, 0, 2)[:, order]
+        frame[:, :, -1] = ord(",")
+        frame[:, -1, -1] = ord("\n")
+        stream.write(text(frame))
+
+
+def write_trajectory_csv(trajectory: Trajectory, stream: IO[bytes],
+                         metadata: Optional[dict] = None) -> None:
+    """The trajectory's table (Trajectory.table) with # metadata lines."""
+    _write_csv(stream, metadata or {}, trajectory.table(),
+               trajectory.underflow_clamped)
+
+
+# the frame, not json.dumps(block.tolist()): writing the staircase's
+# 37501 rows took 168 against 396 ms, and 2402 log-grid rows 15 against 34
+def _write_json_array(stream: IO[bytes], values: np.ndarray) -> None:
+    """json.dumps(values.tolist()), written a block of _PASS values at a time.
+
+    Each block of rows is one byte frame: every value's cell from cells,
+    with the brackets of the inner lists that it opens and closes and the
+    ", " after it, but for the last value; json.dumps spells the
+    non-finite values NaN, Infinity and -Infinity.
+    """
+    depth = values.ndim - 1
+    rows = max(1, _PASS // math.prod(values.shape[1:]))
+    stream.write(b"[")
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
+        frame = np.zeros(block.shape + (WIDTH + 2 * depth + 2,), dtype=np.uint8)
+        frame[..., depth:depth + WIDTH] = cells(
+            [block.reshape(-1)], json.dumps).reshape(block.shape + (WIDTH,))
+        frame[..., -2:] = np.frombuffer(b", ", dtype=np.uint8)
+        for axis in range(1, values.ndim):
+            # a list along axis opens before its first value, closes after its last
+            outer = (slice(None),) * axis
+            frame[outer + (0,) * (values.ndim - axis) + (axis - 1,)] = ord("[")
+            frame[outer + (-1,) * (values.ndim - axis) + (-2 - axis,)] = ord("]")
+        if start + rows >= len(values):
+            frame.reshape(-1, frame.shape[-1])[-1, -2:] = PAD
+        stream.write(text(frame))
+    stream.write(b"]")
+
+
+def write_trajectory_json(trajectory: Trajectory, stream: IO[bytes],
+                          metadata: Optional[dict] = None) -> None:
+    """Full complex amplitudes as arrays of [re, im] pairs.
+
+    The bytes are those of json.dump(payload, stream, sort_keys=True) and
+    a newline, written key by key in sorted order: the scalars and the
+    metadata by json.dumps(..., sort_keys=True), and the two arrays by
+    _write_json_array in blocks of rows, so their nested lists are never
+    built whole.
+    """
+    # (re, im) float view of the amplitudes: no copy of a complex128 array
+    pairs = np.ascontiguousarray(trajectory.amplitudes, dtype=complex).view(
+        float).reshape(len(trajectory), -1, 2)
+    stream.write(b'{"amplitudes": ')
+    _write_json_array(stream, pairs)
+    stream.write(f', "gamma": {json.dumps(trajectory.gamma)}, "metadata": '
+                 f'{json.dumps(dict(metadata or {}), sort_keys=True)}, "times": '.encode())
+    _write_json_array(stream, np.asarray(trajectory.times, dtype=float))
+    stream.write(', "underflow_clamped": '
+                 f'{json.dumps(trajectory.underflow_clamped)}}}\n'.encode())

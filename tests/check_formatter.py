@@ -6,15 +6,18 @@
 draws --count seeded uniform 64-bit patterns and formats each one, read
 as a float64 and as an int64, with chiralchain.reprs.cells, BLOCK
 patterns at a time; every cell must hold the bytes of repr(float(x)) or
-repr(int(x)).  Each mismatch is printed with its bit pattern.  10**7
-patterns take about 40 s on one 2-core x86-64 host; pytest does not
-collect this file, and tests/test_reprs.py runs the same comparison on
-fewer values.  Exit status: 0 when no cell differs, 1 otherwise.
+repr(int(x)), and every float cell spelled by json.dumps, as the JSON
+writer spells them (NaN, Infinity, -Infinity), those of json.dumps(x).
+Each mismatch is printed with its bit pattern.  10**7 patterns take
+about 75 s on one 2-core x86-64 host; pytest does not collect this
+file, and tests/test_reprs.py runs the same comparison on fewer values.
+Exit status: 0 when no cell differs, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -28,15 +31,17 @@ BLOCK = 1 << 16
 
 
 def mismatches(patterns: np.ndarray) -> list:
-    """(pattern, kind, want, got) of every cell that differs from repr."""
+    """(pattern, kind, want, got) of every cell that differs from its
+    spelling: repr, or json.dumps for the kind "json"."""
     found = []
-    for kind, values in (("float", patterns.view(np.float64)),
-                         ("int", patterns.view(np.int64))):
+    for kind, values, spell in (("float", patterns.view(np.float64), repr),
+                                ("json", patterns.view(np.float64), json.dumps),
+                                ("int", patterns.view(np.int64), repr)):
         frame = np.empty((len(values), reprs.WIDTH + 1), dtype=np.uint8)
-        frame[:, :-1] = reprs.cells([values])[0]
+        frame[:, :-1] = reprs.cells([values], spell)[0]
         frame[:, -1] = ord("\n")
-        got = reprs.text(frame).splitlines()
-        want = list(map(repr, values.tolist()))
+        got = reprs.text(frame).decode().splitlines()
+        want = list(map(spell, values.tolist()))
         if got != want:
             found += [(int(p), kind, w, g)
                       for p, w, g in zip(patterns, want, got) if w != g]
@@ -55,9 +60,9 @@ def main(argv=None) -> int:
         patterns = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
         for pattern, kind, want, got in mismatches(patterns):
             bad += 1
-            print(f"{pattern:#018x} as {kind}: repr {want!r}, formatter {got!r}")
+            print(f"{pattern:#018x} as {kind}: want {want!r}, formatter {got!r}")
     print(f"{args.count} patterns, seed {args.seed}: {bad} mismatching cells "
-          f"of {2 * args.count}")
+          f"of {3 * args.count}")
     return 1 if bad else 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chiralchain
-from chiralchain import dynamics
+from chiralchain import dynamics, reprs
 from chiralchain.chain import ChainConfig, DisorderSpec, build_chain
 from chiralchain.cli import _parse_xi_range, main
 from chiralchain.dynamics import (_MAX_POINTS, run_ensemble, steady_state,
@@ -330,6 +330,20 @@ def test_bad_seed_and_absurd_grids_exit_2_with_one_error_line(argv, tmp_path,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--points", "11"],
+    ["kernel", "--dim", "1", "--xi", "1"],
+    ["figure", "fig2"],
+], ids=["simulate", "kernel", "figure"])
+def test_outdir_naming_a_file_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main([*argv, "--outdir", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory '{path}")
+    assert err.count("\n") == 1
+
+
 def test_short_horizon_passes_the_cross_check(tmp_path):
     # steps clipped to 5e-16 to land on the record times are no underflow
     assert main(["simulate", "--n", "3", "--xi-over-pi", "1", "--points",
@@ -402,8 +416,8 @@ def test_kernel_manifest_records_only_what_the_dimension_reads(
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_kernel_rows_across_the_write_chunk_keep_integer_flags(offset, capsys):
-    from chiralchain import dynamics
-    count = dynamics._WRITE_ROWS + offset
+    # four columns a row
+    count = reprs._PASS // 4 + offset
     # contact at xi = 0 sets the divergence flag in the first row only
     assert main(["kernel", "--dim", "3", "--xi", f"0:0.001:{count - 1}e-3",
                  "--stdout"]) == 0
@@ -434,7 +448,8 @@ def row_by_row(text, header, columns):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_ensemble_csv_across_the_write_chunk_equals_row_by_row(offset, capsys):
-    points = dynamics._WRITE_ROWS + offset
+    # five columns a row
+    points = reprs._PASS // 5 + offset
     assert main(["ensemble", "--n", "3", "--xi-over-pi", "1", "--gamma-l",
                  "0.9", "--gamma-r", "1", "--fluct", "0.01",
                  "--realizations", "4", "--seed", "5", "--horizon", "20",
@@ -478,7 +493,9 @@ def kernel_reference(dim, xi):
 ], ids=["1", "1chiral", "2", "3"])
 def test_kernel_table_across_the_write_chunk_equals_row_by_row(
         argv, offset, capsys):
-    count = dynamics._WRITE_ROWS + offset
+    # the distinct columns of a row: 1chiral repeats decay and shift
+    width = {"1": 3, "1chiral": 5, "2": 4, "3": 4}[argv[1]]
+    count = reprs._PASS // width + offset
     spec = f"0.01:0.005:{0.01 + 0.005 * (count - 1)!r}"
     xi = _parse_xi_range(spec)
     assert xi.size == count
@@ -668,10 +685,10 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
                         lambda config, disorder, grid, cross_check:
                         full(config, disorder, grid[:11],
                              cross_check=cross_check))
-    stream = io.StringIO()
+    stream = io.BytesIO()
     _, curves, _ = cli._FIGURES["fig5"]
     cli._curve_writer(curves["fig5b_fluct1pct.csv"])(stream)
-    assert comment_lines(stream.getvalue()) == [
+    assert comment_lines(stream.getvalue().decode()) == [
         "# n_atoms = 5",
         "# xi_over_pi = 1.0",
         "# gamma_left = 0.9",
@@ -686,7 +703,7 @@ def test_figure_ensemble_data_file_metadata(monkeypatch):
 
 def test_fig3c_table():
     from chiralchain import cli
-    stream = io.StringIO()
+    stream = io.BytesIO()
     cli._write_fig3c(stream)
     lines = ["# xi_over_pi = 1.0", "# gamma_left = 1.0", "# gamma_right = 1.0",
              "N,P1_inf"]
@@ -695,7 +712,7 @@ def test_fig3c_table():
                              gamma_right=1.0)
         state = steady_state(build_chain(config), uniform_excitation(n))
         lines.append(f"{n},{float(state.populations[0])!r}")
-    assert stream.getvalue() == "\n".join(lines) + "\n"
+    assert stream.getvalue().decode() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("argv, data_file", [
@@ -751,7 +768,7 @@ def test_figure_scripts_plot_the_named_columns(tmp_path, monkeypatch):
     ["kernel", "--dim", "2", "--xi", "0.5,1.0"],
 ], ids=["simulate", "ensemble", "kernel"])
 def test_stdout_writes_the_primary_table_and_no_file(argv, tmp_path,
-                                                     monkeypatch, capsys):
+                                                     monkeypatch, capsysbinary):
     from chiralchain import cli
 
     def no_detector(*args, **kwargs):
@@ -760,9 +777,19 @@ def test_stdout_writes_the_primary_table_and_no_file(argv, tmp_path,
     monkeypatch.setattr(cli, "detect_bursts", no_detector)
     outdir = tmp_path / "out"
     assert main(argv + ["--stdout", "--outdir", str(outdir)]) == 0
-    header, _ = read_csv_columns(capsys.readouterr().out)
+    out = capsysbinary.readouterr().out
+    header, _ = read_csv_columns(out.decode())
     assert header[0] in ("t", "xi")
     assert not outdir.exists()
+    # the bytes of the primary file that the same run writes
+    monkeypatch.undo()
+    assert main(argv + ["--outdir", str(outdir)]) == 0
+    primary = {"simulate": "trajectory.csv", "ensemble": "ensemble.csv",
+               "kernel": "kernel.csv"}[argv[0]]
+    assert (outdir / primary).read_bytes() == out
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["outputs"][0] == {"path": primary, "bytes": len(out),
+                                      "sha256": hashlib.sha256(out).hexdigest()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -773,9 +800,16 @@ def test_stdout_writes_the_primary_table_and_no_file(argv, tmp_path,
     ["kernel", "--dim", "1", "--xi", "0:1e-17:1", "--stdout"],
     ["kernel", "--dim", "1", "--xi", "0:1e-9:100", "--stdout"],
     ["simulate", "--n", "5", "--shift-site", "3", "--stdout"],
+    # {tmp} is a directory holding a UTF-16 config file
+    ["simulate", "--config", "{tmp}/missing.cfg", "--stdout"],
+    ["simulate", "--config", "{tmp}", "--stdout"],
+    ["simulate", "--config", "{tmp}/utf16.cfg", "--stdout"],
 ], ids=["inf-stop", "subnormal-step", "inf-step", "tiny-step", "1e11-points",
-        "half-shift-pair"])
-def test_cli_process_reports_a_config_error_in_one_line(argv):
+        "half-shift-pair", "config-missing", "config-directory", "config-utf16"])
+def test_cli_process_reports_a_config_error_in_one_line(argv, tmp_path):
+    (tmp_path / "utf16.cfg").write_bytes("n_atoms = 3\n".encode("utf-16"))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    paths = [arg for arg in argv if arg.startswith(str(tmp_path))]
     # a subprocess sees what pytest would capture: tracebacks and warnings
     src = os.path.dirname(os.path.dirname(chiralchain.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -785,3 +819,5 @@ def test_cli_process_reports_a_config_error_in_one_line(argv):
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
     assert run.stdout == ""
+    # a path that cannot be read or written is named
+    assert all(path in lines[0] for path in paths)

@@ -20,8 +20,8 @@ from chiralchain.chain import (ChainConfig, DisorderSpec,
                                _build_coupling_matrix, build_chain)
 from chiralchain.dynamics import (StateVector, log_grid, propagate,
                                   steady_state, uniform_excitation,
-                                  uniform_grid, write_trajectory_csv,
-                                  write_trajectory_json)
+                                  uniform_grid)
+from chiralchain.reprs import write_trajectory_csv, write_trajectory_json
 from chiralchain.errors import ConfigError, IntegrityError, NumericsError
 from core_tables import core_tables
 from oracles import cascaded, geometric, geometric_modes
@@ -467,9 +467,9 @@ def test_csv_export_format_and_determinism():
     matrix = chain(2, 1.0, 0.9, 1.0)
     grid = uniform_grid(2.0, 21)
     trajectory = propagate(matrix, uniform_excitation(2), grid)
-    first = io.StringIO()
+    first = io.BytesIO()
     write_trajectory_csv(trajectory, first, {"n_atoms": 2, "tag": "demo"})
-    text = first.getvalue()
+    text = first.getvalue().decode()
     lines = text.splitlines()
     assert lines[0] == "# n_atoms = 2"
     assert lines[1] == "# tag = demo"
@@ -479,25 +479,25 @@ def test_csv_export_format_and_determinism():
     cells = lines[3].split(",")
     assert float(cells[0]) == 0.0
     assert float(cells[3]) == trajectory.total[0]
-    second = io.StringIO()
+    second = io.BytesIO()
     write_trajectory_csv(trajectory, second, {"n_atoms": 2, "tag": "demo"})
-    assert second.getvalue() == text
+    assert second.getvalue().decode() == text
 
 
 def test_csv_export_marks_underflow():
     matrix = chain(1, 0.0, 0.5, 0.5)
     trajectory = propagate(matrix, uniform_excitation(1),
                            uniform_grid(800.0, 101), cross_check=False)
-    out = io.StringIO()
+    out = io.BytesIO()
     write_trajectory_csv(trajectory, out)
-    assert "# underflow_clamped = true" in out.getvalue()
+    assert b"# underflow_clamped = true" in out.getvalue()
 
 
 def test_json_export_round_trip():
     matrix = chain(2, 2.0, 0.3, 1.0)
     grid = uniform_grid(3.0, 31)
     trajectory = propagate(matrix, uniform_excitation(2), grid)
-    out = io.StringIO()
+    out = io.BytesIO()
     write_trajectory_json(trajectory, out, {"note": "round trip"})
     payload = json.loads(out.getvalue())
     assert payload["metadata"] == {"note": "round trip"}
@@ -842,26 +842,27 @@ def reference_csv(trajectory, metadata):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_csv_rows_across_the_write_chunk(offset):
-    points = dynamics._WRITE_ROWS + offset
+    # six columns a row
+    points = reprs._PASS // 6 + offset
     trajectory = propagate(chain(3, 1.0, 0.9, 1.0), uniform_excitation(3),
                            uniform_grid(5.0, points), cross_check=False)
-    out = io.StringIO()
+    out = io.BytesIO()
     write_trajectory_csv(trajectory, out, {"n_atoms": 3})
     # compared as lists of lines: pytest diffs two long strings slowly
-    lines = out.getvalue().splitlines(True)
+    lines = out.getvalue().decode().splitlines(True)
     assert lines == reference_csv(trajectory, {"n_atoms": 3}).splitlines(True)
     assert len(lines) == 2 + points
 
 
 def test_write_csv_formats_a_repeated_column_once_per_chunk():
-    rows = 2 * dynamics._WRITE_ROWS + 3
+    rows = 2 * (reprs._PASS // 3) + 3
     twice = np.linspace(-1.0, 1.0, rows)
     twice[:4] = [-0.0, np.nan, np.inf, 5e-324]
     flags = (np.arange(rows) % 3 == 0).astype(int)
     other = np.geomspace(1e-300, 1e300, rows)
-    out = io.StringIO()
+    out = io.BytesIO()
     with mock.patch.object(reprs, "cells", wraps=reprs.cells) as cells:
-        dynamics._write_csv(out, {"note": "repeated", "gamma": 1.0},
+        reprs._write_csv(out, {"note": "repeated", "gamma": 1.0},
                             {"a": twice, "flag": flags, "b": other,
                              "a_again": twice})
     # one formatter call per chunk, on the three distinct columns, not four
@@ -869,15 +870,15 @@ def test_write_csv_formats_a_repeated_column_once_per_chunk():
     lines = ["# note = repeated\n", "# gamma = 1.0\n", "a,flag,b,a_again\n"]
     lines += [f"{float(a)!r},{int(f)},{float(b)!r},{float(a)!r}\n"
               for a, f, b in zip(twice, flags, other)]
-    assert out.getvalue().splitlines(True) == lines
+    assert out.getvalue().decode().splitlines(True) == lines
     assert lines[3] == "-0.0,1,1e-300,-0.0\n"
-    empty = io.StringIO()
-    dynamics._write_csv(empty, {"n": 0}, {"x": np.zeros(0), "y": np.zeros(0)})
-    assert empty.getvalue() == "# n = 0\nx,y\n"
+    empty = io.BytesIO()
+    reprs._write_csv(empty, {"n": 0}, {"x": np.zeros(0), "y": np.zeros(0)})
+    assert empty.getvalue() == b"# n = 0\nx,y\n"
     # the clamp line follows the metadata, before the header
-    clamped = io.StringIO()
-    dynamics._write_csv(clamped, {"n": 0}, {"x": np.zeros(0)}, clamped=True)
-    assert clamped.getvalue() == "# n = 0\n# underflow_clamped = true\nx\n"
+    clamped = io.BytesIO()
+    reprs._write_csv(clamped, {"n": 0}, {"x": np.zeros(0)}, clamped=True)
+    assert clamped.getvalue() == b"# n = 0\n# underflow_clamped = true\nx\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -889,11 +890,12 @@ def test_write_csv_formats_a_repeated_column_once_per_chunk():
                    [1e-320, -1e22]]))
 def test_write_csv_cells_are_repr_and_parse_back_exactly(values):
     first, second = values[:, 0], values[:, 1]
-    out = io.StringIO()
-    # seven rows per chunk, so the examples cross chunk boundaries
-    with mock.patch.object(dynamics, "_WRITE_ROWS", 7):
-        dynamics._write_csv(out, {}, {"x": first, "y": second, "x_again": first})
-    header, *rows = out.getvalue().splitlines()
+    out = io.BytesIO()
+    # seven rows of two distinct columns a block, so the examples cross
+    # block boundaries
+    with mock.patch.object(reprs, "_PASS", 14):
+        reprs._write_csv(out, {}, {"x": first, "y": second, "x_again": first})
+    header, *rows = out.getvalue().decode().splitlines()
     assert header == "x,y,x_again" and len(rows) == len(values)
     for row, (x, y) in zip(rows, values):
         cells = row.split(",")
@@ -908,8 +910,9 @@ def test_write_csv_cells_are_repr_and_parse_back_exactly(values):
 
 @pytest.mark.parametrize("clamped", [False, True])
 def test_json_export_equals_dump_of_whole_payload(clamped):
-    # a grid longer than one chunk of rows, with a partial last chunk
-    grid = uniform_grid(3.0, 2 * dynamics._WRITE_ROWS + 3)
+    # blocks of 64 times and of 16 rows of amplitudes, each array's last
+    # block partial
+    grid = uniform_grid(3.0, 2 * 64 + 3)
     trajectory = propagate(chain(2, 2.0, 0.3, 1.0), uniform_excitation(2),
                            grid, cross_check=False)
     if clamped:
@@ -928,6 +931,7 @@ def test_json_export_equals_dump_of_whole_payload(clamped):
     want = io.StringIO()
     json.dump(payload, want, indent=None, sort_keys=True)
     want.write("\n")
-    got = io.StringIO()
-    write_trajectory_json(trajectory, got, metadata)
-    assert got.getvalue() == want.getvalue()
+    got = io.BytesIO()
+    with mock.patch.object(reprs, "_PASS", 64):
+        write_trajectory_json(trajectory, got, metadata)
+    assert got.getvalue() == want.getvalue().encode()

@@ -60,7 +60,7 @@ def sibling_imports(path):
 # private names one module may take from another: the CLI's grid cap and
 # table writer, and specfun, the kernels' private Bessel core by design
 SHARED_PRIVATE_NAMES = {
-    "cli": {("dynamics", "_MAX_POINTS"), ("dynamics", "_write_csv")},
+    "cli": {("dynamics", "_MAX_POINTS"), ("reprs", "_write_csv")},
     "kernels": {("specfun", name) for name in (
         "_EULER_GAMMA", "_SERIES_COEF", "_SERIES_DENOM", "_bessel_columns",
         "_power_series")},

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralchain import dynamics, reprs
+from chiralchain import reprs
 
 
 def texts(cells):
@@ -73,11 +74,11 @@ def test_cells_of_mixed_columns_and_their_spelling():
 def test_json_array_is_json_dumps_of_the_list(shape):
     values = np.geomspace(1e-320, 1e300, int(np.prod(shape))).reshape(shape)
     values.reshape(-1)[:4] = [np.nan, np.inf, -np.inf, -0.0][:values.size]
-    out = io.StringIO()
+    out = io.BytesIO()
     # two rows per block, so blocks end inside the nested lists' rows
-    with mock.patch.object(dynamics, "_WRITE_ROWS", 2):
-        dynamics._write_json_array(out, values)
-    assert out.getvalue() == json.dumps(values.tolist())
+    with mock.patch.object(reprs, "_PASS", 2 * math.prod(shape[1:])):
+        reprs._write_json_array(out, values)
+    assert out.getvalue() == json.dumps(values.tolist()).encode()
 
 
 # one bit pattern each: both zeros, a NaN with a payload, the smallest
@@ -117,10 +118,11 @@ def test_a_column_repeats_in_one_block_and_varies_in_the_next():
     flags = np.array([1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1])
     table = {"x": np.arange(12.0), "tail": tail, "flag": flags,
              "constant": np.full(12, -0.0)}
-    out = io.StringIO()
-    with mock.patch.object(dynamics, "_WRITE_ROWS", 3):
-        dynamics._write_csv(out, {}, table)
+    out = io.BytesIO()
+    # four columns: twelve cells a block are three rows
+    with mock.patch.object(reprs, "_PASS", 12):
+        reprs._write_csv(out, {}, table)
     lines = ["x,tail,flag,constant\n"]
     lines += [f"{x!r},{t!r},{f!r},-0.0\n"
               for x, t, f in zip(table["x"].tolist(), tail.tolist(), flags.tolist())]
-    assert out.getvalue().splitlines(True) == lines
+    assert out.getvalue().decode().splitlines(True) == lines
