@@ -79,6 +79,15 @@ class _DigestWriter:
         return self.bytes
 
 
+def _create(path: str):
+    """path opened to write bytes, or ConfigError naming it."""
+    try:
+        return open(path, "wb")
+    except OSError as error:
+        raise ConfigError(f"cannot write output file {path!r}: "
+                          f"{error.strerror}") from error
+
+
 def _write_run(outdir: str, command: str, parameters: dict,
                gamma: Optional[float], writers: dict, started: float,
                stdout: bool = False) -> None:
@@ -100,7 +109,7 @@ def _write_run(outdir: str, command: str, parameters: dict,
                           f"{error.strerror}") from error
     outputs = []
     for name, writer in writers.items():
-        with open(os.path.join(outdir, name), "wb") as fh:
+        with _create(os.path.join(outdir, name)) as fh:
             stream = _DigestWriter(fh)
             writer(stream)
         outputs.append({
@@ -118,9 +127,8 @@ def _write_run(outdir: str, command: str, parameters: dict,
     }
     if gamma is not None:
         manifest["detector_defaults"] = detector_defaults(gamma)
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _create(os.path.join(outdir, "manifest.json")) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _data_metadata(config: ChainConfig, disorder: DisorderSpec,

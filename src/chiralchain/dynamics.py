@@ -88,6 +88,10 @@ _BLOCK_ENTRIES = 2048
 _CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
+# most bytes an ensemble's stack may take (see _stack_bytes), refused
+# before any chain is built: twice the 960 MB that R = 10 000 peaked at on
+# the README grid, where R = 3 000 000 ended in MemoryError
+_ENSEMBLE_BYTES = 2 * 10**9
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,6 +431,27 @@ def _is_uniform(grid: np.ndarray) -> bool:
     return bool(np.all(np.abs(grid - line) <= _RUN_ULPS * np.spacing(grid)))
 
 
+def _plan(n: int, grid: np.ndarray) -> tuple:
+    """How _evolve steps a validated grid at N = n: whether the grid is
+    uniform, B, the steps of one expm call off a uniform grid, and C / B."""
+    bound = min(grid.size // n, _BLOCK_ENTRIES // (n * n))
+    uniform = _is_uniform(grid)
+    width = max(1, min(_BLOCK, bound, grid.size - 1)) if uniform else 1
+    blocks = -(-max(_BLOCK, _CHUNK_ENTRIES // (n + 2)) // width)
+    return uniform, width, max(1, bound), blocks
+
+
+def _stack_bytes(n_stack: int, n: int, grid: np.ndarray) -> int:
+    """About the peak bytes of run_ensemble on n_stack chains of n atoms:
+    what _evolve's docstring counts per generator, and the moments."""
+    uniform, width, cap, blocks = _plan(n, grid)
+    rows = blocks * width
+    scales = (1 + (width > 1)) if uniform else cap
+    words = (3 * rows * (n + 2) + 2 * rows + 4 * n * (width * (n + 2) - n)
+             + 40 * n * n * scales)
+    return 8 * n_stack * words + 32 * grid.size
+
+
 def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
             ) -> Iterator[tuple[int, np.ndarray]]:
     """Advance c0 under every generator of the stack v across the grid.
@@ -472,21 +497,21 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
     _observables adds C (N + 2) x 8 bytes of squared moduli and
     C x 2 x 8 bytes of (P_tot, I_tot) per chunk (18 and 5 kB), which an
     ensemble reduces over the stack in place: 96 kB per generator in
-    all, measured with tracemalloc on a stack of 200.
+    all, measured with tracemalloc on a stack of 200.  An expm call takes
+    about 20 N x N complex matrices a generator for each of its steps
+    (h and B h on a uniform grid, up to cap steps off it), which sets the
+    peak at large N and off a uniform grid (tracemalloc: 3.0 and 12.2 MB
+    a generator at N = 100 and 200, 0.62 MB at N = 5 on a log grid).
     """
     n_stack, n = v.shape[:2]
-    count = grid.size - 1
-    bound = min(grid.size // n, _BLOCK_ENTRIES // (n * n))
-    uniform = _is_uniform(grid)
-    width = max(1, min(_BLOCK, bound, count)) if uniform else 1
-    cap = max(1, bound)
+    uniform, width, cap, blocks = _plan(n, grid)
     # [I | conj(w) | w]: a row state c^T times it is (c, w^dag c, w^T c)
     frame = np.zeros((n_stack, n, width, n + 2), dtype=complex)
     frame[:, range(n), 0, range(n)] = 1.0
     frame[:, :, 0, n] = w.conj()
     frame[:, :, 0, n + 1] = w
     if uniform:
-        h = grid[-1] / count
+        h = grid[-1] / (grid.size - 1)
         ends = _exponentials(v, [h] if width == 1 else [h, width * h])
         transposed = ends[:, 0].swapaxes(1, 2)
         for j in range(1, width):
@@ -504,7 +529,6 @@ def _evolve(v: np.ndarray, w: np.ndarray, c0: np.ndarray, grid: np.ndarray
     real_fine[:, :, 1, :, 1] = fine.real
     real_fine = real_fine.reshape(n_stack, 2 * n, -1)
     del frame, fine
-    blocks = -(-max(_BLOCK, _CHUNK_ENTRIES // (n + 2)) // width)
     chunk = np.empty((n_stack, blocks, width * (n + 2)), dtype=complex)
     coarse = chunk[..., :n]
     # each block's coarse state as an (R, N, 1) column, made once: slicing
@@ -665,7 +689,9 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
     two (R, 1) columns alone numpy would add pairwise.  Memory grows
     with the number of realizations plus the grid length, not with their
     product: O(R C (N + 2) + K), C the chunk rows of _evolve, 96 kB per
-    realization at N = 5 (see _evolve).  Every draw keeps the site order
+    realization at N = 5 (see _evolve); a stack that _stack_bytes puts
+    past _ENSEMBLE_BYTES is refused with ConfigError before any chain is
+    built.  Every draw keeps the site order
     (DisorderSpec holds w below 0.5), so no realization is skipped and
     n_skipped stays 0.  Standard deviations use the n-1 divisor.  With
     cross_check on, only the states at the check times are kept, and
@@ -679,6 +705,12 @@ def run_ensemble(config: ChainConfig, disorder: DisorderSpec, grid,
         raise ConfigError("need at least 2 realizations")
     times = _validate_grid(grid)
     n_stack, n = disorder.n_realizations, config.n_atoms
+    need = _stack_bytes(n_stack, n, times)
+    if need > _ENSEMBLE_BYTES:
+        raise ConfigError(
+            f"an ensemble of {n_stack} realizations of {n} atoms on "
+            f"{times.size} grid points needs about {need / 1e9:.1f} GB, over "
+            f"the {_ENSEMBLE_BYTES / 1e9:g} GB budget")
     v, w, weights = _generators([build_chain(config, disorder, index)
                                  for index in range(n_stack)])
     c0 = uniform_excitation(n).amplitudes

@@ -1,12 +1,14 @@
 """How a table becomes bytes: repr's text of whole numpy columns, a block
-of _PASS cells at a time, framed as CSV or JSON by the writers.
+of _PASS formatted cells at a time, framed as CSV or JSON by the writers.
 
 cells() lays every value of a few equal-length columns out as the bytes
 that repr(float(x)) or repr(int(x)) gives, one fixed-width row of bytes
 a cell, with PAD in the unused positions; text() drops the PAD bytes of
 a whole frame of such rows, separators included, in one pass.  A column
 that holds one value throughout (one bit pattern, so -0.0 and each NaN
-payload stay apart) is formatted once and its cell repeated.
+payload stay apart) is formatted once and its cell repeated, so a block
+of a table is sized by its other columns: those that vary over the
+whole table.
 
 The digits of a float are the shortest that read back to it, and among
 those the closest to it, as repr prints them.  They come from Schubfach
@@ -18,7 +20,9 @@ at least two exponent digits; otherwise fixed form, with ".0" on integral
 values; "-" on negative values and -0.0.  A layout depends only on the
 digit count and decpt, so it is one row of a table of byte indices built
 at import, whose first index is the cell's sign byte, and laying out a
-cell is one gather.  Subnormal, infinite and NaN cells are spelled by a
+cell is one gather.  The trailing zeros that the layout leaves out are
+counted from the 4-digit chunks that the digits are looked up by.
+Subnormal, infinite and NaN cells are spelled by a
 caller's function.  Integer cells are repr of each value, written into
 PAD-filled rows.
 """
@@ -40,8 +44,11 @@ __all__ = ["write_trajectory_csv", "write_trajectory_json"]
 WIDTH = 24
 PAD = 0
 
-# cells of a block, formatted in one pass, whose temporaries peak at
-# about 390 bytes a cell.  Five columns took 1.2x the time in passes of
+# formatted cells of a block, in one pass, whose temporaries peak at
+# about 330 bytes a cell; a column constant over the whole table adds
+# one cell, not a block's rows, so the CSV writer divides _PASS by the
+# other columns (a block of a kernel table went from 1536 to 2048 rows,
+# BENCH_33.json).  Five columns took 1.2x the time in passes of
 # 3072 cells and 1.3x in 2048, eight in one pass of 8192 0.88x that of
 # two passes at 1.7x the peak (BENCH_24.json), and blocks of 1024 rows
 # 1.02-1.03x that of blocks of _PASS cells (BENCH_32.json)
@@ -106,7 +113,14 @@ def _table() -> np.ndarray:
                     dtype=np.uint8)
 
 
-_TABLE = _table()
+# intp, as np.take wants its indices
+_TABLE = _table().astype(np.intp)
+# the first index of each cell's 32 source bytes, for the passes that
+# _PASS bounds: their varying columns' cells plus one cell of each
+# constant column
+_OFFSETS = 32 * np.arange(_PASS + 64)[:, None]
+# the trailing zeros of each 4-digit chunk "0000".."9999", 4 for "0000"
+_TRAILING = sum(np.arange(10**4) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
 
 
 def _round_to_odd(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -168,55 +182,103 @@ def _shortest(bits: np.ndarray) -> tuple:
     return d, k + shorter
 
 
-def _source(u: np.ndarray, exponent, negative: np.ndarray) -> np.ndarray:
+def _source(u: np.ndarray, exponent, negative: np.ndarray) -> tuple:
     """Each cell's 32 source bytes: the 20 digits of u, the 4 of exponent,
-    the fixed bytes and the sign, "-" where negative."""
+    the fixed bytes and the sign, "-" where negative; and the trailing
+    zeros of u, 16 where u is 0, for u of 17 digits or 0.
+
+    The digits come in 4-digit chunks, looked up by their values, and the
+    trailing zeros from the four chunks below the top one: those of the
+    last chunk, plus those of the one above it while the chunks below it
+    are "0000".
+    """
+    # int64, u < 10**17: numpy divides it by a scalar fast, divmod
+    # slowly, and gathers by its own index type without a cast
+    u = u.view(np.int64)
     source = np.empty((len(u), 8), dtype=np.uint32)
-    high = u // _U(10**8)
-    top = high // _U(10**8)
+    high = u // 10**8
+    top = high // 10**8
     source[:, 0] = _CHUNKS[top]
-    # divisions by a scalar: numpy does these fast, divmod slowly
-    for word, part in ((1, high - top * _U(10**8)), (3, u - high * _U(10**8))):
-        part = part.astype(np.uint32)
-        upper = part // np.uint32(10**4)
+    zeros = None
+    for word, part in ((1, high - top * 10**8), (3, u - high * 10**8)):
+        upper = part // 10**4
+        lower = part - upper * 10**4
         source[:, word] = _CHUNKS[upper]
-        source[:, word + 1] = _CHUNKS[part - upper * np.uint32(10**4)]
+        source[:, word + 1] = _CHUNKS[lower]
+        # the trailing zeros of the chunks upper, lower: 8 when part is 0
+        chunks = _TRAILING[lower]
+        chunks += _TRAILING[upper] * (lower == 0)
+        zeros = chunks if zeros is None else chunks + zeros * (chunks == 8)
     source[:, 5] = _CHUNKS[exponent]
     source.view(_U)[:, 3] = _FIXED_WORDS[negative.view(np.uint8)]
-    return source.view(np.uint8)
+    return source.view(np.uint8), zeros
 
 
 def _lay_out(source: np.ndarray, cls: np.ndarray) -> np.ndarray:
     """(cells, WIDTH) bytes of each cell's layout class from its source,
-    sign first, in one gather."""
-    return source.reshape(-1)[_TABLE[cls] + 32 * np.arange(len(cls))[:, None]]
+    sign first, in one gather: the class's row of _TABLE, offset in
+    place by the cell's first source byte.  The offsets of the passes
+    that _PASS bounds are those of _OFFSETS, made at import; longer
+    passes make their own.
+    """
+    index = np.take(_TABLE, cls, axis=0)
+    index += (_OFFSETS[:len(cls)] if len(cls) <= len(_OFFSETS)
+              else 32 * np.arange(len(cls))[:, None])
+    return np.take(source.reshape(-1), index)
+
+
+def _digits(magnitude: np.ndarray, other, negative: np.ndarray) -> tuple:
+    """The source bytes (see _source) and layout class of each cell of
+    these magnitudes, laid out as 0.0 where other is set (None: nowhere)."""
+    # 1.0 stands in for the other cells: decpt = 1, and d = 0 lays it out
+    # as 0.0
+    d, k = _shortest(magnitude if other is None
+                     else np.where(other, _U(0x3FF << 52), magnitude))
+    # d has 15 to 17 digits: s has 16 or 17 (see _shortest), d one fewer
+    # when shorter
+    n = 15 + (d >= _POW10[15]) + (d >= _POW10[16])
+    decpt = k + n
+    # at most 324: decpt - 1 is the decimal exponent of a normal double
+    exp = np.abs(decpt - 1)
+    if other is not None:
+        d[other] = 0
+    # d scaled to 17 digits, at source bytes 3..19, of which n - 1 =
+    # 16 - zeros follow the first without the trailing zeros
+    source, zeros = _source(d * _POW10[17 - n], exp, negative)
+    fixed = (decpt > -4) & (decpt <= 16)
+    form = 2 * (decpt < 0) + (exp >= 100)
+    return source, np.where(fixed, (decpt + 3) * 17, _N_FIXED + form * 17) + 16 - zeros
 
 
 def _float_cells(x: np.ndarray, spell) -> np.ndarray:
     magnitude = x.view(_U) & _U((1 << 63) - 1)
     # biased exponent 1..2046; 0 (zero, subnormal) wraps around
     normal = (magnitude >> _U(52)) - _U(1) < _U(0x7FE)
-    d, k = _shortest(np.where(normal, magnitude, _U(0x3FF << 52)))
-    d[~normal] = 0
-    zero = d == 0
-    n = np.searchsorted(_POW10, d, side="right")
-    decpt = k + n
-    decpt[zero] = 1
-    exp = np.abs(decpt - 1)
-    # d scaled to 17 digits, at source bytes 3..19; n counts them without
-    # the trailing zeros
-    source = _source(d * _POW10[17 - n], np.minimum(exp, 9999), np.signbit(x))
-    n = 17 - np.argmax(source[:, 19:2:-1] != 48, axis=1)
-    n[zero] = 1
-    fixed = (decpt > -4) & (decpt <= 16)
-    form = 2 * (decpt < 0) + (exp >= 100)
-    cls = np.where(fixed, (decpt + 3) * 17, _N_FIXED + form * 17) + n - 1
-    cells = _lay_out(source, cls)
-    for i in np.flatnonzero(~normal & (magnitude != 0)):
-        text = spell(float(x[i])).encode()
-        cells[i] = PAD
-        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    other = None if normal.all() else ~normal
+    # _digits' temporaries are freed before the gather's index, the
+    # largest array, is made: a pass peaks at 330, not 350, bytes a cell
+    cells = _lay_out(*_digits(magnitude, other, np.signbit(x)))
+    if other is not None:
+        # laid out as 0.0; the non-zero ones are spelled over
+        for i in np.flatnonzero(other & (magnitude != 0)):
+            text = spell(float(x[i])).encode()
+            cells[i] = PAD
+            cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return cells
+
+
+def _values(column) -> np.ndarray:
+    """The column as float64, or as int64 if it is not a float column."""
+    column = np.asarray(column)
+    return column.astype(np.float64 if column.dtype.kind == "f" else np.int64, copy=False)
+
+
+def _constant(x: np.ndarray) -> bool:
+    """Whether x has values, all of one bit pattern."""
+    bits = x.view(_U)
+    # the end cells first: few varying columns pass that test, so few
+    # pay for the whole comparison
+    return len(bits) > 0 and bits[-1] == bits[0] and (bits == bits[0]).all()
 
 
 def cells(columns: list, spell=repr) -> np.ndarray:
@@ -228,19 +290,16 @@ def cells(columns: list, spell=repr) -> np.ndarray:
     for JSON, which spells NaN and Infinity).  A column whose values all
     have one bit pattern is formatted from its first value; the values
     of the float columns are formatted together, in one pass, whose
-    temporaries peak at about 390 bytes a cell: the writers pass blocks
-    of _PASS cells.
+    temporaries peak at about 330 bytes a cell: the writers pass blocks
+    of _PASS formatted cells, besides one of each column constant over
+    their whole table.
     """
     rows = len(columns[0])
     out = np.empty((len(columns), rows, WIDTH), dtype=np.uint8)
     floats = {}
     for i, column in enumerate(columns):
-        column = np.asarray(column)
-        x = column.astype(np.float64 if column.dtype.kind == "f" else np.int64, copy=False)
-        bits = x.view(_U)
-        # the end cells first: few varying columns pass that test, so few
-        # pay for the whole comparison
-        if rows and bits[-1] == bits[0] and (bits == bits[0]).all():
+        x = _values(column)
+        if _constant(x):
             x = x[:1]
         if x.dtype == np.float64:
             floats[i] = x
@@ -270,9 +329,11 @@ def _write_csv(stream: IO[bytes], metadata: dict, table: dict,
     repr(float(x)), or of repr(int(x)) in an integer column, so floats
     parse back exactly and an integer column stays 0/1.  Each distinct
     column object is formatted once a block, so a column under two names
-    costs one formatting; a block holds _PASS of those cells, and its
-    cells, commas and newlines are one byte frame of 25 bytes a cell,
-    written without its padding.
+    costs one formatting, and a column whose values all have one bit
+    pattern costs one cell a block.  A block holds _PASS cells of the
+    distinct columns that vary over the table (_PASS // varying rows),
+    and its cells, commas and newlines are one byte frame of 25 bytes a
+    cell, written without its padding.
     """
     lines = [f"# {key} = {value}\n" for key, value in metadata.items()]
     if clamped:
@@ -282,11 +343,16 @@ def _write_csv(stream: IO[bytes], metadata: dict, table: dict,
     columns = list(table.values())
     distinct = {id(column): column for column in columns}
     order = [list(distinct).index(id(column)) for column in columns]
-    rows = max(1, _PASS // len(distinct))
+    varying = sum(not _constant(_values(column)) for column in distinct.values())
+    rows = max(1, _PASS // max(1, varying))
     for start in range(0, len(columns[0]), rows):
         block = cells([column[start:start + rows] for column in distinct.values()])
         frame = np.empty((block.shape[1], len(columns), WIDTH + 1), dtype=np.uint8)
-        frame[:, :, :-1] = block.transpose(1, 0, 2)[:, order]
+        # a column at a time: one fancy index of the transposed block makes
+        # a temporary of the block's size, and took 1.3-2.5x the time on
+        # the 2048 rows of a kernel table (BENCH_33.json)
+        for j, i in enumerate(order):
+            frame[:, j, :-1] = block[i]
         frame[:, :, -1] = ord(",")
         frame[:, -1, -1] = ord("\n")
         stream.write(text(frame))

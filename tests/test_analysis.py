@@ -292,6 +292,47 @@ def test_run_ensemble_memory_per_realization():
     assert transient / realizations <= 100e3
 
 
+def traced_peak(run) -> int:
+    """The peak bytes that tracemalloc sees run() take."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, realizations, grid", [
+    (5, 20, uniform_grid(40.0, 1001)),
+    (5, 10, log_grid(100.0, 100)),
+    (30, 4, uniform_grid(10.0, 201)),
+    (2, 30, uniform_grid(2.0, 11)),
+], ids=["N5", "N5-log", "N30", "N2-short"])
+def test_stack_estimate_bounds_the_traced_peak(n, realizations, grid):
+    config = ChainConfig(n_atoms=n, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.005, realizations, 7)
+    # the first run's one-time allocations are no part of the stack
+    run_ensemble(config, disorder, grid)
+    peak = traced_peak(lambda: run_ensemble(config, disorder, grid))
+    assert peak <= dynamics._stack_bytes(realizations, n, grid) <= 2.5 * peak
+
+
+def test_ensemble_past_the_budget_is_refused_before_any_chain_is_built():
+    config = ChainConfig(n_atoms=5, xi=math.pi, gamma_left=0.9, gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.005, 3_000_000, 7)
+    grid = uniform_grid(1500.0, 25001)
+
+    def refused():
+        with pytest.raises(ConfigError, match=(
+                r"^an ensemble of 3000000 realizations of 5 atoms on 25001 grid "
+                r"points needs about 3\d\d\.\d GB, over the 2 GB budget$")):
+            run_ensemble(config, disorder, grid)
+
+    # the grid's uniformity test, a few arrays of 25001 floats; a byte a
+    # realization would be 3 MB
+    assert traced_peak(refused) < 2e6
+
+
 def test_staircase_plateau_intensity_in_extended_precision():
     # on the plateaus, I_tot/P_tot < 1e-5, the dense -2 Re(c^dag V c)
     # cancelled terms of size gamma |c|^2 and was off by up to 4e-5

@@ -344,6 +344,28 @@ def test_outdir_naming_a_file_exits_2_with_one_error_line(argv, tmp_path, capsys
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["kernel.csv", "manifest.json"])
+def test_output_file_naming_a_directory_exits_2_with_one_error_line(
+        name, tmp_path, capsys):
+    path = tmp_path / name
+    path.mkdir()
+    assert main(["kernel", "--dim", "1", "--xi", "1", "--outdir",
+                 str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file '{path}'")
+    assert err.count("\n") == 1
+
+
+def test_ensemble_past_the_memory_budget_exits_2_with_one_error_line(
+        tmp_path, capsys):
+    assert main(["ensemble", "--n", "5", "--realizations", "3000000",
+                 "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an ensemble of 3000000 realizations")
+    assert err.endswith(" GB, over the 2 GB budget\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_short_horizon_passes_the_cross_check(tmp_path):
     # steps clipped to 5e-16 to land on the record times are no underflow
     assert main(["simulate", "--n", "3", "--xi-over-pi", "1", "--points",
@@ -493,8 +515,9 @@ def kernel_reference(dim, xi):
 ], ids=["1", "1chiral", "2", "3"])
 def test_kernel_table_across_the_write_chunk_equals_row_by_row(
         argv, offset, capsys):
-    # the distinct columns of a row: 1chiral repeats decay and shift
-    width = {"1": 3, "1chiral": 5, "2": 4, "3": 4}[argv[1]]
+    # the distinct columns that vary over the table: 1chiral repeats
+    # decay and shift, and shift_divergent is 0 away from contact
+    width = {"1": 3, "1chiral": 5, "2": 3, "3": 3}[argv[1]]
     count = reprs._PASS // width + offset
     spec = f"0.01:0.005:{0.01 + 0.005 * (count - 1)!r}"
     xi = _parse_xi_range(spec)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralchain import reprs
+from check_formatter import mismatches, progressions, short_decimals
 
 
 def texts(cells):
@@ -119,10 +120,38 @@ def test_a_column_repeats_in_one_block_and_varies_in_the_next():
     table = {"x": np.arange(12.0), "tail": tail, "flag": flags,
              "constant": np.full(12, -0.0)}
     out = io.BytesIO()
-    # four columns: twelve cells a block are three rows
-    with mock.patch.object(reprs, "_PASS", 12):
+    # three columns vary over the table: nine cells a block are three rows
+    with mock.patch.object(reprs, "_PASS", 9):
         reprs._write_csv(out, {}, table)
     lines = ["x,tail,flag,constant\n"]
     lines += [f"{x!r},{t!r},{f!r},-0.0\n"
               for x, t, f in zip(table["x"].tolist(), tail.tolist(), flags.tolist())]
     assert out.getvalue().decode().splitlines(True) == lines
+
+
+@pytest.mark.parametrize("rows", [0, 1, 599, 600, 601, 2000])
+def test_a_block_holds_pass_cells_of_the_columns_that_vary(rows):
+    x = np.linspace(-3.0, 3.0, rows)
+    table = {"x": x, "zero": np.full(rows, -0.0), "y": np.exp(x),
+             "x_again": x, "flag": np.ones(rows, dtype=int),
+             "step": np.arange(rows) % 2}
+    out = io.BytesIO()
+    # x, y and step vary: 200 rows a block, whatever the other columns
+    with mock.patch.object(reprs, "_PASS", 600), \
+            mock.patch.object(reprs, "cells", wraps=reprs.cells) as cells:
+        reprs._write_csv(out, {}, table)
+    assert cells.call_count == math.ceil(rows / 200)
+    # each call formats the five distinct columns of its block
+    assert [len(call.args[0]) for call in cells.call_args_list] == [5] * cells.call_count
+    header, *lines = out.getvalue().decode().splitlines()
+    assert header == "x,zero,y,x_again,flag,step"
+    assert lines == [",".join(map(repr, row)) for row in zip(
+        x.tolist(), [-0.0] * rows, np.exp(x).tolist(), x.tolist(), [1] * rows,
+        (np.arange(rows) % 2).tolist())]
+
+
+@pytest.mark.parametrize("draw", [short_decimals, progressions])
+def test_short_decimals_and_grids_are_repr(draw):
+    # a fixed slice of tests/check_formatter.py's draws: short digits,
+    # whose trailing zeros the layout leaves out
+    assert mismatches(draw(np.random.default_rng(0), 5000)) == []
