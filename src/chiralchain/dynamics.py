@@ -89,9 +89,13 @@ _CHUNK_ENTRIES = 2048
 # a grid whose times are within this many ulp of j*h is uniform, of step h
 _RUN_ULPS = 4
 # most bytes an ensemble's stack may take (see _stack_bytes), refused
-# before any chain is built: twice the 960 MB that R = 10 000 peaked at on
-# the README grid, where R = 3 000 000 ended in MemoryError
-_ENSEMBLE_BYTES = 2 * 10**9
+# before any chain is built.  Every ensemble measured fits with room to
+# spare (N = 200 at R = 200, 2.4 GB by _evolve's 12.2 MB a generator;
+# R = 10 000 at N = 5 on the README grid, 960 MB), and R = 3 000 000,
+# which ended in MemoryError, does not (200-330 GB).  On the default
+# 25 001-point grid it admits N <= 498 at the default R = 200 and
+# R <= 145 553 at N = 5 (tests/test_analysis.py).
+_ENSEMBLE_BYTES = 16 * 10**9
 
 
 @dataclass(frozen=True, eq=False)

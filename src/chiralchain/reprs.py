@@ -46,11 +46,13 @@ PAD = 0
 
 # formatted cells of a block, in one pass, whose temporaries peak at
 # about 330 bytes a cell; a column constant over the whole table adds
-# one cell, not a block's rows, so the CSV writer divides _PASS by the
-# other columns (a block of a kernel table went from 1536 to 2048 rows,
-# BENCH_33.json).  Five columns took 1.2x the time in passes of
-# 3072 cells and 1.3x in 2048, eight in one pass of 8192 0.88x that of
-# two passes at 1.7x the peak (BENCH_24.json), and blocks of 1024 rows
+# one formatted cell, so the CSV writer divides _PASS by the other
+# columns (a block of a kernel table went from 1536 to 2048 rows,
+# BENCH_33.json), though its frame still takes 25 bytes for every row
+# of every column and cells' output WIDTH for every row of every
+# distinct column.  Five columns took 1.2x the time in passes of 3072
+# cells and 1.3x in 2048, eight in one pass of 8192 0.88x that of two
+# passes at 1.7x the peak (BENCH_24.json), and blocks of 1024 rows
 # 1.02-1.03x that of blocks of _PASS cells (BENCH_32.json)
 _PASS = 6144
 
@@ -115,10 +117,6 @@ def _table() -> np.ndarray:
 
 # intp, as np.take wants its indices
 _TABLE = _table().astype(np.intp)
-# the first index of each cell's 32 source bytes, for the passes that
-# _PASS bounds: their varying columns' cells plus one cell of each
-# constant column
-_OFFSETS = 32 * np.arange(_PASS + 64)[:, None]
 # the trailing zeros of each 4-digit chunk "0000".."9999", 4 for "0000"
 _TRAILING = sum(np.arange(10**4) % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
 
@@ -217,13 +215,10 @@ def _source(u: np.ndarray, exponent, negative: np.ndarray) -> tuple:
 def _lay_out(source: np.ndarray, cls: np.ndarray) -> np.ndarray:
     """(cells, WIDTH) bytes of each cell's layout class from its source,
     sign first, in one gather: the class's row of _TABLE, offset in
-    place by the cell's first source byte.  The offsets of the passes
-    that _PASS bounds are those of _OFFSETS, made at import; longer
-    passes make their own.
+    place by the cell's first source byte.
     """
     index = np.take(_TABLE, cls, axis=0)
-    index += (_OFFSETS[:len(cls)] if len(cls) <= len(_OFFSETS)
-              else 32 * np.arange(len(cls))[:, None])
+    index += 32 * np.arange(len(cls))[:, None]
     return np.take(source.reshape(-1), index)
 
 

@@ -325,12 +325,26 @@ def test_ensemble_past_the_budget_is_refused_before_any_chain_is_built():
     def refused():
         with pytest.raises(ConfigError, match=(
                 r"^an ensemble of 3000000 realizations of 5 atoms on 25001 grid "
-                r"points needs about 3\d\d\.\d GB, over the 2 GB budget$")):
+                r"points needs about 3\d\d\.\d GB, over the 16 GB budget$")):
             run_ensemble(config, disorder, grid)
 
     # the grid's uniformity test, a few arrays of 25001 floats; a byte a
     # realization would be 3 MB
     assert traced_peak(refused) < 2e6
+
+
+@pytest.mark.parametrize("n, realizations", [(498, 200), (5, 145_553)],
+                         ids=["N-at-R200", "R-at-N5"])
+def test_budget_admits_the_stated_limits_and_refuses_one_past(n, realizations):
+    # the CLI's default grid; the limits are those README states
+    grid = uniform_grid(1000.0, 25001)
+    assert dynamics._stack_bytes(realizations, n, grid) <= dynamics._ENSEMBLE_BYTES
+    past = (n + 1, realizations) if n > 5 else (n, realizations + 1)
+    config = ChainConfig(n_atoms=past[0], xi=math.pi, gamma_left=0.9,
+                         gamma_right=1.0)
+    disorder = DisorderSpec.ensemble(0.005, past[1], 7)
+    with pytest.raises(ConfigError, match="over the 16 GB budget$"):
+        run_ensemble(config, disorder, grid)
 
 
 def test_staircase_plateau_intensity_in_extended_precision():

@@ -362,7 +362,7 @@ def test_ensemble_past_the_memory_budget_exits_2_with_one_error_line(
                  "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: an ensemble of 3000000 realizations")
-    assert err.endswith(" GB, over the 2 GB budget\n") and err.count("\n") == 1
+    assert err.endswith(" GB, over the 16 GB budget\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
