@@ -333,13 +333,14 @@ def test_ensemble_past_the_budget_is_refused_before_any_chain_is_built():
     assert traced_peak(refused) < 2e6
 
 
-@pytest.mark.parametrize("n, realizations", [(498, 200), (5, 145_553)],
-                         ids=["N-at-R200", "R-at-N5"])
-def test_budget_admits_the_stated_limits_and_refuses_one_past(n, realizations):
-    # the CLI's default grid; the limits are those README states
+@pytest.mark.parametrize("limit, past", [
+    ((498, 200), (499, 200)),
+    ((5, 145_553), (5, 145_554)),
+], ids=["N-at-R200", "R-at-N5"])
+def test_budget_admits_the_stated_limits_and_refuses_one_past(limit, past):
+    # (N, R) on the CLI's default grid; the limits are those README states
     grid = uniform_grid(1000.0, 25001)
-    assert dynamics._stack_bytes(realizations, n, grid) <= dynamics._ENSEMBLE_BYTES
-    past = (n + 1, realizations) if n > 5 else (n, realizations + 1)
+    assert dynamics._stack_bytes(limit[1], limit[0], grid) <= dynamics._ENSEMBLE_BYTES
     config = ChainConfig(n_atoms=past[0], xi=math.pi, gamma_left=0.9,
                          gamma_right=1.0)
     disorder = DisorderSpec.ensemble(0.005, past[1], 7)
